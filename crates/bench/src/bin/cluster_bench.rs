@@ -3,11 +3,11 @@
 //! once through the current headroom-scored router
 //! (`cluster::run_routed_cluster` — one batched predictor forward per
 //! arrival, ingress shed/spill, epoch-batched per-GPU simulation driven
-//! through `decide_into` + admit/retire hooks) and once through an
-//! embedded line-faithful copy of the pre-overhaul cluster path
-//! (round-robin node ingress + per-node least-connections, per-round
-//! `decide()` allocations, every arrival enqueued no matter how doomed).
-//! Emits `BENCH_cluster.json` with end-to-end routed queries/sec for each
+//! through `decide_into` + admit/retire hooks) and once through the live
+//! round-robin cluster path, `cluster::sim`'s Abacus + K8s system
+//! (`cluster::run_cluster_on`: round-robin node ingress + per-node
+//! least-connections, per-round `decide()` allocations, every arrival
+//! enqueued no matter how doomed). Emits `BENCH_cluster.json` with end-to-end routed queries/sec for each
 //! path.
 //!
 //! Every run cross-checks itself: each path executes twice (warmup +
@@ -30,10 +30,11 @@
 //!   baseline; exit non-zero past 2x regression or if the routed path no
 //!   longer clears the 3x speedup floor.
 
-use abacus_core::{AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor};
 use abacus_metrics::{QueryOutcome, QueryRecord, ServiceStats};
-use cluster::{ClusterConfig, NodePool, RoutedClusterConfig};
+use bench::reference::decision::pinned_config;
+use cluster::{ClusterConfig, ClusterSystem, NodePool, RoutedClusterConfig};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
+use faults::NodeDegradation;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::features::SLOT_WIDTH;
 use predictor::{LatencyModel, MAX_COLOCATED, MODEL_SLOT_BASE};
@@ -45,19 +46,15 @@ use workload::RateTrace;
 /// A metric fails the `--check` gate past this factor.
 const REGRESSION_FACTOR: f64 = 2.0;
 
-/// The routed path must stay at least this much faster than the embedded
-/// pre-overhaul path (the tentpole target).
+/// The routed path must stay at least this much faster than the
+/// round-robin path.
 const MIN_SPEEDUP: f64 = 3.0;
 
 /// Offered load at the diurnal peak, queries/sec — far past the fleet's
 /// capacity, which is exactly the regime that separates ingress designs:
-/// the old path funnels every doomed query through a scheduler queue, the
+/// round-robin funnels every doomed query through a scheduler queue, the
 /// router sheds it with one batched forward.
 const PEAK_QPS: f64 = 78000.0;
-
-/// Per-round prediction latency pinned for both paths, ms (simulated time
-/// only; keeps the Abacus overhead account host-independent).
-const PREDICT_ROUND_MS: f64 = 0.09;
 
 /// Constant-time synthetic predictor calibrated to the reference GPU:
 /// per-slot cost proportional to the normalised operator span times the
@@ -109,187 +106,6 @@ impl LatencyModel for SpanModel {
     }
 }
 
-/// The pre-overhaul cluster path, kept as the measured perf baseline.
-///
-/// A line-faithful copy of `cluster::sim`'s `GpuSim` + `run_abacus_k8s`
-/// as of the pre-overhaul tree: round-robin ingress across nodes,
-/// least-connections GPU pick within a node, every GPU advanced to each
-/// arrival's timestamp, per-round `Scheduler::decide` (fresh allocations,
-/// no admit/retire hooks), and no ingress admission — every arrival is
-/// enqueued regardless of whether any GPU could still meet its deadline.
-mod baseline {
-    use super::*;
-    use workload::{fork_seed, Arrival};
-
-    /// Heterogeneity the way the pre-overhaul path expressed it: one
-    /// reference spec plus per-node capacity slowdowns.
-    pub struct Config {
-        pub nodes: usize,
-        pub gpus_per_node: usize,
-        pub models: Vec<ModelId>,
-        pub qos_ms: f64,
-        pub seed: u64,
-        pub abacus: AbacusConfig,
-        pub parallel: bool,
-        /// Slowdown per node (1.0 = reference hardware).
-        pub slowdowns: Vec<f64>,
-    }
-
-    fn node_gpu_spec(gpu: &GpuSpec, slowdown: f64) -> GpuSpec {
-        assert!(
-            slowdown.is_finite() && slowdown >= 1.0,
-            "slowdown must be finite and >= 1, got {slowdown}"
-        );
-        if slowdown == 1.0 {
-            return gpu.clone();
-        }
-        let mut g = gpu.clone();
-        g.peak_flops /= slowdown;
-        g.peak_bw /= slowdown;
-        g
-    }
-
-    fn record_of(q: &Query, latency_ms: f64, outcome: QueryOutcome) -> QueryRecord {
-        QueryRecord {
-            service: q.model.index(),
-            arrival_ms: q.arrival_ms,
-            latency_ms,
-            qos_ms: q.qos_ms,
-            outcome,
-            requests: q.input.batch,
-            queue_ms: q.queue_ms().unwrap_or(latency_ms),
-        }
-    }
-
-    struct GpuSim {
-        scheduler: Box<dyn Scheduler>,
-        executor: SegmentalExecutor,
-        queue: Vec<Query>,
-        free_at: f64,
-    }
-
-    impl GpuSim {
-        fn outstanding(&self) -> usize {
-            self.queue.len()
-        }
-
-        fn advance(&mut self, until: f64, lib: &ModelLibrary, records: &mut Vec<QueryRecord>) {
-            loop {
-                if self.queue.is_empty() {
-                    break;
-                }
-                let earliest = self
-                    .queue
-                    .iter()
-                    .map(|q| q.arrival_ms)
-                    .fold(f64::INFINITY, f64::min);
-                let t = self.free_at.max(earliest);
-                if t > until {
-                    break;
-                }
-                let decision = self.scheduler.decide(t, &self.queue);
-                for id in &decision.dropped {
-                    let pos = self.queue.iter().position(|q| q.id == *id).unwrap();
-                    let q = self.queue.swap_remove(pos);
-                    records.push(record_of(&q, t - q.arrival_ms, QueryOutcome::Dropped));
-                }
-                let Some(group) = decision.group else {
-                    continue;
-                };
-                let start = t + decision.overhead_ms;
-                for e in &group.entries {
-                    let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                    self.queue[pos].mark_started(start);
-                }
-                let spec =
-                    group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
-                let out = self.executor.execute(&spec);
-                self.free_at = start + out.duration_ms;
-                self.scheduler.on_group_complete(out.duration_ms);
-                for e in &group.entries {
-                    let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                    self.queue[pos].advance_to(e.op_end);
-                    if self.queue[pos].is_complete() {
-                        let q = self.queue.swap_remove(pos);
-                        records.push(record_of(
-                            &q,
-                            self.free_at - q.arrival_ms,
-                            QueryOutcome::Completed,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    pub fn run(
-        cfg: &Config,
-        lib: &Arc<ModelLibrary>,
-        gpu: &GpuSpec,
-        noise: &NoiseModel,
-        predictor: Arc<dyn LatencyModel>,
-        arrivals: &[Arrival],
-        inputs: &[QueryInput],
-    ) -> Vec<QueryRecord> {
-        let nodes = cfg.nodes.max(1);
-        let mut node_arrivals: Vec<Vec<(u64, &Arrival, QueryInput)>> = vec![Vec::new(); nodes];
-        for (i, (a, &input)) in arrivals.iter().zip(inputs).enumerate() {
-            node_arrivals[i % nodes].push((i as u64, a, input));
-        }
-        let run_node = |node: usize| -> Vec<QueryRecord> {
-            let node_gpu = node_gpu_spec(gpu, cfg.slowdowns[node]);
-            let mut gpus: Vec<GpuSim> = (0..cfg.gpus_per_node)
-                .map(|local| {
-                    let g = node * cfg.gpus_per_node + local;
-                    GpuSim {
-                        scheduler: Box::new(AbacusScheduler::new(
-                            predictor.clone(),
-                            lib.clone(),
-                            cfg.abacus.clone(),
-                        )),
-                        executor: SegmentalExecutor::new(
-                            node_gpu.clone(),
-                            noise.clone(),
-                            lib.clone(),
-                            fork_seed(cfg.seed, 0xE000 + g as u64),
-                        ),
-                        queue: Vec::new(),
-                        free_at: 0.0,
-                    }
-                })
-                .collect();
-            let mut records = Vec::with_capacity(node_arrivals[node].len());
-            for &(id, a, input) in &node_arrivals[node] {
-                for g in gpus.iter_mut() {
-                    g.advance(a.at_ms, lib, &mut records);
-                }
-                let target = gpus
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(i, g)| (g.outstanding(), *i))
-                    .map(|(i, _)| i)
-                    .unwrap();
-                let model = cfg.models[a.service];
-                let n_ops = lib.graph(model, input).len();
-                gpus[target]
-                    .queue
-                    .push(Query::new(id, model, input, a.at_ms, cfg.qos_ms, n_ops));
-            }
-            for g in gpus.iter_mut() {
-                g.advance(f64::INFINITY, lib, &mut records);
-            }
-            records
-        };
-        let per_node: Vec<Vec<QueryRecord>> = if cfg.parallel && nodes > 1 {
-            use rayon::prelude::*;
-            (0..nodes).into_par_iter().map(run_node).collect()
-        } else {
-            (0..nodes).map(run_node).collect()
-        };
-        per_node.into_iter().flatten().collect()
-    }
-}
-
 fn mix(h: u64, v: u64) -> u64 {
     (h ^ v.wrapping_mul(0x9E3779B97F4A7C15)).rotate_left(17)
 }
@@ -320,19 +136,18 @@ const SLOWDOWNS: [f64; 3] = [1.0, 1.77, 4.0];
 const POOL_SIZES: [usize; 3] = [4, 8, 4];
 const POOL_NAMES: [&str; 3] = ["a100", "mid", "slow"];
 
-fn fleet_slowdowns() -> Vec<f64> {
+/// The fleet's slowdowns in the round-robin path's vocabulary: 16
+/// single-GPU nodes, every node slower than the reference listed as
+/// degraded.
+fn fleet_degradations() -> Vec<NodeDegradation> {
     POOL_SIZES
         .iter()
         .zip(SLOWDOWNS)
         .flat_map(|(&n, s)| std::iter::repeat_n(s, n))
+        .enumerate()
+        .filter(|&(_, slowdown)| slowdown > 1.0)
+        .map(|(node, slowdown)| NodeDegradation { node, slowdown })
         .collect()
-}
-
-fn abacus_config() -> AbacusConfig {
-    AbacusConfig {
-        predict_round_ms: Some(PREDICT_ROUND_MS),
-        ..AbacusConfig::default()
-    }
 }
 
 struct Measured {
@@ -342,6 +157,9 @@ struct Measured {
     stats: ServiceStats,
 }
 
+/// The round-robin path: production `cluster::sim` Abacus + K8s
+/// (round-robin node ingress, least-connections GPU pick, every arrival
+/// enqueued) over the pre-generated workload.
 fn run_baseline(
     cfg: &ClusterConfig,
     lib: &Arc<ModelLibrary>,
@@ -351,30 +169,29 @@ fn run_baseline(
     arrivals: &[workload::Arrival],
     inputs: &[QueryInput],
 ) -> Measured {
-    let bcfg = baseline::Config {
-        nodes: cfg.nodes,
-        gpus_per_node: cfg.gpus_per_node,
-        models: cfg.models.clone(),
-        qos_ms: cfg.qos_ms,
-        seed: cfg.seed,
-        abacus: cfg.abacus.clone(),
-        parallel: cfg.parallel,
-        slowdowns: fleet_slowdowns(),
-    };
     let t0 = Instant::now();
-    let records = baseline::run(&bcfg, lib, gpu, noise, predictor.clone(), arrivals, inputs);
+    let out = cluster::run_cluster_on(
+        ClusterSystem::AbacusK8s,
+        cfg,
+        lib,
+        gpu,
+        noise,
+        Some(predictor.clone()),
+        arrivals,
+        inputs,
+    );
     let elapsed_s = t0.elapsed().as_secs_f64();
     assert_eq!(
-        records.len(),
+        out.records.len(),
         arrivals.len(),
-        "baseline lost or duplicated queries"
+        "round-robin path lost or duplicated queries"
     );
     let mut stats = ServiceStats::new();
-    stats.record_all(&records);
+    stats.record_all(&out.records);
     Measured {
-        queries: records.len(),
+        queries: out.records.len(),
         elapsed_s,
-        checksum: fold_records(&records),
+        checksum: fold_records(&out.records),
         stats,
     }
 }
@@ -450,8 +267,8 @@ fn main() {
         ModelId::Bert,
     ];
 
-    // Baseline fleet: 16 single-GPU nodes, heterogeneity via per-node
-    // slowdowns (the only vocabulary the pre-overhaul path had).
+    // Round-robin fleet: 16 single-GPU nodes, heterogeneity via degraded
+    // nodes (the only vocabulary the round-robin path has).
     let base_cfg = ClusterConfig {
         nodes: 16,
         gpus_per_node: 1,
@@ -459,9 +276,9 @@ fn main() {
         qos_ms: 100.0,
         trace: trace.clone(),
         seed,
-        abacus: abacus_config(),
+        abacus: pinned_config(),
         parallel: true,
-        degraded: Vec::new(),
+        degraded: fleet_degradations(),
     };
     // Routed fleet: identical hardware expressed as heterogeneous pools
     // (the slowdown-derived specs give derates of exactly 1.0/1.77/4.0
@@ -484,7 +301,7 @@ fn main() {
         qos_ms: 100.0,
         trace,
         seed,
-        abacus: abacus_config(),
+        abacus: pinned_config(),
         parallel: true,
         epoch_ms: 50.0,
         spill_slack_ms: 20.0,
@@ -512,7 +329,7 @@ fn main() {
     let base = run_baseline(&base_cfg, &lib, &reference, &noise, &span, &arrivals, &inputs);
     assert_eq!(
         base_warm.checksum, base.checksum,
-        "baseline cluster run is nondeterministic"
+        "round-robin cluster run is nondeterministic"
     );
     assert_eq!(routed.queries, base.queries, "paths saw different arrivals");
 
@@ -561,32 +378,21 @@ fn main() {
     if let Some(path) = check_path {
         let baseline_json = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let num_after = |key: &str| -> Option<f64> {
-            let at = baseline_json.find(key)? + key.len();
-            let rest = baseline_json[at..].trim_start_matches([':', ' ']);
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
         let mut failed = false;
         // queries/sec: lower is worse. The rate is per-query, so quick-mode
         // runs compare against full-mode baselines directly.
-        if let Some(base) = num_after("\"queries_per_sec\"") {
-            let ratio = base / queries_per_sec;
-            if ratio > REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: {queries_per_sec:.0} queries/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "ok: {queries_per_sec:.0} queries/sec vs baseline {base:.0} ({ratio:.2}x)"
-                );
-            }
+        let base = bench::gate_baseline(&baseline_json, "queries_per_sec", &path);
+        let ratio = base / queries_per_sec;
+        if ratio > REGRESSION_FACTOR {
+            eprintln!(
+                "REGRESSION: {queries_per_sec:.0} queries/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
+            );
+            failed = true;
+        } else {
+            eprintln!("ok: {queries_per_sec:.0} queries/sec vs baseline {base:.0} ({ratio:.2}x)");
         }
-        // The tentpole floor: routed ingress must stay >= MIN_SPEEDUP x the
-        // embedded pre-overhaul path. Same-host ratio, so core count and
+        // The floor: routed ingress must stay >= MIN_SPEEDUP x the
+        // round-robin path. Same-host ratio, so core count and
         // load do not excuse it.
         if speedup < MIN_SPEEDUP {
             eprintln!(

@@ -1,9 +1,10 @@
 //! Perf snapshot of the scheduler decision hot path. Replays fixed-seed
 //! churned queues (admits, drops, partial progress, completions) against
 //! both the current `AbacusScheduler` — incremental `(deadline, id)` order
-//! index plus arena-backed round scratch — and an embedded line-faithful
-//! copy of the pre-overhaul controller (per-round `Vec<&Query>` collect +
-//! headroom sort + fresh search buffers per plan), and emits
+//! index plus arena-backed round scratch — and the frozen pre-overhaul
+//! controller `bench::reference::decision::ReferenceController` (per-round
+//! `Vec<&Query>` collect + headroom sort + fresh search buffers per plan;
+//! the same copy the `golden_decisions` suite pins against), and emits
 //! `BENCH_decision.json` with decision rounds/sec for each. The two
 //! controllers must agree bit for bit: every run cross-checks a decision
 //! checksum (dropped ids, planned entries, predicted duration, overhead)
@@ -27,348 +28,15 @@
 //! measures is the decision layer itself — ordering, candidate filtering,
 //! buffer lifecycle, search bookkeeping — not MLP inference time.
 
-use abacus_core::{AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler};
+use abacus_core::{AbacusScheduler, Query, RoundDecision, Scheduler};
+use bench::reference::decision::{pinned_config, ReferenceController, SpanModel};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
-use predictor::features::SLOT_WIDTH;
-use predictor::{LatencyModel, MAX_COLOCATED, MODEL_SLOT_BASE};
 use std::io::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// A metric fails the `--check` gate past this factor.
 const REGRESSION_FACTOR: f64 = 2.0;
-
-/// Per-round prediction latency pinned for both controllers, ms, so the
-/// Eq. 3 overhead account is bit-identical and independent of the host.
-const PREDICT_ROUND_MS: f64 = 0.09;
-
-/// Constant-time synthetic predictor: per-slot cost proportional to the
-/// normalised operator span (the search tests' `SpanModel`). Cheap enough
-/// that the decision-layer mechanics dominate the measurement.
-struct SpanModel;
-
-impl LatencyModel for SpanModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut total: f64 = 0.0;
-        for slot in 0..MAX_COLOCATED {
-            let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-            total += (x[base + 1] - x[base]) * 10.0;
-        }
-        total
-    }
-    // Statically-dispatched batch path (one dyn call per round instead of
-    // one per row). Both controllers share this model, so the override
-    // shifts no cost between them — it only keeps the fixture predictor
-    // from dominating the measured controller overhead.
-    fn predict_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
-        out.clear();
-        if n == 0 {
-            assert!(xs.is_empty(), "rows supplied but n == 0");
-            return;
-        }
-        assert_eq!(xs.len() % n, 0, "ragged feature matrix");
-        let dim = xs.len() / n;
-        out.extend(xs.chunks_exact(dim).map(|row| self.predict_one(row)));
-    }
-    fn name(&self) -> &'static str {
-        "span"
-    }
-}
-
-/// The pre-overhaul decision path, kept as the measured perf baseline.
-///
-/// A line-faithful port of `AbacusScheduler::decide` AND `plan_group` as
-/// of the pre-overhaul tree: fresh `dropped` vector, `Vec<&Query>` collect
-/// plus headroom `sort_by` and two `retain` passes per round,
-/// `sorted.remove(0)` on each infeasible head, search buffers allocated
-/// per `plan_group` call, and per-entry `lib.graph(...)` lookups inside
-/// candidate encoding (`encode_features`).
-mod baseline {
-    use super::*;
-    use abacus_core::{PlannedEntry, PlannedGroup};
-    use predictor::{encode_features, feature_slot_of, GroupEntry, FEATURE_DIM};
-
-    /// Pre-overhaul search result (same shape the old `plan_group` returned).
-    pub enum SearchResult {
-        Planned(PlannedGroup),
-        Infeasible { prediction_rounds: usize },
-    }
-
-    /// Pre-overhaul per-call search buffers.
-    struct SearchBuffers {
-        entries: Vec<GroupEntry>,
-        features: Vec<f64>,
-        preds: Vec<f64>,
-        probes: Vec<usize>,
-    }
-
-    impl SearchBuffers {
-        fn new(ways: usize) -> Self {
-            let rows = ways.max(MAX_COLOCATED);
-            Self {
-                entries: Vec::with_capacity(MAX_COLOCATED),
-                features: vec![0.0; rows * FEATURE_DIM],
-                preds: Vec::with_capacity(rows),
-                probes: Vec::with_capacity(ways),
-            }
-        }
-    }
-
-    fn full_entry(q: &Query) -> GroupEntry {
-        GroupEntry {
-            model: q.model,
-            op_start: q.next_op,
-            op_end: q.n_ops,
-            input: q.input,
-        }
-    }
-
-    pub fn plan_group(
-        queries: &[&Query],
-        budget_ms: f64,
-        model: &dyn LatencyModel,
-        lib: &ModelLibrary,
-        ways: usize,
-    ) -> SearchResult {
-        assert!(!queries.is_empty(), "need at least one query");
-        assert!(ways >= 1, "need at least one search way");
-        debug_assert!(queries.iter().all(|q| !q.is_complete()));
-        let mut rounds = 0;
-        let mut bufs = SearchBuffers::new(ways);
-
-        let max_full = (queries.len() - 1).min(MAX_COLOCATED - 1);
-        let mut level1 = [0.0f64; MAX_COLOCATED];
-        {
-            let mut next = 0usize; // next candidate index to encode
-            let mut done = 0usize; // candidates already predicted
-            while done <= max_full {
-                let mut rows = 0;
-                while next <= max_full && rows < ways {
-                    bufs.entries.push(full_entry(queries[next]));
-                    encode_features(
-                        &bufs.entries,
-                        lib,
-                        &mut bufs.features[rows * FEATURE_DIM..(rows + 1) * FEATURE_DIM],
-                    );
-                    next += 1;
-                    rows += 1;
-                }
-                rounds += 1;
-                model.predict_into(&bufs.features[..rows * FEATURE_DIM], rows, &mut bufs.preds);
-                level1[done..done + rows].copy_from_slice(&bufs.preds);
-                done += rows;
-            }
-        }
-        if level1[0].is_nan() || budget_ms.is_nan() || level1[0] > budget_ms {
-            return SearchResult::Infeasible {
-                prediction_rounds: rounds,
-            };
-        }
-        let mut best_full = 0;
-        let mut best_pred = level1[0];
-        for (j, &p) in level1.iter().enumerate().take(max_full + 1).skip(1) {
-            if p <= budget_ms {
-                best_full = j;
-                best_pred = p;
-            } else {
-                break;
-            }
-        }
-
-        let mut partial_ops = 0;
-        if best_full < max_full {
-            let next_q = queries[best_full + 1];
-            let rem = next_q.remaining_ops();
-
-            bufs.entries.truncate(best_full + 1);
-            let mut partial = full_entry(next_q);
-            partial.op_end = partial.op_start; // placeholder; patched per probe
-            bufs.entries.push(partial);
-            let template_base = {
-                let (template, rest) = bufs.features.split_at_mut(FEATURE_DIM);
-                encode_features(&bufs.entries, lib, template);
-                for row in rest.chunks_exact_mut(FEATURE_DIM) {
-                    row.copy_from_slice(template);
-                }
-                MODEL_SLOT_BASE + feature_slot_of(&bufs.entries, next_q.model) * SLOT_WIDTH
-            };
-            let n_ops_norm = lib.graph(next_q.model, next_q.input).len() as f64;
-
-            let mut lo = 0usize;
-            let mut hi = rem;
-            let mut lo_pred = best_pred;
-            while hi - lo > 1 {
-                let span = hi - lo;
-                bufs.probes.clear();
-                bufs.probes.extend(
-                    (1..=ways)
-                        .map(|i| lo + (span * i) / (ways + 1))
-                        .filter(|&c| c > lo && c < hi),
-                );
-                bufs.probes.dedup();
-                if bufs.probes.is_empty() {
-                    bufs.probes.push(lo + span / 2);
-                }
-                for (row, &c) in bufs.probes.iter().enumerate() {
-                    bufs.features[row * FEATURE_DIM + template_base + 1] =
-                        (next_q.next_op + c) as f64 / n_ops_norm;
-                }
-                let rows = bufs.probes.len();
-                rounds += 1;
-                model.predict_into(&bufs.features[..rows * FEATURE_DIM], rows, &mut bufs.preds);
-                let mut new_lo = lo;
-                let mut new_lo_pred = lo_pred;
-                let mut new_hi = hi;
-                for (&c, &p) in bufs.probes.iter().zip(&bufs.preds) {
-                    if p <= budget_ms {
-                        if c > new_lo {
-                            new_lo = c;
-                            new_lo_pred = p;
-                        }
-                    } else if c < new_hi {
-                        new_hi = c;
-                    }
-                }
-                if new_lo == lo && new_hi == hi {
-                    break;
-                }
-                lo = new_lo;
-                lo_pred = new_lo_pred;
-                hi = new_hi.max(lo + 1);
-            }
-            partial_ops = lo;
-            best_pred = lo_pred;
-        }
-
-        let mut entries: Vec<PlannedEntry> = queries[..=best_full]
-            .iter()
-            .map(|q| PlannedEntry {
-                query_id: q.id,
-                op_start: q.next_op,
-                op_end: q.n_ops,
-            })
-            .collect();
-        if partial_ops > 0 {
-            let q = queries[best_full + 1];
-            entries.push(PlannedEntry {
-                query_id: q.id,
-                op_start: q.next_op,
-                op_end: q.next_op + partial_ops,
-            });
-        }
-        SearchResult::Planned(PlannedGroup {
-            entries,
-            predicted_ms: best_pred,
-            prediction_rounds: rounds,
-            upper_ms: None,
-        })
-    }
-
-    pub struct BaselineController {
-        model: Arc<dyn LatencyModel>,
-        lib: Arc<ModelLibrary>,
-        cfg: AbacusConfig,
-        predict_round_ms: f64,
-        hide_window_ms: f64,
-        total_prediction_rounds: u64,
-        total_rounds: u64,
-        last_predicted_ms: Option<f64>,
-    }
-
-    impl BaselineController {
-        pub fn new(model: Arc<dyn LatencyModel>, lib: Arc<ModelLibrary>, cfg: AbacusConfig) -> Self {
-            let predict_round_ms = cfg.predict_round_ms.expect("bench pins the round latency");
-            Self {
-                model,
-                lib,
-                cfg,
-                predict_round_ms,
-                hide_window_ms: 0.0,
-                total_prediction_rounds: 0,
-                total_rounds: 0,
-                last_predicted_ms: None,
-            }
-        }
-
-        pub fn decide(&mut self, now_ms: f64, queue: &[Query]) -> RoundDecision {
-            let mut dropped = Vec::new();
-            // Sort by headroom ascending (Eq. 2); ties by id for determinism.
-            let mut sorted: Vec<&Query> = queue.iter().collect();
-            sorted.sort_by(|a, b| {
-                a.headroom_ms(now_ms)
-                    .total_cmp(&b.headroom_ms(now_ms))
-                    .then(a.id.cmp(&b.id))
-            });
-            // Expired queries can never meet QoS: drop outright.
-            sorted.retain(|q| {
-                if q.headroom_ms(now_ms) < 0.0 {
-                    dropped.push(q.id);
-                    false
-                } else {
-                    true
-                }
-            });
-            // Only the least-headroom query of each model is eligible (§6.1).
-            let mut seen_models = 0u32;
-            sorted.retain(|q| {
-                let bit = 1u32 << q.model.index();
-                if seen_models & bit != 0 {
-                    false
-                } else {
-                    seen_models |= bit;
-                    true
-                }
-            });
-
-            let mut prediction_rounds = 0usize;
-            let mut planned = None;
-            let margin_frac = self.cfg.margin_frac;
-            while !sorted.is_empty() {
-                let budget =
-                    (sorted[0].headroom_ms(now_ms) - self.cfg.margin_ms) / (1.0 + margin_frac);
-                match plan_group(&sorted, budget, self.model.as_ref(), &self.lib, self.cfg.ways) {
-                    SearchResult::Planned(mut p) => {
-                        prediction_rounds += p.prediction_rounds;
-                        p.prediction_rounds = prediction_rounds;
-                        planned = Some(p);
-                        break;
-                    }
-                    SearchResult::Infeasible {
-                        prediction_rounds: r,
-                    } => {
-                        prediction_rounds += r;
-                        dropped.push(sorted[0].id);
-                        sorted.remove(0);
-                    }
-                }
-            }
-
-            self.last_predicted_ms = planned.as_ref().map(|p| p.predicted_ms);
-            self.total_rounds += 1;
-            self.total_prediction_rounds += prediction_rounds as u64;
-            let search_ms =
-                self.cfg.base_overhead_ms + prediction_rounds as f64 * self.predict_round_ms;
-            let overhead_ms = if self.cfg.pipelined {
-                let charged = (search_ms - self.hide_window_ms).max(0.0);
-                self.hide_window_ms = 0.0;
-                charged
-            } else {
-                search_ms
-            };
-
-            RoundDecision {
-                dropped,
-                group: planned,
-                overhead_ms,
-            }
-        }
-
-        pub fn on_group_complete(&mut self, duration_ms: f64) {
-            self.hide_window_ms = duration_ms;
-            self.last_predicted_ms = None;
-        }
-    }
-}
 
 /// The decision-layer surface the driver replays against either controller.
 trait Controller {
@@ -400,7 +68,7 @@ impl Controller for Optimized {
 
 /// The baseline path, driven exactly as the old node drove it: a fresh
 /// decision returned by value each round, no hooks.
-struct Baseline(baseline::BaselineController);
+struct Baseline(ReferenceController);
 
 impl Controller for Baseline {
     fn decide_into(&mut self, now_ms: f64, queue: &[Query], out: &mut RoundDecision) {
@@ -408,13 +76,6 @@ impl Controller for Baseline {
     }
     fn on_group_complete(&mut self, duration_ms: f64) {
         self.0.on_group_complete(duration_ms);
-    }
-}
-
-fn config() -> AbacusConfig {
-    AbacusConfig {
-        predict_round_ms: Some(PREDICT_ROUND_MS),
-        ..AbacusConfig::default()
     }
 }
 
@@ -534,15 +195,19 @@ fn run<C: Controller>(
 }
 
 fn run_optimized(lib: &Arc<ModelLibrary>, rounds: u64, depth: usize, seed: u64) -> Measured {
-    let mut c = Optimized(AbacusScheduler::new(Arc::new(SpanModel), lib.clone(), config()));
+    let mut c = Optimized(AbacusScheduler::new(
+        Arc::new(SpanModel::default()),
+        lib.clone(),
+        pinned_config(),
+    ));
     run(&mut c, lib, rounds, depth, seed)
 }
 
 fn run_baseline(lib: &Arc<ModelLibrary>, rounds: u64, depth: usize, seed: u64) -> Measured {
-    let mut c = Baseline(baseline::BaselineController::new(
-        Arc::new(SpanModel),
+    let mut c = Baseline(ReferenceController::new(
+        Arc::new(SpanModel::default()),
         lib.clone(),
-        config(),
+        pinned_config(),
     ));
     run(&mut c, lib, rounds, depth, seed)
 }
@@ -608,31 +273,17 @@ fn main() {
     if let Some(path) = check_path {
         let baseline_json = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let num_after = |key: &str| -> Option<f64> {
-            let at = baseline_json.find(key)? + key.len();
-            let rest = baseline_json[at..].trim_start_matches([':', ' ']);
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let mut failed = false;
         // rounds/sec: lower is worse. The rate is per-round, so quick-mode
         // runs compare against full-mode baselines directly.
-        if let Some(base) = num_after("\"rounds_per_sec\"") {
-            let ratio = base / rounds_per_sec;
-            if ratio > REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: {rounds_per_sec:.0} rounds/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
-                );
-                failed = true;
-            } else {
-                eprintln!("ok: {rounds_per_sec:.0} rounds/sec vs baseline {base:.0} ({ratio:.2}x)");
-            }
-        }
-        if failed {
+        let base = bench::gate_baseline(&baseline_json, "rounds_per_sec", &path);
+        let ratio = base / rounds_per_sec;
+        if ratio > REGRESSION_FACTOR {
+            eprintln!(
+                "REGRESSION: {rounds_per_sec:.0} rounds/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
+            );
             std::process::exit(1);
         }
+        eprintln!("ok: {rounds_per_sec:.0} rounds/sec vs baseline {base:.0} ({ratio:.2}x)");
         eprintln!("decision bench check passed");
     }
 }

@@ -1,9 +1,9 @@
 //! Perf snapshot of the discrete-event engine core. Measures kernel-level
 //! events/sec on two workloads — an open-loop arrival backlog (the calendar
 //! queue's worst case) and a tight group-mode reset loop (the SoA/SIMD hot
-//! loop) — for both the current `gpu_sim::Engine` and an embedded faithful
-//! copy of the pre-overhaul engine, and emits `BENCH_engine.json` with the
-//! measured speedup. The two engines must agree bit for bit: every run
+//! loop) — for both the current `gpu_sim::Engine` and the frozen
+//! pre-overhaul engine, and emits `BENCH_engine.json` with the measured
+//! speedup. The two engines must agree bit for bit: every run
 //! cross-checks a completion checksum before any number is reported.
 //!
 //! Usage:
@@ -19,13 +19,12 @@
 //! * `--check BASELINE` — compare measured events/sec against a committed
 //!   baseline; exit non-zero past 2x regression.
 //!
-//! The baseline engine below is a line-faithful port of the engine as of
-//! the pre-overhaul tree (binary-insert `pending: Vec<usize>`, full
-//! slowdown recompute per event, scalar decrement and min-scan), expressed
-//! against the crate's public API (`RunningKernel::profile`,
-//! `co_run_slowdowns_summed`, `NoiseModel` draws). Both engines consume the
+//! The baseline engine is the shared frozen reference
+//! `bench::reference::engine::ReferenceEngine` — the same copy the
+//! `golden_engine` suite pins the live engine to. Both engines consume the
 //! same RNG protocol, so completions are comparable bit for bit.
 
+use bench::reference::engine::{kernel_shapes, open_loop_workload, OpenLoop, ReferenceEngine};
 use gpu_sim::{Engine, GpuSpec, KernelDesc, NoiseModel};
 use std::io::Write as _;
 use std::num::NonZeroUsize;
@@ -33,233 +32,6 @@ use std::time::Instant;
 
 /// A metric fails the `--check` gate past this factor.
 const REGRESSION_FACTOR: f64 = 2.0;
-
-/// The pre-overhaul event core, kept as the measured perf baseline.
-mod baseline {
-    use gpu_sim::contention::{co_run_slowdowns_summed, RunningKernel};
-    use gpu_sim::{GpuSpec, KernelDesc, NoiseModel};
-    use workload::SeededRng;
-
-    struct Stream {
-        kernels: Vec<KernelDesc>,
-        next: usize,
-        start_ms: f64,
-        end_ms: Option<f64>,
-        remaining_ms: f64,
-    }
-
-    pub struct BaselineEngine {
-        gpu: GpuSpec,
-        noise: NoiseModel,
-        rng: SeededRng,
-        session_factor: f64,
-        time_ms: f64,
-        streams: Vec<Stream>,
-        /// Sorted by start time descending, soonest at the back — the
-        /// pre-overhaul O(n)-memmove binary-insert arrival structure.
-        pending: Vec<usize>,
-        active: Vec<usize>,
-        profiles: Vec<RunningKernel>,
-        slowdowns: Vec<f64>,
-        u_c: f64,
-        u_m: f64,
-        events: u64,
-    }
-
-    impl BaselineEngine {
-        pub fn new(gpu: GpuSpec, noise: NoiseModel, seed: u64) -> Self {
-            let mut rng = SeededRng::new(seed);
-            let session_factor = noise.session_factor(&mut rng);
-            Self {
-                gpu,
-                noise,
-                rng,
-                session_factor,
-                time_ms: 0.0,
-                streams: Vec::new(),
-                pending: Vec::new(),
-                active: Vec::new(),
-                profiles: Vec::new(),
-                slowdowns: Vec::new(),
-                u_c: 0.0,
-                u_m: 0.0,
-                events: 0,
-            }
-        }
-
-        pub fn reset(&mut self, seed: u64) {
-            self.rng = SeededRng::new(seed);
-            self.session_factor = self.noise.session_factor(&mut self.rng);
-            self.time_ms = 0.0;
-            self.events = 0;
-            self.streams.clear();
-            self.pending.clear();
-            self.active.clear();
-            self.profiles.clear();
-            self.slowdowns.clear();
-            self.u_c = 0.0;
-            self.u_m = 0.0;
-        }
-
-        pub fn events(&self) -> u64 {
-            self.events
-        }
-
-        pub fn add_stream(&mut self, kernels: Vec<KernelDesc>, start_ms: f64) -> usize {
-            let start_ms = start_ms.max(self.time_ms);
-            self.streams.push(Stream {
-                kernels,
-                next: 0,
-                start_ms,
-                end_ms: None,
-                remaining_ms: 0.0,
-            });
-            let id = self.streams.len() - 1;
-            let at = self
-                .pending
-                .partition_point(|&i| self.streams[i].start_ms >= start_ms);
-            self.pending.insert(at, id);
-            id
-        }
-
-        fn activate_due_streams(&mut self) {
-            while let Some(&idx) = self.pending.last() {
-                if self.streams[idx].start_ms > self.time_ms + 1e-12 {
-                    break;
-                }
-                self.pending.pop();
-                self.start_next_kernel(idx);
-            }
-        }
-
-        fn start_next_kernel(&mut self, idx: usize) {
-            loop {
-                let next = self.streams[idx].next;
-                if next >= self.streams[idx].kernels.len() {
-                    self.streams[idx].end_ms = Some(self.time_ms);
-                    return;
-                }
-                let kernel = self.streams[idx].kernels[next];
-                self.streams[idx].next = next + 1;
-                let profile = RunningKernel::profile(&kernel, &self.gpu);
-                let kf = self.noise.kernel_factor(&mut self.rng);
-                let dur = (kernel.launch_ms + profile.exec_ms) * self.session_factor * kf;
-                if dur <= 0.0 {
-                    continue;
-                }
-                self.streams[idx].remaining_ms = dur;
-                self.active.push(idx);
-                self.u_c += profile.compute_share;
-                self.u_m += profile.memory_share;
-                self.profiles.push(profile);
-                return;
-            }
-        }
-
-        fn remove_active(&mut self, pos: usize) {
-            let profile = self.profiles[pos];
-            self.u_c -= profile.compute_share;
-            self.u_m -= profile.memory_share;
-            self.active.swap_remove(pos);
-            self.profiles.swap_remove(pos);
-            if self.profiles.is_empty() {
-                self.u_c = 0.0;
-                self.u_m = 0.0;
-            }
-        }
-
-        /// Advance until the next stream completes; `(id, start, end)`.
-        pub fn step(&mut self) -> Option<(usize, f64, f64)> {
-            loop {
-                self.activate_due_streams();
-                if self.active.is_empty() {
-                    let &idx = self.pending.last()?;
-                    self.time_ms = self.streams[idx].start_ms;
-                    continue;
-                }
-                co_run_slowdowns_summed(self.u_c, self.u_m, &self.profiles, &mut self.slowdowns);
-                let mut dt = f64::INFINITY;
-                for (pos, &idx) in self.active.iter().enumerate() {
-                    let t = self.streams[idx].remaining_ms * self.slowdowns[pos];
-                    if t < dt {
-                        dt = t;
-                    }
-                }
-                if let Some(&idx) = self.pending.last() {
-                    let until_start = self.streams[idx].start_ms - self.time_ms;
-                    if until_start < dt {
-                        self.advance(until_start);
-                        continue;
-                    }
-                }
-                self.advance(dt);
-                let mut completed_stream = None;
-                let mut pos = 0;
-                while pos < self.active.len() {
-                    let idx = self.active[pos];
-                    if self.streams[idx].remaining_ms <= 1e-9 {
-                        self.remove_active(pos);
-                        self.events += 1;
-                        self.start_next_kernel(idx);
-                        if self.streams[idx].end_ms.is_some() && completed_stream.is_none() {
-                            completed_stream = Some(idx);
-                        }
-                    } else {
-                        pos += 1;
-                    }
-                }
-                if let Some(idx) = completed_stream {
-                    let s = &self.streams[idx];
-                    return Some((idx, s.start_ms, s.end_ms.unwrap()));
-                }
-            }
-        }
-
-        fn advance(&mut self, dt: f64) {
-            if dt == 0.0 {
-                return;
-            }
-            self.time_ms += dt;
-            for (pos, &idx) in self.active.iter().enumerate() {
-                let s = self.slowdowns[pos];
-                self.streams[idx].remaining_ms -= dt / s;
-                if self.streams[idx].remaining_ms < 0.0 {
-                    self.streams[idx].remaining_ms = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// Deterministic open-loop workload: `n` streams of 1..=4 mixed-shape
-/// kernels with Poisson-ish spaced (and periodically tied) start times.
-fn open_loop_workload(seed: u64, n: usize) -> Vec<(f64, Vec<KernelDesc>)> {
-    let gpu = GpuSpec::a100();
-    let shapes = [
-        KernelDesc::new(2e9, 1e7, 0.2 * gpu.block_slots()),
-        KernelDesc::new(2e10, 1e7, 4.0 * gpu.block_slots()),
-        KernelDesc::new(1e8, 4e8, 0.5 * gpu.block_slots()),
-        KernelDesc::new(5e8, 5e7, 1.1 * gpu.block_slots()),
-    ];
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|i| {
-            if i % 5 != 0 {
-                t += (next() % 1000) as f64 / 140.0;
-            }
-            let len = 1 + (next() % 4) as usize;
-            let kernels = (0..len)
-                .map(|_| shapes[(next() as usize) % shapes.len()])
-                .collect();
-            (t, kernels)
-        })
-        .collect()
-}
 
 /// Fold a completion into a running checksum (order- and bit-sensitive).
 fn fold(acc: u64, id: usize, start: f64, end: f64) -> u64 {
@@ -292,7 +64,7 @@ fn run_open_loop_optimized(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measur
 
 fn run_open_loop_baseline(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measured {
     let t0 = Instant::now();
-    let mut e = baseline::BaselineEngine::new(GpuSpec::a100(), NoiseModel::calibrated(), seed);
+    let mut e = ReferenceEngine::new(GpuSpec::a100(), NoiseModel::calibrated(), seed);
     for (at, kernels) in work {
         e.add_stream(kernels.clone(), *at);
     }
@@ -307,13 +79,8 @@ fn run_open_loop_baseline(work: &[(f64, Vec<KernelDesc>)], seed: u64) -> Measure
 /// to idle, repeat. The executor's pattern; exercises the SoA decrement /
 /// min-scan / slowdown refresh hot loop with a dense running set.
 fn group_mode_groups(seed: u64, width: usize) -> Vec<Vec<Vec<KernelDesc>>> {
-    let gpu = GpuSpec::a100();
-    let shapes = [
-        KernelDesc::new(2e9, 1e7, 0.2 * gpu.block_slots()),
-        KernelDesc::new(2e10, 1e7, 4.0 * gpu.block_slots()),
-        KernelDesc::new(1e8, 4e8, 0.5 * gpu.block_slots()),
-        KernelDesc::new(5e8, 5e7, 1.1 * gpu.block_slots()),
-    ];
+    let all_shapes = kernel_shapes(&GpuSpec::a100());
+    let shapes = &all_shapes[..4];
     let mut state = seed | 1;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -355,7 +122,7 @@ fn run_groups_optimized(groups: &[Vec<Vec<KernelDesc>>], reps: usize, seed: u64)
 
 fn run_groups_baseline(groups: &[Vec<Vec<KernelDesc>>], reps: usize, seed: u64) -> Measured {
     let t0 = Instant::now();
-    let mut e = baseline::BaselineEngine::new(GpuSpec::a100(), NoiseModel::calibrated(), seed);
+    let mut e = ReferenceEngine::new(GpuSpec::a100(), NoiseModel::calibrated(), seed);
     let mut checksum = 0u64;
     let mut events = 0u64;
     for rep in 0..reps {
@@ -401,7 +168,7 @@ fn main() {
     let seed = 2021u64;
 
     eprintln!("open-loop workload: {open_streams} streams...");
-    let work = open_loop_workload(7, open_streams);
+    let work = open_loop_workload(7, open_streams, OpenLoop::BENCH);
     // Warm up page cache / branch predictors on a small slice first.
     std::hint::black_box(run_open_loop_optimized(&work[..work.len().min(500)], seed));
     std::hint::black_box(run_open_loop_baseline(&work[..work.len().min(500)], seed));
@@ -473,31 +240,17 @@ fn main() {
     if let Some(path) = check_path {
         let baseline_json = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let num_after = |key: &str| -> Option<f64> {
-            let at = baseline_json.find(key)? + key.len();
-            let rest = baseline_json[at..].trim_start_matches([':', ' ']);
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        let mut failed = false;
         // events/sec: lower is worse. The rate is per-event, so quick-mode
         // runs compare against full-mode baselines directly.
-        if let Some(base) = num_after("\"events_per_sec\"") {
-            let ratio = base / events_per_sec;
-            if ratio > REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: {events_per_sec:.0} events/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
-                );
-                failed = true;
-            } else {
-                eprintln!("ok: {events_per_sec:.0} events/sec vs baseline {base:.0} ({ratio:.2}x)");
-            }
-        }
-        if failed {
+        let base = bench::gate_baseline(&baseline_json, "events_per_sec", &path);
+        let ratio = base / events_per_sec;
+        if ratio > REGRESSION_FACTOR {
+            eprintln!(
+                "REGRESSION: {events_per_sec:.0} events/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
+            );
             std::process::exit(1);
         }
+        eprintln!("ok: {events_per_sec:.0} events/sec vs baseline {base:.0} ({ratio:.2}x)");
         eprintln!("engine bench check passed");
     }
 }

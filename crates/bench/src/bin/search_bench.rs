@@ -112,25 +112,15 @@ fn emit_json(results: &[WayResult], full_decision_ms: f64, quick: bool) -> Strin
 /// previously written by [`emit_json`]. A deliberately minimal scan — the
 /// format is our own — that tolerates whitespace changes but not schema
 /// changes (those should regenerate the baseline anyway).
-fn parse_baseline(json: &str) -> Vec<(usize, f64)> {
-    let mut out = Vec::new();
-    for obj in json.split('{').filter(|s| s.contains("\"ways\"")) {
-        let num_after = |key: &str| -> Option<f64> {
-            let at = obj.find(key)? + key.len();
-            let rest = obj[at..].trim_start_matches([':', ' ']);
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
-        if let (Some(w), Some(ns)) = (
-            num_after("\"ways\""),
-            num_after("\"batched_ns_per_prediction\""),
-        ) {
-            out.push((w as usize, ns));
-        }
-    }
-    out
+fn parse_baseline(json: &str) -> Result<Vec<(usize, f64)>, String> {
+    json.split('{')
+        .filter(|obj| obj.contains("\"ways\""))
+        .map(|obj| {
+            let ways = bench::baseline_number(obj, "ways")?;
+            let ns = bench::baseline_number(obj, "batched_ns_per_prediction")?;
+            Ok((ways as usize, ns))
+        })
+        .collect()
 }
 
 fn main() {
@@ -210,7 +200,10 @@ fn main() {
     if let Some(path) = check_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base = parse_baseline(&baseline);
+        let base = parse_baseline(&baseline).unwrap_or_else(|e| {
+            eprintln!("FAILED: {path}: {e}");
+            std::process::exit(1)
+        });
         assert!(!base.is_empty(), "baseline {path} has no rounds");
         let mut failed = false;
         for (ways, base_ns) in base {

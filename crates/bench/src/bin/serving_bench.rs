@@ -344,43 +344,32 @@ fn main() {
     if let Some(path) = check_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let num_after = |key: &str| -> Option<f64> {
-            let at = baseline.find(key)? + key.len();
-            let rest = baseline[at..].trim_start_matches([':', ' ']);
-            let end = rest
-                .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        };
+        let baseline_value = |key: &str| bench::gate_baseline(&baseline, key, &path);
         let mut failed = false;
         // groups/sec: lower is worse.
-        if let Some(base) = num_after("\"groups_per_sec\"") {
-            let ratio = base / groups_per_sec;
-            if ratio > REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: {groups_per_sec:.0} groups/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
-                );
-                failed = true;
-            } else {
-                eprintln!("ok: {groups_per_sec:.0} groups/sec vs baseline {base:.0} ({ratio:.2}x)");
-            }
+        let base = baseline_value("groups_per_sec");
+        let ratio = base / groups_per_sec;
+        if ratio > REGRESSION_FACTOR {
+            eprintln!(
+                "REGRESSION: {groups_per_sec:.0} groups/sec vs baseline {base:.0} ({ratio:.2}x slower > {REGRESSION_FACTOR}x)"
+            );
+            failed = true;
+        } else {
+            eprintln!("ok: {groups_per_sec:.0} groups/sec vs baseline {base:.0} ({ratio:.2}x)");
         }
         // fig14 FCFS cell wall time: higher is worse. Baselines written in
         // full mode use a 2x-longer horizon than quick mode; scale by the
         // recorded horizon so the gate compares per-simulated-ms cost.
-        if let (Some(base_ms), Some(base_h)) = (
-            num_after("\"fig14_cell_fcfs_ms\""),
-            num_after("\"fig14_cell_horizon_ms\""),
-        ) {
-            let ratio = (cell_fcfs_ms / cell_horizon_ms) / (base_ms / base_h);
-            if ratio > REGRESSION_FACTOR {
-                eprintln!(
-                    "REGRESSION: fig14 cell {cell_fcfs_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}x slower per simulated ms)"
-                );
-                failed = true;
-            } else {
-                eprintln!("ok: fig14 cell {cell_fcfs_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}x per simulated ms)");
-            }
+        let base_ms = baseline_value("fig14_cell_fcfs_ms");
+        let base_h = baseline_value("fig14_cell_horizon_ms");
+        let ratio = (cell_fcfs_ms / cell_horizon_ms) / (base_ms / base_h);
+        if ratio > REGRESSION_FACTOR {
+            eprintln!(
+                "REGRESSION: fig14 cell {cell_fcfs_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}x slower per simulated ms)"
+            );
+            failed = true;
+        } else {
+            eprintln!("ok: fig14 cell {cell_fcfs_ms:.0} ms vs baseline {base_ms:.0} ms ({ratio:.2}x per simulated ms)");
         }
         // Telemetry overhead gate: counters must stay effectively free. The
         // 0.5 ms absolute floor keeps timer granularity and virtualised-host

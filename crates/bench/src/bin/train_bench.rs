@@ -79,16 +79,6 @@ fn emit_json(r: &Results, quick: bool) -> String {
     )
 }
 
-/// Pull one numeric field out of a baseline JSON written by [`emit_json`].
-fn num_after(json: &str, key: &str) -> Option<f64> {
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start_matches([':', ' ']);
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = std::env::var("ABACUS_BENCH_QUICK").is_ok();
@@ -198,8 +188,7 @@ fn main() {
     if let Some(path) = check_path {
         let baseline = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let base_sps = num_after(&baseline, "\"samples_per_sec\"")
-            .unwrap_or_else(|| panic!("baseline {path} has no samples_per_sec"));
+        let base_sps = bench::gate_baseline(&baseline, "samples_per_sec", &path);
         let mut failed = false;
         if !r.serial_parallel_identical {
             eprintln!("FAILED: serial and pooled training produced different weights");

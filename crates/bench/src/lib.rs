@@ -8,12 +8,61 @@
 //! * `microbench` — the hot paths: engine events, contention math, batched
 //!   MLP inference per search-way count (the real Fig. 23 measurement),
 //!   multi-way search rounds, and MLP training epochs.
+//!
+//! [`reference`] holds the one frozen pre-overhaul copy of each hot layer
+//! (engine, decision path) that both the perf benches and the golden
+//! bit-identity suites run against; [`baseline_number`] reads a committed
+//! `BENCH_*.json` for the benches' `--check` gates.
 
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::GpuSpec;
 use predictor::{GroupEntry, GroupSpec, LatencyModel, Mlp, MlpConfig};
 use serving::{train_unified, TrainerConfig};
 use std::sync::Arc;
+
+/// Frozen pre-overhaul references, one per hot layer. Not shipped: only
+/// the bench binaries and the golden test suites (through a
+/// dev-dependency) link this crate.
+pub mod reference {
+    pub mod decision;
+    pub mod engine;
+}
+
+/// The numeric value of `"key"` in a baseline JSON written by one of the
+/// bench binaries. A missing key, or a value that is not a number (such as
+/// `null` or `NaN`), is an error: a `--check` gate must fail rather than pass
+/// silently when it has nothing to compare against. The key is matched
+/// whole, quotes included, so `queries_per_sec` never reads
+/// `baseline_queries_per_sec`.
+pub fn baseline_number(json: &str, key: &str) -> Result<f64, String> {
+    let quoted = format!("\"{key}\"");
+    let mut rest = json;
+    while let Some(at) = rest.find(&quoted) {
+        rest = &rest[at + quoted.len()..];
+        let Some(value) = rest.trim_start().strip_prefix(':') else {
+            continue; // the key's text appeared as a string value
+        };
+        let value = value.trim_start();
+        let end = value
+            .find(|c: char| !(c.is_ascii_alphanumeric() || matches!(c, '.' | '-' | '+')))
+            .unwrap_or(value.len());
+        return value[..end]
+            .parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| format!("baseline {quoted} is not a number: {:?}", &value[..end]));
+    }
+    Err(format!("baseline has no {quoted} key"))
+}
+
+/// [`baseline_number`] for a `--check` gate reading baseline file `path`:
+/// an unreadable value fails the gate (message + exit 1) on the spot.
+pub fn gate_baseline(json: &str, key: &str, path: &str) -> f64 {
+    baseline_number(json, key).unwrap_or_else(|e| {
+        eprintln!("FAILED: {path}: {e}");
+        std::process::exit(1)
+    })
+}
 
 /// Shared, lazily-built fixture: model library, GPU and a small trained MLP.
 pub struct Fixture {
@@ -83,5 +132,55 @@ impl Fixture {
 impl Default for Fixture {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::baseline_number;
+
+    const JSON: &str = r#"{
+  "bench": "serving",
+  "baseline_queries_per_sec": 332049,
+  "queries_per_sec": 1256413,
+  "baseline_groups_per_sec": null,
+  "speedup": 3.78,
+  "tiny": 1.5e-3
+}"#;
+
+    #[test]
+    fn reads_numbers() {
+        assert_eq!(baseline_number(JSON, "speedup"), Ok(3.78));
+        assert_eq!(baseline_number(JSON, "tiny"), Ok(1.5e-3));
+    }
+
+    #[test]
+    fn missing_key_is_an_error() {
+        assert!(baseline_number(JSON, "events_per_sec").is_err());
+    }
+
+    #[test]
+    fn null_value_is_an_error() {
+        let err = baseline_number(JSON, "baseline_groups_per_sec").unwrap_err();
+        assert!(err.contains("null"), "{err}");
+        // A string value is not a number either.
+        assert!(baseline_number(JSON, "bench").is_err());
+    }
+
+    #[test]
+    fn key_contained_in_another_key_is_matched_whole() {
+        assert_eq!(baseline_number(JSON, "queries_per_sec"), Ok(1256413.0));
+        assert_eq!(
+            baseline_number(JSON, "baseline_queries_per_sec"),
+            Ok(332049.0)
+        );
+        // A key that is only a suffix of a present key is still missing.
+        assert!(baseline_number(JSON, "groups_per_sec").is_err());
+    }
+
+    #[test]
+    fn key_text_as_a_string_value_is_skipped() {
+        let json = r#"{"bench": "speedup", "speedup": 2.5}"#;
+        assert_eq!(baseline_number(json, "speedup"), Ok(2.5));
     }
 }

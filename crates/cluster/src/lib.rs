@@ -30,7 +30,8 @@ pub use route::{
     RouteOutcome, RoutedClusterConfig, RoutedRunResult, RouterStats,
 };
 pub use sim::{
-    cluster_workload, run_cluster, run_cluster_detailed, ClusterConfig, ClusterRunResult,
+    cluster_workload, run_cluster, run_cluster_detailed, run_cluster_on, ClusterConfig,
+    ClusterRunResult,
     ClusterSystem, GpuUsage,
 };
 pub use timeline::{

@@ -316,6 +316,24 @@ pub fn run_cluster_detailed(
     predictor: Option<Arc<dyn LatencyModel>>,
 ) -> ClusterRunResult {
     let (arrivals, inputs) = cluster_workload(cfg, lib);
+    run_cluster_on(system, cfg, lib, gpu, noise, predictor, &arrivals, &inputs)
+}
+
+/// Like [`run_cluster_detailed`], over a caller-supplied arrival stream
+/// (one input per arrival) instead of the one derived from `cfg.trace` —
+/// so a replay can generate its workload once, outside any timed region.
+#[allow(clippy::too_many_arguments)]
+pub fn run_cluster_on(
+    system: ClusterSystem,
+    cfg: &ClusterConfig,
+    lib: &Arc<ModelLibrary>,
+    gpu: &GpuSpec,
+    noise: &NoiseModel,
+    predictor: Option<Arc<dyn LatencyModel>>,
+    arrivals: &[Arrival],
+    inputs: &[QueryInput],
+) -> ClusterRunResult {
+    assert_eq!(arrivals.len(), inputs.len(), "one input per arrival");
     match system {
         ClusterSystem::AbacusK8s => run_abacus_k8s(
             cfg,
@@ -323,10 +341,10 @@ pub fn run_cluster_detailed(
             gpu,
             noise,
             predictor.expect("Abacus needs a predictor"),
-            &arrivals,
-            &inputs,
+            arrivals,
+            inputs,
         ),
-        ClusterSystem::Clockwork => run_clockwork(cfg, lib, gpu, noise, &arrivals, &inputs),
+        ClusterSystem::Clockwork => run_clockwork(cfg, lib, gpu, noise, arrivals, inputs),
     }
 }
 

@@ -529,197 +529,6 @@ mod tests {
         assert!(rounds_of(8) <= rounds_of(2));
     }
 
-    /// The pre-refactor search, kept verbatim as a golden reference: it
-    /// materialises a fresh `GroupSpec` and feature `Vec` per probe. The
-    /// buffered hot path must report byte-identical plans and round counts.
-    mod reference {
-        use super::super::*;
-        use predictor::GroupSpec;
-
-        fn candidate_spec(
-            queries: &[&Query],
-            full: usize,
-            partial_ops: usize,
-            lib: &ModelLibrary,
-        ) -> GroupSpec {
-            let mut entries: Vec<GroupEntry> = Vec::with_capacity(full + 2);
-            for q in &queries[..=full] {
-                entries.push(GroupEntry {
-                    model: q.model,
-                    op_start: q.next_op,
-                    op_end: q.n_ops,
-                    input: q.input,
-                });
-            }
-            if partial_ops > 0 {
-                let q = queries[full + 1];
-                entries.push(GroupEntry {
-                    model: q.model,
-                    op_start: q.next_op,
-                    op_end: q.next_op + partial_ops,
-                    input: q.input,
-                });
-            }
-            GroupSpec::new(entries, lib)
-        }
-
-        fn predict_batch(
-            specs: &[GroupSpec],
-            model: &dyn LatencyModel,
-            lib: &ModelLibrary,
-            rounds: &mut usize,
-        ) -> Vec<f64> {
-            *rounds += 1;
-            let xs: Vec<Vec<f64>> = specs.iter().map(|s| s.features(lib)).collect();
-            model.predict_batch(&xs)
-        }
-
-        pub fn plan_group(
-            queries: &[&Query],
-            budget_ms: f64,
-            model: &dyn LatencyModel,
-            lib: &ModelLibrary,
-            ways: usize,
-        ) -> SearchResult {
-            assert!(!queries.is_empty(), "need at least one query");
-            assert!(ways >= 1, "need at least one search way");
-            let mut rounds = 0;
-
-            let max_full = (queries.len() - 1).min(MAX_COLOCATED - 1);
-            let candidates: Vec<GroupSpec> = (0..=max_full)
-                .map(|j| candidate_spec(queries, j, 0, lib))
-                .collect();
-            let mut level1 = Vec::with_capacity(candidates.len());
-            for chunk in candidates.chunks(ways.max(1)) {
-                level1.extend(predict_batch(chunk, model, lib, &mut rounds));
-            }
-            if level1[0] > budget_ms {
-                return SearchResult::Infeasible {
-                    prediction_rounds: rounds,
-                };
-            }
-            let mut best_full = 0;
-            let mut best_pred = level1[0];
-            for (j, &p) in level1.iter().enumerate().skip(1) {
-                if p <= budget_ms {
-                    best_full = j;
-                    best_pred = p;
-                } else {
-                    break;
-                }
-            }
-
-            let mut partial_ops = 0;
-            if best_full < max_full {
-                let next_q = queries[best_full + 1];
-                let rem = next_q.remaining_ops();
-                let mut lo = 0usize;
-                let mut hi = rem;
-                let mut lo_pred = best_pred;
-                while hi - lo > 1 {
-                    let span = hi - lo;
-                    let mut probes: Vec<usize> = (1..=ways)
-                        .map(|i| lo + (span * i) / (ways + 1))
-                        .filter(|&c| c > lo && c < hi)
-                        .collect();
-                    probes.dedup();
-                    if probes.is_empty() {
-                        probes.push(lo + span / 2);
-                    }
-                    let specs: Vec<GroupSpec> = probes
-                        .iter()
-                        .map(|&c| candidate_spec(queries, best_full, c, lib))
-                        .collect();
-                    let preds = predict_batch(&specs, model, lib, &mut rounds);
-                    let mut new_lo = lo;
-                    let mut new_lo_pred = lo_pred;
-                    let mut new_hi = hi;
-                    for (&c, &p) in probes.iter().zip(&preds) {
-                        if p <= budget_ms {
-                            if c > new_lo {
-                                new_lo = c;
-                                new_lo_pred = p;
-                            }
-                        } else if c < new_hi {
-                            new_hi = c;
-                        }
-                    }
-                    if new_lo == lo && new_hi == hi {
-                        break;
-                    }
-                    lo = new_lo;
-                    lo_pred = new_lo_pred;
-                    hi = new_hi.max(lo + 1);
-                }
-                partial_ops = lo;
-                best_pred = lo_pred;
-            }
-
-            let mut entries: Vec<PlannedEntry> = queries[..=best_full]
-                .iter()
-                .map(|q| PlannedEntry {
-                    query_id: q.id,
-                    op_start: q.next_op,
-                    op_end: q.n_ops,
-                })
-                .collect();
-            if partial_ops > 0 {
-                let q = queries[best_full + 1];
-                entries.push(PlannedEntry {
-                    query_id: q.id,
-                    op_start: q.next_op,
-                    op_end: q.next_op + partial_ops,
-                });
-            }
-            SearchResult::Planned(PlannedGroup {
-                entries,
-                predicted_ms: best_pred,
-                prediction_rounds: rounds,
-                upper_ms: None,
-            })
-        }
-    }
-
-    #[test]
-    fn golden_matches_prerefactor_reference() {
-        let lib = lib();
-        let fixtures: Vec<Vec<Query>> = vec![
-            vec![query(0, ModelId::ResNet50, 30)],
-            vec![query(0, ModelId::ResNet50, 0)],
-            vec![query(0, ModelId::ResNet50, 100), query(1, ModelId::ResNet152, 0)],
-            vec![
-                query(0, ModelId::ResNet50, 0),
-                query(1, ModelId::Bert, 0),
-                query(2, ModelId::Vgg16, 0),
-            ],
-            vec![
-                query(0, ModelId::ResNet50, 0),
-                query(1, ModelId::ResNet101, 0),
-                query(2, ModelId::ResNet152, 0),
-                query(3, ModelId::Bert, 0),
-                query(4, ModelId::Vgg16, 0),
-            ],
-        ];
-        let budgets = [2.0, 5.0, 7.0, 25.0, 100.0];
-        for qs in &fixtures {
-            let refs: Vec<&Query> = qs.iter().collect();
-            for &budget in &budgets {
-                for ways in [1usize, 2, 3, 4, 8, 16] {
-                    for unit in [0.5, 10.0] {
-                        let model = SpanModel { ms_per_unit_span: unit };
-                        let got = plan_group(&refs, budget, &model, &lib, ways);
-                        let want = reference::plan_group(&refs, budget, &model, &lib, ways);
-                        assert_eq!(
-                            got, want,
-                            "divergence: {} queries, budget {budget}, ways {ways}, unit {unit}",
-                            refs.len()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     #[test]
     fn at_most_four_queries_in_group() {
         let lib = lib();

@@ -1,21 +1,23 @@
 //! Golden decision-stream tests (DESIGN.md §12).
 //!
 //! The per-round decision hot path — incremental `(deadline, id)` order
-//! index, arena-backed scratch, recycled entry buffers — must be
-//! *bit-identical* to the pre-overhaul controller it replaced. Two layers
-//! pin that:
+//! index, arena-backed scratch, recycled entry buffers, buffered multi-way
+//! search — must be *bit-identical* to the pre-overhaul controller and
+//! search it replaced. The reference is the shared frozen copy in
+//! `bench::reference::decision` (the same one `decision_bench` measures
+//! against). Three layers pin that:
 //!
-//! 1. [`RefController`] embeds the pre-overhaul `AbacusScheduler::decide`
-//!    verbatim (fresh `Vec<&Query>` collect + per-round headroom sort +
-//!    retain passes + `sorted.remove(0)` drop loop). The search layer it
-//!    calls ([`plan_group`]) is itself pinned bit-for-bit against its own
-//!    pre-refactor reference in `search.rs`. A fixed-seed churned replay
-//!    asserts equal [`RoundDecision`] streams round by round.
-//! 2. Property tests over grid-quantised random queues assert that the
-//!    incremental order (admit/retire hooks driven) and the full re-sort
-//!    fallback (hooks skipped → rebuild) decide identically — including
-//!    empty queues, headroom ties, expired queries, and all-infeasible
-//!    rounds under a frozen or NaN predictor.
+//! 1. The live [`plan_group`] matches the reference `plan_group` over
+//!    fixed query sets, budgets, search widths and predictor scales.
+//! 2. A fixed-seed churned replay asserts equal [`RoundDecision`] streams
+//!    round by round between the live scheduler (hooks driven) and
+//!    [`ReferenceController`] (fresh `Vec<&Query>` collect + per-round
+//!    headroom sort + retain passes + `sorted.remove(0)` drop loop).
+//! 3. Property tests over grid-quantised random queues assert that the
+//!    incremental order (admit/retire hooks driven), the full re-sort
+//!    fallback (hooks skipped → rebuild) and the reference decide
+//!    identically — including empty queues, headroom ties, expired
+//!    queries, and all-infeasible rounds under a frozen or NaN predictor.
 //!
 //! Arrival/QoS values are grid-quantised (multiples of 2.5 ms): subtracting
 //! `now` from grid values is exact in f64, so the former headroom sort and
@@ -23,34 +25,16 @@
 //! invariance contract these tests pin.
 
 use abacus_core::{
-    plan_group, AbacusConfig, AbacusScheduler, PlannedGroup, Query, RoundDecision, Scheduler,
-    SearchResult,
+    plan_group, AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler,
+};
+use bench::reference::decision::{
+    self as reference, pinned_config as config, ReferenceController, SpanModel,
+    PREDICT_ROUND_MS,
 };
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
-use predictor::features::SLOT_WIDTH;
-use predictor::{LatencyModel, MAX_COLOCATED, MODEL_SLOT_BASE};
+use predictor::LatencyModel;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const PREDICT_ROUND_MS: f64 = 0.09;
-
-/// Synthetic monotone duration model: per-slot cost proportional to the
-/// normalised operator span (same fixture the scheduler unit tests use).
-struct SpanModel;
-
-impl LatencyModel for SpanModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut total: f64 = 0.0;
-        for slot in 0..MAX_COLOCATED {
-            let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-            total += (x[base + 1] - x[base]) * 10.0;
-        }
-        total
-    }
-    fn name(&self) -> &'static str {
-        "span"
-    }
-}
 
 /// A predictor frozen at a constant (possibly NaN / absurdly high):
 /// misprediction injection's worst case — every round is infeasible.
@@ -62,112 +46,6 @@ impl LatencyModel for FrozenModel {
     }
     fn name(&self) -> &'static str {
         "frozen"
-    }
-}
-
-/// The pre-overhaul controller, embedded verbatim: per-round headroom sort
-/// of a fresh `Vec<&Query>`, expiry and §6.1 per-model retain passes, and
-/// the §6.2 `sorted.remove(0)` drop loop, with the Eq. 3 pipelined
-/// overhead account.
-struct RefController {
-    model: Arc<dyn LatencyModel>,
-    lib: Arc<ModelLibrary>,
-    cfg: AbacusConfig,
-    hide_window_ms: f64,
-}
-
-impl RefController {
-    fn new(model: Arc<dyn LatencyModel>, lib: Arc<ModelLibrary>, cfg: AbacusConfig) -> Self {
-        assert!(
-            cfg.predict_round_ms.is_some(),
-            "golden runs pin the prediction-round latency"
-        );
-        Self {
-            model,
-            lib,
-            cfg,
-            hide_window_ms: 0.0,
-        }
-    }
-
-    fn decide(&mut self, now_ms: f64, queue: &[Query]) -> RoundDecision {
-        let mut dropped = Vec::new();
-        // Sort by headroom ascending (Eq. 2); ties by id for determinism.
-        let mut sorted: Vec<&Query> = queue.iter().collect();
-        sorted.sort_by(|a, b| {
-            a.headroom_ms(now_ms)
-                .total_cmp(&b.headroom_ms(now_ms))
-                .then(a.id.cmp(&b.id))
-        });
-        // Expired queries can never meet QoS: drop outright.
-        sorted.retain(|q| {
-            if q.headroom_ms(now_ms) < 0.0 {
-                dropped.push(q.id);
-                false
-            } else {
-                true
-            }
-        });
-        // §6.1: only the least-headroom query of each model is eligible.
-        let mut seen_models = 0u32;
-        sorted.retain(|q| {
-            let bit = 1u32 << q.model.index();
-            if seen_models & bit != 0 {
-                false
-            } else {
-                seen_models |= bit;
-                true
-            }
-        });
-
-        let mut prediction_rounds = 0usize;
-        let mut planned: Option<PlannedGroup> = None;
-        let margin_frac = self.cfg.margin_frac;
-        while !sorted.is_empty() {
-            let budget =
-                (sorted[0].headroom_ms(now_ms) - self.cfg.margin_ms) / (1.0 + margin_frac);
-            match plan_group(&sorted, budget, self.model.as_ref(), &self.lib, self.cfg.ways) {
-                SearchResult::Planned(mut p) => {
-                    prediction_rounds += p.prediction_rounds;
-                    p.prediction_rounds = prediction_rounds;
-                    planned = Some(p);
-                    break;
-                }
-                SearchResult::Infeasible {
-                    prediction_rounds: r,
-                } => {
-                    prediction_rounds += r;
-                    dropped.push(sorted[0].id);
-                    sorted.remove(0);
-                }
-            }
-        }
-
-        let search_ms = self.cfg.base_overhead_ms
-            + prediction_rounds as f64 * self.cfg.predict_round_ms.unwrap();
-        let overhead_ms = if self.cfg.pipelined {
-            let charged = (search_ms - self.hide_window_ms).max(0.0);
-            self.hide_window_ms = 0.0;
-            charged
-        } else {
-            search_ms
-        };
-        RoundDecision {
-            dropped,
-            group: planned,
-            overhead_ms,
-        }
-    }
-
-    fn on_group_complete(&mut self, duration_ms: f64) {
-        self.hide_window_ms = duration_ms;
-    }
-}
-
-fn config() -> AbacusConfig {
-    AbacusConfig {
-        predict_round_ms: Some(PREDICT_ROUND_MS),
-        ..AbacusConfig::default()
     }
 }
 
@@ -204,14 +82,65 @@ fn grid_query(
     q
 }
 
+/// The buffered search hot path reports byte-identical plans and round
+/// counts to the reference search, across head-only, infeasible,
+/// partial-prefix and four-way fixtures, every budget regime and search
+/// width, and two predictor scales.
+#[test]
+fn search_matches_reference_plan_group() {
+    let lib = lib();
+    let q = |id, model, next_op| {
+        let mut q = query(&lib, id, model, 0.0, 100.0);
+        q.advance_to(next_op);
+        q
+    };
+    let fixtures: Vec<Vec<Query>> = vec![
+        vec![q(0, ModelId::ResNet50, 30)],
+        vec![q(0, ModelId::ResNet50, 0)],
+        vec![q(0, ModelId::ResNet50, 100), q(1, ModelId::ResNet152, 0)],
+        vec![
+            q(0, ModelId::ResNet50, 0),
+            q(1, ModelId::Bert, 0),
+            q(2, ModelId::Vgg16, 0),
+        ],
+        vec![
+            q(0, ModelId::ResNet50, 0),
+            q(1, ModelId::ResNet101, 0),
+            q(2, ModelId::ResNet152, 0),
+            q(3, ModelId::Bert, 0),
+            q(4, ModelId::Vgg16, 0),
+        ],
+    ];
+    for qs in &fixtures {
+        let refs: Vec<&Query> = qs.iter().collect();
+        for budget in [2.0, 5.0, 7.0, 25.0, 100.0] {
+            for ways in [1usize, 2, 3, 4, 8, 16] {
+                for unit in [0.5, 10.0] {
+                    let model = SpanModel {
+                        ms_per_unit_span: unit,
+                    };
+                    let got = plan_group(&refs, budget, &model, &lib, ways);
+                    let want = reference::plan_group(&refs, budget, &model, &lib, ways);
+                    assert_eq!(
+                        got,
+                        want,
+                        "divergence: {} queries, budget {budget}, ways {ways}, unit {unit}",
+                        refs.len()
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Replay a fixed-seed churned workload through the live scheduler (hooks
-/// driven, so every round takes the incremental path) and the embedded
+/// driven, so every round takes the incremental path) and the frozen
 /// pre-overhaul controller, asserting bit-identical decision streams.
 #[test]
 fn golden_stream_matches_embedded_pre_overhaul_controller() {
     let lib = lib();
-    let mut opt = AbacusScheduler::new(Arc::new(SpanModel), lib.clone(), config());
-    let mut reference = RefController::new(Arc::new(SpanModel), lib.clone(), config());
+    let mut opt = AbacusScheduler::new(Arc::new(SpanModel::default()), lib.clone(), config());
+    let mut reference = ReferenceController::new(Arc::new(SpanModel::default()), lib.clone(), config());
 
     const QOS_MS: [f64; 4] = [40.0, 60.0, 90.0, 140.0];
     let mut state = 2021u64;
@@ -279,7 +208,7 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
 }
 
 /// Decide one round three ways — incremental order (hooks driven), full
-/// rebuild (hooks skipped), embedded pre-overhaul controller — and demand
+/// rebuild (hooks skipped), frozen pre-overhaul controller — and demand
 /// identical decisions. Proves order-key invariance: the `(deadline, id)`
 /// index is the same permutation as the per-round headroom sort.
 fn assert_three_way_identical(
@@ -293,7 +222,7 @@ fn assert_three_way_identical(
         incremental.on_admit(q);
     }
     let mut rebuild = AbacusScheduler::new(model(), lib.clone(), config());
-    let mut reference = RefController::new(model(), lib.clone(), config());
+    let mut reference = ReferenceController::new(model(), lib.clone(), config());
 
     let inc = incremental.decide(now, queue);
     let reb = rebuild.decide(now, queue);
@@ -308,7 +237,7 @@ fn assert_three_way_identical(
 }
 
 fn span_model() -> Arc<dyn LatencyModel> {
-    Arc::new(SpanModel)
+    Arc::new(SpanModel::default())
 }
 
 #[test]
@@ -364,7 +293,7 @@ proptest! {
 
     /// Random grid-quantised queues (duplicate models, partial progress,
     /// expired members, dense ties): the incremental order, the rebuild
-    /// fallback and the embedded pre-overhaul controller agree bit-for-bit.
+    /// fallback and the frozen pre-overhaul controller agree bit-for-bit.
     #[test]
     fn random_queues_decide_identically(
         specs in proptest::collection::vec(
@@ -388,7 +317,7 @@ proptest! {
             incremental.on_admit(q);
         }
         let mut rebuild = AbacusScheduler::new(span_model(), lib.clone(), config());
-        let mut reference = RefController::new(span_model(), lib.clone(), config());
+        let mut reference = ReferenceController::new(span_model(), lib.clone(), config());
 
         let inc = incremental.decide(now, &queue);
         let reb = rebuild.decide(now, &queue);
@@ -428,7 +357,7 @@ proptest! {
         for q in &queue {
             incremental.on_admit(q);
         }
-        let mut reference = RefController::new(span_model(), lib.clone(), cfg);
+        let mut reference = ReferenceController::new(span_model(), lib.clone(), cfg);
 
         let inc = incremental.decide(2.5, &queue);
         let want = reference.decide(2.5, &queue);

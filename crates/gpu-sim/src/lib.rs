@@ -31,7 +31,7 @@ pub mod gpu;
 pub mod kernel;
 pub mod noise;
 mod pqueue;
-mod simd;
+pub mod simd;
 
 pub use contention::{co_run_slowdowns, RunningKernel};
 pub use engine::{

@@ -4,8 +4,9 @@
 //! kernel — drain remaining solo time, scan for the completion horizon,
 //! and evaluate co-run slowdowns — are expressed here over the engine's
 //! struct-of-arrays state (see [`crate::engine`]) and dispatched across
-//! the same scalar / AVX2 / AVX-512 tiers as the predictor's training
-//! kernels (`predictor::mlp`).
+//! scalar / AVX2 / AVX-512 tiers. [`SimdTier::detect`] is the workspace's
+//! one tier detector: the predictor's MLP training and inference kernels
+//! (`predictor::mlp`) dispatch on it too.
 //!
 //! Every tier is bit-identical to the scalar reference, which is part of
 //! the engine's determinism contract:
@@ -22,29 +23,48 @@
 
 use crate::contention::slowdown_one;
 
-/// Runtime SIMD tier for the event-core kernels, detected once per
-/// [`crate::Engine`] construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum SimdTier {
+/// Runtime SIMD tier, detected once per [`crate::Engine`] construction
+/// (and once per MLP training run / model assembly in `predictor`). Every
+/// tier above [`SimdTier::Scalar`] guarantees AVX2 support.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SimdTier {
+    /// AVX-512F (and AVX2) available: 8-wide `f64` lanes.
     #[cfg(target_arch = "x86_64")]
     Avx512,
+    /// AVX2 available: 4-wide `f64` lanes.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// Portable scalar code — the reference every tier matches bit for bit.
     Scalar,
 }
 
 impl SimdTier {
-    pub(crate) fn detect() -> Self {
+    /// The widest tier this host supports.
+    pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx512f") {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            if avx2 && std::arch::is_x86_feature_detected!("avx512f") {
                 return SimdTier::Avx512;
             }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if avx2 {
                 return SimdTier::Avx2;
             }
         }
         SimdTier::Scalar
+    }
+
+    /// Every tier this host can run, scalar first — for tests that pin
+    /// each tier to the scalar reference.
+    pub fn supported() -> Vec<Self> {
+        let mut tiers = vec![SimdTier::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        match SimdTier::detect() {
+            SimdTier::Avx512 => tiers.extend([SimdTier::Avx2, SimdTier::Avx512]),
+            SimdTier::Avx2 => tiers.push(SimdTier::Avx2),
+            SimdTier::Scalar => {}
+        }
+        tiers
     }
 
     /// Drain `dt` ms of wall time from every running kernel:
@@ -341,20 +361,6 @@ mod tests {
     use crate::gpu::GpuSpec;
     use crate::kernel::KernelDesc;
 
-    fn tiers() -> Vec<SimdTier> {
-        let mut ts = vec![SimdTier::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                ts.push(SimdTier::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                ts.push(SimdTier::Avx512);
-            }
-        }
-        ts
-    }
-
     /// Deterministic pseudo-random kernel pool mixing compute-bound,
     /// memory-bound and pure-launch profiles.
     fn pool(n: usize) -> Vec<RunningKernel> {
@@ -397,7 +403,7 @@ mod tests {
             let mut want_rem = remaining0.clone();
             decrement_scalar(&mut want_rem, &want, dt);
             let want_min = min_completion_scalar(&want_rem, &want);
-            for tier in tiers() {
+            for tier in SimdTier::supported() {
                 let mut got = vec![0.0; n];
                 tier.slowdowns(u_c, u_m, &tc, &tm, &ms, &ex, &mut got);
                 let gb: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
@@ -420,7 +426,7 @@ mod tests {
 
     #[test]
     fn decrement_clamps_at_zero_not_negative_zero() {
-        for tier in tiers() {
+        for tier in SimdTier::supported() {
             let mut rem = vec![0.5; 9];
             let slow = vec![1.0; 9];
             tier.decrement(&mut rem, &slow, 2.0);
@@ -432,7 +438,7 @@ mod tests {
 
     #[test]
     fn min_completion_of_empty_set_is_infinite() {
-        for tier in tiers() {
+        for tier in SimdTier::supported() {
             assert_eq!(tier.min_completion(&[], &[]), f64::INFINITY);
         }
     }

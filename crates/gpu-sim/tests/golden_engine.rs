@@ -1,240 +1,33 @@
-//! Golden test: the optimized engine (binary-insert pending queue,
-//! incremental `U_c`/`U_m` aggregates, slot recycling, engine reuse via
-//! `reset`) must be bit-identical to the pre-refactor engine.
+//! Golden test: the optimized engine (SoA running set, calendar-queue
+//! arrivals, incremental `U_c`/`U_m` aggregates, slot recycling, engine
+//! reuse via `reset`) must be bit-identical to the pre-overhaul engine.
 //!
-//! `reference` below is a faithful copy of the engine as it stood before
-//! the hot-path work: the pending queue is re-sorted with `sort_by` on
-//! every arrival, slowdowns re-sum the active set from scratch each event,
-//! retired streams keep their slots forever, and completions allocate a
-//! fresh `Vec`. Running a long seeded open-loop workload — including
-//! clusters of equal-start arrivals, whose activation order decides the
-//! order noise factors are drawn in — through both engines and comparing
-//! every completion with `f64::to_bits` pins the refactor to the old
-//! semantics exactly, not approximately.
+//! The reference is the shared frozen copy
+//! `bench::reference::engine::ReferenceEngine` (binary-insert pending
+//! queue, slowdowns recomputed for the whole running set every event,
+//! retired streams keep their slots forever) — the same engine
+//! `engine_bench` measures against. Running seeded open-loop workloads —
+//! including clusters of equal-start arrivals, whose activation order
+//! decides the order noise factors are drawn in, and kernel fault specs —
+//! through both engines and comparing every completion with `f64::to_bits`
+//! pins the live engine to the old semantics exactly, not approximately.
 
-use gpu_sim::{
-    co_run_slowdowns, Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, RunningKernel,
+use bench::reference::engine::{open_loop_workload, OpenLoop, ReferenceEngine};
+use gpu_sim::{Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel};
+use std::cell::RefCell;
+
+/// Fixed-seed workloads: ties every 5th stream, 1..=6 kernels of the
+/// classic compute/memory mix so the contention interference term is live.
+const GOLDEN: OpenLoop = OpenLoop {
+    tie_every: 5,
+    gap_div: 800.0,
+    min_len: 1,
+    len_span: 6,
+    shapes: 4,
 };
-use workload::{fork_seed, SeededRng};
 
-/// The engine as it existed before the hot-path refactor, preserved here
-/// as the golden reference. Mirrors the old code path for path: grown
-/// `streams`, full re-sort on arrival, re-summed contention aggregates.
-mod reference {
-    use super::*;
-
-    struct Stream {
-        kernels: Vec<KernelDesc>,
-        next: usize,
-        start_ms: f64,
-        end_ms: Option<f64>,
-        remaining_ms: f64,
-    }
-
-    pub struct ReferenceEngine {
-        gpu: GpuSpec,
-        noise: NoiseModel,
-        rng: SeededRng,
-        session_factor: f64,
-        time_ms: f64,
-        streams: Vec<Stream>,
-        pending: Vec<usize>,
-        active: Vec<usize>,
-        profiles: Vec<RunningKernel>,
-        slowdowns: Vec<f64>,
-        /// Spike spec plus its forked draw stream. The engine's
-        /// `KernelFaultState` is crate-private, so the reference
-        /// reimplements the draw protocol: one unconditional `f64` draw
-        /// per kernel launch from a stream forked from
-        /// `(spec seed, run seed)`, window tested on engine-local time.
-        faults: Option<(KernelFaultSpec, SeededRng)>,
-    }
-
-    impl ReferenceEngine {
-        pub fn new(gpu: GpuSpec, noise: NoiseModel, seed: u64) -> Self {
-            let mut rng = SeededRng::new(seed);
-            let session_factor = noise.session_factor(&mut rng);
-            Self {
-                gpu,
-                noise,
-                rng,
-                session_factor,
-                time_ms: 0.0,
-                streams: Vec::new(),
-                pending: Vec::new(),
-                active: Vec::new(),
-                profiles: Vec::new(),
-                slowdowns: Vec::new(),
-                faults: None,
-            }
-        }
-
-        pub fn set_kernel_faults(&mut self, spec: KernelFaultSpec, run_seed: u64) {
-            self.faults = Some((spec, SeededRng::new(fork_seed(spec.seed, run_seed))));
-        }
-
-        pub fn now(&self) -> f64 {
-            self.time_ms
-        }
-
-        pub fn add_stream(&mut self, kernels: Vec<KernelDesc>, start_ms: f64) {
-            let start_ms = start_ms.max(self.time_ms);
-            self.streams.push(Stream {
-                kernels,
-                next: 0,
-                start_ms,
-                end_ms: None,
-                remaining_ms: 0.0,
-            });
-            let id = self.streams.len() - 1;
-            self.pending.push(id);
-            // Full re-sort per arrival (descending by start time, soonest at
-            // the back). The sort is stable, so among equal starts the
-            // newest arrival ends up nearest the back — activating first.
-            let streams = &self.streams;
-            self.pending.sort_by(|&a, &b| {
-                streams[b]
-                    .start_ms
-                    .partial_cmp(&streams[a].start_ms)
-                    .unwrap()
-            });
-        }
-
-        fn noisy_solo_ms(&mut self, k: &KernelDesc) -> f64 {
-            let kf = self.noise.kernel_factor(&mut self.rng);
-            k.solo_ms(&self.gpu) * self.session_factor * kf
-        }
-
-        fn activate_due_streams(&mut self) {
-            while let Some(&idx) = self.pending.last() {
-                if self.streams[idx].start_ms > self.time_ms + 1e-12 {
-                    break;
-                }
-                self.pending.pop();
-                self.start_next_kernel(idx);
-            }
-        }
-
-        fn start_next_kernel(&mut self, idx: usize) {
-            loop {
-                let next = self.streams[idx].next;
-                if next >= self.streams[idx].kernels.len() {
-                    self.streams[idx].end_ms = Some(self.time_ms);
-                    return;
-                }
-                let kernel = self.streams[idx].kernels[next];
-                self.streams[idx].next = next + 1;
-                let mut dur = self.noisy_solo_ms(&kernel);
-                if let Some((spec, rng)) = &mut self.faults {
-                    let u = rng.f64();
-                    let spiked = u < spec.prob
-                        && self.time_ms >= spec.window_start_ms
-                        && self.time_ms < spec.window_end_ms;
-                    dur *= if spiked { spec.factor } else { 1.0 };
-                }
-                if dur <= 0.0 {
-                    continue;
-                }
-                self.streams[idx].remaining_ms = dur;
-                self.active.push(idx);
-                self.profiles.push(RunningKernel::profile(&kernel, &self.gpu));
-                return;
-            }
-        }
-
-        pub fn step(&mut self) -> Option<(f64, f64)> {
-            loop {
-                self.activate_due_streams();
-                if self.active.is_empty() {
-                    let &idx = self.pending.last()?;
-                    self.time_ms = self.streams[idx].start_ms;
-                    continue;
-                }
-                // Re-sum the whole active set every event.
-                co_run_slowdowns(&self.profiles, &mut self.slowdowns);
-                let mut dt = f64::INFINITY;
-                for (pos, &idx) in self.active.iter().enumerate() {
-                    let t = self.streams[idx].remaining_ms * self.slowdowns[pos];
-                    if t < dt {
-                        dt = t;
-                    }
-                }
-                if let Some(&idx) = self.pending.last() {
-                    let until_start = self.streams[idx].start_ms - self.time_ms;
-                    if until_start < dt {
-                        self.advance(until_start);
-                        continue;
-                    }
-                }
-                self.advance(dt);
-                let mut completed = None;
-                let mut pos = 0;
-                while pos < self.active.len() {
-                    let idx = self.active[pos];
-                    if self.streams[idx].remaining_ms <= 1e-9 {
-                        self.active.swap_remove(pos);
-                        self.profiles.swap_remove(pos);
-                        self.start_next_kernel(idx);
-                        if self.streams[idx].end_ms.is_some() && completed.is_none() {
-                            completed = Some(idx);
-                        }
-                    } else {
-                        pos += 1;
-                    }
-                }
-                if let Some(idx) = completed {
-                    let s = &self.streams[idx];
-                    return Some((s.start_ms, s.end_ms.unwrap()));
-                }
-            }
-        }
-
-        fn advance(&mut self, dt: f64) {
-            if dt == 0.0 {
-                return;
-            }
-            self.time_ms += dt;
-            for (pos, &idx) in self.active.iter().enumerate() {
-                let s = self.slowdowns[pos];
-                self.streams[idx].remaining_ms -= dt / s;
-                if self.streams[idx].remaining_ms < 0.0 {
-                    self.streams[idx].remaining_ms = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// A seeded open-loop workload: (start time, kernel sequence) per stream,
-/// with deliberate clusters of equal start times so activation tie order
-/// is exercised, and a mix of compute-bound, memory-bound and saturating
-/// kernels so the interference term of the contention model is live.
 fn workload(seed: u64, n: usize) -> Vec<(f64, Vec<KernelDesc>)> {
-    let gpu = GpuSpec::a100();
-    let shapes = [
-        KernelDesc::new(2e9, 1e7, 0.2 * gpu.block_slots()), // under-occupied compute
-        KernelDesc::new(2e10, 1e7, 4.0 * gpu.block_slots()), // saturating compute
-        KernelDesc::new(1e8, 4e8, 0.5 * gpu.block_slots()), // memory-bound
-        KernelDesc::new(5e8, 5e7, 1.1 * gpu.block_slots()), // mixed, just saturating
-    ];
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let mut t = 0.0f64;
-    (0..n)
-        .map(|i| {
-            // Every 5th stream shares the previous start time exactly —
-            // an equal-start tie whose activation order must match.
-            if i % 5 != 0 {
-                t += (next() % 1000) as f64 / 800.0;
-            }
-            let len = 1 + (next() % 6) as usize;
-            let kernels = (0..len).map(|_| shapes[(next() % 4) as usize]).collect();
-            (t, kernels)
-        })
-        .collect()
+    open_loop_workload(seed, n, GOLDEN)
 }
 
 /// Drive an engine through the workload open-loop: streams are only added
@@ -266,46 +59,57 @@ fn drive(
     out
 }
 
+/// Every completion of `work` through the frozen reference engine.
+fn run_reference(
+    work: &[(f64, Vec<KernelDesc>)],
+    noise: &NoiseModel,
+    seed: u64,
+    spec: Option<KernelFaultSpec>,
+) -> Vec<(u64, u64)> {
+    let mut engine = ReferenceEngine::new(GpuSpec::a100(), noise.clone(), seed);
+    if let Some(spec) = spec {
+        engine.set_kernel_faults(spec, seed);
+    }
+    let e = RefCell::new(engine);
+    drive(
+        work,
+        |k, at| {
+            e.borrow_mut().add_stream(k.to_vec(), at);
+        },
+        || e.borrow_mut().step().map(|(_, start, end)| (start, end)),
+        || e.borrow().now(),
+    )
+}
+
+/// Every completion of `work` through a prepared live engine, with slot
+/// recycling on.
+fn run_optimized(mut engine: Engine, work: &[(f64, Vec<KernelDesc>)]) -> Vec<(u64, u64)> {
+    engine.enable_slot_recycling();
+    let e = RefCell::new(engine);
+    drive(
+        work,
+        |k, at| {
+            e.borrow_mut().add_stream_slice(k, at);
+        },
+        || e.borrow_mut().step().map(|c| (c.start_ms, c.end_ms)),
+        || e.borrow().now(),
+    )
+}
+
 #[test]
 fn optimized_engine_matches_pre_refactor_reference_bitwise() {
     let seed = 0xABACu64;
     let work = workload(seed, 400);
     let noise = NoiseModel::calibrated();
 
-    let reference = {
-        use std::cell::RefCell;
-        let e = RefCell::new(reference::ReferenceEngine::new(
-            GpuSpec::a100(),
-            noise.clone(),
-            seed,
-        ));
-        drive(
-            &work,
-            |k, at| e.borrow_mut().add_stream(k.to_vec(), at),
-            || e.borrow_mut().step(),
-            || e.borrow().now(),
-        )
-    };
-
-    let optimized = {
-        use std::cell::RefCell;
-        let mut engine = Engine::new(GpuSpec::a100(), noise, seed);
-        // Exercise `reset` reuse on top of recycling: dirty the engine with
-        // an unrelated run first, then reset to the golden seed.
-        engine.add_stream_slice(&work[0].1, 0.0);
-        engine.run_until_idle();
-        engine.reset(seed);
-        engine.enable_slot_recycling();
-        let e = RefCell::new(engine);
-        drive(
-            &work,
-            |k, at| {
-                e.borrow_mut().add_stream_slice(k, at);
-            },
-            || e.borrow_mut().step().map(|c| (c.start_ms, c.end_ms)),
-            || e.borrow().now(),
-        )
-    };
+    let reference = run_reference(&work, &noise, seed, None);
+    let mut engine = Engine::new(GpuSpec::a100(), noise, seed);
+    // Exercise `reset` reuse on top of recycling: dirty the engine with an
+    // unrelated run first, then reset to the golden seed.
+    engine.add_stream_slice(&work[0].1, 0.0);
+    engine.run_until_idle();
+    engine.reset(seed);
+    let optimized = run_optimized(engine, &work);
 
     assert_eq!(reference.len(), work.len());
     assert_eq!(
@@ -321,34 +125,8 @@ fn reference_and_optimized_agree_across_seeds() {
     for seed in [1u64, 9, 77, 2021] {
         let work = workload(seed, 80);
         let noise = NoiseModel::calibrated();
-        let reference = {
-            use std::cell::RefCell;
-            let e = RefCell::new(reference::ReferenceEngine::new(
-                GpuSpec::a100(),
-                noise.clone(),
-                seed,
-            ));
-            drive(
-                &work,
-                |k, at| e.borrow_mut().add_stream(k.to_vec(), at),
-                || e.borrow_mut().step(),
-                || e.borrow().now(),
-            )
-        };
-        let optimized = {
-            use std::cell::RefCell;
-            let mut engine = Engine::new(GpuSpec::a100(), noise, seed);
-            engine.enable_slot_recycling();
-            let e = RefCell::new(engine);
-            drive(
-                &work,
-                |k, at| {
-                    e.borrow_mut().add_stream_slice(k, at);
-                },
-                || e.borrow_mut().step().map(|c| (c.start_ms, c.end_ms)),
-                || e.borrow().now(),
-            )
-        };
+        let reference = run_reference(&work, &noise, seed, None);
+        let optimized = run_optimized(Engine::new(GpuSpec::a100(), noise, seed), &work);
         assert_eq!(reference, optimized, "divergence at seed {seed}");
     }
 }
@@ -361,90 +139,14 @@ mod proptests {
     /// true zero-cost kernels (which draw noise but finish instantly) and
     /// a denser cluster of equal-start ties.
     fn random_workload(seed: u64, n: usize, exotic: bool) -> Vec<(f64, Vec<KernelDesc>)> {
-        let gpu = GpuSpec::a100();
-        let shapes = [
-            KernelDesc::new(2e9, 1e7, 0.2 * gpu.block_slots()), // under-occupied compute
-            KernelDesc::new(2e10, 1e7, 4.0 * gpu.block_slots()), // saturating compute
-            KernelDesc::new(1e8, 4e8, 0.5 * gpu.block_slots()), // memory-bound
-            KernelDesc::new(5e8, 5e7, 1.1 * gpu.block_slots()), // mixed, just saturating
-            // Launch-only: contends for nothing, still takes wall time.
-            KernelDesc {
-                flops: 0.0,
-                bytes: 0.0,
-                blocks: 1.0,
-                launch_ms: 0.012,
-            },
-            // True zero-cost kernel: draws its noise factor, then
-            // completes instantly without entering the running set.
-            KernelDesc {
-                flops: 0.0,
-                bytes: 0.0,
-                blocks: 1.0,
-                launch_ms: 0.0,
-            },
-        ];
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
+        let shape = OpenLoop {
+            tie_every: 4,
+            gap_div: 900.0,
+            min_len: 0,
+            len_span: 6,
+            shapes: if exotic { 6 } else { 4 },
         };
-        let shape_pool = if exotic { shapes.len() } else { 4 };
-        let mut t = 0.0f64;
-        (0..n)
-            .map(|i| {
-                // Every 4th stream shares the previous start time exactly.
-                if i % 4 != 0 {
-                    t += (next() % 1000) as f64 / 900.0;
-                }
-                // Length 0 = empty stream (completes at activation).
-                let len = (next() % 6) as usize;
-                let kernels = (0..len)
-                    .map(|_| shapes[(next() as usize) % shape_pool])
-                    .collect();
-                (t, kernels)
-            })
-            .collect()
-    }
-
-    fn run_reference(
-        work: &[(f64, Vec<KernelDesc>)],
-        noise: &NoiseModel,
-        seed: u64,
-        spec: Option<KernelFaultSpec>,
-    ) -> Vec<(u64, u64)> {
-        use std::cell::RefCell;
-        let mut engine = reference::ReferenceEngine::new(GpuSpec::a100(), noise.clone(), seed);
-        if let Some(spec) = spec {
-            engine.set_kernel_faults(spec, seed);
-        }
-        let e = RefCell::new(engine);
-        drive(
-            work,
-            |k, at| e.borrow_mut().add_stream(k.to_vec(), at),
-            || e.borrow_mut().step(),
-            || e.borrow().now(),
-        )
-    }
-
-    fn run_optimized(
-        work: &[(f64, Vec<KernelDesc>)],
-        noise: &NoiseModel,
-        seed: u64,
-        spec: Option<KernelFaultSpec>,
-    ) -> Vec<(u64, u64)> {
-        use std::cell::RefCell;
-        let mut engine = Engine::new(GpuSpec::a100(), noise.clone(), seed);
-        engine.set_kernel_faults(spec);
-        engine.enable_slot_recycling();
-        let e = RefCell::new(engine);
-        drive(
-            work,
-            |k, at| {
-                e.borrow_mut().add_stream_slice(k, at);
-            },
-            || e.borrow_mut().step().map(|c| (c.start_ms, c.end_ms)),
-            || e.borrow().now(),
-        )
+        open_loop_workload(seed, n, shape)
     }
 
     proptest! {
@@ -478,7 +180,9 @@ mod proptests {
                 factor,
             });
             let reference = run_reference(&work, &noise, seed, spec);
-            let optimized = run_optimized(&work, &noise, seed, spec);
+            let mut engine = Engine::new(GpuSpec::a100(), noise, seed);
+            engine.set_kernel_faults(spec);
+            let optimized = run_optimized(engine, &work);
             prop_assert_eq!(
                 reference,
                 optimized,

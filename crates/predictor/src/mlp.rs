@@ -13,6 +13,7 @@
 
 use crate::dataset::Dataset;
 use crate::LatencyModel;
+use gpu_sim::simd::SimdTier;
 use workload::SeededRng;
 
 /// Training hyper-parameters.
@@ -157,10 +158,9 @@ impl InferencePlan {
             .flat_map(|l| [l.in_dim, l.out_dim])
             .max()
             .unwrap_or(1);
-        #[cfg(target_arch = "x86_64")]
-        let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_avx2 = false;
+        // The AVX2 kernel on AVX2 and AVX-512 hosts alike (every
+        // non-scalar tier guarantees AVX2).
+        let use_avx2 = SimdTier::detect() != SimdTier::Scalar;
         Self {
             wt,
             max_width,
@@ -568,56 +568,63 @@ unsafe fn adam_kernel_avx512(
     adam_kernel(w, m, v, g, scale, lr, bc1, bc2);
 }
 
-/// Runtime SIMD tier for the training kernels, detected once per `train`
-/// call. Every tier runs the same element-wise operation sequence — the
-/// tier changes vector width, never accumulation order — so trained
-/// weights are identical across hosts.
-#[derive(Clone, Copy, PartialEq)]
-enum Simd {
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    Scalar,
+/// The training kernels, dispatched on the workspace's runtime SIMD tier
+/// ([`SimdTier::detect`], called once per `train` call). Every tier runs
+/// the same element-wise operation sequence — the tier changes vector
+/// width, never accumulation order — so trained weights are identical
+/// across hosts.
+trait TrainKernels {
+    fn layer(self, a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize);
+    fn grad(self, delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize);
+    #[allow(clippy::too_many_arguments)]
+    fn delta(
+        self,
+        delta: &[f64],
+        w: &[f64],
+        pre_prev: &[f64],
+        prev: &mut [f64],
+        rows: usize,
+        din: usize,
+        dout: usize,
+    );
+    #[allow(clippy::too_many_arguments)]
+    fn adam(
+        self,
+        w: &mut [f64],
+        m: &mut [f64],
+        v: &mut [f64],
+        g: &[f64],
+        scale: f64,
+        lr: f64,
+        bc1: f64,
+        bc2: f64,
+    );
 }
 
-impl Simd {
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Simd::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Simd::Avx2;
-            }
-        }
-        Simd::Scalar
-    }
-
+impl TrainKernels for SimdTier {
     #[inline]
     fn layer(self, a: &[f64], b: &mut [f64], wt: &[f64], bias: &[f64], n: usize, din: usize) {
         match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
+            // SAFETY: tiers reach this dispatch only from
+            // `SimdTier::detect`/`supported`, which check CPU features.
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { layer_kernel_avx512(a, b, wt, bias, n, din) },
+            SimdTier::Avx512 => unsafe { layer_kernel_avx512(a, b, wt, bias, n, din) },
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { layer_kernel_avx2(a, b, wt, bias, n, din) },
-            Simd::Scalar => layer_kernel(a, b, wt, bias, n, din),
+            SimdTier::Avx2 => unsafe { layer_kernel_avx2(a, b, wt, bias, n, din) },
+            SimdTier::Scalar => layer_kernel(a, b, wt, bias, n, din),
         }
     }
 
     #[inline]
     fn grad(self, delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize) {
         match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
+            // SAFETY: tiers reach this dispatch only from
+            // `SimdTier::detect`/`supported`, which check CPU features.
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { grad_kernel_avx512(delta, acts, gw, gb, rows, din) },
+            SimdTier::Avx512 => unsafe { grad_kernel_avx512(delta, acts, gw, gb, rows, din) },
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { grad_kernel_avx2(delta, acts, gw, gb, rows, din) },
-            Simd::Scalar => grad_kernel(delta, acts, gw, gb, rows, din),
+            SimdTier::Avx2 => unsafe { grad_kernel_avx2(delta, acts, gw, gb, rows, din) },
+            SimdTier::Scalar => grad_kernel(delta, acts, gw, gb, rows, din),
         }
     }
 
@@ -634,13 +641,13 @@ impl Simd {
         dout: usize,
     ) {
         match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
+            // SAFETY: tiers reach this dispatch only from
+            // `SimdTier::detect`/`supported`, which check CPU features.
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { delta_kernel_avx512(delta, w, pre_prev, prev, rows, din, dout) },
+            SimdTier::Avx512 => unsafe { delta_kernel_avx512(delta, w, pre_prev, prev, rows, din, dout) },
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { delta_kernel_avx2(delta, w, pre_prev, prev, rows, din, dout) },
-            Simd::Scalar => delta_kernel(delta, w, pre_prev, prev, rows, din, dout),
+            SimdTier::Avx2 => unsafe { delta_kernel_avx2(delta, w, pre_prev, prev, rows, din, dout) },
+            SimdTier::Scalar => delta_kernel(delta, w, pre_prev, prev, rows, din, dout),
         }
     }
 
@@ -658,13 +665,13 @@ impl Simd {
         bc2: f64,
     ) {
         match self {
-            // SAFETY: variants are selected only after runtime feature
-            // detection in `detect`.
+            // SAFETY: tiers reach this dispatch only from
+            // `SimdTier::detect`/`supported`, which check CPU features.
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx512 => unsafe { adam_kernel_avx512(w, m, v, g, scale, lr, bc1, bc2) },
+            SimdTier::Avx512 => unsafe { adam_kernel_avx512(w, m, v, g, scale, lr, bc1, bc2) },
             #[cfg(target_arch = "x86_64")]
-            Simd::Avx2 => unsafe { adam_kernel_avx2(w, m, v, g, scale, lr, bc1, bc2) },
-            Simd::Scalar => adam_kernel(w, m, v, g, scale, lr, bc1, bc2),
+            SimdTier::Avx2 => unsafe { adam_kernel_avx2(w, m, v, g, scale, lr, bc1, bc2) },
+            SimdTier::Scalar => adam_kernel(w, m, v, g, scale, lr, bc1, bc2),
         }
     }
 }
@@ -682,7 +689,7 @@ impl Simd {
 fn chunk_forward_backward(
     layers: &[Dense],
     wt: &[Vec<f64>],
-    simd: Simd,
+    simd: SimdTier,
     xs: &[f64],
     targets: &[f64],
     rows: usize,
@@ -791,7 +798,7 @@ fn chunk_forward_backward(
 fn minibatch_grads(
     layers: &[Dense],
     wt: &[Vec<f64>],
-    simd: Simd,
+    simd: SimdTier,
     xb: &[f64],
     tb: &[f64],
     in_dim: usize,
@@ -896,7 +903,7 @@ fn train_layers(
 
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
-    let simd = Simd::detect();
+    let simd = SimdTier::detect();
     // The chunked reduction makes weights bit-identical under any
     // dispatch, so dispatch is a pure perf choice: skip the pool when
     // it cannot add concurrency (single-core host: one pool worker plus
@@ -1660,6 +1667,76 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// `n` values in `[-1, 1)`, every `zero_every`-th exactly zero so the
+    /// kernels' zero-skip branches run too.
+    fn values(rng: &mut SeededRng, n: usize, zero_every: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                if i % zero_every == 0 {
+                    0.0
+                } else {
+                    rng.range_f64(-1.0, 1.0)
+                }
+            })
+            .collect()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every training kernel (`layer`, `grad`, `delta`, `adam`) at every
+    /// host-supported SIMD tier is bit-identical to the scalar tier, with
+    /// the vectorised dimension swept across every remainder-lane split.
+    #[test]
+    fn all_tiers_match_scalar_bitwise() {
+        let (rows, narrow) = (4, 3);
+        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33] {
+            let mut rng = SeededRng::new(len as u64);
+            // layer: axpy across `len` outputs.
+            let a = values(&mut rng, rows * narrow, 4);
+            let wt = values(&mut rng, narrow * len, 7);
+            let bias = values(&mut rng, len, 5);
+            // grad / delta: axpy across `len` inputs.
+            let delta = values(&mut rng, rows * narrow, 3);
+            let acts = values(&mut rng, rows * len, 6);
+            let gw0 = values(&mut rng, narrow * len, 9);
+            let gb0 = values(&mut rng, narrow, 2);
+            let w = values(&mut rng, narrow * len, 8);
+            let pre_prev = values(&mut rng, rows * len, 5);
+            // adam: element-wise over `len` parameters.
+            let p0 = values(&mut rng, len, 11);
+            let m0 = values(&mut rng, len, 4);
+            let v0: Vec<f64> = values(&mut rng, len, 4).iter().map(|v| v.abs()).collect();
+            let g = values(&mut rng, len, 3);
+
+            let run = |tier: SimdTier| {
+                let mut out = vec![0.0; rows * len];
+                if len > 0 {
+                    // A layer has at least one output.
+                    tier.layer(&a, &mut out, &wt, &bias, rows, narrow);
+                }
+                let (mut gw, mut gb) = (gw0.clone(), gb0.clone());
+                tier.grad(&delta, &acts, &mut gw, &mut gb, rows, len);
+                let mut prev = vec![1.0; rows * len];
+                tier.delta(&delta, &w, &pre_prev, &mut prev, rows, len, narrow);
+                let (mut p, mut m, mut v) = (p0.clone(), m0.clone(), v0.clone());
+                tier.adam(&mut p, &mut m, &mut v, &g, 0.25, 1e-3, 0.1, 0.001);
+                [out, gw, gb, prev, p, m, v].map(|xs| bits(&xs))
+            };
+            let want = run(SimdTier::Scalar);
+            for tier in SimdTier::supported() {
+                let got = run(tier);
+                for (k, name) in ["layer", "grad w", "grad b", "delta", "adam w", "adam m", "adam v"]
+                    .iter()
+                    .enumerate()
+                {
+                    assert_eq!(got[k], want[k], "{name} diverged at len {len} tier {tier:?}");
+                }
+            }
+        }
+    }
+
     /// Per-sample scalar gradient reference mirroring the inner loop of
     /// [`Mlp::train_reference`]: fold every sample's forward/backward into
     /// the accumulators in sample order.
@@ -1760,7 +1837,7 @@ mod tests {
         minibatch_grads(
             layers,
             &wt,
-            Simd::detect(),
+            SimdTier::detect(),
             xs,
             targets,
             in_dim,

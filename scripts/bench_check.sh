@@ -8,19 +8,26 @@
 #     SLO burn, flight recorder) may cost at most 2% of an Abacus cell
 #   * cold-start offline training: minibatch trainer throughput and the
 #     serial/pooled weight-identity contract (BENCH_train.json)
-#   * the discrete-event engine core: events/sec vs the embedded
-#     pre-overhaul baseline engine, plus a bit-identity cross-check of the
-#     two engines' completions (BENCH_engine.json)
-#   * the decision hot path: decision rounds/sec vs the embedded
-#     pre-overhaul controller, plus a bit-identity cross-check of the two
-#     controllers' decision streams (BENCH_decision.json)
+#   * the discrete-event engine core: events/sec vs the shared frozen
+#     pre-overhaul engine (bench::reference::engine), plus a bit-identity
+#     cross-check of the two engines' completions (BENCH_engine.json)
+#   * the decision hot path: decision rounds/sec vs the shared frozen
+#     pre-overhaul controller (bench::reference::decision), plus a
+#     bit-identity cross-check of the two controllers' decision streams
+#     (BENCH_decision.json)
 #   * the cluster ingress hot path: routed queries/sec through the
-#     headroom router vs the embedded pre-overhaul round-robin cluster
-#     path, with a warmup-vs-timed checksum cross-check of each path and
-#     a >=3x routed-vs-round-robin speedup floor (BENCH_cluster.json)
+#     headroom router vs the live round-robin cluster path (cluster::sim
+#     Abacus + K8s), with a warmup-vs-timed checksum cross-check of each
+#     path and a >=3x routed-vs-round-robin speedup floor
+#     (BENCH_cluster.json)
+#
+# The frozen references are the same copies the golden suites
+# (golden_engine, golden_decisions) pin the live code to, so one copy per
+# layer defines "the old behaviour".
 #
 # Each bench re-measures itself in quick mode and fails (exit 1) if it
-# regressed by more than 2x against its committed baseline. Regenerate a
+# regressed by more than 2x against its committed baseline, or if the
+# baseline lacks a gated value. Regenerate a
 # baseline after an intentional perf change with:
 #
 #   cargo run --release -p bench --bin search_bench

@@ -18,17 +18,32 @@ cargo test -q
 echo "== fault suite (incl. ignored long-runners) =="
 cargo test -q -p integration --test fault_properties -- --include-ignored
 
+echo "== reference code stays out of shipped crates =="
+# The frozen pre-overhaul references live in the non-shipped `bench`
+# crate, which the golden suites link only as a dev-dependency. No shipped
+# crate may pull it into its normal dependency graph.
+for crate in abacus-cli serving cluster abacus-core predictor gpu-sim; do
+    if cargo tree -q -e normal -p "$crate" --prefix none | awk '{print $1}' | grep -qx bench; then
+        echo "shipped crate $crate depends on the bench crate" >&2
+        exit 1
+    fi
+done
+
 echo "== engine golden + proptest bit-identity =="
 # The optimized event core (SoA + SIMD + calendar queue) must stay
-# bit-identical to the embedded straight-line reference engine, on the
-# pinned fixed-seed workloads and on randomized property workloads.
+# bit-identical to the shared frozen reference engine
+# (bench::reference::engine, also engine_bench's baseline), on the pinned
+# fixed-seed workloads and on randomized property workloads with fault
+# specs.
 cargo test -q -p gpu-sim --test golden_engine
 
 echo "== decision golden + proptest bit-identity =="
-# The decision hot path (incremental order index + arena scratch) must
-# stay bit-identical to the embedded pre-overhaul controller, on pinned
-# fixed-seed replays and grid-quantised random queues, and a steady-state
-# decide round must allocate nothing.
+# The decision hot path (incremental order index + arena scratch +
+# buffered search) must stay bit-identical to the shared frozen
+# pre-overhaul controller and plan_group (bench::reference::decision, also
+# decision_bench's baseline), on pinned fixed-seed replays, fixed search
+# fixtures and grid-quantised random queues, and a steady-state decide
+# round must allocate nothing.
 cargo test -q -p abacus-core --test golden_decisions
 cargo test -q -p abacus-core --test decision_alloc --release
 
