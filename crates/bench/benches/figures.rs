@@ -227,15 +227,18 @@ fn fig22(c: &mut Criterion, fx: &Fixture) {
     };
     let v100 = GpuSpec::v100();
     let model: Arc<dyn LatencyModel> = fx.model();
+    let (arrivals, inputs) = cluster::cluster_workload(&cfg, &fx.lib);
     c.bench_function("fig22_cluster", |b| {
         b.iter(|| {
-            black_box(cluster::run_cluster(
+            black_box(cluster::run_cluster_on(
                 cluster::ClusterSystem::AbacusK8s,
                 &cfg,
                 &fx.lib,
                 &v100,
                 &NoiseModel::calibrated(),
                 Some(model.clone()),
+                &arrivals,
+                &inputs,
             ))
         })
     });

@@ -16,7 +16,7 @@ use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
-use serving::{run_colocation_faulty, ColocationConfig, NodeOptions, PolicyKind};
+use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -109,16 +109,18 @@ pub fn run(opts: &Options) {
             timeout_factor: variant.defended.then_some(TIMEOUT_FACTOR),
         };
         let pred = (variant.policy == PolicyKind::Abacus).then(|| as_model(&mlp));
-        let out = run_colocation_faulty(
+        let out = run_colocation_observed(
             &models,
             variant.policy,
             pred,
+            None,
             &lib,
             &gpu,
             &noise,
             &cfg,
             &plan,
             node_opts,
+            None,
         );
         for violation in &out.invariant_violations {
             eprintln!(

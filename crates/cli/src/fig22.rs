@@ -4,9 +4,9 @@
 use crate::common::{as_model, ensure_predictor, pinned_abacus_config, Options};
 use abacus_metrics::{CsvWriter, ServiceStats};
 use cluster::{
-    build_timeline, cluster_workload, run_cluster, run_cluster_detailed, summarize,
-    run_routed_cluster_on, AutoscalePolicy, ClusterConfig, ClusterSystem, NodePool, NodeSignals,
-    PredictiveAutoscaler, RoutedClusterConfig,
+    build_timeline, cluster_workload, run_cluster_on, run_routed_cluster_on, summarize,
+    AutoscalePolicy, ClusterConfig, ClusterSystem, NodePool, NodeSignals, PredictiveAutoscaler,
+    RoutedClusterConfig,
 };
 use dnn_models::ModelLibrary;
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
@@ -53,18 +53,30 @@ pub fn run(opts: &Options) {
     );
 
     let t0 = std::time::Instant::now();
-    let detailed = run_cluster_detailed(
+    let detailed = run_cluster_on(
         ClusterSystem::AbacusK8s,
         &cfg,
         &lib,
         &v100,
         &noise,
         Some(as_model(&mlp)),
+        &arrivals,
+        &inputs,
     );
     let abacus = detailed.records.clone();
     eprintln!("[fig22] Abacus done in {:.1?}", t0.elapsed());
     let t0 = std::time::Instant::now();
-    let clockwork = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    let clockwork = run_cluster_on(
+        ClusterSystem::Clockwork,
+        &cfg,
+        &lib,
+        &v100,
+        &noise,
+        None,
+        &arrivals,
+        &inputs,
+    )
+    .records;
     eprintln!("[fig22] Clockwork done in {:.1?}", t0.elapsed());
 
     let tl_a = build_timeline(&arrivals, &arrival_reqs, &abacus, minutes);

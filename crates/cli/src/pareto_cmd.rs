@@ -28,7 +28,7 @@ use dnn_models::{ModelId, ModelLibrary};
 use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{sample_groups, width_of_row, LatencyModel, Mlp};
-use serving::{run_colocation_certified, ColocationConfig, NodeOptions, PolicyKind};
+use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind};
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -117,7 +117,7 @@ pub fn run(opts: &Options) {
             abacus,
         };
         let plan = FaultPlan::at_intensity(plan_seed, INTENSITIES[i]);
-        let out = run_colocation_certified(
+        let out = run_colocation_observed(
             &models,
             PolicyKind::Abacus,
             Some(as_model(&mean)),
@@ -128,6 +128,7 @@ pub fn run(opts: &Options) {
             &cfg,
             &plan,
             NodeOptions::default(),
+            None,
         );
         for violation in &out.invariant_violations {
             eprintln!(

@@ -15,8 +15,12 @@ use crate::common::{as_model, ensure_predictor, map_cells, Options};
 use abacus_metrics::Table;
 use cluster::{add_counter_tracks, build_timeline_bucketed};
 use dnn_models::{ModelId, ModelLibrary};
+use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
-use serving::{build_workload, run_colocation_traced, services_for, ColocationConfig, PolicyKind};
+use serving::{
+    build_workload, run_colocation_observed, services_for, ColocationConfig, NodeOptions,
+    PolicyKind,
+};
 use std::sync::Arc;
 use telemetry::export::{kernel_spans_csv, ledger_csv};
 use telemetry::{ChromeTrace, Hist, PredictionErrorReport, Telemetry};
@@ -59,8 +63,20 @@ pub fn run(opts: &Options) {
         ..ColocationConfig::default()
     };
     let mut tel = Telemetry::with_kernel_trace();
-    let (result, records) =
-        run_colocation_traced(&pair, PolicyKind::Abacus, Some(as_model(&mlp)), &lib, &gpu, &noise, &cfg, &mut tel);
+    let out = run_colocation_observed(
+        &pair,
+        PolicyKind::Abacus,
+        Some(as_model(&mlp)),
+        None,
+        &lib,
+        &gpu,
+        &noise,
+        &cfg,
+        &FaultPlan::none(),
+        NodeOptions::default(),
+        Some(&mut tel),
+    );
+    let (result, records) = (out.result, out.records);
 
     let mut trace = ChromeTrace::new();
     let names: Vec<&str> = pair.iter().map(|m| m.name()).collect();
@@ -158,7 +174,19 @@ pub fn run(opts: &Options) {
             ..ColocationConfig::default()
         };
         let mut tel = Telemetry::new();
-        let _ = run_colocation_traced(&pair, PolicyKind::Abacus, Some(as_model(&mlp)), &lib, &gpu, &noise, &cfg, &mut tel);
+        run_colocation_observed(
+            &pair,
+            PolicyKind::Abacus,
+            Some(as_model(&mlp)),
+            None,
+            &lib,
+            &gpu,
+            &noise,
+            &cfg,
+            &FaultPlan::none(),
+            NodeOptions::default(),
+            Some(&mut tel),
+        );
         // Split errors by group width: the instance-based training samples
         // (§5.4) always include every co-located model, so solo rounds sit
         // outside the predictor's training distribution.

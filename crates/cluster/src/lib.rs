@@ -29,11 +29,8 @@ pub use route::{
     NodeHead, NodePool,
     RouteOutcome, RoutedClusterConfig, RoutedRunResult, RouterStats,
 };
-pub use sim::{
-    cluster_workload, run_cluster, run_cluster_detailed, run_cluster_on, ClusterConfig,
-    ClusterRunResult,
-    ClusterSystem, GpuUsage,
-};
+pub use serving::GpuUsage;
+pub use sim::{cluster_workload, run_cluster_on, ClusterConfig, ClusterRunResult, ClusterSystem};
 pub use timeline::{
     add_counter_tracks, build_timeline, build_timeline_bucketed, summarize, TimelinePoint,
     TimelineSummary,

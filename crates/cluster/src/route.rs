@@ -37,17 +37,16 @@
 //! a steady-state routing decision allocates nothing.
 
 use crate::autoscale::{AutoscaleStats, PredictiveAutoscaler};
-use crate::sim::{record_of, shared_workload, GpuUsage};
-use abacus_core::{
-    AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler, SegmentalExecutor,
-};
+use crate::sim::{record_of, shared_workload, ClusterGpu};
+use abacus_core::{AbacusConfig, Query};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{
-    encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM,
-    MODEL_SLOT_BASE, SLOT_WIDTH,
+    encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM, MODEL_SLOT_BASE,
+    SLOT_WIDTH,
 };
+use serving::GpuUsage;
 use std::sync::Arc;
 use telemetry::{Counter, Hist, Telemetry};
 use workload::{fork_seed, Arrival, RateTrace, SeededRng};
@@ -335,12 +334,7 @@ impl HeadroomRouter {
     /// is shed for *any* non-negative prediction, so the router sheds
     /// without encoding candidates or running the forward. Scored
     /// arrivals always use exactly one batched forward.
-    pub fn route(
-        &mut self,
-        t_ms: f64,
-        q: &Query,
-        mut tel: Option<&mut Telemetry>,
-    ) -> RouteOutcome {
+    pub fn route(&mut self, t_ms: f64, q: &Query, mut tel: Option<&mut Telemetry>) -> RouteOutcome {
         let s = &mut self.scratch;
         let mut min_wait = f64::INFINITY;
         for g in 0..s.active.len() {
@@ -528,95 +522,13 @@ pub struct RoutedRunResult {
     pub autoscale: AutoscaleStats,
 }
 
-/// Per-GPU serving state for the routed path. Unlike the pre-overhaul
-/// `GpuSim`, rounds go through `decide_into` with admit/retire hooks, so
-/// the scheduler's incremental order index and entry-buffer recycling stay
-/// engaged — the decision layer runs at its PR 7 speed.
-struct RoutedGpuSim {
-    scheduler: AbacusScheduler,
-    executor: SegmentalExecutor,
-    queue: Vec<Query>,
-    decision: RoundDecision,
-    free_at: f64,
-    usage: GpuUsage,
+/// One routed GPU: the shared serving loop, its own record stream, and
+/// the queries the router assigned it this epoch.
+struct RoutedGpu {
+    sim: ClusterGpu,
     records: Vec<QueryRecord>,
     /// Queries routed here this epoch, arrival order.
     assigned: Vec<Query>,
-}
-
-impl RoutedGpuSim {
-    fn admit(&mut self, q: Query) {
-        self.scheduler.on_admit(&q);
-        self.queue.push(q);
-    }
-
-    fn retire(&mut self, pos: usize, latency_ms: f64, outcome: QueryOutcome) {
-        self.scheduler.on_retire(&self.queue[pos]);
-        let q = self.queue.swap_remove(pos);
-        self.records.push(record_of(&q, latency_ms, outcome));
-    }
-
-    /// Run scheduling rounds until the next decision would start after
-    /// `until`.
-    fn advance(&mut self, until: f64, lib: &ModelLibrary) {
-        loop {
-            if self.queue.is_empty() {
-                break;
-            }
-            let earliest = self
-                .queue
-                .iter()
-                .map(|q| q.arrival_ms)
-                .fold(f64::INFINITY, f64::min);
-            let t = self.free_at.max(earliest);
-            if t > until {
-                break;
-            }
-            self.scheduler.decide_into(t, &self.queue, &mut self.decision);
-            let n_dropped = self.decision.dropped.len();
-            for i in 0..n_dropped {
-                let id = self.decision.dropped[i];
-                let pos = self.queue.iter().position(|q| q.id == id).unwrap();
-                self.retire(pos, t - self.queue[pos].arrival_ms, QueryOutcome::Dropped);
-            }
-            let Some(group) = self.decision.group.take() else {
-                continue;
-            };
-            let start = t + self.decision.overhead_ms;
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].mark_started(start);
-            }
-            let spec = group.to_spec(|id| self.queue.iter().find(|q| q.id == id).unwrap(), lib);
-            let out = self.executor.execute(&spec);
-            self.free_at = start + out.duration_ms;
-            self.usage.busy_ms += out.duration_ms;
-            self.usage.groups += 1;
-            self.usage.sequential_ms += spec.sequential_ms(lib, self.executor.gpu());
-            self.scheduler.on_group_complete(out.duration_ms);
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].advance_to(e.op_end);
-                if self.queue[pos].is_complete() {
-                    self.retire(pos, self.free_at - self.queue[pos].arrival_ms, QueryOutcome::Completed);
-                }
-            }
-            // Hand the entry buffer back for next round's recycling.
-            self.decision.group = Some(group);
-        }
-    }
-
-    /// The most urgent incomplete query — the router's representative.
-    fn head(&self) -> Option<NodeHead> {
-        self.queue
-            .iter()
-            .min_by(|a, b| {
-                a.deadline_ms()
-                    .total_cmp(&b.deadline_ms())
-                    .then(a.id.cmp(&b.id))
-            })
-            .map(NodeHead::of)
-    }
 }
 
 /// Run the headroom-routed cluster. `router_model` scores candidates on
@@ -679,26 +591,19 @@ pub fn run_routed_cluster_on(
             &derived
         }
     };
-    let mut sims: Vec<RoutedGpuSim> = Vec::with_capacity(n_gpus);
+    let mut sims: Vec<RoutedGpu> = Vec::with_capacity(n_gpus);
     for (p, pool) in cfg.pools.iter().enumerate() {
         for _ in 0..pool.gpus {
-            let g = sims.len();
-            sims.push(RoutedGpuSim {
-                scheduler: AbacusScheduler::new(
+            let seed = fork_seed(cfg.seed, 0xE000 + sims.len() as u64);
+            sims.push(RoutedGpu {
+                sim: ClusterGpu::new(
                     pool_models[p].clone(),
-                    lib.clone(),
-                    cfg.abacus.clone(),
-                ),
-                executor: SegmentalExecutor::new(
+                    lib,
+                    &cfg.abacus,
                     pool.gpu.clone(),
-                    noise.clone(),
-                    lib.clone(),
-                    fork_seed(cfg.seed, 0xE000 + g as u64),
+                    noise,
+                    seed,
                 ),
-                queue: Vec::new(),
-                decision: RoundDecision::idle(),
-                free_at: 0.0,
-                usage: GpuUsage::default(),
                 records: Vec::new(),
                 assigned: Vec::new(),
             });
@@ -771,13 +676,12 @@ pub fn run_routed_cluster_on(
         // Independent per-GPU simulation of the epoch — the parallel
         // fan-out. GPU order is restored by the indexed collect, so the
         // serial and parallel paths produce identical state.
-        let step = |mut s: RoutedGpuSim| -> RoutedGpuSim {
-            let assigned = std::mem::take(&mut s.assigned);
-            for q in assigned {
-                s.advance(q.arrival_ms, lib);
-                s.admit(q);
+        let step = |mut s: RoutedGpu| -> RoutedGpu {
+            for q in s.assigned.drain(..) {
+                s.sim.run_until(q.arrival_ms, &mut s.records);
+                s.sim.gpu.admit(q);
             }
-            s.advance(t_end, lib);
+            s.sim.run_until(t_end, &mut s.records);
             s
         };
         let owned = std::mem::take(&mut sims);
@@ -789,16 +693,29 @@ pub fn run_routed_cluster_on(
         };
         // Epoch barrier: re-anchor the router's mirrors on actual state.
         for (g, s) in sims.iter().enumerate() {
-            router.sync(g, s.queue.len() as u32, s.free_at, s.head());
+            // The most urgent incomplete query is the GPU's representative.
+            let queue = s.sim.gpu.queue();
+            let head = queue
+                .iter()
+                .min_by(|a, b| {
+                    a.deadline_ms()
+                        .total_cmp(&b.deadline_ms())
+                        .then(a.id.cmp(&b.id))
+                })
+                .map(NodeHead::of);
+            router.sync(g, queue.len() as u32, s.sim.gpu.now(), head);
         }
     }
     debug_assert!(next == arrivals.len(), "arrivals routed past the horizon");
     let mut records = Vec::with_capacity(arrivals.len());
     let mut gpu_usage = Vec::with_capacity(n_gpus);
     for s in &mut sims {
-        assert!(s.queue.is_empty(), "drain epoch left queries behind");
+        assert!(
+            s.sim.gpu.queue().is_empty(),
+            "drain epoch left queries behind"
+        );
         records.append(&mut s.records);
-        gpu_usage.push(s.usage);
+        gpu_usage.push(s.sim.usage());
     }
     records.append(&mut shed_records);
     assert_eq!(
@@ -919,14 +836,7 @@ mod tests {
     }
 
     fn test_query(id: u64, t: f64) -> Query {
-        Query::new(
-            id,
-            ModelId::ResNet50,
-            QueryInput::new(4, 1),
-            t,
-            100.0,
-            10,
-        )
+        Query::new(id, ModelId::ResNet50, QueryInput::new(4, 1), t, 100.0, 10)
     }
 
     #[test]

@@ -15,15 +15,16 @@
 //!   time).
 //!
 //! Both systems see the same arrival stream and the same per-GPU hardware.
+//! Every Abacus GPU — here and behind the [`crate::route`] router — runs the
+//! single-node serving loop, [`serving::GpuLoop`], unchanged (§7.6).
 
-use abacus_core::{
-    AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor,
-};
+use abacus_core::{AbacusConfig, AbacusScheduler, Query, SegmentalExecutor};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use faults::NodeDegradation;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
+use serving::{GpuLoop, GpuUsage, NodeOptions};
 use std::sync::Arc;
 use workload::{fork_seed, Arrival, RateTrace, SeededRng};
 
@@ -132,41 +133,6 @@ fn node_gpu_spec(gpu: &GpuSpec, slowdown: f64) -> GpuSpec {
     g
 }
 
-/// One query with its routing metadata.
-#[derive(Debug, Clone)]
-struct ClusterQuery {
-    query: Query,
-}
-
-/// Aggregate utilisation of one GPU over a run — the autoscaler's input
-/// signals (§7.9).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct GpuUsage {
-    /// Total wall time spent executing groups, ms.
-    pub busy_ms: f64,
-    /// Operator groups executed.
-    pub groups: u64,
-    /// Sum of the groups' sequential-execution times, ms (overlap-gain
-    /// numerator).
-    pub sequential_ms: f64,
-}
-
-impl GpuUsage {
-    /// Fraction of the horizon the GPU was executing, in `[0, 1]`.
-    pub fn busy_fraction(&self, horizon_ms: f64) -> f64 {
-        (self.busy_ms / horizon_ms).clamp(0.0, 1.0)
-    }
-
-    /// Mean overlap gain: sequential time ÷ actual time (1.0 = no benefit).
-    pub fn overlap_gain(&self) -> f64 {
-        if self.busy_ms <= 0.0 {
-            1.0
-        } else {
-            self.sequential_ms / self.busy_ms
-        }
-    }
-}
-
 /// The full outcome of a cluster run: per-query records plus per-GPU usage.
 #[derive(Debug, Clone)]
 pub struct ClusterRunResult {
@@ -176,74 +142,48 @@ pub struct ClusterRunResult {
     pub gpu_usage: Vec<GpuUsage>,
 }
 
-/// Per-GPU serving state.
-struct GpuSim {
-    scheduler: Option<Box<dyn Scheduler>>,
+/// One Abacus GPU of a cluster: the shared serving loop with its own
+/// controller and executor, run without options or observers. Records
+/// carry [`ModelId::index`] as their `service`.
+pub(crate) struct ClusterGpu {
+    pub(crate) gpu: GpuLoop,
+    scheduler: AbacusScheduler,
     executor: SegmentalExecutor,
-    queue: Vec<Query>,
-    free_at: f64,
-    usage: GpuUsage,
+    /// Sum of the executed groups' sequential-execution times, ms.
+    sequential_ms: f64,
 }
 
-impl GpuSim {
-    /// Outstanding queries (the K8s least-connections routing signal).
-    fn outstanding(&self) -> usize {
-        self.queue.len()
+impl ClusterGpu {
+    pub(crate) fn new(
+        predictor: Arc<dyn LatencyModel>,
+        lib: &Arc<ModelLibrary>,
+        abacus: &AbacusConfig,
+        gpu: GpuSpec,
+        noise: &NoiseModel,
+        seed: u64,
+    ) -> Self {
+        Self {
+            gpu: GpuLoop::new(ModelId::ALL),
+            scheduler: AbacusScheduler::new(predictor, lib.clone(), abacus.clone()),
+            executor: SegmentalExecutor::new(gpu, noise.clone(), lib.clone(), seed),
+            sequential_ms: 0.0,
+        }
     }
 
-    /// Run scheduling rounds until the GPU's next decision would start
-    /// after `until`. Appends completion/drop records.
-    fn advance(&mut self, until: f64, lib: &ModelLibrary, records: &mut Vec<QueryRecord>) {
-        let scheduler = self.scheduler.as_mut().expect("abacus gpu");
-        loop {
-            if self.queue.is_empty() {
-                break;
-            }
-            let earliest = self
-                .queue
-                .iter()
-                .map(|q| q.arrival_ms)
-                .fold(f64::INFINITY, f64::min);
-            let t = self.free_at.max(earliest);
-            if t > until {
-                break;
-            }
-            let decision = scheduler.decide(t, &self.queue);
-            for id in &decision.dropped {
-                let pos = self.queue.iter().position(|q| q.id == *id).unwrap();
-                let q = self.queue.swap_remove(pos);
-                records.push(record_of(&q, t - q.arrival_ms, QueryOutcome::Dropped));
-            }
-            let Some(group) = decision.group else {
-                continue;
-            };
-            let start = t + decision.overhead_ms;
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].mark_started(start);
-            }
-            let spec = group.to_spec(
-                |id| self.queue.iter().find(|q| q.id == id).unwrap(),
-                lib,
-            );
-            let out = self.executor.execute(&spec);
-            self.free_at = start + out.duration_ms;
-            self.usage.busy_ms += out.duration_ms;
-            self.usage.groups += 1;
-            self.usage.sequential_ms += spec.sequential_ms(lib, self.executor.gpu());
-            scheduler.on_group_complete(out.duration_ms);
-            for e in &group.entries {
-                let pos = self.queue.iter().position(|q| q.id == e.query_id).unwrap();
-                self.queue[pos].advance_to(e.op_end);
-                if self.queue[pos].is_complete() {
-                    let q = self.queue.swap_remove(pos);
-                    records.push(record_of(
-                        &q,
-                        self.free_at - q.arrival_ms,
-                        QueryOutcome::Completed,
-                    ));
-                }
-            }
+    /// Run every round that starts at or before `until`.
+    pub(crate) fn run_until(&mut self, until: f64, records: &mut Vec<QueryRecord>) {
+        let (gpu, sched, ex) = (&mut self.gpu, &mut self.scheduler, &mut self.executor);
+        let opts = NodeOptions::default();
+        while let Some(spec) = gpu.step_until(until, sched, ex, opts, None, None, records) {
+            self.sequential_ms += spec.sequential_ms(ex.library(), ex.gpu());
+        }
+    }
+
+    /// Utilisation so far, overlap-gain numerator included.
+    pub(crate) fn usage(&self) -> GpuUsage {
+        GpuUsage {
+            sequential_ms: self.sequential_ms,
+            ..self.gpu.usage()
         }
     }
 }
@@ -292,36 +232,15 @@ pub(crate) fn shared_workload(
     (arrivals, inputs)
 }
 
-/// Run the cluster and return all query records (arrival-stamped, so
-/// timelines can be rebuilt at any granularity).
-pub fn run_cluster(
-    system: ClusterSystem,
-    cfg: &ClusterConfig,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    predictor: Option<Arc<dyn LatencyModel>>,
-) -> Vec<QueryRecord> {
-    run_cluster_detailed(system, cfg, lib, gpu, noise, predictor).records
-}
-
-/// Like [`run_cluster`], additionally returning per-GPU usage — the
-/// signals the §7.9 autoscaler consumes.
-pub fn run_cluster_detailed(
-    system: ClusterSystem,
-    cfg: &ClusterConfig,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    predictor: Option<Arc<dyn LatencyModel>>,
-) -> ClusterRunResult {
-    let (arrivals, inputs) = cluster_workload(cfg, lib);
-    run_cluster_on(system, cfg, lib, gpu, noise, predictor, &arrivals, &inputs)
-}
-
-/// Like [`run_cluster_detailed`], over a caller-supplied arrival stream
-/// (one input per arrival) instead of the one derived from `cfg.trace` —
-/// so a replay can generate its workload once, outside any timed region.
+/// Run the cluster over an arrival stream (one input per arrival) — the one
+/// derived from `cfg` by [`cluster_workload`], or a replay generated once
+/// outside any timed region. Records are arrival-stamped, so timelines can
+/// be rebuilt at any granularity.
+///
+/// # Panics
+/// Panics if `cfg` has no nodes or no GPUs per node, if the arrivals and
+/// inputs differ in length, or if [`ClusterSystem::AbacusK8s`] is run
+/// without a predictor.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_on(
     system: ClusterSystem,
@@ -333,6 +252,12 @@ pub fn run_cluster_on(
     arrivals: &[Arrival],
     inputs: &[QueryInput],
 ) -> ClusterRunResult {
+    assert!(
+        cfg.nodes > 0 && cfg.gpus_per_node > 0,
+        "a cluster needs at least one node and one GPU per node (got {} x {})",
+        cfg.nodes,
+        cfg.gpus_per_node
+    );
     assert_eq!(arrivals.len(), inputs.len(), "one input per arrival");
     match system {
         ClusterSystem::AbacusK8s => run_abacus_k8s(
@@ -354,12 +279,10 @@ fn make_query(
     lib: &ModelLibrary,
     a: &Arrival,
     input: QueryInput,
-) -> ClusterQuery {
+) -> Query {
     let model = cfg.models[a.service];
     let n_ops = lib.graph(model, input).len();
-    ClusterQuery {
-        query: Query::new(id, model, input, a.at_ms, cfg.qos_ms, n_ops),
-    }
+    Query::new(id, model, input, a.at_ms, cfg.qos_ms, n_ops)
 }
 
 fn run_abacus_k8s(
@@ -377,55 +300,49 @@ fn run_abacus_k8s(
     // — the unit [`ClusterConfig::parallel`] fans out over threads. With
     // one node this is exactly the old single-tier least-connections
     // cluster.
-    let nodes = cfg.nodes.max(1);
+    let nodes = cfg.nodes;
     let mut node_arrivals: Vec<Vec<(u64, &Arrival, QueryInput)>> = vec![Vec::new(); nodes];
     for (i, (a, &input)) in arrivals.iter().zip(inputs).enumerate() {
         node_arrivals[i % nodes].push((i as u64, a, input));
     }
     let run_node = |node: usize| -> (Vec<QueryRecord>, Vec<GpuUsage>) {
         let node_gpu = node_gpu_spec(gpu, cfg.node_slowdown(node));
-        let mut gpus: Vec<GpuSim> = (0..cfg.gpus_per_node)
+        let mut gpus: Vec<ClusterGpu> = (0..cfg.gpus_per_node)
             .map(|local| {
                 // Global GPU index: seeds are identical to the pre-sharding
                 // single-tier layout (and independent of node count).
                 let g = node * cfg.gpus_per_node + local;
-                GpuSim {
-                    scheduler: Some(Box::new(AbacusScheduler::new(
-                        predictor.clone(),
-                        lib.clone(),
-                        cfg.abacus.clone(),
-                    ))),
-                    executor: SegmentalExecutor::new(
-                        node_gpu.clone(),
-                        noise.clone(),
-                        lib.clone(),
-                        fork_seed(cfg.seed, 0xE000 + g as u64),
-                    ),
-                    queue: Vec::new(),
-                    free_at: 0.0,
-                    usage: GpuUsage::default(),
-                }
+                let seed = fork_seed(cfg.seed, 0xE000 + g as u64);
+                ClusterGpu::new(
+                    predictor.clone(),
+                    lib,
+                    &cfg.abacus,
+                    node_gpu.clone(),
+                    noise,
+                    seed,
+                )
             })
             .collect();
+        // The node's GPUs retire into one stream, interleaved in simulation
+        // order.
         let mut records = Vec::with_capacity(node_arrivals[node].len());
         for &(id, a, input) in &node_arrivals[node] {
             for g in gpus.iter_mut() {
-                g.advance(a.at_ms, lib, &mut records);
+                g.run_until(a.at_ms, &mut records);
             }
             // K8s least-connections routing within the node.
             let target = gpus
-                .iter()
+                .iter_mut()
                 .enumerate()
-                .min_by_key(|(i, g)| (g.outstanding(), *i))
-                .map(|(i, _)| i)
-                .unwrap();
-            let cq = make_query(id, cfg, lib, a, input);
-            gpus[target].queue.push(cq.query);
+                .min_by_key(|(i, g)| (g.gpu.queue().len(), *i))
+                .map(|(_, g)| g)
+                .expect("a node has at least one GPU");
+            target.gpu.admit(make_query(id, cfg, lib, a, input));
         }
         for g in gpus.iter_mut() {
-            g.advance(f64::INFINITY, lib, &mut records);
+            g.run_until(f64::INFINITY, &mut records);
         }
-        (records, gpus.iter().map(|g| g.usage).collect())
+        (records, gpus.iter().map(ClusterGpu::usage).collect())
     };
     let per_node: Vec<(Vec<QueryRecord>, Vec<GpuUsage>)> = if cfg.parallel && nodes > 1 {
         use rayon::prelude::*;
@@ -453,7 +370,7 @@ fn run_clockwork(
     let mut executors: Vec<SegmentalExecutor> = (0..cfg.total_gpus())
         .map(|g| {
             SegmentalExecutor::new(
-                node_gpu_spec(gpu, cfg.node_slowdown(g / cfg.gpus_per_node.max(1))),
+                node_gpu_spec(gpu, cfg.node_slowdown(g / cfg.gpus_per_node)),
                 noise.clone(),
                 lib.clone(),
                 fork_seed(cfg.seed, 0xC000 + g as u64),
@@ -462,15 +379,11 @@ fn run_clockwork(
         .collect();
     let mut free_at = vec![0.0f64; cfg.total_gpus()];
     let mut usage = vec![GpuUsage::default(); cfg.total_gpus()];
-    let mut central: Vec<ClusterQuery> = Vec::new();
+    let mut central: Vec<Query> = Vec::new();
     let mut records = Vec::with_capacity(arrivals.len());
 
-    let drain = |central: &mut Vec<ClusterQuery>,
-                     free_at: &mut Vec<f64>,
-                     usage: &mut Vec<GpuUsage>,
-                     executors: &mut Vec<SegmentalExecutor>,
-                     records: &mut Vec<QueryRecord>,
-                     until: f64| {
+    // Run every GPU's pulls up to `until`, then queue `arrival` centrally.
+    let mut drain = |until: f64, arrival: Option<Query>| {
         loop {
             if central.is_empty() {
                 break;
@@ -481,7 +394,7 @@ fn run_clockwork(
                 .unwrap();
             let earliest = central
                 .iter()
-                .map(|q| q.query.arrival_ms)
+                .map(|q| q.arrival_ms)
                 .fold(f64::INFINITY, f64::min);
             let t = free_at[g].max(earliest);
             if t > until {
@@ -490,26 +403,19 @@ fn run_clockwork(
             // EDF pull with deadline admission: drop queries whose solo
             // latency can no longer fit before the deadline.
             central.sort_by(|a, b| {
-                a.query
-                    .deadline_ms()
-                    .total_cmp(&b.query.deadline_ms())
-                    .then(a.query.id.cmp(&b.query.id))
+                a.deadline_ms()
+                    .total_cmp(&b.deadline_ms())
+                    .then(a.id.cmp(&b.id))
             });
             let mut pulled = None;
             while let Some(cq) = central.first() {
-                if cq.query.arrival_ms > t {
+                if cq.arrival_ms > t {
                     break;
                 }
-                let solo = lib
-                    .graph(cq.query.model, cq.query.input)
-                    .solo_ms(executors[g].gpu());
-                if t + solo * CLOCKWORK_ADMISSION_MARGIN > cq.query.deadline_ms() {
+                let solo = lib.graph(cq.model, cq.input).solo_ms(executors[g].gpu());
+                if t + solo * CLOCKWORK_ADMISSION_MARGIN > cq.deadline_ms() {
                     let cq = central.remove(0);
-                    records.push(record_of(
-                        &cq.query,
-                        t - cq.query.arrival_ms,
-                        QueryOutcome::Dropped,
-                    ));
+                    records.push(record_of(&cq, t - cq.arrival_ms, QueryOutcome::Dropped));
                 } else {
                     pulled = Some(central.remove(0));
                     break;
@@ -529,10 +435,10 @@ fn run_clockwork(
             };
             let spec = predictor::GroupSpec::new(
                 vec![predictor::GroupEntry {
-                    model: cq.query.model,
+                    model: cq.model,
                     op_start: 0,
-                    op_end: cq.query.n_ops,
-                    input: cq.query.input,
+                    op_end: cq.n_ops,
+                    input: cq.input,
                 }],
                 lib,
             );
@@ -541,7 +447,7 @@ fn run_clockwork(
             usage[g].busy_ms += out.duration_ms;
             usage[g].groups += 1;
             usage[g].sequential_ms += spec.sequential_ms(lib, executors[g].gpu());
-            let mut q = cq.query;
+            let mut q = cq;
             q.mark_started(t);
             records.push(record_of(
                 &q,
@@ -549,27 +455,12 @@ fn run_clockwork(
                 QueryOutcome::Completed,
             ));
         }
+        central.extend(arrival);
     };
-
     for (i, (a, &input)) in arrivals.iter().zip(inputs).enumerate() {
-        drain(
-            &mut central,
-            &mut free_at,
-            &mut usage,
-            &mut executors,
-            &mut records,
-            a.at_ms,
-        );
-        central.push(make_query(i as u64, cfg, lib, a, input));
+        drain(a.at_ms, Some(make_query(i as u64, cfg, lib, a, input)));
     }
-    drain(
-        &mut central,
-        &mut free_at,
-        &mut usage,
-        &mut executors,
-        &mut records,
-        f64::INFINITY,
-    );
+    drain(f64::INFINITY, None);
     ClusterRunResult {
         records,
         gpu_usage: usage,
@@ -607,6 +498,23 @@ mod tests {
         }
     }
 
+    /// A run on V100s over the workload `cfg` derives, every Abacus GPU on
+    /// the span predictor.
+    fn run(system: ClusterSystem, cfg: &ClusterConfig) -> ClusterRunResult {
+        let lib = Arc::new(ModelLibrary::new());
+        let gpu = GpuSpec::v100();
+        let span: Arc<dyn LatencyModel> = Arc::new(SpanModel {
+            lib: lib.clone(),
+            gpu: gpu.clone(),
+        });
+        let predictor = (system == ClusterSystem::AbacusK8s).then_some(span);
+        let (arrivals, inputs) = cluster_workload(cfg, &lib);
+        let noise = NoiseModel::calibrated();
+        run_cluster_on(
+            system, cfg, &lib, &gpu, &noise, predictor, &arrivals, &inputs,
+        )
+    }
+
     fn tiny_cfg(peak_qps: f64) -> ClusterConfig {
         let trace = RateTrace::new(vec![peak_qps; 2]); // 2 minutes flat
         ClusterConfig {
@@ -619,34 +527,18 @@ mod tests {
     #[test]
     fn both_systems_account_every_query() {
         let lib = Arc::new(ModelLibrary::new());
-        let gpu = GpuSpec::v100();
-        let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(40.0);
         let (arrivals, _) = cluster_workload(&cfg, &lib);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
-        let a = run_cluster(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor),
-        );
-        let c = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        let a = run(ClusterSystem::AbacusK8s, &cfg).records;
+        let c = run(ClusterSystem::Clockwork, &cfg).records;
         assert_eq!(a.len(), arrivals.len());
         assert_eq!(c.len(), arrivals.len());
     }
 
     #[test]
     fn clockwork_p99_stays_under_qos() {
-        let lib = Arc::new(ModelLibrary::new());
-        let gpu = GpuSpec::v100();
-        let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(60.0);
-        let recs = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        let recs = run(ClusterSystem::Clockwork, &cfg).records;
         let lats: Vec<f64> = recs
             .iter()
             .filter(|r| r.outcome == QueryOutcome::Completed)
@@ -660,23 +552,9 @@ mod tests {
 
     #[test]
     fn abacus_cluster_throughput_at_least_clockwork() {
-        let lib = Arc::new(ModelLibrary::new());
-        let gpu = GpuSpec::v100();
-        let noise = NoiseModel::calibrated();
         let cfg = tiny_cfg(80.0); // keep both systems busy
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
-        let a = run_cluster(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor),
-        );
-        let c = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &gpu, &noise, None);
+        let a = run(ClusterSystem::AbacusK8s, &cfg).records;
+        let c = run(ClusterSystem::Clockwork, &cfg).records;
         let completed_requests = |rs: &[QueryRecord]| -> u64 {
             rs.iter()
                 .filter(|r| r.outcome == QueryOutcome::Completed)
@@ -693,9 +571,6 @@ mod tests {
 
     #[test]
     fn parallel_nodes_match_serial_bitwise() {
-        let lib = Arc::new(ModelLibrary::new());
-        let gpu = GpuSpec::v100();
-        let noise = NoiseModel::calibrated();
         let trace = RateTrace::new(vec![50.0; 2]);
         let mut cfg = ClusterConfig {
             nodes: 2,
@@ -705,28 +580,10 @@ mod tests {
         // Pin the prediction-round latency: the default calibrates it from
         // the wall clock, which would differ between the two runs.
         cfg.abacus.predict_round_ms = Some(0.08);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
         cfg.parallel = false;
-        let serial = run_cluster_detailed(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor.clone()),
-        );
+        let serial = run(ClusterSystem::AbacusK8s, &cfg);
         cfg.parallel = true;
-        let parallel = run_cluster_detailed(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor),
-        );
+        let parallel = run(ClusterSystem::AbacusK8s, &cfg);
         assert!(!serial.records.is_empty());
         assert_eq!(serial.records, parallel.records);
         assert_eq!(serial.gpu_usage, parallel.gpu_usage);
@@ -734,9 +591,6 @@ mod tests {
 
     #[test]
     fn degraded_node_loses_goodput_and_stays_deterministic() {
-        let lib = Arc::new(ModelLibrary::new());
-        let gpu = GpuSpec::v100();
-        let noise = NoiseModel::calibrated();
         let trace = RateTrace::new(vec![50.0; 2]);
         let mut cfg = ClusterConfig {
             nodes: 2,
@@ -744,40 +598,15 @@ mod tests {
             ..ClusterConfig::paper(trace, 5)
         };
         cfg.abacus.predict_round_ms = Some(0.08);
-        let predictor: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-            lib: lib.clone(),
-            gpu: gpu.clone(),
-        });
-        let healthy = run_cluster(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor.clone()),
-        );
+        let healthy = run(ClusterSystem::AbacusK8s, &cfg).records;
         cfg.degraded = vec![NodeDegradation {
             node: 1,
             slowdown: 3.0,
         }];
         cfg.parallel = false;
-        let serial = run_cluster(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor.clone()),
-        );
+        let serial = run(ClusterSystem::AbacusK8s, &cfg).records;
         cfg.parallel = true;
-        let parallel = run_cluster(
-            ClusterSystem::AbacusK8s,
-            &cfg,
-            &lib,
-            &gpu,
-            &noise,
-            Some(predictor),
-        );
+        let parallel = run(ClusterSystem::AbacusK8s, &cfg).records;
         // Degradation is deterministic and serial ≡ parallel.
         assert_eq!(serial, parallel);
         // Same arrivals, worse outcomes: a 3× slower node must not
@@ -794,6 +623,26 @@ mod tests {
             good(&serial),
             good(&healthy)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node and one GPU per node")]
+    fn zero_gpus_per_node_is_rejected() {
+        let cfg = ClusterConfig {
+            gpus_per_node: 0,
+            ..tiny_cfg(10.0)
+        };
+        run(ClusterSystem::Clockwork, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node and one GPU per node")]
+    fn zero_nodes_is_rejected() {
+        let cfg = ClusterConfig {
+            nodes: 0,
+            ..tiny_cfg(10.0)
+        };
+        run(ClusterSystem::AbacusK8s, &cfg);
     }
 
     #[test]

@@ -300,11 +300,6 @@ impl AbacusScheduler {
         self.err_ewma.unwrap_or(0.0)
     }
 
-    /// True once the controller has fallen back to FCFS dispatch.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// The relative margin currently in force: the configured
     /// `margin_frac`, widened by the rolling under-prediction bias when
     /// the autotuner is on. The bias is floored at zero (over-prediction
@@ -554,6 +549,11 @@ impl Scheduler for AbacusScheduler {
 
     fn on_retire(&mut self, q: &Query) {
         self.order.remove(q);
+    }
+
+    /// True once the controller has fallen back to FCFS dispatch.
+    fn is_degraded(&self) -> bool {
+        self.degraded
     }
 
     fn decision_stats(&self) -> DecisionStats {

@@ -84,6 +84,12 @@ pub trait Scheduler: Send {
     /// Observe the duration of the group that just finished executing.
     fn on_group_complete(&mut self, _duration_ms: f64) {}
 
+    /// Whether the policy has fallen back to a degraded dispatch mode
+    /// (Abacus's FCFS fallback; never for the sequential baselines).
+    fn is_degraded(&self) -> bool {
+        false
+    }
+
     /// Decision-layer health snapshot (telemetry; default all-zero).
     fn decision_stats(&self) -> DecisionStats {
         DecisionStats::default()

@@ -2,17 +2,16 @@
 //!
 //! [`run_colocation`] deploys a co-location set on one GPU under a chosen
 //! policy and offered load, and aggregates the per-query records into the
-//! statistics the paper's figures report. The workload (arrival times and
-//! query inputs) is derived solely from the experiment seed, so the four
-//! policies of a figure row are compared on *identical* query streams.
+//! statistics the paper's figures report; [`run_colocation_observed`] runs
+//! the same deployment under a [`FaultPlan`], with the invariant checker
+//! and optional telemetry. Both run one body. The workload (arrival times
+//! and query inputs) is derived solely from the experiment seed, so the
+//! four policies of a figure row are compared on *identical* query streams.
 
 use crate::invariants::InvariantChecker;
-use crate::node::{
-    simulate_node_checked, simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec,
-};
+use crate::node::{simulate_node_instrumented, NodeOptions, NodeWorkload, ServiceSpec};
 use abacus_core::{
-    AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler,
-    SegmentalExecutor,
+    AbacusConfig, AbacusScheduler, BaselinePolicy, BaselineScheduler, Scheduler, SegmentalExecutor,
 };
 use abacus_metrics::{QueryRecord, ServiceStats};
 use dnn_models::{ModelId, ModelLibrary};
@@ -197,28 +196,25 @@ pub fn run_with_services(
     noise: &NoiseModel,
     cfg: &ColocationConfig,
 ) -> ColocationResult {
-    let workload = build_workload(services, lib, cfg);
-    let mut scheduler = make_scheduler(policy, predictor, lib, gpu, cfg);
-    let mut executor = SegmentalExecutor::new(
-        gpu.clone(),
-        noise.clone(),
-        lib.clone(),
-        fork_seed(cfg.seed, 0xE0),
-    );
-    let records = simulate_node_checked(
-        scheduler.as_mut(),
-        &mut executor,
-        lib,
+    let (records, _) = run_deployment(
         services,
-        &workload,
+        policy,
+        predictor,
+        None,
+        lib,
+        gpu,
+        noise,
+        cfg,
+        &FaultPlan::none(),
         NodeOptions::default(),
+        None,
         None,
     );
     aggregate(&records, services, cfg)
 }
 
-/// Build the scheduler a policy runs under (the same construction every
-/// driver uses). `predictor` is required for [`PolicyKind::Abacus`].
+/// Build the scheduler a policy runs under. `predictor` is required for
+/// [`PolicyKind::Abacus`].
 pub fn make_scheduler(
     policy: PolicyKind,
     predictor: Option<Arc<dyn LatencyModel>>,
@@ -226,75 +222,86 @@ pub fn make_scheduler(
     gpu: &GpuSpec,
     cfg: &ColocationConfig,
 ) -> Box<dyn Scheduler> {
+    scheduler_for(policy, predictor, None, lib, gpu, cfg)
+}
+
+/// The one scheduler construction every driver uses: a baseline, or the
+/// Abacus controller with an optional conformal certifier.
+fn scheduler_for(
+    policy: PolicyKind,
+    predictor: Option<Arc<dyn LatencyModel>>,
+    certifier: Option<Arc<dyn LatencyModel>>,
+    lib: &Arc<ModelLibrary>,
+    gpu: &GpuSpec,
+    cfg: &ColocationConfig,
+) -> Box<dyn Scheduler> {
+    let baseline = |kind| -> Box<dyn Scheduler> {
+        Box::new(BaselineScheduler::new(kind, lib.clone(), gpu.clone()))
+    };
     match policy {
-        PolicyKind::Fcfs => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Fcfs,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Sjf => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Sjf,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Edf => Box::new(BaselineScheduler::new(
-            BaselinePolicy::Edf,
-            lib.clone(),
-            gpu.clone(),
-        )),
-        PolicyKind::Abacus => Box::new(AbacusScheduler::new(
+        PolicyKind::Fcfs => baseline(BaselinePolicy::Fcfs),
+        PolicyKind::Sjf => baseline(BaselinePolicy::Sjf),
+        PolicyKind::Edf => baseline(BaselinePolicy::Edf),
+        PolicyKind::Abacus => Box::new(AbacusScheduler::with_certifier(
             predictor.expect("Abacus needs a latency predictor"),
+            certifier,
             lib.clone(),
             cfg.abacus.clone(),
         )),
     }
 }
 
-/// [`run_colocation`] with full telemetry recorded into `telemetry`.
+/// The body every co-location driver runs: the workload under `plan`, an
+/// executor seeded from the experiment seed, the policy's scheduler and the
+/// serving loop. Returns the records and whether the scheduler degraded.
 ///
-/// Identical workload, scheduler and executor seeding to the plain driver —
-/// the returned [`ColocationResult`] and records are bit-identical to
-/// [`run_colocation`]'s for the same inputs; only the observations differ.
-/// Also returns the raw per-query records (the telemetry event stream joins
-/// against them by query id).
+/// Fault plans wrap only the *mean* predictor: the certifier bounds the
+/// healthy model, and a faulted mean is the failure mode the controller's
+/// defenses watch. `FaultPlan::none()` injects nothing.
 #[allow(clippy::too_many_arguments)]
-pub fn run_colocation_traced(
-    models: &[ModelId],
+fn run_deployment(
+    services: &[ServiceSpec],
     policy: PolicyKind,
     predictor: Option<Arc<dyn LatencyModel>>,
+    certifier: Option<Arc<dyn LatencyModel>>,
     lib: &Arc<ModelLibrary>,
     gpu: &GpuSpec,
     noise: &NoiseModel,
     cfg: &ColocationConfig,
-    telemetry: &mut Telemetry,
-) -> (ColocationResult, Vec<QueryRecord>) {
-    let services = services_for(models, lib, gpu, cfg.small_inputs);
-    let workload = build_workload(&services, lib, cfg);
-    if policy == PolicyKind::Abacus {
-        telemetry.set_predictor_ways(cfg.abacus.ways);
-    }
-    let mut scheduler = make_scheduler(policy, predictor, lib, gpu, cfg);
+    plan: &FaultPlan,
+    opts: NodeOptions,
+    checker: Option<&mut InvariantChecker>,
+    mut telemetry: Option<&mut Telemetry>,
+) -> (Vec<QueryRecord>, bool) {
+    let workload = build_faulty_workload(services, lib, cfg, plan);
     let mut executor = SegmentalExecutor::new(
         gpu.clone(),
         noise.clone(),
         lib.clone(),
         fork_seed(cfg.seed, 0xE0),
     );
-    if telemetry.kernel_trace_enabled() {
-        executor.enable_kernel_trace();
+    executor.set_kernel_faults(plan.kernel_fault_spec());
+    if let Some(t) = telemetry.as_deref_mut() {
+        if t.kernel_trace_enabled() {
+            executor.enable_kernel_trace();
+        }
+        if policy == PolicyKind::Abacus {
+            t.set_predictor_ways(cfg.abacus.ways);
+        }
     }
+    let predictor = predictor.map(|p| plan.wrap_predictor(p));
+    let mut scheduler = scheduler_for(policy, predictor, certifier, lib, gpu, cfg);
     let records = simulate_node_instrumented(
         scheduler.as_mut(),
         &mut executor,
         lib,
-        &services,
+        services,
         &workload,
-        NodeOptions::default(),
-        None,
-        Some(telemetry),
+        opts,
+        checker,
+        telemetry,
     );
-    let result = aggregate(&records, &services, cfg);
-    (result, records)
+    (records, scheduler.is_degraded())
 }
 
 fn aggregate(
@@ -356,7 +363,11 @@ pub fn build_faulty_workload(
         .zip(base.inputs)
         .chain(extra.into_iter().zip(extra_inputs))
         .collect();
-    pairs.sort_by(|a, b| a.0.at_ms.total_cmp(&b.0.at_ms).then(a.0.service.cmp(&b.0.service)));
+    pairs.sort_by(|a, b| {
+        a.0.at_ms
+            .total_cmp(&b.0.at_ms)
+            .then(a.0.service.cmp(&b.0.service))
+    });
     let (arrivals, inputs) = pairs.into_iter().unzip();
     NodeWorkload::new(arrivals, inputs)
 }
@@ -377,59 +388,15 @@ pub struct FaultRunOutcome {
 }
 
 /// [`run_colocation`] under a [`FaultPlan`], with the serving-loop
-/// invariant checker wired in and optional defensive [`NodeOptions`].
+/// invariant checker, defensive [`NodeOptions`], an optional conformal
+/// certifier ([`AbacusScheduler::with_certifier`]) and opt-in telemetry —
+/// the entry point the fault, certification and run-health studies use
+/// (drift detectors and SLO burn monitors ride inside the `Telemetry`).
 ///
-/// With `FaultPlan::none()` and default options this is bit-identical to
-/// [`run_colocation`] (pinned by the golden no-fault test).
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_faulty(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    plan: &FaultPlan,
-    opts: NodeOptions,
-) -> FaultRunOutcome {
-    run_colocation_certified(models, policy, predictor, None, lib, gpu, noise, cfg, plan, opts)
-}
-
-/// [`run_colocation_faulty`] with an optional conformal certifier wired
-/// into the Abacus controller ([`AbacusScheduler::with_certifier`]). With
-/// `certifier == None` — or `cfg.abacus.conformal` off — this is the exact
-/// same run, bit for bit; [`run_colocation_faulty`] delegates here.
-///
-/// Fault plans wrap only the *mean* predictor (the certifier calibrates a
-/// bound over the healthy model's behaviour; a faulted mean feeding the
-/// ledger/EWMA is precisely the failure mode the PR 4 defenses watch).
-#[allow(clippy::too_many_arguments)]
-pub fn run_colocation_certified(
-    models: &[ModelId],
-    policy: PolicyKind,
-    predictor: Option<Arc<dyn LatencyModel>>,
-    certifier: Option<Arc<dyn LatencyModel>>,
-    lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    cfg: &ColocationConfig,
-    plan: &FaultPlan,
-    opts: NodeOptions,
-) -> FaultRunOutcome {
-    run_colocation_observed(
-        models, policy, predictor, certifier, lib, gpu, noise, cfg, plan, opts, None,
-    )
-}
-
-/// [`run_colocation_certified`] with opt-in telemetry — the entry point the
-/// run-health studies use to watch a fault plan's effect *online* (drift
-/// detectors and SLO burn monitors ride inside the `Telemetry`).
-///
-/// With `telemetry: None` this is the exact same run, bit for bit:
-/// [`run_colocation_certified`] delegates here, and the simulation loop's
-/// disabled-telemetry path is pinned byte-identical by the golden checksum
-/// tests.
+/// With `FaultPlan::none()`, default options, no certifier (or
+/// `cfg.abacus.conformal` off) and no telemetry the records are
+/// bit-identical to [`run_colocation`]'s: both run one body, and the
+/// checker and telemetry only observe (pinned by the golden checksums).
 #[allow(clippy::too_many_arguments)]
 pub fn run_colocation_observed(
     models: &[ModelId],
@@ -442,69 +409,26 @@ pub fn run_colocation_observed(
     cfg: &ColocationConfig,
     plan: &FaultPlan,
     opts: NodeOptions,
-    mut telemetry: Option<&mut Telemetry>,
+    telemetry: Option<&mut Telemetry>,
 ) -> FaultRunOutcome {
     let services = services_for(models, lib, gpu, cfg.small_inputs);
-    let workload = build_faulty_workload(&services, lib, cfg, plan);
-    let mut executor = SegmentalExecutor::new(
-        gpu.clone(),
-        noise.clone(),
-        lib.clone(),
-        fork_seed(cfg.seed, 0xE0),
-    );
-    executor.set_kernel_faults(plan.kernel_fault_spec());
-    if let Some(t) = telemetry.as_deref_mut() {
-        if t.kernel_trace_enabled() {
-            executor.enable_kernel_trace();
-        }
-    }
     let mut checker = InvariantChecker::new();
-
-    let (records, degraded) = match policy {
-        PolicyKind::Abacus => {
-            if let Some(t) = telemetry.as_deref_mut() {
-                t.set_predictor_ways(cfg.abacus.ways);
-            }
-            let model =
-                plan.wrap_predictor(predictor.expect("Abacus needs a latency predictor"));
-            let mut sched =
-                AbacusScheduler::with_certifier(model, certifier, lib.clone(), cfg.abacus.clone());
-            let records = simulate_node_instrumented(
-                &mut sched,
-                &mut executor,
-                lib,
-                &services,
-                &workload,
-                opts,
-                Some(&mut checker),
-                telemetry,
-            );
-            (records, sched.is_degraded())
-        }
-        baseline => {
-            let kind = match baseline {
-                PolicyKind::Fcfs => BaselinePolicy::Fcfs,
-                PolicyKind::Sjf => BaselinePolicy::Sjf,
-                PolicyKind::Edf => BaselinePolicy::Edf,
-                PolicyKind::Abacus => unreachable!("handled above"),
-            };
-            let mut sched = BaselineScheduler::new(kind, lib.clone(), gpu.clone());
-            let records = simulate_node_instrumented(
-                &mut sched,
-                &mut executor,
-                lib,
-                &services,
-                &workload,
-                opts,
-                Some(&mut checker),
-                telemetry,
-            );
-            (records, false)
-        }
-    };
-    let result = aggregate(&records, &services, cfg);
+    let (records, degraded) = run_deployment(
+        &services,
+        policy,
+        predictor,
+        certifier,
+        lib,
+        gpu,
+        noise,
+        cfg,
+        plan,
+        opts,
+        Some(&mut checker),
+        telemetry,
+    );
     FaultRunOutcome {
-        result,
+        result: aggregate(&records, &services, cfg),
         records,
         invariant_violations: checker.violations().to_vec(),
         degraded,
@@ -600,9 +524,10 @@ mod tests {
         let models = [ModelId::ResNet50, ModelId::Bert];
         let cfg = small_cfg();
         let plain = run_colocation(&models, PolicyKind::Edf, None, &lib, &gpu, &noise, &cfg);
-        let faulty = run_colocation_faulty(
+        let faulty = run_colocation_observed(
             &models,
             PolicyKind::Edf,
+            None,
             None,
             &lib,
             &gpu,
@@ -610,6 +535,7 @@ mod tests {
             &cfg,
             &faults::FaultPlan::none(),
             crate::node::NodeOptions::default(),
+            None,
         );
         assert!(faulty.invariant_violations.is_empty());
         assert!(!faulty.degraded);
@@ -637,9 +563,10 @@ mod tests {
         }
         assert!(base_iter.peek().is_none(), "base workload perturbed");
 
-        let out = run_colocation_faulty(
+        let out = run_colocation_observed(
             &models,
             PolicyKind::Fcfs,
+            None,
             None,
             &lib,
             &gpu,
@@ -649,6 +576,7 @@ mod tests {
             crate::node::NodeOptions {
                 timeout_factor: Some(4.0),
             },
+            None,
         );
         assert_eq!(
             out.invariant_violations,
@@ -660,9 +588,8 @@ mod tests {
 
     #[test]
     fn certified_runner_without_certifier_matches_faulty_runner() {
-        // `run_colocation_certified(…, None, …)` and a supplied certifier
-        // with the conformal flag off must both reproduce the plain faulty
-        // runner bit for bit.
+        // A supplied certifier with the conformal flag off must reproduce
+        // the uncertified run bit for bit.
         let (lib, gpu, noise) = setup();
         let models = [ModelId::ResNet50, ModelId::Bert];
         let mut cfg = small_cfg();
@@ -678,7 +605,7 @@ mod tests {
         );
         let mlp: Arc<dyn LatencyModel> = Arc::new(mlp);
         let run = |certifier: Option<Arc<dyn LatencyModel>>| {
-            run_colocation_certified(
+            run_colocation_observed(
                 &models,
                 PolicyKind::Abacus,
                 Some(mlp.clone()),
@@ -689,20 +616,10 @@ mod tests {
                 &cfg,
                 &faults::FaultPlan::none(),
                 crate::node::NodeOptions::default(),
+                None,
             )
         };
-        let plain = run_colocation_faulty(
-            &models,
-            PolicyKind::Abacus,
-            Some(mlp.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &faults::FaultPlan::none(),
-            crate::node::NodeOptions::default(),
-        );
-        assert_eq!(run(None).records, plain.records);
+        let plain = run(None);
         // Flag off: an attached certifier must be inert.
         assert!(!cfg.abacus.conformal);
         assert_eq!(run(Some(mlp.clone())).records, plain.records);
@@ -724,7 +641,7 @@ mod tests {
         );
         let mean: Arc<dyn LatencyModel> = Arc::new(certified.mean);
         let upper: Arc<dyn LatencyModel> = Arc::new(certified.certifier);
-        let out = run_colocation_certified(
+        let out = run_colocation_observed(
             &models,
             PolicyKind::Abacus,
             Some(mean),
@@ -735,6 +652,7 @@ mod tests {
             &cfg,
             &faults::FaultPlan::none(),
             crate::node::NodeOptions::default(),
+            None,
         );
         assert!(out.invariant_violations.is_empty());
         assert!(!out.degraded);

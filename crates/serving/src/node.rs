@@ -1,19 +1,25 @@
 //! Single-GPU serving simulation.
 //!
-//! An open-loop discrete-event loop: queries arrive on a merged Poisson
-//! stream, wait in the node's queue, and are executed in operator groups
-//! proposed by a [`Scheduler`] (Abacus or a sequential baseline) on the
-//! [`SegmentalExecutor`]. The executor runs one group at a time — the
-//! exclusivity that makes Abacus's operator overlap deterministic — and
-//! queries that complete in a group all return at the group's final sync.
+//! An open-loop discrete-event loop: queries arrive, wait in the GPU's
+//! queue, and are executed in operator groups proposed by a [`Scheduler`]
+//! (Abacus or a sequential baseline) on the [`SegmentalExecutor`]. The
+//! executor runs one group at a time — the exclusivity that makes Abacus's
+//! operator overlap deterministic — and queries that complete in a group
+//! all return at the group's final sync.
 //!
-//! Output is one [`QueryRecord`] per query, from which every §7.2–7.5
-//! figure is computed.
+//! [`GpuLoop`] is that per-GPU decide → execute → retire loop. Every
+//! driver shares it: [`simulate_node_instrumented`] feeds it one node's
+//! arrivals, and the cluster simulators run one per GPU behind their
+//! routers. Output is one [`QueryRecord`] per query, from which every
+//! §7.2–7.6 figure is computed.
 
 use crate::invariants::InvariantChecker;
-use abacus_core::{Query, RoundDecision, Scheduler, SegmentalExecutor};
+use abacus_core::{
+    DecisionStats, ExecOutcome, PlannedGroup, Query, RoundDecision, Scheduler, SegmentalExecutor,
+};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
+use predictor::GroupSpec;
 use telemetry::{Counter, Hist, LedgerEntry, RoundEntry, Telemetry};
 use workload::Arrival;
 
@@ -38,9 +44,19 @@ pub struct NodeWorkload {
 
 impl NodeWorkload {
     /// Validate lengths and ordering.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ, or if the arrivals are not sorted by
+    /// time (a NaN timestamp counts as unsorted): the serving loop admits
+    /// queries in the given order, so an out-of-order arrival would
+    /// silently be admitted late.
     pub fn new(arrivals: Vec<Arrival>, inputs: Vec<QueryInput>) -> Self {
         assert_eq!(arrivals.len(), inputs.len());
-        debug_assert!(arrivals.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+        assert!(
+            arrivals.iter().all(|a| !a.at_ms.is_nan())
+                && arrivals.windows(2).all(|w| w[0].at_ms <= w[1].at_ms),
+            "arrivals must be sorted by time"
+        );
         Self { arrivals, inputs }
     }
 
@@ -56,8 +72,7 @@ impl NodeWorkload {
 }
 
 /// Defensive-runtime knobs for the serving loop (all off by default —
-/// [`simulate_node`] with defaults is byte-identical to the undefended
-/// loop).
+/// with defaults the loop is byte-identical to the undefended loop).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeOptions {
     /// Evict queries whose sojourn exceeds `factor × qos_ms` as
@@ -66,35 +81,436 @@ pub struct NodeOptions {
     pub timeout_factor: Option<f64>,
 }
 
-/// Run one node to completion: all arrivals admitted, the queue drained.
-///
-/// Returns one record per query, in completion/drop order.
-pub fn simulate_node(
-    scheduler: &mut dyn Scheduler,
-    executor: &mut SegmentalExecutor,
-    lib: &ModelLibrary,
-    services: &[ServiceSpec],
-    workload: &NodeWorkload,
-) -> Vec<QueryRecord> {
-    simulate_node_checked(
-        scheduler,
-        executor,
-        lib,
-        services,
-        workload,
-        NodeOptions::default(),
-        None,
-    )
+/// Aggregate utilisation of one GPU over a run — the autoscaler's input
+/// signals (§7.9).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct GpuUsage {
+    /// Total wall time spent executing groups, ms.
+    pub busy_ms: f64,
+    /// Operator groups executed.
+    pub groups: u64,
+    /// Sum of the groups' sequential-execution times, ms (overlap-gain
+    /// numerator).
+    pub sequential_ms: f64,
 }
 
-/// [`simulate_node`] with defensive options and optional invariant
-/// checking.
+impl GpuUsage {
+    /// Fraction of the horizon the GPU was executing, in `[0, 1]`.
+    pub fn busy_fraction(&self, horizon_ms: f64) -> f64 {
+        (self.busy_ms / horizon_ms).clamp(0.0, 1.0)
+    }
+
+    /// Mean overlap gain: sequential time ÷ actual time (1.0 = no benefit).
+    pub fn overlap_gain(&self) -> f64 {
+        if self.busy_ms <= 0.0 {
+            1.0
+        } else {
+            self.sequential_ms / self.busy_ms
+        }
+    }
+}
+
+/// One GPU's serving loop: its queue, simulation clock and round-persistent
+/// decision state. A driver hands it queries with [`GpuLoop::admit`] and
+/// runs decide → execute → retire rounds with [`GpuLoop::step_until`],
+/// lending the scheduler, executor, observers and record sink to each step;
+/// the single-node drivers and every cluster GPU run this one loop.
 ///
-/// Differences from the plain loop (beyond `opts`): a scheduler that drops
-/// an unknown query id is recorded as an invariant violation instead of a
-/// panic, and a scheduler that makes no progress on a non-empty queue (no
-/// drop, no group, no pending arrival to advance to) trips a livelock
-/// guard that force-evicts the oldest query rather than spinning forever.
+/// A scheduler that drops an unknown query id is recorded as an invariant
+/// violation, not a panic. One that makes no progress on a non-empty queue
+/// leaves the GPU idle until the next admission; once the caller runs to
+/// `f64::INFINITY`, a livelock guard force-evicts the oldest query as timed
+/// out instead of spinning forever.
+#[derive(Debug)]
+pub struct GpuLoop {
+    queue: Vec<Query>,
+    /// How many queries at the tail of `queue` were admitted since the last
+    /// round began; the next round announces them to the scheduler, the
+    /// checker and the telemetry before it decides.
+    unannounced: usize,
+    /// The GPU's clock: when its next round can start, ms.
+    now: f64,
+    /// Written in place every round; the scheduler recycles the planned
+    /// entry vector through it.
+    decision: RoundDecision,
+    /// Timeout scratch, reused across rounds.
+    expired_ids: Vec<u64>,
+    /// Decision rounds so far; numbers the telemetry ledger's rows.
+    round: u64,
+    usage: GpuUsage,
+    /// Record `service` of each model, by [`ModelId::index`].
+    service_of: [Option<usize>; ModelId::ALL.len()],
+}
+
+/// What one [`GpuLoop::step_until`] call lends the loop.
+struct Step<'a, S: ?Sized> {
+    scheduler: &'a mut S,
+    executor: &'a mut SegmentalExecutor,
+    checker: Option<&'a mut InvariantChecker>,
+    telemetry: Option<&'a mut Telemetry>,
+    records: &'a mut Vec<QueryRecord>,
+}
+
+impl GpuLoop {
+    /// An idle GPU at time 0. A retired query's record carries, as its
+    /// `service`, the position of its model in `services` (the first, if a
+    /// model repeats).
+    pub fn new(services: impl IntoIterator<Item = ModelId>) -> Self {
+        let mut service_of = [None; ModelId::ALL.len()];
+        for (i, m) in services.into_iter().enumerate() {
+            service_of[m.index()].get_or_insert(i);
+        }
+        Self {
+            queue: Vec::new(),
+            unannounced: 0,
+            now: 0.0,
+            decision: RoundDecision::idle(),
+            expired_ids: Vec::new(),
+            round: 0,
+            usage: GpuUsage::default(),
+            service_of,
+        }
+    }
+
+    /// Queue `q`. An idle GPU's clock moves up to the arrival; a busy one
+    /// takes the query when its current group ends.
+    pub fn admit(&mut self, q: Query) {
+        self.now = self.now.max(q.arrival_ms);
+        self.queue.push(q);
+        self.unannounced += 1;
+    }
+
+    /// The queries waiting or in progress on this GPU.
+    pub fn queue(&self) -> &[Query] {
+        &self.queue
+    }
+
+    /// When the GPU's next round can start, ms.
+    pub fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Busy time and groups so far; `sequential_ms` is left to callers, from
+    /// the groups [`GpuLoop::step_until`] hands back.
+    pub fn usage(&self) -> GpuUsage {
+        self.usage
+    }
+
+    /// Run the rounds that start at or before `until` up to the next one
+    /// that executes a group, and hand that group back; `None` once the
+    /// queue is empty, the next round starts after `until`, or the scheduler
+    /// stalls with `until` finite. Retired queries append their records to
+    /// `records` in retire order.
+    ///
+    /// `checker` and `telemetry` only observe: with both `None` the run is
+    /// byte-identical. Kernel traces also need
+    /// [`SegmentalExecutor::enable_kernel_trace`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn step_until<S: Scheduler + ?Sized>(
+        &mut self,
+        until: f64,
+        scheduler: &mut S,
+        executor: &mut SegmentalExecutor,
+        opts: NodeOptions,
+        checker: Option<&mut InvariantChecker>,
+        telemetry: Option<&mut Telemetry>,
+        records: &mut Vec<QueryRecord>,
+    ) -> Option<GroupSpec> {
+        let mut step = Step {
+            scheduler,
+            executor,
+            checker,
+            telemetry,
+            records,
+        };
+        while !self.queue.is_empty() && self.now <= until {
+            self.announce(&mut step);
+            if let Some(factor) = opts.timeout_factor {
+                self.expire(factor, &mut step);
+                if self.queue.is_empty() {
+                    break;
+                }
+            }
+            let now = self.now;
+            step.scheduler
+                .decide_into(now, &self.queue, &mut self.decision);
+            self.round += 1;
+            if let Some(t) = step.telemetry.as_deref_mut() {
+                self.log_round(t, step.scheduler.decision_stats());
+            }
+            let dropped_any = !self.decision.dropped.is_empty();
+            for i in 0..self.decision.dropped.len() {
+                let id = self.decision.dropped[i];
+                match self.queue.iter().position(|q| q.id == id) {
+                    Some(pos) => self.retire(pos, QueryOutcome::Dropped, &mut step),
+                    None => {
+                        debug_assert!(false, "scheduler dropped unknown query {id}");
+                        if let Some(c) = step.checker.as_deref_mut() {
+                            c.on_unknown_drop(id, now);
+                        }
+                    }
+                }
+            }
+            match self.decision.group.take() {
+                Some(group) => {
+                    let spec = self.execute(&group, &mut step);
+                    // Hand the entry buffer back for next round's recycling.
+                    self.decision.group = Some(group);
+                    return Some(spec);
+                }
+                // Progress was made, or the queue drained.
+                None if dropped_any || self.queue.is_empty() => {}
+                // Stalled: wait for the caller's next admission.
+                None if until.is_finite() => break,
+                None => self.evict_stalled(&mut step),
+            }
+        }
+        None
+    }
+
+    /// Fire the admit hooks of the queries admitted since the last round.
+    fn announce<S: Scheduler + ?Sized>(&mut self, step: &mut Step<'_, S>) {
+        for q in &self.queue[self.queue.len() - self.unannounced..] {
+            step.scheduler.on_admit(q);
+            if let Some(c) = step.checker.as_deref_mut() {
+                c.on_issue(q.id, q.arrival_ms);
+            }
+            if let Some(t) = step.telemetry.as_deref_mut() {
+                t.on_arrive(q.id, q.arrival_ms, self.service(q), q.model, q.qos_ms);
+            }
+        }
+        self.unannounced = 0;
+    }
+
+    /// Defensive per-query timeout: bound the sojourn of queries the
+    /// scheduler can neither serve nor bring itself to drop.
+    fn expire<S: Scheduler + ?Sized>(&mut self, factor: f64, step: &mut Step<'_, S>) {
+        // Retire in ascending id order; the predicate is per-query, so
+        // retiring one cannot un-expire another.
+        let now = self.now;
+        self.expired_ids.clear();
+        self.expired_ids.extend(
+            self.queue
+                .iter()
+                .filter(|q| now - q.arrival_ms > factor * q.qos_ms)
+                .map(|q| q.id),
+        );
+        self.expired_ids.sort_unstable();
+        for i in 0..self.expired_ids.len() {
+            let pos = self.position(self.expired_ids[i]);
+            self.retire(pos, QueryOutcome::TimedOut, step);
+        }
+    }
+
+    /// Livelock guard: non-empty queue, nothing scheduled, nothing dropped,
+    /// and no more work coming. Force-evict the oldest query so the loop
+    /// terminates, and flag it.
+    fn evict_stalled<S: Scheduler + ?Sized>(&mut self, step: &mut Step<'_, S>) {
+        if let Some(c) = step.checker.as_deref_mut() {
+            c.on_stall(self.now, self.queue.len());
+        }
+        let pos = self
+            .queue
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.arrival_ms.total_cmp(&b.arrival_ms).then(a.id.cmp(&b.id)))
+            .map(|(pos, _)| pos)
+            .expect("queue checked non-empty");
+        self.retire(pos, QueryOutcome::TimedOut, step);
+    }
+
+    /// Run `group` exclusively, then retire the queries it completed.
+    /// Returns the executed spec.
+    fn execute<S: Scheduler + ?Sized>(
+        &mut self,
+        group: &PlannedGroup,
+        step: &mut Step<'_, S>,
+    ) -> GroupSpec {
+        let start = self.now + self.decision.overhead_ms;
+        for e in &group.entries {
+            let pos = self.position(e.query_id);
+            self.queue[pos].mark_started(start);
+        }
+        let spec = group.to_spec(|id| &self.queue[self.position(id)], step.executor.library());
+        if let Some(t) = step.telemetry.as_deref_mut() {
+            for e in &group.entries {
+                t.on_dispatch(e.query_id, start, self.round, e.op_start, e.op_end);
+            }
+        }
+        let out = step.executor.execute(&spec);
+        self.now = start + out.duration_ms;
+        self.usage.busy_ms += out.duration_ms;
+        self.usage.groups += 1;
+        if let Some(c) = step.checker.as_deref_mut() {
+            c.on_group(start, out.duration_ms, &out.stream_ms);
+        }
+        if let Some(t) = step.telemetry.as_deref_mut() {
+            log_group(t, step.executor, group, self.round, start, &out);
+        }
+        step.scheduler.on_group_complete(out.duration_ms);
+        for e in &group.entries {
+            let pos = self.position(e.query_id);
+            self.queue[pos].advance_to(e.op_end);
+            if self.queue[pos].is_complete() {
+                self.retire(pos, QueryOutcome::Completed, step);
+            }
+        }
+        spec
+    }
+
+    /// Retire `queue[pos]` with `outcome` at the current clock. Notifies
+    /// the scheduler first so its incremental order index stays in sync
+    /// with the queue.
+    fn retire<S: Scheduler + ?Sized>(
+        &mut self,
+        pos: usize,
+        outcome: QueryOutcome,
+        step: &mut Step<'_, S>,
+    ) {
+        step.scheduler.on_retire(&self.queue[pos]);
+        let q = self.queue.swap_remove(pos);
+        let now = self.now;
+        if let Some(c) = step.checker.as_deref_mut() {
+            c.on_terminal(q.id, outcome, now);
+        }
+        let service = self.service(&q);
+        let latency_ms = now - q.arrival_ms;
+        // A completed query has always started; the rest waited throughout.
+        let queue_ms = q.queue_ms().unwrap_or(latency_ms);
+        if let Some(t) = step.telemetry.as_deref_mut() {
+            t.on_retire(q.id, now, service, outcome, latency_ms, queue_ms);
+        }
+        step.records.push(QueryRecord {
+            service,
+            arrival_ms: q.arrival_ms,
+            latency_ms,
+            qos_ms: q.qos_ms,
+            outcome,
+            requests: q.input.batch,
+            queue_ms,
+        });
+    }
+
+    fn position(&self, id: u64) -> usize {
+        self.queue
+            .iter()
+            .position(|q| q.id == id)
+            .expect("query not in the queue")
+    }
+
+    fn service(&self, q: &Query) -> usize {
+        self.service_of[q.model.index()].expect("model not deployed on this GPU")
+    }
+
+    /// Decision-layer counters and, for rounds that made progress, a ledger
+    /// row — idle probes of an unservable queue would otherwise dominate
+    /// the ledger.
+    fn log_round(&self, t: &mut Telemetry, stats: DecisionStats) {
+        let now = self.now;
+        let decision = &self.decision;
+        t.registry.inc(Counter::SchedRounds);
+        t.registry
+            .set(Counter::DecisionOrderPeak, stats.order_peak_len as u64);
+        t.registry
+            .set(Counter::DecisionScratchPeak, stats.scratch_peak as u64);
+        t.registry
+            .set(Counter::DecisionIncrementalRounds, stats.incremental_rounds);
+        t.registry
+            .set(Counter::DecisionFullRebuilds, stats.full_rebuilds);
+        if decision.group.is_none() && decision.dropped.is_empty() {
+            return;
+        }
+        let mut row = RoundEntry {
+            round: self.round,
+            at_ms: now,
+            queue_len: self.queue.len(),
+            dropped: decision.dropped.len(),
+            overhead_ms: decision.overhead_ms,
+            prediction_rounds: 0,
+            entries: Vec::new(),
+            predicted_ms: f64::NAN,
+            upper_ms: f64::NAN,
+            critical_headroom_ms: f64::NAN,
+            exec_start_ms: f64::NAN,
+            actual_ms: f64::NAN,
+            actual_exec_ms: f64::NAN,
+        };
+        if let Some(g) = &decision.group {
+            row.prediction_rounds = g.prediction_rounds;
+            row.upper_ms = g.upper_ms.unwrap_or(f64::NAN);
+            if g.predicted_ms > 0.0 {
+                row.predicted_ms = g.predicted_ms;
+            }
+            // One queue lookup per entry feeds both the row and the critical
+            // headroom (the first minimum, as `min_by` picks it).
+            for (i, e) in g.entries.iter().enumerate() {
+                let q = &self.queue[self.position(e.query_id)];
+                let h = q.headroom_ms(now) - decision.overhead_ms;
+                if i == 0 || h.total_cmp(&row.critical_headroom_ms).is_lt() {
+                    row.critical_headroom_ms = h;
+                }
+                row.entries.push(LedgerEntry {
+                    query: e.query_id,
+                    model: q.model,
+                    op_start: e.op_start,
+                    op_end: e.op_end,
+                });
+            }
+        }
+        t.ledger.push(row);
+    }
+}
+
+/// Counters, histograms and kernel spans of one executed group; joins the
+/// round's ledger row.
+fn log_group(
+    t: &mut Telemetry,
+    executor: &SegmentalExecutor,
+    group: &PlannedGroup,
+    round: u64,
+    exec_start: f64,
+    out: &ExecOutcome,
+) {
+    // The predictor estimates kernel time (the longest stream), not the
+    // host-side sync/save overheads — join both against the row.
+    let kernel_ms = out.stream_ms.iter().fold(0.0f64, |a, &b| a.max(b));
+    t.registry.inc(Counter::GroupsExecuted);
+    t.registry
+        .add(Counter::PredictionRounds, group.prediction_rounds as u64);
+    t.registry
+        .observe(Hist::SearchRounds, group.prediction_rounds as f64);
+    t.registry
+        .observe(Hist::GroupWays, group.entries.len() as f64);
+    t.registry.observe(Hist::GroupDurationMs, out.duration_ms);
+    t.registry
+        .set(Counter::EngineEvents, executor.engine_events());
+    t.registry
+        .set(Counter::FaultSpikes, executor.fault_spikes());
+    let core = executor.engine_core_stats();
+    t.registry
+        .set(Counter::EngineMaxActive, core.max_active as u64);
+    t.registry
+        .set(Counter::EnginePendingPeak, core.pending_peak as u64);
+    t.registry.set(
+        Counter::EngineCalendarPeakBucket,
+        core.calendar_peak_bucket as u64,
+    );
+    if let Some(w) = t.predictor_ways() {
+        for _ in 0..group.prediction_rounds {
+            t.registry.observe(Hist::PredictorBatch, w as f64);
+        }
+    }
+    if t.kernel_trace_enabled() {
+        for s in executor.kernel_trace() {
+            t.on_kernel_span(round, exec_start, s);
+        }
+    }
+    // Joins the ledger row and, with health monitors on, snapshots the
+    // engine counters set above into the flight recorder.
+    t.on_round_complete(round, exec_start, out.duration_ms, kernel_ms);
+}
+
+/// [`simulate_node_instrumented`] without telemetry.
 pub fn simulate_node_checked(
     scheduler: &mut dyn Scheduler,
     executor: &mut SegmentalExecutor,
@@ -104,17 +520,20 @@ pub fn simulate_node_checked(
     opts: NodeOptions,
     checker: Option<&mut InvariantChecker>,
 ) -> Vec<QueryRecord> {
-    simulate_node_instrumented(scheduler, executor, lib, services, workload, opts, checker, None)
+    simulate_node_instrumented(
+        scheduler, executor, lib, services, workload, opts, checker, None,
+    )
 }
 
-/// [`simulate_node_checked`] with opt-in telemetry.
+/// Run one node to completion: every arrival of `workload` admitted to a
+/// [`GpuLoop`], the queue drained. Returns one record per query, in
+/// completion/drop order, each `service` the query's position in
+/// `services`.
 ///
-/// With `telemetry: None` this is the exact loop the un-instrumented entry
-/// points run — no telemetry branch mutates simulation state, so results
-/// are byte-identical (the golden-checksum tests pin this). With
-/// `Some(t)`, the run's query-lifecycle events, scheduler decision ledger
-/// and counters are recorded into `t`; when `t` asks for kernel traces the
-/// caller must also have called [`SegmentalExecutor::enable_kernel_trace`].
+/// `checker` (finished when the queue drains) and `telemetry` (the
+/// query-lifecycle events, scheduler decision ledger and counters) only
+/// observe: the golden-checksum tests pin that a run with both `None` is
+/// byte-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_node_instrumented(
     scheduler: &mut dyn Scheduler,
@@ -126,361 +545,38 @@ pub fn simulate_node_instrumented(
     mut checker: Option<&mut InvariantChecker>,
     mut telemetry: Option<&mut Telemetry>,
 ) -> Vec<QueryRecord> {
+    let mut gpu = GpuLoop::new(services.iter().map(|s| s.model));
     let mut records = Vec::with_capacity(workload.len());
-    let mut queue: Vec<Query> = Vec::new();
-    let mut next_arrival = 0usize;
-    let mut now = 0.0f64;
-
-    let admit = |queue: &mut Vec<Query>, next_arrival: &mut usize, now: f64| {
-        while *next_arrival < workload.len() && workload.arrivals[*next_arrival].at_ms <= now {
-            let a = workload.arrivals[*next_arrival];
-            let input = workload.inputs[*next_arrival];
-            let svc = services[a.service];
-            let n_ops = lib.graph(svc.model, input).len();
-            queue.push(Query::new(
-                *next_arrival as u64,
-                svc.model,
-                input,
-                a.at_ms,
-                svc.qos_ms,
-                n_ops,
-            ));
-            *next_arrival += 1;
-        }
-    };
-
-    // Retire `queue[pos]` with `outcome` at `now`. Notifies the scheduler
-    // first so its incremental order index stays in sync with the queue.
-    #[allow(clippy::too_many_arguments)]
-    fn retire(
-        queue: &mut Vec<Query>,
-        pos: usize,
-        outcome: QueryOutcome,
-        now: f64,
-        services: &[ServiceSpec],
-        scheduler: &mut dyn Scheduler,
-        records: &mut Vec<QueryRecord>,
-        checker: &mut Option<&mut InvariantChecker>,
-        telemetry: &mut Option<&mut Telemetry>,
-    ) {
-        scheduler.on_retire(&queue[pos]);
-        let q = queue.swap_remove(pos);
-        if let Some(c) = checker.as_deref_mut() {
-            c.on_terminal(q.id, outcome, now);
-        }
-        let service = service_index(services, q.model);
-        let queue_ms = q.queue_ms().unwrap_or(if outcome == QueryOutcome::Completed {
-            0.0
-        } else {
-            now - q.arrival_ms
-        });
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.on_retire(q.id, now, service, outcome, now - q.arrival_ms, queue_ms);
-        }
-        records.push(QueryRecord {
-            service,
-            arrival_ms: q.arrival_ms,
-            latency_ms: now - q.arrival_ms,
-            qos_ms: q.qos_ms,
-            outcome,
-            requests: q.input.batch,
-            queue_ms,
-        });
-    }
-
-    let mut round: u64 = 0;
-    // Round-persistent buffers: the decision is written in place each round
-    // (the scheduler recycles the planned-entry vector through it), and the
-    // timeout / ledger scratch vectors are reused across rounds.
-    let mut decision = RoundDecision::idle();
-    let mut expired_ids: Vec<u64> = Vec::new();
-    let mut entry_pos: Vec<usize> = Vec::new();
-    loop {
-        let first_new = next_arrival;
-        admit(&mut queue, &mut next_arrival, now);
-        for q in &queue[queue.len() - (next_arrival - first_new)..] {
-            scheduler.on_admit(q);
-        }
-        if let Some(c) = checker.as_deref_mut() {
-            for i in first_new..next_arrival {
-                c.on_issue(i as u64, workload.arrivals[i].at_ms);
-            }
-        }
-        if let Some(t) = telemetry.as_deref_mut() {
-            for i in first_new..next_arrival {
-                let a = workload.arrivals[i];
-                let svc = services[a.service];
-                t.on_arrive(i as u64, a.at_ms, a.service, svc.model, svc.qos_ms);
-            }
-        }
-        // Defensive per-query timeout: bound the sojourn of queries the
-        // scheduler can neither serve nor bring itself to drop.
-        if let Some(factor) = opts.timeout_factor {
-            // One pass collects every expired query; retiring in ascending
-            // id order reproduces exactly what the former per-expiry
-            // `filter().min_by_key()` rescan emitted (the predicate is
-            // per-query, so retiring one cannot un-expire another).
-            expired_ids.clear();
-            expired_ids.extend(
-                queue
-                    .iter()
-                    .filter(|q| now - q.arrival_ms > factor * q.qos_ms)
-                    .map(|q| q.id),
-            );
-            expired_ids.sort_unstable();
-            for &id in &expired_ids {
-                let pos = queue
-                    .iter()
-                    .position(|q| q.id == id)
-                    .expect("expired query vanished from queue");
-                retire(
-                    &mut queue,
-                    pos,
-                    QueryOutcome::TimedOut,
-                    now,
-                    services,
-                    scheduler,
-                    &mut records,
-                    &mut checker,
-                    &mut telemetry,
-                );
-            }
-        }
-        if queue.is_empty() {
-            match workload.arrivals.get(next_arrival) {
-                Some(a) => {
-                    now = a.at_ms;
-                    continue;
-                }
-                None => break,
-            }
-        }
-
-        scheduler.decide_into(now, &queue, &mut decision);
-        round += 1;
-        if let Some(t) = telemetry.as_deref_mut() {
-            t.registry.inc(Counter::SchedRounds);
-            let stats = scheduler.decision_stats();
-            t.registry
-                .set(Counter::DecisionOrderPeak, stats.order_peak_len as u64);
-            t.registry
-                .set(Counter::DecisionScratchPeak, stats.scratch_peak as u64);
-            t.registry
-                .set(Counter::DecisionIncrementalRounds, stats.incremental_rounds);
-            t.registry
-                .set(Counter::DecisionFullRebuilds, stats.full_rebuilds);
-            // Ledger rows only for rounds that made progress — idle probes
-            // of an unservable queue would otherwise dominate the ledger.
-            if decision.group.is_some() || !decision.dropped.is_empty() {
-                let upper_ms = decision
-                    .group
-                    .as_ref()
-                    .and_then(|g| g.upper_ms)
-                    .unwrap_or(f64::NAN);
-                let (entries, predicted_ms, prediction_rounds, headroom) = match &decision.group {
-                    Some(g) => {
-                        // Resolve each entry's queue position once; the row
-                        // build and the critical-headroom fold below share
-                        // the resolved positions instead of re-running a
-                        // `find` over the queue per entry per use.
-                        entry_pos.clear();
-                        entry_pos.extend(g.entries.iter().map(|e| {
-                            queue
-                                .iter()
-                                .position(|q| q.id == e.query_id)
-                                .expect("planned entry references an unknown query")
-                        }));
-                        let entries: Vec<LedgerEntry> = g
-                            .entries
-                            .iter()
-                            .zip(&entry_pos)
-                            .map(|(e, &pos)| LedgerEntry {
-                                query: e.query_id,
-                                model: queue[pos].model,
-                                op_start: e.op_start,
-                                op_end: e.op_end,
-                            })
-                            .collect();
-                        let headroom = entry_pos
-                            .iter()
-                            .map(|&pos| queue[pos].headroom_ms(now) - decision.overhead_ms)
-                            .min_by(f64::total_cmp)
-                            .unwrap_or(f64::NAN);
-                        let predicted = if g.predicted_ms > 0.0 {
-                            g.predicted_ms
-                        } else {
-                            f64::NAN
-                        };
-                        (entries, predicted, g.prediction_rounds, headroom)
-                    }
-                    None => (Vec::new(), f64::NAN, 0, f64::NAN),
-                };
-                t.ledger.push(RoundEntry {
-                    round,
-                    at_ms: now,
-                    queue_len: queue.len(),
-                    dropped: decision.dropped.len(),
-                    overhead_ms: decision.overhead_ms,
-                    prediction_rounds,
-                    entries,
-                    predicted_ms,
-                    upper_ms,
-                    critical_headroom_ms: headroom,
-                    exec_start_ms: f64::NAN,
-                    actual_ms: f64::NAN,
-                    actual_exec_ms: f64::NAN,
-                });
-            }
-        }
-        let retired_any = !decision.dropped.is_empty();
-        for id in &decision.dropped {
-            match queue.iter().position(|q| q.id == *id) {
-                Some(pos) => retire(
-                    &mut queue,
-                    pos,
-                    QueryOutcome::Dropped,
-                    now,
-                    services,
-                    scheduler,
-                    &mut records,
-                    &mut checker,
-                    &mut telemetry,
-                ),
-                None => {
-                    debug_assert!(false, "scheduler dropped unknown query {id}");
-                    if let Some(c) = checker.as_deref_mut() {
-                        c.on_unknown_drop(*id, now);
-                    }
-                }
-            }
-        }
-        let Some(group) = decision.group.as_ref() else {
-            if retired_any || queue.is_empty() {
-                // Progress was made (or everything present was retired);
-                // take the next arrival.
-                continue;
-            }
-            if let Some(a) = workload.arrivals.get(next_arrival) {
-                if a.at_ms > now {
-                    // Idle until new work arrives.
-                    now = a.at_ms;
-                    continue;
-                }
-            }
-            // Livelock: non-empty queue, nothing scheduled, nothing
-            // dropped, no future arrival to advance to. Force-evict the
-            // oldest query so the loop terminates, and flag it.
-            if let Some(c) = checker.as_deref_mut() {
-                c.on_stall(now, queue.len());
-            }
-            let pos = queue
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.arrival_ms
-                        .total_cmp(&b.arrival_ms)
-                        .then(a.id.cmp(&b.id))
-                })
-                .map(|(pos, _)| pos)
-                .expect("queue checked non-empty");
-            retire(
-                &mut queue,
-                pos,
-                QueryOutcome::TimedOut,
-                now,
-                services,
+    for i in 0..=workload.len() {
+        // The node decides at an arrival's timestamp only after admitting
+        // it, so run just the rounds that start strictly before it; past
+        // the last arrival, drain the queue.
+        let next = workload.arrivals.get(i);
+        let until = next.map_or(f64::INFINITY, |a| a.at_ms.next_down());
+        while gpu
+            .step_until(
+                until,
                 scheduler,
+                executor,
+                opts,
+                checker.as_deref_mut(),
+                telemetry.as_deref_mut(),
                 &mut records,
-                &mut checker,
-                &mut telemetry,
-            );
-            continue;
-        };
-        now += decision.overhead_ms;
-        for e in &group.entries {
-            let pos = queue.iter().position(|q| q.id == e.query_id).unwrap();
-            queue[pos].mark_started(now);
-        }
-        let spec = group.to_spec(
-            |id| {
-                queue
-                    .iter()
-                    .find(|q| q.id == id)
-                    .expect("group references an unknown query")
-            },
-            lib,
-        );
-        let exec_start = now;
-        if let Some(t) = telemetry.as_deref_mut() {
-            for e in &group.entries {
-                t.on_dispatch(e.query_id, exec_start, round, e.op_start, e.op_end);
-            }
-        }
-        let out = executor.execute(&spec);
-        now += out.duration_ms;
-        if let Some(c) = checker.as_deref_mut() {
-            c.on_group(exec_start, out.duration_ms, &out.stream_ms);
-        }
-        if let Some(t) = telemetry.as_deref_mut() {
-            // The predictor estimates kernel time (the longest stream), not
-            // the host-side sync/save overheads — join both against the row.
-            let kernel_ms = out.stream_ms.iter().fold(0.0f64, |a, &b| a.max(b));
-            t.registry.inc(Counter::GroupsExecuted);
-            t.registry.add(Counter::PredictionRounds, group.prediction_rounds as u64);
-            t.registry.observe(Hist::SearchRounds, group.prediction_rounds as f64);
-            t.registry.observe(Hist::GroupWays, group.entries.len() as f64);
-            t.registry.observe(Hist::GroupDurationMs, out.duration_ms);
-            t.registry.set(Counter::EngineEvents, executor.engine_events());
-            t.registry.set(Counter::FaultSpikes, executor.fault_spikes());
-            let core = executor.engine_core_stats();
-            t.registry.set(Counter::EngineMaxActive, core.max_active as u64);
-            t.registry.set(Counter::EnginePendingPeak, core.pending_peak as u64);
-            t.registry
-                .set(Counter::EngineCalendarPeakBucket, core.calendar_peak_bucket as u64);
-            if let Some(w) = t.predictor_ways() {
-                for _ in 0..group.prediction_rounds {
-                    t.registry.observe(Hist::PredictorBatch, w as f64);
-                }
-            }
-            if t.kernel_trace_enabled() {
-                for s in executor.kernel_trace() {
-                    t.on_kernel_span(round, exec_start, s);
-                }
-            }
-            // Joins the ledger row and, with health monitors on, snapshots
-            // the engine counters set above into the flight recorder.
-            t.on_round_complete(round, exec_start, out.duration_ms, kernel_ms);
-        }
-        scheduler.on_group_complete(out.duration_ms);
-        for e in &group.entries {
-            let pos = queue.iter().position(|q| q.id == e.query_id).unwrap();
-            queue[pos].advance_to(e.op_end);
-            if queue[pos].is_complete() {
-                retire(
-                    &mut queue,
-                    pos,
-                    QueryOutcome::Completed,
-                    now,
-                    services,
-                    scheduler,
-                    &mut records,
-                    &mut checker,
-                    &mut telemetry,
-                );
-            }
+            )
+            .is_some()
+        {}
+        if let Some(a) = next {
+            let (svc, input) = (services[a.service], workload.inputs[i]);
+            let n_ops = lib.graph(svc.model, input).len();
+            gpu.admit(Query::new(
+                i as u64, svc.model, input, a.at_ms, svc.qos_ms, n_ops,
+            ));
         }
     }
     if let Some(c) = checker {
         c.finish();
     }
     records
-}
-
-fn service_index(services: &[ServiceSpec], model: ModelId) -> usize {
-    services
-        .iter()
-        .position(|s| s.model == model)
-        .expect("model not deployed on this node")
 }
 
 #[cfg(test)]
@@ -496,6 +592,25 @@ mod tests {
 
     fn lib() -> Arc<ModelLibrary> {
         Arc::new(ModelLibrary::new())
+    }
+
+    /// A node run with default options and no observers.
+    fn run(
+        scheduler: &mut dyn Scheduler,
+        executor: &mut SegmentalExecutor,
+        lib: &ModelLibrary,
+        services: &[ServiceSpec],
+        workload: &NodeWorkload,
+    ) -> Vec<QueryRecord> {
+        simulate_node_checked(
+            scheduler,
+            executor,
+            lib,
+            services,
+            workload,
+            NodeOptions::default(),
+            None,
+        )
     }
 
     fn mk_workload(
@@ -535,7 +650,7 @@ mod tests {
         let wl = mk_workload(&svcs, 5.0, 5_000.0, &lib, 1);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Fcfs, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 2);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let met = records.iter().filter(|r| r.met_qos()).count();
         assert!(met * 10 >= records.len() * 9, "{met}/{}", records.len());
@@ -549,7 +664,7 @@ mod tests {
         let wl = mk_workload(&svcs, 40.0, 3_000.0, &lib, 2);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Edf, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 3);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
     }
 
@@ -593,7 +708,7 @@ mod tests {
         });
         let mut sched = AbacusScheduler::new(model, lib.clone(), AbacusConfig::default());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 5);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let violations = records.iter().filter(|r| !r.met_qos()).count();
         assert!(
@@ -613,7 +728,7 @@ mod tests {
         let wl = mk_workload(&svcs, 120.0, 2_000.0, &lib, 6);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Fcfs, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 7);
-        let records = simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl);
+        let records = run(&mut sched, &mut exec, &lib, &svcs, &wl);
         assert_eq!(records.len(), wl.len());
         let dropped = records
             .iter()
@@ -702,6 +817,61 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.contains("livelock guard")));
+
+        // The cluster call pattern: admit each query after running the loop
+        // up to its arrival, then run until ∞. A stalled scheduler never
+        // executes a group, so one step runs every round up to the bound.
+        let mut gpu_loop = GpuLoop::new([ModelId::ResNet50]);
+        let mut checker = InvariantChecker::new();
+        let mut records = Vec::new();
+        let mut step = |gpu_loop: &mut GpuLoop, until: f64| {
+            let (opts, c) = (NodeOptions::default(), Some(&mut checker));
+            let executed =
+                gpu_loop.step_until(until, &mut sched, &mut exec, opts, c, None, &mut records);
+            assert!(executed.is_none());
+        };
+        let qos_ms = svcs[0].qos_ms;
+        for (i, (a, &input)) in wl.arrivals.iter().zip(&wl.inputs).enumerate() {
+            step(&mut gpu_loop, a.at_ms);
+            let n_ops = lib.graph(ModelId::ResNet50, input).len();
+            gpu_loop.admit(Query::new(
+                i as u64,
+                ModelId::ResNet50,
+                input,
+                a.at_ms,
+                qos_ms,
+                n_ops,
+            ));
+        }
+        step(&mut gpu_loop, f64::INFINITY);
+        checker.finish();
+        // Terminates with every query retired exactly once, as timed out,
+        // and the stall its only violation.
+        assert_eq!(records.len(), wl.len());
+        assert!(records.iter().all(|r| r.outcome == QueryOutcome::TimedOut));
+        let v = checker.violations();
+        assert!(
+            !v.is_empty() && v.iter().all(|v| v.contains("livelock guard")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted by time")]
+    fn unsorted_workload_is_rejected() {
+        let at = |at_ms| Arrival { service: 0, at_ms };
+        let input = ModelId::ResNet50.min_input();
+        NodeWorkload::new(vec![at(5.0), at(1.0)], vec![input, input]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be sorted by time")]
+    fn nan_timed_workload_is_rejected() {
+        let nan = Arrival {
+            service: 0,
+            at_ms: f64::NAN,
+        };
+        NodeWorkload::new(vec![nan], vec![ModelId::ResNet50.min_input()]);
     }
 
     #[test]
@@ -712,6 +882,6 @@ mod tests {
         let wl = NodeWorkload::new(vec![], vec![]);
         let mut sched = BaselineScheduler::new(BaselinePolicy::Sjf, lib.clone(), gpu.clone());
         let mut exec = SegmentalExecutor::new(gpu, NoiseModel::disabled(), lib.clone(), 8);
-        assert!(simulate_node(&mut sched, &mut exec, &lib, &svcs, &wl).is_empty());
+        assert!(run(&mut sched, &mut exec, &lib, &svcs, &wl).is_empty());
     }
 }

@@ -7,8 +7,8 @@
 //! ```
 
 use cluster::{
-    build_timeline, cluster_workload, run_cluster, run_cluster_detailed, summarize,
-    AutoscalePolicy, ClusterConfig, ClusterSystem, NodeSignals,
+    build_timeline, cluster_workload, run_cluster_on, summarize, AutoscalePolicy, ClusterConfig,
+    ClusterSystem, NodeSignals,
 };
 use dnn_models::ModelLibrary;
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -57,16 +57,28 @@ fn main() {
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
     println!("replaying {} queries over {minutes} minutes...\n", arrivals.len());
 
-    let detailed = run_cluster_detailed(
+    let detailed = run_cluster_on(
         ClusterSystem::AbacusK8s,
         &cfg,
         &lib,
         &v100,
         &noise,
         Some(mlp),
+        &arrivals,
+        &inputs,
     );
     let abacus = detailed.records;
-    let clockwork = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    let clockwork = run_cluster_on(
+        ClusterSystem::Clockwork,
+        &cfg,
+        &lib,
+        &v100,
+        &noise,
+        None,
+        &arrivals,
+        &inputs,
+    )
+    .records;
 
     println!(
         "{:>6} {:>9} {:>11} {:>11} {:>9} {:>9}",

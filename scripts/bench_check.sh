@@ -15,11 +15,11 @@
 #     pre-overhaul controller (bench::reference::decision), plus a
 #     bit-identity cross-check of the two controllers' decision streams
 #     (BENCH_decision.json)
-#   * the cluster ingress hot path: routed queries/sec through the
-#     headroom router vs the live round-robin cluster path (cluster::sim
-#     Abacus + K8s), with a warmup-vs-timed checksum cross-check of each
-#     path and a >=3x routed-vs-round-robin speedup floor
-#     (BENCH_cluster.json)
+#   * the cluster ingress hot path: queries/sec through the headroom
+#     router and through the live round-robin cluster path (cluster::sim
+#     Abacus + K8s), each gated on its own, with a warmup-vs-timed
+#     checksum cross-check of each path and a deterministic check that
+#     routed goodput beats round-robin goodput (BENCH_cluster.json)
 #
 # The frozen references are the same copies the golden suites
 # (golden_engine, golden_decisions) pin the live code to, so one copy per

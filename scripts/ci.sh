@@ -74,6 +74,16 @@ echo "== telemetry-disabled golden checksum =="
 # golden trace checksum.
 cargo test -q -p integration --test fault_properties golden_no_fault
 
+echo "== per-GPU loop golden checksums =="
+# Every driver runs the one per-GPU serving loop (serving::GpuLoop). These
+# pin its record streams on the paths that share it: an Abacus run through
+# run_colocation_observed under a fault plan with telemetry on (records and
+# the whole recorded telemetry), the round-robin Abacus + K8s cluster with a
+# degraded node, and the headroom-routed heterogeneous fleet with the
+# autoscaler on.
+cargo test -q -p integration --test fault_properties golden_observed_abacus
+cargo test -q -p integration --test cluster_pipeline checksum_is_pinned
+
 echo "== trace export smoke =="
 TRACE_OUT=$(mktemp -d)
 trap 'rm -rf "$TRACE_OUT"' EXIT

@@ -1,16 +1,33 @@
 //! Integration of the cluster layer (§7.6): trace synthesis → routing →
 //! per-GPU serving → timelines, for both systems.
 
+use abacus_metrics::{QueryOutcome, QueryRecord};
+use bench::reference::decision::{pinned_config, SpanModel};
 use cluster::{
-    build_timeline, cluster_workload, run_cluster, summarize, AutoscalePolicy, ClusterConfig,
-    ClusterSystem, NodeSignals, ScaleDecision,
+    build_timeline, cluster_workload, run_cluster_on, run_routed_cluster, summarize,
+    AutoscalePolicy, ClusterConfig, ClusterSystem, GpuUsage, NodePool, NodeSignals,
+    PredictiveAutoscaler, RoutedClusterConfig, ScaleDecision,
 };
 use dnn_models::{ModelId, ModelLibrary};
-use gpu_sim::{GpuSpec, NoiseModel};
+use faults::NodeDegradation;
+use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{train_unified, TrainerConfig};
 use std::sync::Arc;
 use workload::{synthesize_maf_like, RateTrace};
+
+/// The records of a run over the workload `cfg` derives.
+fn cluster_records(
+    system: ClusterSystem,
+    cfg: &ClusterConfig,
+    lib: &Arc<ModelLibrary>,
+    gpu: &GpuSpec,
+    noise: &NoiseModel,
+    predictor: Option<Arc<dyn LatencyModel>>,
+) -> Vec<QueryRecord> {
+    let (arrivals, inputs) = cluster_workload(cfg, lib);
+    run_cluster_on(system, cfg, lib, gpu, noise, predictor, &arrivals, &inputs).records
+}
 
 fn trained_quad(lib: &Arc<ModelLibrary>, gpu: &GpuSpec) -> Arc<dyn LatencyModel> {
     let (mlp, _) = train_unified(
@@ -55,7 +72,7 @@ fn cluster_replay_full_accounting() {
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
     let mlp = trained_quad(&lib, &v100);
 
-    let abacus = run_cluster(
+    let abacus = cluster_records(
         ClusterSystem::AbacusK8s,
         &cfg,
         &lib,
@@ -63,14 +80,14 @@ fn cluster_replay_full_accounting() {
         &noise,
         Some(mlp),
     );
-    let clockwork = run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    let clockwork = cluster_records(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
     assert_eq!(abacus.len(), arrivals.len());
     assert_eq!(clockwork.len(), arrivals.len());
 
     // Clockwork's admission control: completed queries are within QoS (a
     // sliver of tolerance for noise beyond the admission margin).
     for r in &clockwork {
-        if r.outcome == abacus_metrics::QueryOutcome::Completed {
+        if r.outcome == QueryOutcome::Completed {
             assert!(r.latency_ms <= cfg.qos_ms * 1.02, "{}", r.latency_ms);
         }
     }
@@ -108,9 +125,9 @@ fn scaling_out_adds_capacity() {
             gpus_per_node: gpus,
             ..ClusterConfig::paper(trace.clone(), 7)
         };
-        run_cluster(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None)
+        cluster_records(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None)
             .iter()
-            .filter(|r| r.outcome == abacus_metrics::QueryOutcome::Completed)
+            .filter(|r| r.outcome == QueryOutcome::Completed)
             .count()
     };
     let two = completed(2);
@@ -139,5 +156,131 @@ fn autoscaler_reacts_to_cluster_state() {
     assert_eq!(
         policy.decide_fleet(&[saturated, roomy]),
         ScaleDecision::ScaleOut
+    );
+}
+
+/// FNV-1a over the bit pattern of every field of every record, in order,
+/// then of every GPU's usage: a change to any record, to the record order
+/// or to any GPU's accounting changes it.
+fn run_checksum(records: &[QueryRecord], usage: &[GpuUsage]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bits: u64| {
+        for b in bits.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in records {
+        eat(r.service as u64);
+        eat(r.arrival_ms.to_bits());
+        eat(r.latency_ms.to_bits());
+        eat(r.qos_ms.to_bits());
+        eat(match r.outcome {
+            QueryOutcome::Completed => 0,
+            QueryOutcome::Dropped => 1,
+            QueryOutcome::TimedOut => 2,
+        });
+        eat(u64::from(r.requests));
+        eat(r.queue_ms.to_bits());
+    }
+    for u in usage {
+        eat(u.busy_ms.to_bits());
+        eat(u.groups);
+        eat(u.sequential_ms.to_bits());
+    }
+    h
+}
+
+/// Checksum pin of the round-robin Abacus + K8s path: 2 nodes × 2 V100s,
+/// node 1 degraded, every GPU's controller on the synthetic span predictor
+/// with the round latency pinned. The records interleave each node's GPUs
+/// in retire order. Update only for an intentional change to cluster
+/// serving semantics.
+#[test]
+fn abacus_k8s_records_checksum_is_pinned() {
+    let lib = Arc::new(ModelLibrary::new());
+    let cfg = ClusterConfig {
+        nodes: 2,
+        gpus_per_node: 2,
+        abacus: pinned_config(),
+        degraded: vec![NodeDegradation {
+            node: 1,
+            slowdown: 2.5,
+        }],
+        ..ClusterConfig::paper(RateTrace::with_bucket_ms(vec![240.0], 8_000.0), 23)
+    };
+    let (arrivals, inputs) = cluster_workload(&cfg, &lib);
+    let out = run_cluster_on(
+        ClusterSystem::AbacusK8s,
+        &cfg,
+        &lib,
+        &GpuSpec::v100(),
+        &NoiseModel::calibrated(),
+        Some(Arc::new(SpanModel::default())),
+        &arrivals,
+        &inputs,
+    );
+    assert_eq!(out.records.len(), arrivals.len());
+    assert_eq!(
+        run_checksum(&out.records, &out.gpu_usage),
+        1_534_384_327_468_534_143,
+        "round-robin cluster records drifted from the pinned checksum"
+    );
+}
+
+/// Checksum pin of the headroom-routed path on a heterogeneous fleet (A100,
+/// V100 and MIG pools) with the predictive autoscaler on: records in
+/// per-GPU-then-shed order, per-GPU usage, and the router's and
+/// autoscaler's counts. Update only for an intentional change to cluster
+/// serving semantics.
+#[test]
+fn routed_heterogeneous_autoscaled_checksum_is_pinned() {
+    let lib = Arc::new(ModelLibrary::new());
+    let v100 = GpuSpec::v100();
+    let a100 = GpuSpec::a100();
+    let mut cfg = RoutedClusterConfig::paper(
+        RateTrace::with_bucket_ms(vec![90.0, 600.0, 90.0], 2_000.0),
+        29,
+    );
+    cfg.pools = vec![
+        NodePool {
+            name: "a100",
+            gpus: 2,
+            gpu: a100.clone(),
+        },
+        NodePool {
+            name: "v100",
+            gpus: 2,
+            gpu: v100.clone(),
+        },
+        NodePool {
+            name: "mig-2g",
+            gpus: 2,
+            gpu: a100.mig_slice(MigProfile::TwoG10Gb),
+        },
+    ];
+    cfg.reference = v100;
+    cfg.abacus = pinned_config();
+    // Look one second ahead so the fleet visibly scales up into the burst
+    // and back down after it.
+    cfg.autoscale = Some(PredictiveAutoscaler {
+        lead_ms: 1_000.0,
+        ..PredictiveAutoscaler::new(60.0, 2)
+    });
+    let out = run_routed_cluster(
+        &cfg,
+        &lib,
+        &NoiseModel::calibrated(),
+        Arc::new(SpanModel::default()),
+        None,
+        None,
+    );
+    let (r, a) = (out.router, out.autoscale);
+    assert_eq!((r.routed, r.spilled, r.shed), (1413, 50, 4));
+    assert_eq!((a.up_events, a.down_events), (4, 8));
+    assert_eq!(
+        run_checksum(&out.records, &out.gpu_usage),
+        4_134_212_462_009_362_822,
+        "routed cluster records drifted from the pinned checksum"
     );
 }

@@ -10,11 +10,14 @@
 //!   runner is bit-identical to the plain runner, pinned by a trace
 //!   checksum so an accidental behaviour change of the no-fault path
 //!   cannot slip through;
+//! * **golden observed** — a full Abacus run under a fault plan with
+//!   telemetry on, its records and telemetry pinned by checksums;
 //! * **determinism** — the same plan and seed reproduce the identical
 //!   trace, bit for bit.
 
 use abacus_core::AbacusConfig;
 use abacus_metrics::{QueryOutcome, QueryRecord};
+use bench::reference::decision::SpanModel;
 use dnn_models::{ModelId, ModelLibrary};
 use faults::{
     sanitize_prediction, ArrivalBurst, FaultPlan, FaultyModel, KernelSpikes, PredictorFault,
@@ -23,7 +26,7 @@ use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use proptest::prelude::*;
 use serving::{
-    run_colocation, run_colocation_faulty, train_unified, ColocationConfig, FaultRunOutcome,
+    run_colocation, run_colocation_observed, train_unified, ColocationConfig, FaultRunOutcome,
     NodeOptions, PolicyKind, TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
@@ -75,10 +78,11 @@ fn cfg(defended: bool) -> ColocationConfig {
 fn run_faulty(policy: PolicyKind, defended: bool, plan: &FaultPlan) -> FaultRunOutcome {
     let lib = library();
     let pred = (policy == PolicyKind::Abacus).then(mlp);
-    run_colocation_faulty(
+    run_colocation_observed(
         &PAIR,
         policy,
         pred,
+        None,
         lib,
         &GpuSpec::a100(),
         &NoiseModel::calibrated(),
@@ -87,6 +91,7 @@ fn run_faulty(policy: PolicyKind, defended: bool, plan: &FaultPlan) -> FaultRunO
         NodeOptions {
             timeout_factor: defended.then_some(3.0),
         },
+        None,
     )
 }
 
@@ -259,16 +264,18 @@ fn golden_none_plan_matches_plain_runner_bitwise() {
         let pred = (policy == PolicyKind::Abacus).then(mlp);
         let c = cfg(false);
         let plain = run_colocation(&PAIR, policy, pred.clone(), lib, &gpu, &noise, &c);
-        let faulty = run_colocation_faulty(
+        let faulty = run_colocation_observed(
             &PAIR,
             policy,
             pred,
+            None,
             lib,
             &gpu,
             &noise,
             &c,
             &FaultPlan::none(),
             NodeOptions::default(),
+            None,
         );
         assert!(faulty.invariant_violations.is_empty());
         assert!(!faulty.degraded);
@@ -307,6 +314,56 @@ fn golden_no_fault_trace_checksum_is_pinned() {
 /// See [`golden_no_fault_trace_checksum_is_pinned`].
 const GOLDEN_FCFS_TRACE_CHECKSUM: u64 = 9_024_202_897_011_311_138;
 
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checksum pins of a full Abacus run through `run_colocation_observed`:
+/// a fault plan (kernel spikes, predictor bias, arrival burst), the
+/// defended controller with the per-query timeout, and telemetry with the
+/// run-health monitors on. One checksum covers the records, the other the
+/// whole recorded telemetry (event stream, decision ledger, registry and
+/// monitors). Update them only for an intentional change to serving
+/// semantics.
+#[test]
+fn golden_observed_abacus_checksums_are_pinned() {
+    let c = ColocationConfig {
+        qps_per_service: 40.0,
+        horizon_ms: 5_000.0,
+        ..cfg(true)
+    };
+    let mut tel = telemetry::Telemetry::with_health();
+    let out = run_colocation_observed(
+        &PAIR,
+        PolicyKind::Abacus,
+        Some(Arc::new(SpanModel::default())),
+        None,
+        library(),
+        &GpuSpec::a100(),
+        &NoiseModel::calibrated(),
+        &c,
+        &FaultPlan::at_intensity(13, 0.5),
+        NodeOptions {
+            timeout_factor: Some(3.0),
+        },
+        Some(&mut tel),
+    );
+    assert!(out.invariant_violations.is_empty());
+    assert_eq!(
+        trace_checksum(&out.records),
+        10_304_472_022_572_081_248,
+        "observed Abacus records drifted from the pinned checksum"
+    );
+    assert_eq!(
+        fnv1a(format!("{tel:?}").as_bytes()),
+        2_776_302_505_262_737_622,
+        "observed Abacus telemetry drifted from the pinned checksum"
+    );
+}
+
 /// The full intensity × policy sweep the CLI `faults` subcommand runs, at
 /// a longer horizon: every cell must hold the serving invariants, the
 /// whole sweep must reproduce bit-for-bit, and FCFS's violation ratio must
@@ -331,10 +388,11 @@ fn full_sweep_holds_invariants_and_reproduces() {
                 ("abacus+def", PolicyKind::Abacus, true),
             ] {
                 let pred = (policy == PolicyKind::Abacus).then(mlp);
-                let out = run_colocation_faulty(
+                let out = run_colocation_observed(
                     &PAIR,
                     policy,
                     pred,
+                    None,
                     lib,
                     &gpu,
                     &noise,
@@ -343,6 +401,7 @@ fn full_sweep_holds_invariants_and_reproduces() {
                     NodeOptions {
                         timeout_factor: defended.then_some(3.0),
                     },
+                    None,
                 );
                 assert_eq!(
                     out.invariant_violations,

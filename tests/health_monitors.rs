@@ -11,8 +11,8 @@ use faults::{ArrivalBurst, FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation_certified, run_colocation_observed, train_unified, ColocationConfig,
-    NodeOptions, PolicyKind, TrainerConfig,
+    run_colocation_observed, train_unified, ColocationConfig, NodeOptions, PolicyKind,
+    TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
 use telemetry::{
@@ -142,7 +142,7 @@ fn burst_plan(intensity: f64) -> FaultPlan {
 #[test]
 fn monitors_do_not_perturb_the_simulation() {
     let plan = FaultPlan::none();
-    let unobserved = run_colocation_certified(
+    let unobserved = run_colocation_observed(
         &PAIR,
         PolicyKind::Abacus,
         Some(mlp()),
@@ -153,6 +153,7 @@ fn monitors_do_not_perturb_the_simulation() {
         &cfg(),
         &plan,
         NodeOptions::default(),
+        None,
     );
     let mut tel = Telemetry::default();
     tel.enable_health(health_config());

@@ -8,9 +8,8 @@ use faults::{FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation, run_colocation_certified, run_colocation_faulty, run_with_services,
-    train_certified, train_unified, ColocationConfig, NodeOptions, PolicyKind, ServiceSpec,
-    TrainerConfig,
+    run_colocation, run_colocation_observed, run_with_services, train_certified, train_unified,
+    ColocationConfig, NodeOptions, PolicyKind, ServiceSpec, TrainerConfig,
 };
 use std::sync::Arc;
 
@@ -184,9 +183,10 @@ fn qos_violations_monotone_in_fault_intensity() {
     let mut last = -1.0;
     for intensity in [0.0, 0.5, 1.0] {
         let plan = FaultPlan::at_intensity(41, intensity);
-        let out = run_colocation_faulty(
+        let out = run_colocation_observed(
             &pair,
             PolicyKind::Fcfs,
+            None,
             None,
             &lib,
             &gpu,
@@ -194,6 +194,7 @@ fn qos_violations_monotone_in_fault_intensity() {
             &cfg,
             &plan,
             NodeOptions::default(),
+            None,
         );
         assert!(out.invariant_violations.is_empty());
         let v = out.result.violation_ratio();
@@ -236,10 +237,11 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
         predictor: Some(PredictorFault::Freeze { value_ms: 0.01 }),
         ..FaultPlan::none()
     };
-    let defended = run_colocation_faulty(
+    let defended = run_colocation_observed(
         &pair,
         PolicyKind::Abacus,
         Some(mlp),
+        None,
         &lib,
         &gpu,
         &noise,
@@ -248,15 +250,17 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
         NodeOptions {
             timeout_factor: Some(3.0),
         },
+        None,
     );
     assert!(defended.invariant_violations.is_empty());
     assert!(
         defended.degraded,
         "total predictor failure must trip the FCFS fallback"
     );
-    let fcfs = run_colocation_faulty(
+    let fcfs = run_colocation_observed(
         &pair,
         PolicyKind::Fcfs,
+        None,
         None,
         &lib,
         &gpu,
@@ -264,6 +268,7 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
         &cfg,
         &plan,
         NodeOptions::default(),
+        None,
     );
     let (dv, fv) = (
         defended.result.violation_ratio(),
@@ -324,18 +329,20 @@ fn conformal_disabled_is_byte_identical_end_to_end() {
         s
     };
     for plan in [FaultPlan::none(), FaultPlan::at_intensity(41, 0.5)] {
-        let plain = run_colocation_faulty(
+        let plain = run_colocation_observed(
             &pair,
             PolicyKind::Abacus,
             Some(mean.clone()),
+            None,
             &lib,
             &gpu,
             &noise,
             &cfg,
             &plan,
             NodeOptions::default(),
+            None,
         );
-        let carried = run_colocation_certified(
+        let carried = run_colocation_observed(
             &pair,
             PolicyKind::Abacus,
             Some(mean.clone()),
@@ -346,6 +353,7 @@ fn conformal_disabled_is_byte_identical_end_to_end() {
             &cfg,
             &plan,
             NodeOptions::default(),
+            None,
         );
         assert_eq!(plain.records, carried.records, "plan seed {}", plan.seed);
         assert_eq!(csv(&plain.records), csv(&carried.records));

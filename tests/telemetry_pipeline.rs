@@ -13,12 +13,14 @@
 //! * **export sanity** — the Chrome trace JSON is well-formed.
 
 use abacus_core::AbacusConfig;
+use abacus_metrics::QueryRecord;
 use dnn_models::{ModelId, ModelLibrary};
+use faults::FaultPlan;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation, run_colocation_traced, train_unified, ColocationConfig, PolicyKind,
-    TrainerConfig,
+    run_colocation, run_colocation_observed, train_unified, ColocationConfig, ColocationResult,
+    NodeOptions, PolicyKind, TrainerConfig,
 };
 use std::sync::Arc;
 use telemetry::{ChromeTrace, Counter, Hist, QueryEventKind, Telemetry};
@@ -68,6 +70,34 @@ fn cfg(seed: u64) -> ColocationConfig {
     }
 }
 
+/// A fault-free run of `pair` under `policy` with `tel` attached.
+#[allow(clippy::too_many_arguments)]
+fn traced(
+    pair: &[ModelId],
+    policy: PolicyKind,
+    predictor: Option<Arc<dyn LatencyModel>>,
+    lib: &Arc<ModelLibrary>,
+    gpu: &GpuSpec,
+    noise: &NoiseModel,
+    cfg: &ColocationConfig,
+    tel: &mut Telemetry,
+) -> (ColocationResult, Vec<QueryRecord>) {
+    let out = run_colocation_observed(
+        pair,
+        policy,
+        predictor,
+        None,
+        lib,
+        gpu,
+        noise,
+        cfg,
+        &FaultPlan::none(),
+        NodeOptions::default(),
+        Some(tel),
+    );
+    (out.result, out.records)
+}
+
 /// Attaching telemetry must not perturb the simulation: every aggregate of
 /// the traced run equals the plain runner's bit for bit.
 #[test]
@@ -78,7 +108,7 @@ fn telemetry_does_not_perturb_results() {
     let plain = run_colocation(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c);
     let mut tel = Telemetry::with_kernel_trace();
     let (traced, records) =
-        run_colocation_traced(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c, &mut tel);
+        traced(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c, &mut tel);
     assert_eq!(plain.all.total(), traced.all.total());
     assert_eq!(plain.all.completed(), traced.all.completed());
     // Exact f64 equality — any drift means the telemetry branch leaked
@@ -97,7 +127,7 @@ fn event_stream_is_one_lifecycle_per_query() {
     let (lib, gpu, noise) = setup();
     let pair = [ModelId::ResNet50, ModelId::InceptionV3];
     let mut tel = Telemetry::new();
-    let (result, records) = run_colocation_traced(
+    let (result, records) = traced(
         &pair,
         PolicyKind::Fcfs,
         None,
@@ -145,7 +175,7 @@ fn abacus_ledger_kernel_spans_and_export() {
     let pair = [ModelId::ResNet50, ModelId::InceptionV3];
     let mlp = trained_pair(&pair, &lib, &gpu, &noise);
     let mut tel = Telemetry::with_kernel_trace();
-    let (_, records) = run_colocation_traced(
+    let (_, records) = traced(
         &pair,
         PolicyKind::Abacus,
         Some(mlp),
