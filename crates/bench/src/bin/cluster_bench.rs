@@ -1,15 +1,17 @@
 //! Perf snapshot of the cluster ingress hot path. Replays a fixed-seed
 //! ~100k-query diurnal burst against a heterogeneous 16-GPU fleet twice:
 //! once through the current headroom-scored router
-//! (`cluster::run_routed_cluster` — one batched predictor forward per
-//! arrival, ingress shed/spill) and once through the live round-robin
-//! cluster path, `cluster::sim`'s Abacus + K8s system
+//! (`cluster::run_routed_cluster` — memoised candidate scores, each
+//! distinct row forwarded once, ingress shed/spill) and once through the
+//! live round-robin cluster path, `cluster::sim`'s Abacus + K8s system
 //! (`cluster::run_cluster_on`: round-robin node ingress + per-node
 //! least-connections, every arrival enqueued no matter how doomed). Every
 //! GPU of both paths runs the same per-GPU serving loop
 //! (`serving::GpuLoop`), so the two differ only in ingress. Emits
-//! `BENCH_cluster.json` with end-to-end queries/sec for each path and the
-//! goodput each ingress design achieves.
+//! `BENCH_cluster.json` with end-to-end queries/sec for each path, the
+//! goodput each ingress design achieves, and the routed path's wall time
+//! per admitted (routed or spilled) query — the cost on equal work, since
+//! the router sheds most of this burst at ingress.
 //!
 //! Every run cross-checks itself: each path executes twice (warmup +
 //! timed) and the two record-stream checksums must match bit for bit —
@@ -53,7 +55,7 @@ const REGRESSION_FACTOR: f64 = 2.0;
 /// Offered load at the diurnal peak, queries/sec — far past the fleet's
 /// capacity, which is exactly the regime that separates ingress designs:
 /// round-robin funnels every doomed query through a scheduler queue, the
-/// router sheds it with one batched forward.
+/// router scores it (mostly from its memo) and sheds it.
 const PEAK_QPS: f64 = 78000.0;
 
 /// Constant-time synthetic predictor calibrated to the reference GPU:
@@ -341,10 +343,15 @@ fn main() {
     let baseline_queries_per_sec = base.queries as f64 / base.elapsed_s;
     let speedup = queries_per_sec / baseline_queries_per_sec;
     let horizon_ms = routed_cfg.trace.horizon_ms();
+    let admitted = router_stats.routed + router_stats.spilled;
+    let routed_ns_per_admitted = routed.elapsed_s * 1e9 / admitted.max(1) as f64;
     let routed_goodput = routed.stats.goodput_qps(horizon_ms);
     let base_goodput = base.stats.goodput_qps(horizon_ms);
     eprintln!(
         "  ingress: routed {queries_per_sec:.0} q/s, round-robin {baseline_queries_per_sec:.0} q/s ({speedup:.2}x), deterministic"
+    );
+    eprintln!(
+        "  routed cost: {routed_ns_per_admitted:.0} ns per admitted query ({admitted} admitted)"
     );
     eprintln!(
         "  qos: routed goodput {routed_goodput:.0} q/s (shed {}), round-robin {base_goodput:.0} q/s (dropped {})",
@@ -363,6 +370,9 @@ fn main() {
     ));
     s.push_str(&format!("  \"queries_per_sec\": {queries_per_sec:.0},\n"));
     s.push_str(&format!("  \"speedup\": {speedup:.2},\n"));
+    s.push_str(&format!(
+        "  \"routed_ns_per_admitted\": {routed_ns_per_admitted:.0},\n"
+    ));
     s.push_str(&format!("  \"routed_goodput_qps\": {routed_goodput:.1},\n"));
     s.push_str(&format!("  \"baseline_goodput_qps\": {base_goodput:.1},\n"));
     s.push_str(&format!("  \"shed\": {},\n", router_stats.shed));

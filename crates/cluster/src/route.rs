@@ -9,11 +9,14 @@
 //! * **Scoring.** Per arriving query, every active GPU is scored by
 //!   predicted QoS headroom: the query's Eq. 2 budget minus the GPU's
 //!   estimated queue wait minus the predicted service latency on that
-//!   GPU's hardware ([`abacus_core::Query::routing_headroom_ms`]). All N
-//!   candidate features are encoded into one contiguous buffer and scored
-//!   with **one** batched
-//!   [`predict_derated_into`](LatencyModel::predict_derated_into) forward
-//!   — N-GPU scoring is one matrix pass, never N scalar forwards.
+//!   GPU's hardware ([`abacus_core::Query::routing_headroom_ms`]). A
+//!   candidate's derated prediction is a pure function of its feature row
+//!   and derate (the [`LatencyModel`] purity contract), and rows repeat
+//!   across arrivals, so the router memoises them for the whole run: each
+//!   distinct row is forwarded once, and a scored arrival's memo misses
+//!   go through **one** batched
+//!   [`predict_derated_into`](LatencyModel::predict_derated_into) call —
+//!   never N scalar forwards.
 //! * **Shed / spill.** When no GPU has headroom, a query whose best
 //!   predicted completion misses its deadline by at most
 //!   [`RoutedClusterConfig::spill_slack_ms`] spills to a weighted pool
@@ -28,13 +31,15 @@
 //! * **Determinism.** Global routing couples the GPUs, so the simulation
 //!   is *epoch-batched*: arrivals inside one epoch are routed serially
 //!   against the router's mirrors, then every GPU simulates the epoch
-//!   independently (fanned out over threads when
-//!   [`RoutedClusterConfig::parallel`]), and the mirrors re-sync from
-//!   actual GPU state at the epoch boundary. Serial and parallel runs are
-//!   byte-identical — the PR 2/PR 6 contract, kept.
+//!   independently (claimed one GPU at a time by the persistent
+//!   [`rayon::pool`] when [`RoutedClusterConfig::parallel`]), and the
+//!   mirrors re-sync from actual GPU state at the epoch boundary. Each
+//!   GPU's epoch reads and writes only that GPU, so serial and parallel
+//!   runs are byte-identical.
 //!
 //! All per-arrival router state lives in a persistent [`RouterScratch`];
-//! a steady-state routing decision allocates nothing.
+//! a steady-state routing decision allocates only when the score memo
+//! grows.
 
 use crate::autoscale::{AutoscaleStats, PredictiveAutoscaler};
 use crate::sim::{record_of, shared_workload, ClusterGpu};
@@ -42,12 +47,11 @@ use abacus_core::{AbacusConfig, Query};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
-use predictor::{
-    encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM, MODEL_SLOT_BASE,
-    SLOT_WIDTH,
-};
+use predictor::{encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM};
 use serving::GpuUsage;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, Mutex};
 use telemetry::{Counter, Hist, Telemetry};
 use workload::{fork_seed, Arrival, RateTrace, SeededRng};
 
@@ -92,8 +96,8 @@ pub struct RoutedClusterConfig {
     /// Per-GPU Abacus controller settings. Pin `predict_round_ms` for
     /// reproducible runs.
     pub abacus: AbacusConfig,
-    /// Fan per-GPU epoch simulation out over threads. Byte-identical to
-    /// the serial run by the epoch-batching construction.
+    /// Fan per-GPU epoch simulation out over the persistent worker pool.
+    /// Byte-identical to the serial run by the epoch-batching construction.
     pub parallel: bool,
     /// Routing epoch, ms: arrivals within one epoch are routed against
     /// start-of-epoch GPU state plus the router's own incremental
@@ -173,7 +177,9 @@ pub struct RouterStats {
     pub spilled: u64,
     /// Arrivals refused at ingress.
     pub shed: u64,
-    /// Batched scoring forwards issued (one per scored arrival).
+    /// Scored arrivals: those that got past the overload fast-path and had
+    /// every active GPU scored. Only their memo misses reach the model, in
+    /// at most one batched forward each.
     pub forwards: u64,
 }
 
@@ -181,7 +187,7 @@ pub struct RouterStats {
 /// incomplete queue entry at the last sync (or the last routed arrival).
 /// Candidate features pair the arriving query against it, so the predicted
 /// service latency reflects the co-location the query actually lands in.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeHead {
     /// Model of the representative query.
     pub model: ModelId,
@@ -205,26 +211,106 @@ impl NodeHead {
     }
 }
 
+/// Everything a candidate's derated prediction depends on: the group the
+/// feature row encodes and the candidate's derate as bits. A pair row is
+/// keyed in slot (model-index) order, so the arrival-A-beside-head-B row
+/// and the arrival-B-beside-head-A row — the same feature row — share a
+/// key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RowKey {
+    /// The entry in slot 0: the arrival of a solo row, else the pair's
+    /// lower model index.
+    lo: NodeHead,
+    /// The entry in slot 1 of a pair row; `None` for a solo row.
+    hi: Option<NodeHead>,
+    derate: u64,
+}
+
+impl Hash for RowKey {
+    /// Two words per entry plus the derate: a third of the writes a
+    /// derived impl makes, on a lookup that runs once per candidate.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for h in std::iter::once(&self.lo).chain(&self.hi) {
+            state.write_u64(
+                h.model.index() as u64
+                    | u64::from(h.input.batch) << 8
+                    | u64::from(h.input.seq) << 32,
+            );
+            state.write_u64(h.next_op as u64 | (h.n_ops as u64) << 32);
+        }
+        state.write_u64(self.derate);
+    }
+}
+
+/// The FxHash multiply-rotate step, for [`RowKey`]'s integer words. The
+/// std default, SipHash, costs about as much per lookup as a cheap
+/// predictor's forward of the row; the memo needs none of its DoS
+/// resistance, since the simulation makes its own keys.
+#[derive(Default)]
+struct RowHasher(u64);
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl RowKey {
+    /// The feature row this key stands for.
+    fn encode(&self, out: &mut [f64]) {
+        let entry = |h: &NodeHead| GroupEntry {
+            model: h.model,
+            op_start: h.next_op,
+            op_end: h.n_ops,
+            input: h.input,
+        };
+        match self.hi {
+            None => encode_features_with_ops(&[entry(&self.lo)], &[self.lo.n_ops], out),
+            Some(hi) => encode_features_with_ops(
+                &[entry(&self.lo), entry(&hi)],
+                &[self.lo.n_ops, hi.n_ops],
+                out,
+            ),
+        }
+    }
+}
+
 /// All router state, persistent across arrivals — scores, candidate
-/// features and the per-GPU outstanding/free-at mirrors, in the style of
-/// the scheduler's `DecisionScratch`. Buffers are sized once for the fleet
-/// and reused; a steady-state [`HeadroomRouter::route`] allocates nothing.
+/// features, the score memo and the per-GPU outstanding/free-at mirrors,
+/// in the style of the scheduler's `DecisionScratch`. Buffers are sized
+/// once for the fleet and reused; a steady-state [`HeadroomRouter::route`]
+/// allocates only when the memo grows.
 #[derive(Debug)]
 pub struct RouterScratch {
-    /// Candidate feature rows, `cand.len() × FEATURE_DIM`.
+    /// Derated prediction of every row scored so far in the run. Only
+    /// looked up and inserted into, never iterated: it decides which rows
+    /// get forwarded, never the order of anything. No size limit: keys
+    /// range over (model, input, op) triples, which are finitely many.
+    memo: HashMap<RowKey, f64, BuildHasherDefault<RowHasher>>,
+    /// This arrival's distinct memo misses, in first-seen candidate order.
+    miss_keys: Vec<RowKey>,
+    /// `(candidate, miss)` index pairs: the candidates waiting on a miss.
+    pending: Vec<(usize, usize)>,
+    /// Feature rows of the misses, `miss_keys.len() × FEATURE_DIM`.
     features: Vec<f64>,
-    /// Arrival-only base row with the arrival in slot 0 (solo rows and
-    /// pairs whose head has a higher model index copy this).
-    base_lo: Vec<f64>,
-    /// Arrival-only base row with the arrival in slot 1 (pairs whose head
-    /// has a lower model index copy this).
-    base_hi: Vec<f64>,
-    /// Batched predictions, parallel to `cand` (derate-scaled).
+    /// Derated predictions, parallel to `cand`.
     preds: Vec<f64>,
     /// Headroom scores, parallel to `cand`.
     scores: Vec<f64>,
-    /// Derates gathered in candidate order (the batched forward's input).
-    cand_derates: Vec<f64>,
+    /// Derates of the misses (the batched forward's input).
+    miss_derates: Vec<f64>,
+    /// Derated predictions of the misses, parallel to `miss_keys`.
+    miss_preds: Vec<f64>,
     /// GPU index of each scored candidate.
     cand: Vec<usize>,
     /// Mirror: queries outstanding per GPU.
@@ -244,18 +330,37 @@ impl RouterScratch {
         let n = derates.len();
         assert!(n > 0, "a cluster needs at least one GPU");
         Self {
+            memo: HashMap::default(),
+            miss_keys: Vec::with_capacity(n),
+            pending: Vec::with_capacity(n),
             features: Vec::with_capacity(n * FEATURE_DIM),
-            base_lo: vec![0.0; FEATURE_DIM],
-            base_hi: vec![0.0; FEATURE_DIM],
             preds: Vec::with_capacity(n),
             scores: Vec::with_capacity(n),
-            cand_derates: Vec::with_capacity(n),
+            miss_derates: Vec::with_capacity(n),
+            miss_preds: Vec::with_capacity(n),
             cand: Vec::with_capacity(n),
             outstanding: vec![0; n],
             est_free_ms: vec![0.0; n],
             head: vec![None; n],
             active: vec![true; n],
             derate: derates,
+        }
+    }
+
+    /// Encode the feature row and gather the derate of every memo miss.
+    /// Misses are rare once the memo warms up, so each row goes through
+    /// the full encoder.
+    fn encode_misses(&mut self) {
+        self.features
+            .resize(self.miss_keys.len() * FEATURE_DIM, 0.0);
+        self.miss_derates.clear();
+        for (key, row) in self
+            .miss_keys
+            .iter()
+            .zip(self.features.chunks_exact_mut(FEATURE_DIM))
+        {
+            key.encode(row);
+            self.miss_derates.push(f64::from_bits(key.derate));
         }
     }
 }
@@ -324,16 +429,17 @@ impl HeadroomRouter {
         self.scratch.head[gpu] = head;
     }
 
-    /// Route one arrival at time `t_ms`. Scores every active GPU with one
-    /// batched forward, updates the winning GPU's mirror, and returns
-    /// where the query went. Steady-state allocation-free.
+    /// Route one arrival at time `t_ms`. Scores every active GPU, updates
+    /// the winning GPU's mirror, and returns where the query went.
+    /// Candidates whose row was scored before take the memoised
+    /// prediction; the rest are encoded and scored in one batched forward.
+    /// Steady-state allocation-free once the memo stops growing.
     ///
     /// Predicted latencies are assumed non-negative, which licenses an
     /// overload fast-path: when queue wait alone pushes every active GPU
     /// past the spill slack (`qos − elapsed − wait < −slack`), the verdict
     /// is shed for *any* non-negative prediction, so the router sheds
-    /// without encoding candidates or running the forward. Scored
-    /// arrivals always use exactly one batched forward.
+    /// without looking at a candidate or running the forward.
     pub fn route(&mut self, t_ms: f64, q: &Query, mut tel: Option<&mut Telemetry>) -> RouteOutcome {
         let s = &mut self.scratch;
         let mut min_wait = f64::INFINITY;
@@ -351,79 +457,49 @@ impl HeadroomRouter {
             return RouteOutcome::Shed;
         }
         s.cand.clear();
-        s.cand_derates.clear();
-        s.features.clear();
-        // Every candidate row shares the arrival's half; encode it once
-        // into the two slot positions it can occupy (slots are laid out in
-        // model-index order) and build each row as a copy plus the head's
-        // ~5-float contribution. Bit-identical to a per-row
-        // `encode_features_with_ops` — debug builds assert it below.
-        encode_features_with_ops(
-            &[GroupEntry {
-                model: q.model,
-                op_start: q.next_op,
-                op_end: q.n_ops,
-                input: q.input,
-            }],
-            &[q.n_ops],
-            &mut s.base_lo,
-        );
-        s.base_hi.fill(0.0);
-        s.base_hi[q.model.index()] = 1.0;
-        let slot1 = MODEL_SLOT_BASE + SLOT_WIDTH;
-        s.base_hi[slot1..slot1 + SLOT_WIDTH]
-            .copy_from_slice(&s.base_lo[MODEL_SLOT_BASE..MODEL_SLOT_BASE + SLOT_WIDTH]);
+        s.preds.clear();
+        s.miss_keys.clear();
+        s.pending.clear();
+        let arrival = NodeHead::of(q);
         for g in 0..s.active.len() {
             if !s.active[g] {
                 continue;
             }
-            s.cand.push(g);
-            s.cand_derates.push(s.derate[g]);
-            let at = s.features.len();
             // Pair the arrival against the GPU's representative in-flight
             // query when they can actually overlap; otherwise score the
             // solo group. Same-model pairs never co-locate (one query per
             // service), so they score solo too.
-            match s.head[g] {
+            let (lo, hi) = match s.head[g] {
                 Some(h) if h.model != q.model && h.next_op < h.n_ops => {
-                    let (base, head_slot) = if q.model.index() < h.model.index() {
-                        (&s.base_lo, slot1)
+                    if h.model.index() < q.model.index() {
+                        (h, Some(arrival))
                     } else {
-                        (&s.base_hi, MODEL_SLOT_BASE)
-                    };
-                    s.features.extend_from_slice(base);
-                    let row = &mut s.features[at..];
-                    row[h.model.index()] = 1.0;
-                    let nh = h.n_ops as f64;
-                    row[head_slot] = h.next_op as f64 / nh;
-                    row[head_slot + 1] = 1.0;
-                    row[head_slot + 2] = f64::from(h.input.batch) / 32.0;
-                    row[head_slot + 3] = f64::from(h.input.seq) / 64.0;
-                    #[cfg(debug_assertions)]
-                    {
-                        let entries = [
-                            GroupEntry {
-                                model: q.model,
-                                op_start: q.next_op,
-                                op_end: q.n_ops,
-                                input: q.input,
-                            },
-                            GroupEntry {
-                                model: h.model,
-                                op_start: h.next_op,
-                                op_end: h.n_ops,
-                                input: h.input,
-                            },
-                        ];
-                        let mut full = vec![0.0; FEATURE_DIM];
-                        encode_features_with_ops(&entries, &[q.n_ops, h.n_ops], &mut full);
-                        debug_assert_eq!(&s.features[at..], &full[..], "patched row diverged");
+                        (arrival, Some(h))
                     }
                 }
-                _ => {
-                    s.features.extend_from_slice(&s.base_lo);
+                _ => (arrival, None),
+            };
+            let key = RowKey {
+                lo,
+                hi,
+                derate: s.derate[g].to_bits(),
+            };
+            match s.memo.get(&key) {
+                Some(&p) => s.preds.push(p),
+                None => {
+                    let miss = match s.miss_keys.iter().position(|m| *m == key) {
+                        Some(j) => j,
+                        None => {
+                            s.miss_keys.push(key);
+                            s.miss_keys.len() - 1
+                        }
+                    };
+                    s.pending.push((s.cand.len(), miss));
+                    // Placeholder, filled in after the forward.
+                    s.preds.push(f64::NAN);
                 }
             }
+            s.cand.push(g);
         }
         let n = s.cand.len();
         if n == 0 {
@@ -433,9 +509,21 @@ impl HeadroomRouter {
             }
             return RouteOutcome::Shed;
         }
-        // THE batched forward: one matrix pass scores all N candidates.
-        self.model
-            .predict_derated_into(&s.features, n, &s.cand_derates, &mut s.preds);
+        if !s.miss_keys.is_empty() {
+            s.encode_misses();
+            self.model.predict_derated_into(
+                &s.features,
+                s.miss_keys.len(),
+                &s.miss_derates,
+                &mut s.miss_preds,
+            );
+            for (key, &p) in s.miss_keys.iter().zip(&s.miss_preds) {
+                s.memo.insert(*key, p);
+            }
+            for &(k, miss) in &s.pending {
+                s.preds[k] = s.miss_preds[miss];
+            }
+        }
         self.stats.forwards += 1;
         s.scores.clear();
         let headroom = q.headroom_ms(t_ms);
@@ -591,11 +679,13 @@ pub fn run_routed_cluster_on(
             &derived
         }
     };
-    let mut sims: Vec<RoutedGpu> = Vec::with_capacity(n_gpus);
+    // One lock per GPU, so the parallel epoch can hand each GPU to whichever
+    // pool thread claims its index; the locks are never contended.
+    let mut sims: Vec<Mutex<RoutedGpu>> = Vec::with_capacity(n_gpus);
     for (p, pool) in cfg.pools.iter().enumerate() {
         for _ in 0..pool.gpus {
             let seed = fork_seed(cfg.seed, 0xE000 + sims.len() as u64);
-            sims.push(RoutedGpu {
+            sims.push(Mutex::new(RoutedGpu {
                 sim: ClusterGpu::new(
                     pool_models[p].clone(),
                     lib,
@@ -606,7 +696,7 @@ pub fn run_routed_cluster_on(
                 ),
                 records: Vec::new(),
                 assigned: Vec::new(),
-            });
+            }));
         }
     }
     let mut router = HeadroomRouter::new(
@@ -668,31 +758,33 @@ pub fn run_routed_cluster_on(
             let n_ops = lib.graph(model, input).len();
             let q = Query::new(next as u64, model, input, a.at_ms, cfg.qos_ms, n_ops);
             match router.route(a.at_ms, &q, telemetry.as_deref_mut()) {
-                RouteOutcome::Route(g) | RouteOutcome::Spill(g) => sims[g].assigned.push(q),
+                RouteOutcome::Route(g) | RouteOutcome::Spill(g) => {
+                    sims[g].get_mut().unwrap().assigned.push(q);
+                }
                 RouteOutcome::Shed => shed_records.push(record_of(&q, 0.0, QueryOutcome::Dropped)),
             }
             next += 1;
         }
         // Independent per-GPU simulation of the epoch — the parallel
-        // fan-out. GPU order is restored by the indexed collect, so the
-        // serial and parallel paths produce identical state.
-        let step = |mut s: RoutedGpu| -> RoutedGpu {
+        // fan-out. A GPU's epoch touches only that GPU, so which thread
+        // runs it cannot change its state.
+        let step = |s: &mut RoutedGpu| {
             for q in s.assigned.drain(..) {
                 s.sim.run_until(q.arrival_ms, &mut s.records);
                 s.sim.gpu.admit(q);
             }
             s.sim.run_until(t_end, &mut s.records);
-            s
         };
-        let owned = std::mem::take(&mut sims);
-        sims = if cfg.parallel && rayon::worth_fanning_out(owned.len()) {
-            use rayon::prelude::*;
-            owned.into_par_iter().map(step).collect()
+        if cfg.parallel {
+            rayon::pool::run(n_gpus, &|g| step(&mut sims[g].lock().unwrap()));
         } else {
-            owned.into_iter().map(step).collect()
-        };
+            for s in &mut sims {
+                step(s.get_mut().unwrap());
+            }
+        }
         // Epoch barrier: re-anchor the router's mirrors on actual state.
-        for (g, s) in sims.iter().enumerate() {
+        for (g, s) in sims.iter_mut().enumerate() {
+            let s = s.get_mut().unwrap();
             // The most urgent incomplete query is the GPU's representative.
             let queue = s.sim.gpu.queue();
             let head = queue
@@ -709,7 +801,8 @@ pub fn run_routed_cluster_on(
     debug_assert!(next == arrivals.len(), "arrivals routed past the horizon");
     let mut records = Vec::with_capacity(arrivals.len());
     let mut gpu_usage = Vec::with_capacity(n_gpus);
-    for s in &mut sims {
+    for s in sims {
+        let mut s = s.into_inner().unwrap();
         assert!(
             s.sim.gpu.queue().is_empty(),
             "drain epoch left queries behind"

@@ -3,17 +3,18 @@
 //! * A golden fixed-seed routing stream checked against an embedded
 //!   reference router that implements the scoring specification naively
 //!   (full per-row encodes, one scalar forward per candidate). The
-//!   production router's overload fast-path and incremental row encoding
-//!   must be *observationally invisible*: same outcomes, same RNG
-//!   consumption, same mirror evolution.
+//!   production router's overload fast-path and score memo must be
+//!   *observationally invisible*: same outcomes, same RNG consumption,
+//!   same mirror evolution.
 //! * A proptest pinning the least-connections degeneracy: on a
 //!   homogeneous pool with a constant predictor, the headroom score
 //!   reduces to queue depth and the router must pick exactly the
 //!   least-loaded (lowest-index on ties) GPU.
 //! * Serial-vs-parallel byte identity of the routed cluster CSV, with and
 //!   without the predictive autoscaler.
-//! * One batched forward per scored arrival — N-candidate scoring must
-//!   issue a single `predict_into` over N rows, never N scalar calls.
+//! * Each distinct candidate row is forwarded once per run — at most one
+//!   batched call per scored arrival, never a scalar call, never the
+//!   same row twice.
 //! * Telemetry on/off byte identity: counters observe, they never steer.
 
 use abacus_core::Query;
@@ -25,6 +26,7 @@ use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::NoiseModel;
 use predictor::{encode_features_with_ops, GroupEntry, LatencyModel, FEATURE_DIM};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use workload::{fork_seed, RateTrace, SeededRng};
@@ -56,32 +58,56 @@ impl LatencyModel for ConstModel {
     }
 }
 
-/// Counts `predict_into` batch calls and records each call's row count.
+/// A [`SpreadModel`] that counts scalar calls and records every batched
+/// call's rows: each row's feature bits followed by its derate's bits
+/// (1.0 for a plain `predict_into`).
 #[derive(Debug)]
 struct CountingModel {
     inner: SpreadModel,
-    calls: AtomicUsize,
-    batch_sizes: Mutex<Vec<usize>>,
+    scalar_calls: AtomicUsize,
+    batches: Mutex<Vec<Vec<Vec<u64>>>>,
 }
 
 impl CountingModel {
     fn new() -> Self {
         Self {
             inner: SpreadModel,
-            calls: AtomicUsize::new(0),
-            batch_sizes: Mutex::new(Vec::new()),
+            scalar_calls: AtomicUsize::new(0),
+            batches: Mutex::new(Vec::new()),
         }
+    }
+
+    fn record(&self, xs: &[f64], n: usize, derates: Option<&[f64]>) {
+        let rows = xs
+            .chunks_exact(FEATURE_DIM)
+            .enumerate()
+            .map(|(i, row)| {
+                let d = derates.map_or(1.0, |d| d[i]);
+                row.iter().chain([&d]).map(|v| v.to_bits()).collect()
+            })
+            .collect::<Vec<Vec<u64>>>();
+        assert_eq!(rows.len(), n, "row count disagrees with the buffer");
+        self.batches.lock().unwrap().push(rows);
+    }
+
+    /// Rows forwarded through the batched entry points so far.
+    fn batched_rows(&self) -> usize {
+        self.batches.lock().unwrap().iter().map(Vec::len).sum()
     }
 }
 
 impl LatencyModel for CountingModel {
     fn predict_one(&self, x: &[f64]) -> f64 {
+        self.scalar_calls.fetch_add(1, Ordering::SeqCst);
         self.inner.predict_one(x)
     }
     fn predict_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
-        self.calls.fetch_add(1, Ordering::SeqCst);
-        self.batch_sizes.lock().unwrap().push(n);
+        self.record(xs, n, None);
         self.inner.predict_into(xs, n, out);
+    }
+    fn predict_derated_into(&self, xs: &[f64], n: usize, derates: &[f64], out: &mut Vec<f64>) {
+        self.record(xs, n, Some(derates));
+        self.inner.predict_derated_into(xs, n, derates, out);
     }
     fn name(&self) -> &'static str {
         "counting"
@@ -197,15 +223,18 @@ fn test_query(lib: &ModelLibrary, id: u64, model: ModelId, input: QueryInput, at
 /// Golden stream: 3000 fixed-seed arrivals through the production router
 /// and the reference, step for step. Covers route, spill, and shed (both
 /// the scored and fast-path variety — arrival spacing tightens enough to
-/// saturate the mirrors) on a heterogeneous derate vector.
+/// saturate the mirrors) on a heterogeneous derate vector, and memo hits:
+/// the production router must forward fewer rows than the reference
+/// scores.
 #[test]
 fn production_router_matches_reference_stream() {
     let lib = ModelLibrary::new();
     let derates = vec![1.0, 1.0, 1.4, 1.4, 1.9, 1.9, 4.0, 4.0];
-    let model: Arc<dyn LatencyModel> = Arc::new(SpreadModel);
+    let prod_model = Arc::new(CountingModel::new());
+    let ref_model = Arc::new(CountingModel::new());
     let seed = fork_seed(2021, 0x601D);
-    let mut prod = HeadroomRouter::new(model.clone(), derates.clone(), 20.0, seed);
-    let mut reference = ReferenceRouter::new(model, derates, 20.0, seed);
+    let mut prod = HeadroomRouter::new(prod_model.clone(), derates.clone(), 20.0, seed);
+    let mut reference = ReferenceRouter::new(ref_model.clone(), derates, 20.0, seed);
     let models = [
         ModelId::ResNet101,
         ModelId::ResNet152,
@@ -246,6 +275,13 @@ fn production_router_matches_reference_stream() {
         "stream must cover all outcomes: {outcomes:?}"
     );
     assert_eq!(stats.routed + stats.spilled + stats.shed, 3000);
+    assert_eq!(prod_model.scalar_calls.load(Ordering::SeqCst), 0);
+    let forwarded = prod_model.batched_rows();
+    let scored = ref_model.scalar_calls.load(Ordering::SeqCst);
+    assert!(
+        forwarded < scored,
+        "memo saved nothing: {forwarded} rows forwarded, {scored} scored"
+    );
 }
 
 /// The overload fast-path: when queue wait alone exhausts the deadline on
@@ -360,11 +396,12 @@ fn serial_and_parallel_cluster_csvs_are_byte_identical() {
     assert_ne!(serial, serial_auto, "autoscaler had no observable effect");
 }
 
-/// N-candidate scoring is one batched forward, never N scalar calls: the
-/// router model sees exactly `stats.forwards` batch calls, each covering
-/// every active candidate.
+/// Each distinct candidate row is forwarded once per run: the router
+/// model sees no scalar call, at most one batched call per scored arrival
+/// with 1–16 rows, and no (row, derate) pair twice — every repeat is a
+/// memo hit.
 #[test]
-fn scoring_is_one_batched_forward_per_scored_arrival() {
+fn scoring_forwards_each_distinct_row_once() {
     let lib = Arc::new(ModelLibrary::new());
     let noise = NoiseModel::calibrated();
     let counting = Arc::new(CountingModel::new());
@@ -378,17 +415,23 @@ fn scoring_is_one_batched_forward_per_scored_arrival() {
         .collect();
     let out = run_routed_cluster(&cfg, &lib, &noise, router_model, Some(&pool_models), None);
     let stats = out.router;
-    assert_eq!(
-        counting.calls.load(Ordering::SeqCst) as u64,
-        stats.forwards,
-        "forwards stat disagrees with actual batch calls"
-    );
     assert!(stats.forwards > 0, "nothing was scored");
-    let sizes = counting.batch_sizes.lock().unwrap();
+    assert_eq!(counting.scalar_calls.load(Ordering::SeqCst), 0, "scalar forward");
+    let batches = counting.batches.lock().unwrap();
     assert!(
-        sizes.iter().all(|&n| n == 16),
-        "every batched forward must score all 16 candidates"
+        batches.len() as u64 <= stats.forwards,
+        "{} batched calls for {} scored arrivals",
+        batches.len(),
+        stats.forwards
     );
+    assert!(
+        batches.iter().all(|b| (1..=16).contains(&b.len())),
+        "every batched call must carry 1–16 rows"
+    );
+    let mut seen = HashSet::new();
+    for row in batches.iter().flatten() {
+        assert!(seen.insert(row), "a row was forwarded twice");
+    }
 }
 
 /// Telemetry observes, it never steers: running with counters enabled

@@ -55,6 +55,14 @@ pub trait LatencyModel: Send + Sync {
     ///
     /// The default shims each row through [`predict_one`].
     ///
+    /// # Purity contract
+    /// A row's prediction must be a pure function of that row: the other
+    /// rows of the batch, its position in the batch and the history of
+    /// earlier calls must not change a single bit of it. Callers rely on
+    /// this to reuse a row's prediction instead of forwarding it again (the
+    /// cluster router's score memo); `tests/batch_consistency.rs` pins it
+    /// bitwise for every shipped model.
+    ///
     /// # Panics
     /// Panics when `xs.len()` is not a multiple of `n`.
     ///
@@ -82,8 +90,11 @@ pub trait LatencyModel: Send + Sync {
     /// candidate rows in **one** [`predict_into`] forward, then scale
     /// prediction `i` by `derates[i]` — the candidate node's latency
     /// multiplier relative to the hardware this model was trained on.
-    /// Scoring N heterogeneous nodes therefore costs exactly one batched
+    /// Scoring N heterogeneous nodes therefore costs at most one batched
     /// forward, never N scalar ones.
+    ///
+    /// The [`predict_into`] purity contract extends to the derated value:
+    /// row `i`'s output must depend on row `i` and `derates[i]` alone.
     ///
     /// # Panics
     /// Panics when `derates.len() != n` (and, via [`predict_into`], when

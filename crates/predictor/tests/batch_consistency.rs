@@ -1,10 +1,14 @@
 //! Property tests: the batched prediction paths (`predict_into`,
-//! `predict_batch`) of all three predictors agree with the per-sample
-//! `predict_one` to within 1e-9 for arbitrary batch sizes 1..=32 — the
-//! batched kernel must be safe to substitute in the multi-way search.
+//! `predict_batch`) of all three predictors and the conformal certifier
+//! agree with the per-sample `predict_one` to within 1e-9 for arbitrary
+//! batch sizes 1..=32 — the
+//! batched kernel must be safe to substitute in the multi-way search —
+//! and every shipped model keeps the `LatencyModel` purity contract
+//! bitwise: a row's prediction does not depend on the batch around it.
 
 use predictor::{
-    Dataset, LatencyModel, LinearRegression, LinearSvr, Mlp, MlpConfig, SvrConfig,
+    ConformalModel, Dataset, LatencyModel, LinearRegression, LinearSvr, Mlp, MlpConfig,
+    QuantileMlp, SvrConfig, CERT_TAUS,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -23,18 +27,18 @@ fn synthetic(n: usize, seed: u64) -> Dataset {
     d
 }
 
+/// Every shipped model kind, the calibrated certifier included.
 fn models() -> &'static Vec<Box<dyn LatencyModel>> {
     static MODELS: OnceLock<Vec<Box<dyn LatencyModel>>> = OnceLock::new();
     MODELS.get_or_init(|| {
         let d = synthetic(200, 7);
+        let cfg = MlpConfig {
+            epochs: 5,
+            ..MlpConfig::default()
+        };
+        let heads = QuantileMlp::train(&d, &cfg, &CERT_TAUS);
         vec![
-            Box::new(Mlp::train(
-                &d,
-                &MlpConfig {
-                    epochs: 5,
-                    ..MlpConfig::default()
-                },
-            )),
+            Box::new(Mlp::train(&d, &cfg)),
             Box::new(LinearRegression::fit(&d, 1e-6)),
             Box::new(LinearSvr::fit(
                 &d,
@@ -43,6 +47,7 @@ fn models() -> &'static Vec<Box<dyn LatencyModel>> {
                     ..SvrConfig::default()
                 },
             )),
+            Box::new(ConformalModel::calibrate(heads, &synthetic(80, 10), 0.05)),
         ]
     })
 }
@@ -83,6 +88,37 @@ proptest! {
                     "{} predict_into row {i}: {o} vs {}", model.name(), via_into[i]
                 );
             }
+        }
+    }
+
+    /// The purity contract, bitwise: row `at` predicted alone equals the
+    /// same row predicted inside the batch, plain and derated (the cluster
+    /// router's score memo reuses predictions on exactly this premise).
+    #[test]
+    fn row_prediction_is_independent_of_its_batch(
+        batch in arb_batch(),
+        pick in 0usize..32,
+        derate in 0.25f64..4.0,
+    ) {
+        let at = pick % batch.len();
+        let flat: Vec<f64> = batch.iter().flatten().copied().collect();
+        let derates = vec![derate; batch.len()];
+        let (mut alone, mut inside) = (Vec::new(), Vec::new());
+        for model in models() {
+            model.predict_into(&batch[at], 1, &mut alone);
+            model.predict_into(&flat, batch.len(), &mut inside);
+            prop_assert_eq!(
+                alone[0].to_bits(),
+                inside[at].to_bits(),
+                "{} row {} of {}", model.name(), at, batch.len()
+            );
+            model.predict_derated_into(&batch[at], 1, &[derate], &mut alone);
+            model.predict_derated_into(&flat, batch.len(), &derates, &mut inside);
+            prop_assert_eq!(
+                alone[0].to_bits(),
+                inside[at].to_bits(),
+                "{} derated row {} of {}", model.name(), at, batch.len()
+            );
         }
     }
 

@@ -51,8 +51,9 @@ pub enum Counter {
     RouterSpilled,
     /// Queries shed at ingress (no node could finish inside the deadline).
     RouterShed,
-    /// Batched node-scoring forwards issued by the router (one per scored
-    /// arrival — the one-forward-per-arrival contract).
+    /// Arrivals the router scored (past the overload fast-path). Each
+    /// scores every active GPU but forwards only the rows it has not
+    /// scored before, so model forwards number at most this.
     RouterForwards,
     /// GPU activations by the predictive autoscaler (cumulative).
     AutoscaleUpEvents,

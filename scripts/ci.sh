@@ -51,8 +51,18 @@ echo "== routing golden + determinism contracts =="
 # The headroom router must match the embedded naive reference stream,
 # degenerate to least-connections on homogeneous pools, keep serial and
 # parallel cluster CSVs byte-identical (with and without the autoscaler),
-# score via one batched forward, and be unperturbed by telemetry.
+# forward each distinct candidate row once, and be unperturbed by
+# telemetry.
 cargo test -q -p cluster --test routing_golden
+
+echo "== predictor purity + worker-pool panic safety =="
+# The router's score memo reuses a row's prediction, which is sound only
+# if every shipped model predicts a row bit-identically alone and inside
+# any batch. The per-epoch GPU fan-out runs on the persistent pool, which
+# must re-raise a task's panic on the caller and keep serving later
+# fan-outs instead of hanging.
+cargo test -q -p predictor --test batch_consistency row_prediction_is_independent_of_its_batch
+cargo test -q -p rayon --lib pool::tests::panicking_task_propagates_and_pool_recovers
 
 echo "== certification suites (quantile golden, conformal coverage, byte-identity) =="
 # The uncertainty-aware certification stack: the multi-head pinball
