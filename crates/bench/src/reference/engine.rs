@@ -20,8 +20,10 @@
 //!
 //! `engine_bench` times it against the live engine (and cross-checks a
 //! completion checksum every run); `gpu-sim`'s `golden_engine` suite pins
-//! the live engine to it on fixed seeds and randomized fault workloads.
+//! the live engine to it on fixed seeds and randomized fault workloads,
+//! open-loop and in the executor's reset-per-group shape.
 
+use dnn_models::{ModelId, ModelLibrary, QueryInput, BATCH_CHOICES};
 use gpu_sim::contention::{co_run_slowdowns_summed, RunningKernel};
 use gpu_sim::{GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel};
 use workload::{fork_seed, SeededRng};
@@ -322,6 +324,62 @@ pub fn open_loop_workload(seed: u64, n: usize, shape: OpenLoop) -> Vec<(f64, Vec
                 .map(|_| shapes[(next() as usize) % shape.shapes])
                 .collect();
             (t, kernels)
+        })
+        .collect()
+}
+
+/// Serving-shaped exclusive groups, the shape the segmental executor hands
+/// the engine: `n` groups, all streams starting at `t = 0`. Three groups in
+/// four hold one stream, as FCFS/SJF/EDF run one query per group; the rest
+/// hold 2..=`max_width`, as Abacus co-locates. Each stream is a random
+/// model-library graph (random model and Table-1 input) — the whole graph
+/// half of the time, otherwise a random operator segment, as Abacus
+/// splits queries.
+///
+/// # Panics
+/// Panics if `max_width < 2`.
+pub fn serving_groups(
+    lib: &ModelLibrary,
+    seed: u64,
+    n: usize,
+    max_width: usize,
+) -> Vec<Vec<Vec<KernelDesc>>> {
+    assert!(
+        max_width >= 2,
+        "max_width {max_width} leaves no co-located groups"
+    );
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    (0..n)
+        .map(|_| {
+            let width = if next() % 4 != 0 {
+                1
+            } else {
+                2 + next() % (max_width - 1)
+            };
+            (0..width)
+                .map(|_| {
+                    let model = ModelId::ALL[next() % ModelId::ALL.len()];
+                    let seqs = model.seq_choices();
+                    let input = QueryInput::new(
+                        BATCH_CHOICES[next() % BATCH_CHOICES.len()],
+                        seqs[next() % seqs.len()],
+                    );
+                    let kernels = lib.kernels(model, input);
+                    let (start, end) = if next() % 2 == 0 {
+                        (0, kernels.len())
+                    } else {
+                        let start = next() % kernels.len();
+                        (start, start + 1 + next() % (kernels.len() - start))
+                    };
+                    kernels[start..end].to_vec()
+                })
+                .collect()
         })
         .collect()
 }

@@ -47,8 +47,11 @@ pub struct ExecOutcome {
 ///
 /// Holds one persistent [`Engine`] that is [`Engine::reset`] (not rebuilt)
 /// per group, and lowers every entry through the library's memoised kernel
-/// cache — the serving inner loop allocates nothing per group in the
-/// steady state.
+/// and profile caches, so the engine side of a group reuses its buffers.
+/// The serving inner loop still allocates twice per group: the
+/// [`ExecOutcome::stream_ms`] vector returned here, and the entry `Vec` that
+/// [`PlannedGroup::to_spec`](crate::PlannedGroup::to_spec) builds for the
+/// [`GroupSpec`] it executes.
 #[derive(Debug, Clone)]
 pub struct SegmentalExecutor {
     engine: Engine,

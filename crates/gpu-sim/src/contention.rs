@@ -91,6 +91,14 @@ impl RunningKernel {
                 quantize_share(t_memory_ms / exec_ms),
             )
         };
+        // Efficiency and each roofline's share of `exec_ms` are at most 1,
+        // so both shares lie in [0, 1]: a kernel running alone never
+        // oversubscribes either resource, and its slowdown is exactly 1 —
+        // the precondition of the engine's lone-stream closed form.
+        debug_assert!(
+            (0.0..=1.0).contains(&compute_share) && (0.0..=1.0).contains(&memory_share),
+            "shares out of [0, 1]: compute {compute_share}, memory {memory_share}"
+        );
         Self {
             t_compute_ms,
             t_memory_ms,
@@ -297,5 +305,68 @@ mod tests {
             let s = slowdowns(&ks[..n]);
             assert!(s.iter().all(|&x| x >= 1.0 - 1e-12), "{s:?}");
         }
+    }
+
+    /// Every kernel of every model-library graph, on every GPU the repo
+    /// simulates, has shares in [0, 1] and runs alone at a slowdown of
+    /// exactly 1.0 — what makes the engine's lone-stream closed form
+    /// bit-identical to its general event loop.
+    #[test]
+    fn lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one() {
+        use crate::gpu::MigProfile;
+        use dnn_models::{ModelId, ModelLibrary, QueryInput, BATCH_CHOICES};
+        let a100 = GpuSpec::a100();
+        let mut gpus = vec![a100.clone(), GpuSpec::v100()];
+        for p in [
+            MigProfile::OneG5Gb,
+            MigProfile::TwoG10Gb,
+            MigProfile::FourG20Gb,
+        ] {
+            gpus.push(a100.mig_slice(p));
+        }
+        let lib = ModelLibrary::new();
+        let mut checked = 0usize;
+        for m in ModelId::ALL {
+            for &batch in &BATCH_CHOICES {
+                for &seq in m.seq_choices() {
+                    // `dnn_models` links its own build of this crate, so
+                    // carry the kernels across field by field.
+                    for k in lib.kernels(m, QueryInput::new(batch, seq)) {
+                        let k = KernelDesc {
+                            flops: k.flops,
+                            bytes: k.bytes,
+                            blocks: k.blocks,
+                            launch_ms: k.launch_ms,
+                        };
+                        for gpu in &gpus {
+                            let p = RunningKernel::profile(&k, gpu);
+                            assert!(
+                                (0.0..=1.0).contains(&p.compute_share)
+                                    && (0.0..=1.0).contains(&p.memory_share),
+                                "{m:?} on {}: {p:?}",
+                                gpu.name
+                            );
+                            let alone = slowdown_one(
+                                p.memory_share,
+                                1.0,
+                                1.0,
+                                p.t_compute_ms,
+                                p.t_memory_ms,
+                                p.memory_share,
+                                p.exec_ms,
+                            );
+                            assert_eq!(
+                                alone.to_bits(),
+                                1.0f64.to_bits(),
+                                "{m:?} on {}: {p:?}",
+                                gpu.name
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000, "only {checked} kernel profiles checked");
     }
 }

@@ -33,6 +33,18 @@
 //! bit-identical to the scalar reference engine pinned by
 //! `tests/golden_engine.rs` — decrement order, tie-breaking and RNG draw
 //! order are part of the contract (see DESIGN.md §11).
+//!
+//! # Lone-stream closed form
+//!
+//! Most serving events have exactly one kernel in flight (single-query
+//! groups, and the single-stream tail of every wider group). When one
+//! kernel runs and no arrival is pending, [`Engine::step`] skips the SoA
+//! passes and runs that stream to completion in a scalar loop: the
+//! in-flight kernel ends after its remaining time, and each later kernel
+//! adds its noisy duration. An uncontended kernel's slowdown is exactly
+//! `1.0` (see `Engine::run_lone_stream`), so this sum is the same bits the
+//! general loop produces. Both paths draw kernels through one helper, so
+//! the draw protocol has a single definition.
 
 use crate::contention::{slowdown_one, RunningKernel};
 use crate::faults::{KernelFaultSpec, KernelFaultState};
@@ -504,34 +516,47 @@ impl Engine {
 
     /// Begin stream `idx`'s next kernel, or retire the stream.
     fn start_next_kernel(&mut self, idx: usize) {
+        let Some((profile, dur)) = self.draw_next_kernel(idx) else {
+            self.retire_stream(idx);
+            return;
+        };
+        self.active.push(idx);
+        self.remaining.push(dur);
+        self.started.push(self.time_ms);
+        self.k_t_compute.push(profile.t_compute_ms);
+        self.k_t_memory.push(profile.t_memory_ms);
+        self.k_c_share.push(profile.compute_share);
+        self.k_m_share.push(profile.memory_share);
+        self.k_exec.push(profile.exec_ms);
+        // Placeholder slowdown; `refresh_slowdowns` fills it before
+        // any dt-scan or decrement reads it.
+        self.slowdowns.push(1.0);
+        self.stale.push(true);
+        self.any_stale = true;
+        self.u_c += profile.compute_share;
+        self.u_m += profile.memory_share;
+        if self.active.len() > self.max_active {
+            self.max_active = self.active.len();
+        }
+    }
+
+    /// Draw stream `idx`'s next kernel that takes time: its profile and
+    /// noisy solo duration, or `None` once the stream has no kernels left.
+    /// Advances the stream's cursor past the returned kernel and past any
+    /// degenerate zero-cost kernels before it. The one definition of the
+    /// per-kernel draw protocol, shared by the general event loop and the
+    /// lone-stream closed form.
+    fn draw_next_kernel(&mut self, idx: usize) -> Option<(RunningKernel, f64)> {
         loop {
-            let next = self.streams[idx].next;
-            if next >= self.streams[idx].kernels.len() {
-                self.streams[idx].end_ms = Some(self.time_ms);
-                if self.recycle {
-                    // Reclaim the kernel buffer and hand the slot to the
-                    // next arrival. The completion record (start/end) stays
-                    // readable until the slot is actually reused, which is
-                    // after the caller has observed it from `step`.
-                    let buf = std::mem::take(&mut self.streams[idx].kernels);
-                    if buf.capacity() > 0 && self.spare_kernels.len() < SPARE_POOL_CAP {
-                        self.spare_kernels.push(buf);
-                    }
-                    let buf = std::mem::take(&mut self.streams[idx].profiles);
-                    if buf.capacity() > 0 && self.spare_profiles.len() < SPARE_POOL_CAP {
-                        self.spare_profiles.push(buf);
-                    }
-                    self.free_slots.push(idx);
-                }
-                return;
-            }
-            let kernel = self.streams[idx].kernels[next];
-            self.streams[idx].next = next + 1;
+            let s = &mut self.streams[idx];
+            let next = s.next;
+            let &kernel = s.kernels.get(next)?;
+            s.next = next + 1;
             // One profile evaluation serves both the noisy solo duration
             // (launch + exec roofline) and the contention shares; the
             // kernel noise factor is drawn unconditionally so the RNG
             // stream is independent of degenerate zero-cost kernels.
-            let profile = match self.streams[idx].profiles.get(next) {
+            let profile = match s.profiles.get(next) {
                 Some(&p) => {
                     debug_assert_eq!(
                         p,
@@ -553,29 +578,90 @@ impl Engine {
                 }
                 dur *= sf;
             }
-            if dur <= 0.0 {
-                // Degenerate zero-cost kernel: complete instantly.
-                continue;
+            // A degenerate zero-cost kernel completes instantly.
+            if dur > 0.0 {
+                return Some((profile, dur));
             }
-            self.active.push(idx);
-            self.remaining.push(dur);
-            self.started.push(self.time_ms);
-            self.k_t_compute.push(profile.t_compute_ms);
-            self.k_t_memory.push(profile.t_memory_ms);
-            self.k_c_share.push(profile.compute_share);
-            self.k_m_share.push(profile.memory_share);
-            self.k_exec.push(profile.exec_ms);
-            // Placeholder slowdown; `refresh_slowdowns` fills it before
-            // any dt-scan or decrement reads it.
-            self.slowdowns.push(1.0);
-            self.stale.push(true);
-            self.any_stale = true;
-            self.u_c += profile.compute_share;
-            self.u_m += profile.memory_share;
-            if self.active.len() > self.max_active {
-                self.max_active = self.active.len();
+        }
+    }
+
+    /// Stamp stream `idx` complete at the current instant.
+    fn retire_stream(&mut self, idx: usize) {
+        self.streams[idx].end_ms = Some(self.time_ms);
+        if self.recycle {
+            // Reclaim the kernel buffer and hand the slot to the next
+            // arrival. The completion record (start/end) stays readable
+            // until the slot is actually reused, which is after the caller
+            // has observed it from `step`.
+            let buf = std::mem::take(&mut self.streams[idx].kernels);
+            if buf.capacity() > 0 && self.spare_kernels.len() < SPARE_POOL_CAP {
+                self.spare_kernels.push(buf);
             }
-            return;
+            let buf = std::mem::take(&mut self.streams[idx].profiles);
+            if buf.capacity() > 0 && self.spare_profiles.len() < SPARE_POOL_CAP {
+                self.spare_profiles.push(buf);
+            }
+            self.free_slots.push(idx);
+        }
+    }
+
+    /// Count one retired kernel of stream `idx` (the one before its
+    /// cursor), recording its span when tracing is on.
+    fn record_retired_kernel(&mut self, idx: usize, started_ms: f64) {
+        self.events += 1;
+        if let Some(trace) = &mut self.trace {
+            let s = &self.streams[idx];
+            trace.push(KernelSpan {
+                stream: StreamId(idx),
+                kernel: s.next - 1,
+                start_ms: started_ms,
+                end_ms: self.time_ms,
+                occupancy: s.kernels[s.next - 1].occupancy(&self.gpu),
+            });
+        }
+    }
+
+    /// Run the only stream in flight to completion in closed form; called
+    /// when exactly one kernel is running and no arrival is pending.
+    ///
+    /// A lone kernel's slowdown is exactly `1.0`: its shares lie in
+    /// `[0, 1]`, so `max(1, U)` is `1` and the contended roofline is its
+    /// own `exec`; `U_m` is exactly its own quantised `memory_share`, so
+    /// the interference term is `1`. The general loop would therefore
+    /// advance time by exactly each remaining duration, and nothing can
+    /// join the stream before it ends. Summing the durations here is
+    /// bit-identical to that loop, with the same draw order, event count
+    /// and trace spans.
+    fn run_lone_stream(&mut self) -> StreamCompletion {
+        debug_assert!(self.active.len() == 1 && self.pending.is_empty());
+        debug_assert_eq!(self.u_c.to_bits(), self.k_c_share[0].to_bits());
+        debug_assert_eq!(self.u_m.to_bits(), self.k_m_share[0].to_bits());
+        debug_assert_uncontended(&RunningKernel {
+            t_compute_ms: self.k_t_compute[0],
+            t_memory_ms: self.k_t_memory[0],
+            compute_share: self.k_c_share[0],
+            memory_share: self.k_m_share[0],
+            exec_ms: self.k_exec[0],
+        });
+        let idx = self.active[0];
+        let mut started_ms = self.started[0];
+        self.time_ms += self.remaining[0];
+        self.remove_active(0);
+        loop {
+            self.record_retired_kernel(idx, started_ms);
+            let Some((profile, dur)) = self.draw_next_kernel(idx) else {
+                break;
+            };
+            debug_assert_uncontended(&profile);
+            started_ms = self.time_ms;
+            self.time_ms += dur;
+        }
+        self.retire_stream(idx);
+        let s = &self.streams[idx];
+        StreamCompletion {
+            id: StreamId(idx),
+            start_ms: s.start_ms,
+            end_ms: self.time_ms,
         }
     }
 
@@ -667,6 +753,9 @@ impl Engine {
                 self.time_ms = start_ms;
                 continue;
             }
+            if self.active.len() == 1 && self.pending.is_empty() {
+                return Some(self.run_lone_stream());
+            }
             self.refresh_slowdowns();
             // Time until the first kernel in flight completes.
             let dt = self.simd.min_completion(&self.remaining, &self.slowdowns);
@@ -689,17 +778,7 @@ impl Engine {
                 if self.remaining[pos] <= RETIRE_EPSILON_MS {
                     let started_ms = self.started[pos];
                     self.remove_active(pos);
-                    self.events += 1;
-                    if let Some(trace) = &mut self.trace {
-                        let s = &self.streams[idx];
-                        trace.push(KernelSpan {
-                            stream: StreamId(idx),
-                            kernel: s.next - 1,
-                            start_ms: started_ms,
-                            end_ms: self.time_ms,
-                            occupancy: s.kernels[s.next - 1].occupancy(&self.gpu),
-                        });
-                    }
+                    self.record_retired_kernel(idx, started_ms);
                     self.start_next_kernel(idx);
                     if self.streams[idx].end_ms.is_some() && completed_stream.is_none() {
                         completed_stream = Some(idx);
@@ -782,6 +861,27 @@ impl Engine {
             completions,
         }
     }
+}
+
+/// Debug check of the lone-stream closed form's precondition: `p` running
+/// alone — the aggregates `U_c`/`U_m` are its own shares — has a slowdown
+/// of exactly `1.0`.
+#[inline]
+fn debug_assert_uncontended(p: &RunningKernel) {
+    debug_assert_eq!(
+        slowdown_one(
+            p.memory_share,
+            p.compute_share.max(1.0),
+            p.memory_share.max(1.0),
+            p.t_compute_ms,
+            p.t_memory_ms,
+            p.memory_share,
+            p.exec_ms,
+        )
+        .to_bits(),
+        1.0f64.to_bits(),
+        "lone kernel is contended: {p:?}"
+    );
 }
 
 #[cfg(test)]

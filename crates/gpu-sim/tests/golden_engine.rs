@@ -11,9 +11,17 @@
 //! decides the order noise factors are drawn in, and kernel fault specs —
 //! through both engines and comparing every completion with `f64::to_bits`
 //! pins the live engine to the old semantics exactly, not approximately.
+//!
+//! The group-mode suites drive the executor's shape instead: reset, add 1–4
+//! precomputed-profile streams at `t = 0`, run to idle, repeat. Width-1
+//! groups run whole in the engine's lone-stream closed form; wider groups
+//! reach it for their single-stream tail, after a partial decrement.
 
-use bench::reference::engine::{open_loop_workload, OpenLoop, ReferenceEngine};
-use gpu_sim::{Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel};
+use bench::reference::engine::{
+    kernel_shapes, open_loop_workload, serving_groups, OpenLoop, ReferenceEngine,
+};
+use dnn_models::ModelLibrary;
+use gpu_sim::{Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, RunningKernel};
 use std::cell::RefCell;
 
 /// Fixed-seed workloads: ties every 5th stream, 1..=6 kernels of the
@@ -131,6 +139,108 @@ fn reference_and_optimized_agree_across_seeds() {
     }
 }
 
+/// One group's completions as `(stream, start bits, end bits)` in the
+/// order `step` yields them, plus the group's kernel event count.
+type GroupRun = (Vec<(usize, u64, u64)>, u64);
+
+/// Every group through the frozen reference, reset to seed `seed + g`
+/// before group `g`.
+fn run_groups_reference(
+    groups: &[Vec<Vec<KernelDesc>>],
+    noise: &NoiseModel,
+    seed: u64,
+    spec: Option<KernelFaultSpec>,
+) -> Vec<GroupRun> {
+    let mut e = ReferenceEngine::new(GpuSpec::a100(), noise.clone(), seed);
+    if let Some(spec) = spec {
+        e.set_kernel_faults(spec, seed);
+    }
+    groups
+        .iter()
+        .enumerate()
+        .map(|(g, group)| {
+            e.reset(seed.wrapping_add(g as u64));
+            for kernels in group {
+                e.add_stream(kernels.clone(), 0.0);
+            }
+            let mut out = Vec::new();
+            while let Some((id, start, end)) = e.step() {
+                out.push((id, start.to_bits(), end.to_bits()));
+            }
+            (out, e.events())
+        })
+        .collect()
+}
+
+/// [`run_groups_reference`] through one reused live engine, the way the
+/// segmental executor drives it: streams carry precomputed profiles.
+fn run_groups_optimized(
+    groups: &[Vec<Vec<KernelDesc>>],
+    noise: &NoiseModel,
+    seed: u64,
+    spec: Option<KernelFaultSpec>,
+) -> Vec<GroupRun> {
+    let gpu = GpuSpec::a100();
+    let mut e = Engine::new(gpu.clone(), noise.clone(), seed);
+    e.set_kernel_faults(spec);
+    let mut profiles = Vec::new();
+    groups
+        .iter()
+        .enumerate()
+        .map(|(g, group)| {
+            e.reset(seed.wrapping_add(g as u64));
+            for kernels in group {
+                profiles.clear();
+                profiles.extend(kernels.iter().map(|k| RunningKernel::profile(k, &gpu)));
+                e.add_stream_slice_profiled(kernels, &profiles, 0.0);
+            }
+            let mut out = Vec::new();
+            while let Some(c) = e.step() {
+                out.push((c.id.0, c.start_ms.to_bits(), c.end_ms.to_bits()));
+            }
+            (out, e.events())
+        })
+        .collect()
+}
+
+#[test]
+fn group_mode_matches_reference_bitwise() {
+    let lib = ModelLibrary::new();
+    let spike = KernelFaultSpec {
+        seed: 5,
+        window_start_ms: 2.0,
+        window_end_ms: 40.0,
+        prob: 0.3,
+        factor: 2.5,
+    };
+    for (seed, noise, spec) in [
+        (2021u64, NoiseModel::calibrated(), None),
+        (7, NoiseModel::disabled(), None),
+        (0xABAC, NoiseModel::calibrated(), Some(spike)),
+        (
+            99,
+            NoiseModel::disabled(),
+            Some(KernelFaultSpec::always(3, 1.0, 1.5)),
+        ),
+    ] {
+        let groups = serving_groups(&lib, seed, 60, 4);
+        assert!(groups.iter().any(|g| g.len() == 1) && groups.iter().any(|g| g.len() > 1));
+        let reference = run_groups_reference(&groups, &noise, seed, spec);
+        let optimized = run_groups_optimized(&groups, &noise, seed, spec);
+        for (g, (r, o)) in reference.iter().zip(&optimized).enumerate() {
+            // `step` yields one completion per event, so streams that tie
+            // another's end are only counted by the event total.
+            assert!(!r.0.is_empty(), "group {g} yielded no completion");
+            assert_eq!(
+                r,
+                o,
+                "group {g} (width {}) diverged at seed {seed}",
+                groups[g].len()
+            );
+        }
+    }
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -190,6 +300,54 @@ mod proptests {
                 seed,
                 n,
                 exotic,
+                noisy,
+                spec
+            );
+        }
+        /// Group mode with the exotic kernel pool: 1–4 streams of 0–11
+        /// kernels per group (empty streams, launch-only and zero-cost
+        /// kernels included), noise on/off and fault specs, compared
+        /// completion by completion against the reference.
+        #[test]
+        fn random_groups_are_bit_identical(
+            seed in 0u64..(1 << 32),
+            groups in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(0usize..6, 0..12),
+                    1..5,
+                ),
+                1..12,
+            ),
+            noisy in (0u64..2).prop_map(|b| b == 1),
+            fault in proptest::option::of((
+                (0u64..1_000, 0.0f64..=1.0),
+                (0.25f64..4.0, 0.0f64..3.0, 0.0f64..6.0),
+            )),
+        ) {
+            let shapes = kernel_shapes(&GpuSpec::a100());
+            let groups: Vec<Vec<Vec<KernelDesc>>> = groups
+                .iter()
+                .map(|g| g.iter().map(|s| s.iter().map(|&k| shapes[k]).collect()).collect())
+                .collect();
+            let noise = if noisy {
+                NoiseModel::calibrated()
+            } else {
+                NoiseModel::disabled()
+            };
+            let spec = fault.map(|((fseed, prob), (factor, w0, wlen))| KernelFaultSpec {
+                seed: fseed,
+                window_start_ms: w0,
+                window_end_ms: w0 + wlen,
+                prob,
+                factor,
+            });
+            let reference = run_groups_reference(&groups, &noise, seed, spec);
+            let optimized = run_groups_optimized(&groups, &noise, seed, spec);
+            prop_assert_eq!(
+                reference,
+                optimized,
+                "divergence: seed {} noisy {} spec {:?}",
+                seed,
                 noisy,
                 spec
             );

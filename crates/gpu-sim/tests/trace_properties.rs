@@ -4,8 +4,10 @@
 //! interval — for the stream's whole [`StreamCompletion`] latency. These
 //! are the invariants the telemetry exporter leans on when it lowers spans
 //! onto Perfetto tracks (one track per stream, no overlapping slices).
+//! Width-1 groups, which the engine runs in its lone-stream closed form,
+//! must tile the latency exactly, bit for bit.
 
-use gpu_sim::{Engine, GpuSpec, KernelDesc, NoiseModel, StreamId};
+use gpu_sim::{Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, StreamId};
 use proptest::prelude::*;
 
 fn gpu() -> GpuSpec {
@@ -80,6 +82,42 @@ proptest! {
                 (sum - latency).abs() < 1e-6 * latency.max(1.0),
                 "spans sum {sum} vs stream latency {latency}"
             );
+        }
+    }
+
+    /// A reused engine running width-1 groups (reset per group, as the
+    /// executor runs single-query rounds), with and without kernel spikes:
+    /// one span per kernel, each starting the instant its predecessor
+    /// ends, from the stream's start to its end.
+    #[test]
+    fn lone_stream_spans_tile_completion_latency_exactly(
+        groups in proptest::collection::vec(proptest::collection::vec(arb_kernel(), 1..40), 1..6),
+        seed in 0u64..1000,
+        spiky in (0u64..2).prop_map(|b| b == 1),
+    ) {
+        let mut e = Engine::new(gpu(), NoiseModel::calibrated(), seed);
+        e.enable_trace();
+        if spiky {
+            e.set_kernel_faults(Some(KernelFaultSpec::always(seed, 0.3, 2.0)));
+        }
+        for (g, kernels) in groups.iter().enumerate() {
+            e.reset(seed + g as u64);
+            e.add_stream_slice(kernels, 0.0);
+            let c = e.step().expect("the group's one stream completes");
+            prop_assert!(e.step().is_none());
+            let trace = e.trace();
+            prop_assert_eq!(trace.len(), kernels.len());
+            prop_assert_eq!(e.events(), kernels.len() as u64);
+            prop_assert_eq!(trace[0].start_ms.to_bits(), c.start_ms.to_bits());
+            prop_assert_eq!(trace.last().unwrap().end_ms.to_bits(), c.end_ms.to_bits());
+            for (i, s) in trace.iter().enumerate() {
+                prop_assert_eq!(s.stream, c.id);
+                prop_assert_eq!(s.kernel, i);
+                prop_assert!(s.end_ms > s.start_ms, "empty span {s:?}");
+            }
+            for w in trace.windows(2) {
+                prop_assert_eq!(w[0].end_ms.to_bits(), w[1].start_ms.to_bits());
+            }
         }
     }
 }

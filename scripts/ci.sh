@@ -34,8 +34,14 @@ echo "== engine golden + proptest bit-identity =="
 # bit-identical to the shared frozen reference engine
 # (bench::reference::engine, also engine_bench's baseline), on the pinned
 # fixed-seed workloads and on randomized property workloads with fault
-# specs.
+# specs. The group-mode golden test drives the executor's shape (reset,
+# 1-4 profiled streams at t = 0), whose single-stream groups and tails run
+# in the engine's lone-stream closed form; that form is exact only because
+# every model-library kernel's shares lie in [0, 1], so a lone kernel's
+# slowdown is exactly 1.0 on every simulated GPU.
 cargo test -q -p gpu-sim --test golden_engine
+cargo test -q -p gpu-sim --test golden_engine group_mode_matches_reference_bitwise
+cargo test -q -p gpu-sim --lib contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one
 
 echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +
