@@ -1,35 +1,98 @@
-//! Shared fixtures for the Criterion benchmark harness.
+//! The perf benches: one `bench` binary over six layer benches, the
+//! Criterion figure benches, and the fixtures they share.
 //!
-//! Two bench targets live under `benches/`:
-//!
-//! * `figures` — one benchmark per paper table/figure, each timing a
-//!   scaled-down end-to-end regeneration of that experiment (the full-scale
-//!   versions are the `abacus-repro` subcommands);
-//! * `microbench` — the hot paths: engine events, contention math, batched
-//!   MLP inference per search-way count (the real Fig. 23 measurement),
-//!   multi-way search rounds, and MLP training epochs.
+//! * [`harness`] — the [`Bench`] trait, the report writer, the single
+//!   regression gate and the `bench [NAME...] [--check]` command line;
+//! * [`BENCHES`] — the six layer benches (search, serving, train, engine,
+//!   decision, cluster), in the order a bare `bench` run executes them;
+//! * `benches/figures.rs` — one Criterion benchmark per paper table/figure,
+//!   each timing a scaled-down end-to-end regeneration of that experiment
+//!   (the full-scale versions are the `abacus-repro` subcommands).
 //!
 //! [`reference`] holds the one frozen pre-overhaul copy of each hot layer
 //! (engine, decision path) that both the perf benches and the golden
 //! bit-identity suites run against; [`baseline_number`] reads a committed
-//! `BENCH_*.json` for the benches' `--check` gates.
+//! `BENCH_*.json` for the `--check` gate.
 
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::GpuSpec;
-use predictor::{GroupEntry, GroupSpec, LatencyModel, Mlp, MlpConfig};
+use predictor::features::SLOT_WIDTH;
+use predictor::{
+    GroupEntry, GroupSpec, LatencyModel, Mlp, MlpConfig, MAX_COLOCATED, MODEL_SLOT_BASE,
+};
 use serving::{train_unified, TrainerConfig};
 use std::sync::Arc;
 
+pub mod harness;
+mod layers;
+
+pub use harness::{Bench, Better, Gated, Report};
+pub use layers::BENCHES;
+
 /// Frozen pre-overhaul references, one per hot layer. Not shipped: only
-/// the bench binaries and the golden test suites (through a
+/// the `bench` binary and the golden test suites (through a
 /// dev-dependency) link this crate.
 pub mod reference {
     pub mod decision;
     pub mod engine;
 }
 
-/// The numeric value of `"key"` in a baseline JSON written by one of the
-/// bench binaries. A missing key, or a value that is not a number (such as
+/// One step of the benches' order- and bit-sensitive checksums.
+pub fn mix(h: u64, v: u64) -> u64 {
+    (h ^ v.wrapping_mul(0x9E3779B97F4A7C15)).rotate_left(17)
+}
+
+/// Constant-time synthetic predictor calibrated to one GPU: each
+/// co-located slot costs its normalised operator span times its model's
+/// solo latency at the largest input. Cheap enough that the mechanics
+/// around the predictor dominate any timing, and monotone enough that
+/// headroom scores and search budgets are meaningful.
+pub struct SoloSpanModel {
+    solo_ms: [f64; ModelId::ALL.len()],
+}
+
+impl SoloSpanModel {
+    /// The model for `gpu`, with every model's solo latency looked up once.
+    pub fn new(lib: &ModelLibrary, gpu: &GpuSpec) -> Self {
+        Self {
+            solo_ms: ModelId::ALL.map(|m| lib.solo_ms(m, m.max_input(), gpu)),
+        }
+    }
+}
+
+impl LatencyModel for SoloSpanModel {
+    fn predict_one(&self, x: &[f64]) -> f64 {
+        let mut total: f64 = 0.0;
+        let mut slot = 0;
+        for (idx, solo_ms) in self.solo_ms.iter().enumerate() {
+            if x[idx] > 0.5 {
+                let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
+                total += (x[base + 1] - x[base]) * solo_ms;
+                slot += 1;
+            }
+        }
+        debug_assert!(slot <= MAX_COLOCATED);
+        total
+    }
+    // Statically-dispatched batch path: one dyn call per batch instead of
+    // one per row.
+    fn predict_into(&self, xs: &[f64], n: usize, out: &mut Vec<f64>) {
+        out.clear();
+        if n == 0 {
+            assert!(xs.is_empty(), "rows supplied but n == 0");
+            return;
+        }
+        assert_eq!(xs.len() % n, 0, "ragged feature matrix");
+        let dim = xs.len() / n;
+        out.extend(xs.chunks_exact(dim).map(|row| self.predict_one(row)));
+    }
+    fn name(&self) -> &'static str {
+        "span"
+    }
+}
+
+/// The numeric value of `"key"` in a baseline JSON written by the `bench`
+/// binary. A missing key, or a value that is not a number (such as
 /// `null` or `NaN`), is an error: a `--check` gate must fail rather than pass
 /// silently when it has nothing to compare against. The key is matched
 /// whole, quotes included, so `queries_per_sec` never reads
@@ -53,15 +116,6 @@ pub fn baseline_number(json: &str, key: &str) -> Result<f64, String> {
             .ok_or_else(|| format!("baseline {quoted} is not a number: {:?}", &value[..end]));
     }
     Err(format!("baseline has no {quoted} key"))
-}
-
-/// [`baseline_number`] for a `--check` gate reading baseline file `path`:
-/// an unreadable value fails the gate (message + exit 1) on the spot.
-pub fn gate_baseline(json: &str, key: &str, path: &str) -> f64 {
-    baseline_number(json, key).unwrap_or_else(|e| {
-        eprintln!("FAILED: {path}: {e}");
-        std::process::exit(1)
-    })
 }
 
 /// Shared, lazily-built fixture: model library, GPU and a small trained MLP.

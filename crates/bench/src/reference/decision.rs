@@ -8,7 +8,7 @@
 //! search buffers allocated per `plan_group` call, and per-entry
 //! `lib.graph(...)` lookups inside candidate encoding (`encode_features`).
 //!
-//! `decision_bench` times it against the live scheduler (and cross-checks
+//! The decision bench times it against the live scheduler (and cross-checks
 //! a decision checksum every run); `abacus-core`'s `golden_decisions`
 //! suite pins the live scheduler and the live `plan_group` to it.
 

@@ -18,7 +18,7 @@
 //!   the spike window tested on engine-local time;
 //! * equal-start arrivals activate newest first.
 //!
-//! `engine_bench` times it against the live engine (and cross-checks a
+//! The engine bench times it against the live engine (and cross-checks a
 //! completion checksum every run); `gpu-sim`'s `golden_engine` suite pins
 //! the live engine to it on fixed seeds and randomized fault workloads,
 //! open-loop and in the executor's reset-per-group shape.
@@ -266,7 +266,7 @@ pub struct OpenLoop {
 }
 
 impl OpenLoop {
-    /// `engine_bench`'s backlog: 1..=4 classic kernels, ties every 5th.
+    /// The engine bench's backlog: 1..=4 classic kernels, ties every 5th.
     pub const BENCH: Self = Self {
         tie_every: 5,
         gap_div: 140.0,

@@ -5,48 +5,20 @@
 //! prediction-round latency pinned (never wall-clock calibrated), and
 //! results regrouped in the deterministic flat-cell order.
 
+use bench::SoloSpanModel;
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
-use predictor::{LatencyModel, MODEL_SLOT_BASE, SLOT_WIDTH};
+use predictor::LatencyModel;
 use rayon::prelude::*;
 use serving::{run_colocation, ColocationConfig, ColocationResult, PolicyKind};
 use std::sync::Arc;
 use workload::fork_seed;
 
-/// Cheap deterministic predictor (no training): sums each co-located
-/// entry's solo time weighted by its operator span.
-struct SpanModel {
-    lib: Arc<ModelLibrary>,
-    gpu: GpuSpec,
-}
-
-impl LatencyModel for SpanModel {
-    fn predict_one(&self, x: &[f64]) -> f64 {
-        let mut total = 0.0;
-        let mut slot = 0;
-        for (idx, m) in ModelId::ALL.into_iter().enumerate() {
-            if x[idx] > 0.5 {
-                let base = MODEL_SLOT_BASE + slot * SLOT_WIDTH;
-                let span = x[base + 1] - x[base];
-                total += span * self.lib.solo_ms(m, m.max_input(), &self.gpu);
-                slot += 1;
-            }
-        }
-        total
-    }
-    fn name(&self) -> &'static str {
-        "span"
-    }
-}
-
 fn run_cells(parallel: bool) -> String {
     let lib = Arc::new(ModelLibrary::new());
     let gpu = GpuSpec::a100();
     let noise = NoiseModel::calibrated();
-    let model: Arc<dyn LatencyModel> = Arc::new(SpanModel {
-        lib: lib.clone(),
-        gpu: gpu.clone(),
-    });
+    let model: Arc<dyn LatencyModel> = Arc::new(SoloSpanModel::new(&lib, &gpu));
     let pairs: [&[ModelId]; 2] = [
         &[ModelId::ResNet50, ModelId::ResNet152],
         &[ModelId::Vgg19, ModelId::Bert],

@@ -1,64 +1,38 @@
 #!/usr/bin/env bash
-# Quick perf regression gate for the perf-tracked paths:
+# Perf regression gate for the perf-tracked paths, then the serial/parallel
+# byte gates of the fault, pareto and run-health sweeps.
 #
-#   * the batched MLP inference microbench (BENCH_search.json)
-#   * the serving substrate: executor groups/sec + fig14 cell wall time
-#     (BENCH_serving.json); its --check also gates the telemetry overhead —
-#     a Telemetry with the run-health monitors enabled (sketches, drift,
-#     SLO burn, flight recorder) may cost at most 2% of an Abacus cell
-#   * cold-start offline training: minibatch trainer throughput and the
-#     serial/pooled weight-identity contract (BENCH_train.json)
-#   * the discrete-event engine core: events/sec vs the shared frozen
-#     pre-overhaul engine (bench::reference::engine), plus a bit-identity
-#     cross-check of the two engines' completions (BENCH_engine.json)
-#   * the decision hot path: decision rounds/sec vs the shared frozen
-#     pre-overhaul controller (bench::reference::decision), plus a
-#     bit-identity cross-check of the two controllers' decision streams
-#     (BENCH_decision.json)
-#   * the cluster ingress hot path: queries/sec through the headroom
-#     router and through the live round-robin cluster path (cluster::sim
-#     Abacus + K8s), each gated on its own, with a warmup-vs-timed
-#     checksum cross-check of each path and a deterministic check that
-#     routed goodput beats round-robin goodput (BENCH_cluster.json)
+# `bench --check` runs the six layer benches of the `bench` crate at full
+# size and compares each against its committed BENCH_<name>.json:
+#
+#   * search — batched MLP inference ns/prediction at 1-16 search ways (the
+#     Fig. 23 predictor cost) and one full 4-way decision
+#   * serving — executor groups/sec, fig14 cell wall time, the run-health
+#     telemetry overhead check, and the serial/parallel sweep identity
+#   * train — minibatch trainer throughput and the serial/pooled weight
+#     identity
+#   * engine — events/sec vs the frozen reference engine
+#     (bench::reference::engine), with a completion-checksum cross-check
+#   * decision — decision rounds/sec vs the frozen reference controller
+#     (bench::reference::decision), with a decision-checksum cross-check
+#   * cluster — queries/sec through the headroom router and through the
+#     round-robin path, each path's warmup/timed checksum cross-check, and
+#     routed goodput > round-robin goodput
 #
 # The frozen references are the same copies the golden suites
 # (golden_engine, golden_decisions) pin the live code to, so one copy per
 # layer defines "the old behaviour".
 #
-# Each bench re-measures itself in quick mode and fails (exit 1) if it
-# regressed by more than 2x against its committed baseline, or if the
-# baseline lacks a gated value. Regenerate a
-# baseline after an intentional perf change with:
+# A gated key fails (exit 1) when it regressed by more than 2x against its
+# baseline or the baseline lacks it; an identity check fails every run; a
+# missing baseline file exits 2. Regenerate every baseline after an
+# intentional perf change with
 #
-#   cargo run --release -p bench --bin search_bench
-#   cargo run --release -p bench --bin serving_bench -- --baseline-gps <old>
-#   cargo run --release -p bench --bin train_bench
-#   cargo run --release -p bench --bin engine_bench
-#   cargo run --release -p bench --bin decision_bench
-#   cargo run --release -p bench --bin cluster_bench
+#   cargo run --release -p bench              # or name benches: -- engine decision
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEARCH_BASELINE="${1:-BENCH_search.json}"
-SERVING_BASELINE="${2:-BENCH_serving.json}"
-TRAIN_BASELINE="${3:-BENCH_train.json}"
-ENGINE_BASELINE="${4:-BENCH_engine.json}"
-DECISION_BASELINE="${5:-BENCH_decision.json}"
-CLUSTER_BASELINE="${6:-BENCH_cluster.json}"
-
-for f in "$SEARCH_BASELINE" "$SERVING_BASELINE" "$TRAIN_BASELINE" "$ENGINE_BASELINE" "$DECISION_BASELINE" "$CLUSTER_BASELINE"; do
-    if [[ ! -f "$f" ]]; then
-        echo "baseline $f not found — generate it first (see header of $0)" >&2
-        exit 2
-    fi
-done
-
-cargo run --release -q -p bench --bin search_bench -- --quick --check "$SEARCH_BASELINE"
-cargo run --release -q -p bench --bin serving_bench -- --quick --check "$SERVING_BASELINE"
-cargo run --release -q -p bench --bin train_bench -- --quick --check "$TRAIN_BASELINE"
-cargo run --release -q -p bench --bin engine_bench -- --quick --check "$ENGINE_BASELINE"
-cargo run --release -q -p bench --bin decision_bench -- --quick --check "$DECISION_BASELINE"
-cargo run --release -q -p bench --bin cluster_bench -- --quick --check "$CLUSTER_BASELINE"
+cargo run --release -q -p bench -- --check
 
 # Fault-sweep determinism gate: the `faults` subcommand must emit
 # byte-identical CSVs whether its cells run serially or on the rayon pool

@@ -32,7 +32,7 @@ done
 echo "== engine golden + proptest bit-identity =="
 # The optimized event core (SoA + SIMD + calendar queue) must stay
 # bit-identical to the shared frozen reference engine
-# (bench::reference::engine, also engine_bench's baseline), on the pinned
+# (bench::reference::engine, also the engine bench's baseline), on the pinned
 # fixed-seed workloads and on randomized property workloads with fault
 # specs. The group-mode golden test drives the executor's shape (reset,
 # 1-4 profiled streams at t = 0), whose single-stream groups and tails run
@@ -47,7 +47,7 @@ echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +
 # buffered search) must stay bit-identical to the shared frozen
 # pre-overhaul controller and plan_group (bench::reference::decision, also
-# decision_bench's baseline), on pinned fixed-seed replays, fixed search
+# the decision bench's baseline), on pinned fixed-seed replays, fixed search
 # fixtures and grid-quantised random queues, and a steady-state decide
 # round must allocate nothing.
 cargo test -q -p abacus-core --test golden_decisions
