@@ -220,23 +220,26 @@ fn fig20_21(c: &mut Criterion, fx: &Fixture) {
 /// Fig. 22: a small cluster replay.
 fn fig22(c: &mut Criterion, fx: &Fixture) {
     let trace = workload::RateTrace::new(vec![120.0; 1]);
-    let cfg = cluster::ClusterConfig {
-        nodes: 1,
-        gpus_per_node: 2,
-        ..cluster::ClusterConfig::paper(trace, 5)
+    let cfg = cluster::RoutedClusterConfig {
+        system: cluster::ClusterSystem::AbacusK8s,
+        pools: vec![cluster::NodePool {
+            name: "v100",
+            gpus: 2,
+            gpu: GpuSpec::v100(),
+        }],
+        ..cluster::RoutedClusterConfig::paper(trace, 5)
     };
-    let v100 = GpuSpec::v100();
     let model: Arc<dyn LatencyModel> = fx.model();
     let (arrivals, inputs) = cluster::cluster_workload(&cfg, &fx.lib);
     c.bench_function("fig22_cluster", |b| {
         b.iter(|| {
-            black_box(cluster::run_cluster_on(
-                cluster::ClusterSystem::AbacusK8s,
+            black_box(cluster::run_routed_cluster_on(
                 &cfg,
                 &fx.lib,
-                &v100,
                 &NoiseModel::calibrated(),
-                Some(model.clone()),
+                model.clone(),
+                None,
+                None,
                 &arrivals,
                 &inputs,
             ))

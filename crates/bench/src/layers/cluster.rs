@@ -1,16 +1,15 @@
 //! The cluster ingress hot path. Replays a fixed-seed ~100k-query diurnal
-//! burst against a heterogeneous 16-GPU fleet twice: once through the
-//! headroom-scored router (`cluster::run_routed_cluster_on` — memoised
-//! candidate scores, each distinct row forwarded once, ingress shed/spill)
-//! and once through the live round-robin cluster path, `cluster::sim`'s
-//! Abacus + K8s system (`cluster::run_cluster_on`: round-robin node ingress
-//! plus per-node least-connections, every arrival enqueued no matter how
-//! doomed). Every GPU of both paths runs the same per-GPU serving loop
-//! (`serving::GpuLoop`), so the two differ only in ingress. Reports
-//! end-to-end queries/sec for each path, the goodput each ingress design
-//! achieves, and the routed path's wall time per admitted (routed or
-//! spilled) query — the cost on equal work, since the router sheds most of
-//! this burst at ingress.
+//! burst against a heterogeneous 16-GPU fleet twice, through
+//! `cluster::run_routed_cluster_on` with two ingress systems: the
+//! headroom-scored router (memoised candidate scores, each distinct row
+//! forwarded once, ingress shed/spill) and the Kubernetes round-robin
+//! ingress (`ClusterSystem::AbacusK8s`: every arrival enqueued no matter
+//! how doomed). Both run the same epoch driver, the same pools and the
+//! same per-GPU serving loop (`serving::GpuLoop`), so `speedup` measures
+//! ingress only. Reports end-to-end queries/sec for each path, the goodput
+//! each ingress design achieves, and the routed path's wall time per
+//! admitted (routed or spilled) query — the cost on equal work, since the
+//! router sheds most of this burst at ingress.
 //!
 //! Every run checks itself: each path executes twice (warmup + timed) and
 //! the two record-stream checksums must match bit for bit; both checksums
@@ -18,15 +17,15 @@
 //! paths must see every arrival, and the routed path's goodput must beat
 //! the round-robin path's (deterministic: goodput is a function of the
 //! simulated records, not of the host). The routed/round-robin speedup is
-//! host-dependent (the round-robin path runs its nodes in parallel), so
-//! only each path's queries/sec is gated. Each path is timed once.
+//! host-dependent (both paths fan their GPUs out over the worker pool, for
+//! different numbers of epochs), so only each path's queries/sec is gated.
+//! Each path is timed once.
 
 use crate::reference::decision::pinned_config;
 use crate::{mix, Bench, Gated, Report, SoloSpanModel};
 use abacus_metrics::{QueryOutcome, QueryRecord, ServiceStats};
-use cluster::{ClusterConfig, ClusterSystem, NodePool, RoutedClusterConfig};
+use cluster::{ClusterSystem, NodePool, RoutedClusterConfig};
 use dnn_models::{ModelId, ModelLibrary};
-use faults::NodeDegradation;
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::LatencyModel;
 use std::sync::Arc;
@@ -64,26 +63,12 @@ fn fold_records(records: &[QueryRecord]) -> u64 {
     h
 }
 
-/// The heterogeneous fleet both paths run: 16 single-GPU nodes — 4 at
-/// reference speed, 8 mid-tier (V100-class vs the A100 reference), 4
-/// slow (MIG-slice-class).
+/// The heterogeneous fleet both paths run: 16 GPUs — 4 at reference
+/// speed, 8 mid-tier (V100-class vs the A100 reference), 4 slow
+/// (MIG-slice-class).
 const SLOWDOWNS: [f64; 3] = [1.0, 1.77, 4.0];
 const POOL_SIZES: [usize; 3] = [4, 8, 4];
 const POOL_NAMES: [&str; 3] = ["a100", "mid", "slow"];
-
-/// The fleet's slowdowns in the round-robin path's vocabulary: 16
-/// single-GPU nodes, every node slower than the reference listed as
-/// degraded.
-fn fleet_degradations() -> Vec<NodeDegradation> {
-    POOL_SIZES
-        .iter()
-        .zip(SLOWDOWNS)
-        .flat_map(|(&n, s)| std::iter::repeat_n(s, n))
-        .enumerate()
-        .filter(|&(_, slowdown)| slowdown > 1.0)
-        .map(|(node, slowdown)| NodeDegradation { node, slowdown })
-        .collect()
-}
 
 struct Measured {
     queries: usize,
@@ -142,34 +127,20 @@ impl Bench for Cluster {
             ModelId::Bert,
         ];
 
-        // Round-robin fleet: 16 single-GPU nodes, heterogeneity via
-        // degraded nodes (the only vocabulary the round-robin path has).
-        let base_cfg = ClusterConfig {
-            nodes: 16,
-            gpus_per_node: 1,
-            models: models.clone(),
-            qos_ms: 100.0,
-            trace: trace.clone(),
-            seed: SEED,
-            abacus: pinned_config(),
-            parallel: true,
-            degraded: fleet_degradations(),
-        };
-        // Routed fleet: identical hardware expressed as heterogeneous pools
-        // (the slowdown-derived specs give derates of exactly 1.0/1.77/4.0
-        // against the reference).
+        // The slowdown-derived specs give derates of exactly 1.0/1.77/4.0
+        // against the reference.
         let pools: Vec<NodePool> = POOL_NAMES
             .iter()
             .zip(POOL_SIZES)
             .zip(SLOWDOWNS)
-            .map(|((name, gpus), s)| {
-                let mut gpu = reference.clone();
-                gpu.peak_flops /= s;
-                gpu.peak_bw /= s;
-                NodePool { name, gpus, gpu }
+            .map(|((name, gpus), s)| NodePool {
+                name,
+                gpus,
+                gpu: cluster::slowed(&reference, s),
             })
             .collect();
         let routed_cfg = RoutedClusterConfig {
+            system: ClusterSystem::Headroom,
             pools,
             reference: reference.clone(),
             models,
@@ -182,24 +153,28 @@ impl Bench for Cluster {
             spill_slack_ms: 20.0,
             autoscale: None,
         };
+        let rr_cfg = RoutedClusterConfig {
+            system: ClusterSystem::AbacusK8s,
+            ..routed_cfg.clone()
+        };
         let span: Arc<dyn LatencyModel> = Arc::new(SoloSpanModel::new(&lib, &reference));
 
         // The workload is derived once, outside every timed region: the
         // bench measures ingress + simulation, not trace synthesis. Both
         // paths replay the exact same arrival stream.
-        let (arrivals, inputs) = cluster::cluster_workload(&base_cfg, &lib);
+        let (arrivals, inputs) = cluster::cluster_workload(&routed_cfg, &lib);
         eprintln!(
             "cluster workload: {} queries over a 16-GPU heterogeneous fleet...",
             arrivals.len()
         );
-        let run_routed = || {
+        let run = |cfg: &RoutedClusterConfig, pool_models: Option<&[Arc<dyn LatencyModel>]>| {
             measure(|| {
                 let out = cluster::run_routed_cluster_on(
-                    &routed_cfg,
+                    cfg,
                     &lib,
                     &noise,
                     span.clone(),
-                    None,
+                    pool_models,
                     None,
                     &arrivals,
                     &inputs,
@@ -207,28 +182,15 @@ impl Bench for Cluster {
                 (out.records, out.router)
             })
         };
-        // The round-robin path: production `cluster::sim` Abacus + K8s
-        // (round-robin node ingress, least-connections GPU pick, every
-        // arrival enqueued).
-        let run_round_robin = || {
-            measure(|| {
-                let out = cluster::run_cluster_on(
-                    ClusterSystem::AbacusK8s,
-                    &base_cfg,
-                    &lib,
-                    &reference,
-                    &noise,
-                    Some(span.clone()),
-                    &arrivals,
-                    &inputs,
-                );
-                (out.records, ())
-            })
-        };
+        // The routed pools' controllers run span models derated to their
+        // hardware; the round-robin GPUs' all run the reference span model.
+        let span_pools = vec![span.clone(); POOL_SIZES.len()];
+        let run_routed = || run(&routed_cfg, None);
+        let run_round_robin = || run(&rr_cfg, Some(&span_pools));
         let (routed_warm, _) = run_routed();
         let (routed, router_stats) = run_routed();
-        let (base_warm, ()) = run_round_robin();
-        let (base, ()) = run_round_robin();
+        let (base_warm, _) = run_round_robin();
+        let (base, _) = run_round_robin();
         eprintln!(
             "  checksums: routed {:016x}, round-robin {:016x}",
             routed.checksum, base.checksum

@@ -1,12 +1,12 @@
 //! Fig. 22 — cluster-level serving: Abacus + Kubernetes vs Clockwork
-//! replaying a MAF-like trace on 4 nodes × 4 V100 GPUs (§7.6).
+//! replaying a MAF-like trace on 16 V100 GPUs (§7.6).
 
 use crate::common::{as_model, ensure_predictor, pinned_abacus_config, Options};
 use abacus_metrics::{CsvWriter, ServiceStats};
 use cluster::{
-    build_timeline, cluster_workload, run_cluster_on, run_routed_cluster_on, summarize,
-    AutoscalePolicy, ClusterConfig, ClusterSystem, NodePool, NodeSignals, PredictiveAutoscaler,
-    RoutedClusterConfig,
+    build_timeline, cluster_workload, run_routed_cluster_on, summarize, AutoscalePolicy,
+    ClusterSystem, NodePool, NodeSignals, PredictiveAutoscaler, RoutedClusterConfig,
+    RoutedRunResult,
 };
 use dnn_models::ModelLibrary;
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
@@ -30,57 +30,53 @@ pub fn run(opts: &Options) {
     let noise = NoiseModel::calibrated();
     let minutes = opts.scale.trace_minutes();
     let trace = synthesize_maf_like(minutes, plateau_qps(opts), opts.seed ^ 0x3A);
-    let mut cfg = ClusterConfig::paper(trace.clone(), opts.seed);
-    cfg.parallel = opts.parallel;
+    let mut routed_cfg = RoutedClusterConfig::paper(trace, opts.seed);
+    routed_cfg.parallel = opts.parallel;
 
     let mlp = ensure_predictor(
         "unified_quad_v100",
-        &[cfg.models.clone()],
+        &[routed_cfg.models.clone()],
         &lib,
         &v100,
         opts,
     );
     // Pin the per-round prediction latency so every per-GPU scheduler —
     // and every rerun — charges the identical Eq. 3 overhead.
-    cfg.abacus = pinned_abacus_config(&mlp, "unified_quad_v100", opts);
+    routed_cfg.abacus = pinned_abacus_config(&mlp, "unified_quad_v100", opts);
 
-    let (arrivals, inputs) = cluster_workload(&cfg, &lib);
+    let (arrivals, inputs) = cluster_workload(&routed_cfg, &lib);
     let arrival_reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
     eprintln!(
         "[fig22] replaying {minutes} min MAF-like trace, {} queries on {} GPUs...",
         arrivals.len(),
-        cfg.total_gpus()
+        routed_cfg.total_gpus()
     );
+    // Every system replays the same workload on the same 16 V100s.
+    let run_cfg = |name: &str, cfg: &RoutedClusterConfig| -> RoutedRunResult {
+        let t0 = std::time::Instant::now();
+        let out = run_routed_cluster_on(
+            cfg,
+            &lib,
+            &noise,
+            as_model(&mlp),
+            None,
+            None,
+            &arrivals,
+            &inputs,
+        );
+        eprintln!("[fig22] {name} done in {:.1?}", t0.elapsed());
+        out
+    };
+    let system = |system| RoutedClusterConfig {
+        system,
+        ..routed_cfg.clone()
+    };
+    let detailed = run_cfg("Abacus", &system(ClusterSystem::AbacusK8s));
+    let abacus = &detailed.records;
+    let clockwork = &run_cfg("Clockwork", &system(ClusterSystem::Clockwork)).records;
 
-    let t0 = std::time::Instant::now();
-    let detailed = run_cluster_on(
-        ClusterSystem::AbacusK8s,
-        &cfg,
-        &lib,
-        &v100,
-        &noise,
-        Some(as_model(&mlp)),
-        &arrivals,
-        &inputs,
-    );
-    let abacus = detailed.records.clone();
-    eprintln!("[fig22] Abacus done in {:.1?}", t0.elapsed());
-    let t0 = std::time::Instant::now();
-    let clockwork = run_cluster_on(
-        ClusterSystem::Clockwork,
-        &cfg,
-        &lib,
-        &v100,
-        &noise,
-        None,
-        &arrivals,
-        &inputs,
-    )
-    .records;
-    eprintln!("[fig22] Clockwork done in {:.1?}", t0.elapsed());
-
-    let tl_a = build_timeline(&arrivals, &arrival_reqs, &abacus, minutes);
-    let tl_c = build_timeline(&arrivals, &arrival_reqs, &clockwork, minutes);
+    let tl_a = build_timeline(&arrivals, &arrival_reqs, abacus, minutes);
+    let tl_c = build_timeline(&arrivals, &arrival_reqs, clockwork, minutes);
 
     let mut csv = CsvWriter::create(
         opts.csv_path("fig22"),
@@ -114,8 +110,8 @@ pub fn run(opts: &Options) {
     csv.flush().expect("flush");
 
     let warmup = (minutes / 6).max(1);
-    let sa = summarize(&abacus, warmup, minutes);
-    let sc = summarize(&clockwork, warmup, minutes);
+    let sa = summarize(abacus, warmup, minutes);
+    let sc = summarize(clockwork, warmup, minutes);
     println!("Fig. 22 — cluster serving over a {minutes}-minute MAF-like trace, QoS 100 ms");
     println!(
         "  {:<10} {:>12} {:>10} {:>10} {:>8}",
@@ -137,12 +133,12 @@ pub fn run(opts: &Options) {
     );
     println!("  paper shape: both p99 <= QoS; Clockwork p99 close to QoS; Abacus avg slightly higher");
     // §7.9 extension: measured per-GPU signals drive the autoscaler.
-    let horizon = minutes as f64 * 60_000.0;
+    let horizon_ms = minutes as f64 * 60_000.0;
     let fleet: Vec<NodeSignals> = detailed
         .gpu_usage
         .iter()
         .map(|u| NodeSignals {
-            busy_fraction: u.busy_fraction(horizon),
+            busy_fraction: u.busy_fraction(horizon_ms),
             violation_ratio: sa.drop_ratio,
             overlap_gain: u.overlap_gain(),
         })
@@ -157,13 +153,10 @@ pub fn run(opts: &Options) {
     );
 
     // Headroom-routed ingress over the same workload: the predicted-latency
-    // router replaces round-robin + least-connections, on three fleets —
-    // the paper's homogeneous 16×V100, a heterogeneous A100/V100/MIG mix of
-    // the same width, and the V100 fleet under the predictive autoscaler
-    // reading the diurnal trace one minute ahead of the clock.
-    let mut routed_cfg = RoutedClusterConfig::paper(trace.clone(), opts.seed);
-    routed_cfg.abacus = cfg.abacus.clone();
-    routed_cfg.parallel = opts.parallel;
+    // router replaces round-robin, on three fleets — the paper's
+    // homogeneous 16×V100, a heterogeneous A100/V100/MIG mix of the same
+    // width, and the V100 fleet under the predictive autoscaler reading the
+    // diurnal trace one minute ahead of the clock.
     let mut hetero_cfg = routed_cfg.clone();
     hetero_cfg.pools = vec![
         NodePool {
@@ -187,7 +180,6 @@ pub fn run(opts: &Options) {
     // for 70% utilisation keeps the plateau fully active while the ramp's
     // trough parks the surplus GPUs.
     auto_cfg.autoscale = Some(PredictiveAutoscaler::new(55.0, 4));
-    let horizon_ms = minutes as f64 * 60_000.0;
     println!("  — headroom-routed ingress (same trace, same QoS) —");
     println!(
         "  {:<14} {:>12} {:>10} {:>10} {:>8} {:>9} {:>7} {:>6}",
@@ -199,17 +191,7 @@ pub fn run(opts: &Options) {
         ("hetero", &hetero_cfg),
         ("autoscaled", &auto_cfg),
     ] {
-        let t0 = std::time::Instant::now();
-        let out = run_routed_cluster_on(
-            rcfg,
-            &lib,
-            &noise,
-            as_model(&mlp),
-            None,
-            None,
-            &arrivals,
-            &inputs,
-        );
+        let out = run_cfg(&format!("routed fleet '{name}'"), rcfg);
         let s = summarize(&out.records, warmup, minutes);
         let mut stats = ServiceStats::new();
         stats.record_all(&out.records);
@@ -234,7 +216,6 @@ pub fn run(opts: &Options) {
                 out.autoscale.down_events,
             );
         }
-        eprintln!("[fig22] routed fleet '{name}' done in {:.1?}", t0.elapsed());
         routed_tls.push(build_timeline(&arrivals, &arrival_reqs, &out.records, minutes));
     }
     let mut csv = CsvWriter::create(

@@ -103,7 +103,6 @@ fn plan_for(spec: &CellSpec, seed: u64) -> FaultPlan {
             kernel: None,
             predictor: Some(PredictorFault::Bias { factor: 1.0 - 0.5 * i }),
             burst: None,
-            degraded: Vec::new(),
         },
         Kind::Burst => FaultPlan {
             seed,
@@ -114,7 +113,6 @@ fn plan_for(spec: &CellSpec, seed: u64) -> FaultPlan {
                 end_ms: BURST_END_MS,
                 extra_qps: 60.0 * i,
             }),
-            degraded: Vec::new(),
         },
     }
 }

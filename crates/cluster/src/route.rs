@@ -1,10 +1,19 @@
-//! Headroom-scored cluster routing over heterogeneous GPU pools.
+//! The cluster simulator: one epoch-batched driver over heterogeneous GPU
+//! pools, with three ingress systems ([`ClusterSystem`]).
 //!
-//! The round-robin + least-connections ingress in [`crate::sim`] is
-//! load-signal-free: it never asks *when* a candidate GPU could actually
-//! finish the query. This module replaces it with the predicted-latency
-//! design llm-d's Endpoint Picker ships for LLM pods, specialised to the
-//! paper's deterministic-overlap predictor:
+//! * **Headroom** — the performance-first ingress: the predicted-latency
+//!   design llm-d's Endpoint Picker ships for LLM pods, specialised to the
+//!   paper's deterministic-overlap predictor. Scoring, shed/spill and
+//!   derates are described below.
+//! * **AbacusK8s** — the paper's Kubernetes baseline: round-robin over the
+//!   active GPUs, every arrival enqueued no matter how doomed. It reads no
+//!   load signal, so it never asks *when* a GPU could finish the query.
+//! * **Clockwork** — a central EDF queue that free GPUs pull from
+//!   ([`crate::clockwork`]).
+//!
+//! Every GPU of every system runs the single-node serving loop,
+//! [`serving::GpuLoop`], unchanged (§7.6): Abacus on the first two, an
+//! exclusive EDF scheduler under Clockwork.
 //!
 //! * **Scoring.** Per arriving query, every active GPU is scored by
 //!   predicted QoS headroom: the query's Eq. 2 budget minus the GPU's
@@ -27,7 +36,8 @@
 //! * **Heterogeneous pools.** Each [`NodePool`] carries its own
 //!   [`GpuSpec`]; the router scores with a single reference predictor and
 //!   per-GPU derate factors ([`derate_of`]), while each pool's in-node
-//!   Abacus schedulers get their own (possibly derated) predictor.
+//!   Abacus schedulers get their own (possibly derated) predictor. A
+//!   degraded node is a pool of [`slowed`] GPUs.
 //! * **Determinism.** Global routing couples the GPUs, so the simulation
 //!   is *epoch-batched*: arrivals inside one epoch are routed serially
 //!   against the router's mirrors, then every GPU simulates the epoch
@@ -35,20 +45,21 @@
 //!   [`rayon::pool`] when [`RoutedClusterConfig::parallel`]), and the
 //!   mirrors re-sync from actual GPU state at the epoch boundary. Each
 //!   GPU's epoch reads and writes only that GPU, so serial and parallel
-//!   runs are byte-identical.
+//!   runs are byte-identical. Round-robin reads no mirror, so unless the
+//!   autoscaler needs epoch boundaries it routes the whole trace in one
+//!   epoch.
 //!
 //! All per-arrival router state lives in a persistent [`RouterScratch`];
 //! a steady-state routing decision allocates only when the score memo
 //! grows.
 
 use crate::autoscale::{AutoscaleStats, PredictiveAutoscaler};
-use crate::sim::{record_of, shared_workload, ClusterGpu};
-use abacus_core::{AbacusConfig, Query};
+use abacus_core::{AbacusConfig, AbacusScheduler, Query, Scheduler, SegmentalExecutor};
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{encode_features_with_ops, DeratedModel, GroupEntry, LatencyModel, FEATURE_DIM};
-use serving::GpuUsage;
+use serving::{GpuLoop, GpuUsage, NodeOptions};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -76,9 +87,42 @@ pub fn derate_of(gpu: &GpuSpec, reference: &GpuSpec) -> f64 {
     d
 }
 
-/// Configuration of a routed (headroom-scored) cluster run.
+/// `gpu` running `slowdown`× slower: compute and bandwidth both divided by
+/// it (a lost MIG slice or thermal throttling), while QoS targets stay
+/// calibrated to healthy hardware. `derate_of(&slowed(g, s), g)` is `s`.
+///
+/// # Panics
+/// Panics unless `slowdown` is finite and at least 1.
+pub fn slowed(gpu: &GpuSpec, slowdown: f64) -> GpuSpec {
+    assert!(
+        slowdown.is_finite() && slowdown >= 1.0,
+        "slowdown must be finite and >= 1, got {slowdown}"
+    );
+    let mut g = gpu.clone();
+    g.peak_flops /= slowdown;
+    g.peak_bw /= slowdown;
+    g
+}
+
+/// Which cluster system a run simulates (§7.6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterSystem {
+    /// Headroom-scored ingress, Abacus on every GPU.
+    Headroom,
+    /// Kubernetes round-robin ingress, Abacus on every GPU.
+    AbacusK8s,
+    /// Clockwork: central EDF queue, exclusive per-GPU execution.
+    Clockwork,
+}
+
+/// Alias of [`RoutedClusterConfig`], the one cluster configuration.
+pub type ClusterConfig = RoutedClusterConfig;
+
+/// Configuration of a cluster run.
 #[derive(Debug, Clone)]
 pub struct RoutedClusterConfig {
+    /// The ingress and per-GPU scheduling the run simulates.
+    pub system: ClusterSystem,
     /// Heterogeneous fleet, flattened to GPUs in pool order.
     pub pools: Vec<NodePool>,
     /// The hardware the router's predictor is calibrated to; per-pool
@@ -88,13 +132,14 @@ pub struct RoutedClusterConfig {
     pub models: Vec<ModelId>,
     /// Uniform QoS target, ms.
     pub qos_ms: f64,
-    /// Aggregate offered load (split evenly across services — same
-    /// derivation as [`crate::cluster_workload`]).
+    /// Aggregate offered load (split evenly across services by
+    /// [`cluster_workload`]).
     pub trace: RateTrace,
     /// Seed for arrivals, inputs, execution noise and the spill draw.
     pub seed: u64,
-    /// Per-GPU Abacus controller settings. Pin `predict_round_ms` for
-    /// reproducible runs.
+    /// Per-GPU Abacus controller settings (unused by Clockwork). Pin
+    /// `predict_round_ms` for reproducible runs: the default calibrates
+    /// from the wall clock inside every per-GPU scheduler.
     pub abacus: AbacusConfig,
     /// Fan per-GPU epoch simulation out over the persistent worker pool.
     /// Byte-identical to the serial run by the epoch-batching construction.
@@ -102,12 +147,16 @@ pub struct RoutedClusterConfig {
     /// Routing epoch, ms: arrivals within one epoch are routed against
     /// start-of-epoch GPU state plus the router's own incremental
     /// estimates. Smaller = fresher mirrors, more sync barriers.
+    /// Round-robin without the autoscaler routes in one epoch; Clockwork
+    /// has none.
     pub epoch_ms: f64,
-    /// Spill band, ms: a query whose *best* predicted completion misses
-    /// its deadline by at most this much is still admitted (weighted
-    /// toward lower predicted completion); beyond it the query is shed.
+    /// Spill band, ms (headroom ingress only): a query whose *best*
+    /// predicted completion misses its deadline by at most this much is
+    /// still admitted (weighted toward lower predicted completion); beyond
+    /// it the query is shed.
     pub spill_slack_ms: f64,
     /// Predictive autoscaler; `None` keeps the whole fleet active.
+    /// Clockwork rejects it.
     pub autoscale: Option<PredictiveAutoscaler>,
 }
 
@@ -115,6 +164,7 @@ impl RoutedClusterConfig {
     /// The paper's §7.6 fleet (16 V100s) behind the headroom router.
     pub fn paper(trace: RateTrace, seed: u64) -> Self {
         Self {
+            system: ClusterSystem::Headroom,
             pools: vec![NodePool {
                 name: "v100",
                 gpus: 16,
@@ -171,11 +221,12 @@ pub enum RouteOutcome {
 /// Router decision counts over a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterStats {
-    /// Arrivals placed by headroom score.
+    /// Arrivals placed on a GPU: by headroom score, round-robin, or a
+    /// Clockwork pull.
     pub routed: u64,
     /// Arrivals admitted through the weighted overflow pool.
     pub spilled: u64,
-    /// Arrivals refused at ingress.
+    /// Arrivals refused at ingress or by Clockwork's admission.
     pub shed: u64,
     /// Scored arrivals: those that got past the overload fast-path and had
     /// every active GPU scored. Only their memo misses reach the model, in
@@ -372,6 +423,8 @@ pub struct HeadroomRouter {
     scratch: RouterScratch,
     rng: SeededRng,
     stats: RouterStats,
+    /// Where the round-robin ingress looks first for its next GPU.
+    rr_next: usize,
 }
 
 impl HeadroomRouter {
@@ -391,6 +444,7 @@ impl HeadroomRouter {
             scratch: RouterScratch::new(derates),
             rng: SeededRng::new(seed),
             stats: RouterStats::default(),
+            rr_next: 0,
         }
     }
 
@@ -450,11 +504,7 @@ impl HeadroomRouter {
         }
         if q.routing_headroom_ms(t_ms, min_wait, 0.0) < -self.spill_slack_ms {
             // Covers "no active GPU" too: min_wait stays +inf.
-            self.stats.shed += 1;
-            if let Some(t) = tel.as_deref_mut() {
-                t.registry.inc(Counter::RouterShed);
-            }
-            return RouteOutcome::Shed;
+            return self.tally(RouteOutcome::Shed, tel);
         }
         s.cand.clear();
         s.preds.clear();
@@ -503,11 +553,7 @@ impl HeadroomRouter {
         }
         let n = s.cand.len();
         if n == 0 {
-            self.stats.shed += 1;
-            if let Some(t) = tel.as_deref_mut() {
-                t.registry.inc(Counter::RouterShed);
-            }
-            return RouteOutcome::Shed;
+            return self.tally(RouteOutcome::Shed, tel);
         }
         if !s.miss_keys.is_empty() {
             s.encode_misses();
@@ -553,10 +599,6 @@ impl HeadroomRouter {
                 .observe(Hist::RouterScoreSpreadMs, s.scores[best] - worst_score);
         }
         let (k, outcome) = if s.scores[best] >= 0.0 {
-            self.stats.routed += 1;
-            if let Some(t) = tel.as_deref_mut() {
-                t.registry.inc(Counter::RouterRouted);
-            }
             (best, RouteOutcome::Route(s.cand[best]))
         } else if s.scores[best] >= -self.spill_slack_ms {
             // Weighted overflow pool: draw a GPU with probability inversely
@@ -573,17 +615,9 @@ impl HeadroomRouter {
                     break;
                 }
             }
-            self.stats.spilled += 1;
-            if let Some(t) = tel.as_deref_mut() {
-                t.registry.inc(Counter::RouterSpilled);
-            }
             (pick, RouteOutcome::Spill(s.cand[pick]))
         } else {
-            self.stats.shed += 1;
-            if let Some(t) = tel {
-                t.registry.inc(Counter::RouterShed);
-            }
-            return RouteOutcome::Shed;
+            return self.tally(RouteOutcome::Shed, tel);
         };
         // Commit the placement to the mirrors: one more outstanding query,
         // the free horizon extends by its predicted service time, and the
@@ -592,37 +626,154 @@ impl HeadroomRouter {
         s.outstanding[g] += 1;
         s.est_free_ms[g] = s.est_free_ms[g].max(t_ms) + s.preds[k];
         s.head[g] = Some(NodeHead::of(q));
+        self.tally(outcome, tel)
+    }
+
+    /// Route one arrival round-robin — the Kubernetes ingress: the first
+    /// active GPU at or cyclically after the one past the last pick. Reads
+    /// and moves no mirror; sheds only when no GPU is active.
+    pub fn round_robin(&mut self, tel: Option<&mut Telemetry>) -> RouteOutcome {
+        let n = self.scratch.active.len();
+        let next = (0..n)
+            .map(|k| (self.rr_next + k) % n)
+            .find(|&g| self.scratch.active[g]);
+        let Some(g) = next else {
+            return self.tally(RouteOutcome::Shed, tel);
+        };
+        self.rr_next = (g + 1) % n;
+        self.tally(RouteOutcome::Route(g), tel)
+    }
+
+    /// Count `outcome` in the run's stats and the telemetry registry.
+    fn tally(&mut self, outcome: RouteOutcome, tel: Option<&mut Telemetry>) -> RouteOutcome {
+        let (count, counter) = match outcome {
+            RouteOutcome::Route(_) => (&mut self.stats.routed, Counter::RouterRouted),
+            RouteOutcome::Spill(_) => (&mut self.stats.spilled, Counter::RouterSpilled),
+            RouteOutcome::Shed => (&mut self.stats.shed, Counter::RouterShed),
+        };
+        *count += 1;
+        if let Some(t) = tel {
+            t.registry.inc(counter);
+        }
         outcome
     }
 }
 
-/// The full outcome of a routed cluster run.
+/// The full outcome of a cluster run.
 #[derive(Debug, Clone)]
 pub struct RoutedRunResult {
-    /// One record per query: per-GPU completions/drops in GPU order, then
-    /// ingress sheds (each stream in event order).
+    /// One record per query. The epoch driver lists per-GPU
+    /// completions/drops in GPU order, then ingress sheds (each stream in
+    /// event order); Clockwork lists them in simulation order.
     pub records: Vec<QueryRecord>,
     /// Usage per GPU, pool-flattened index order.
     pub gpu_usage: Vec<GpuUsage>,
-    /// Router decision counts.
+    /// Ingress decision counts; `routed + spilled + shed` is the arrival
+    /// count (Clockwork's admission drops count as shed).
     pub router: RouterStats,
     /// Autoscaler activity (fleet-sized mean when disabled).
     pub autoscale: AutoscaleStats,
 }
 
-/// One routed GPU: the shared serving loop, its own record stream, and
-/// the queries the router assigned it this epoch.
-struct RoutedGpu {
-    sim: ClusterGpu,
-    records: Vec<QueryRecord>,
-    /// Queries routed here this epoch, arrival order.
-    assigned: Vec<Query>,
+/// One GPU of a cluster: the shared serving loop with its own scheduler
+/// and executor, run without options or observers. Records carry
+/// [`ModelId::index`] as their `service`.
+pub(crate) struct ClusterGpu {
+    pub(crate) gpu: GpuLoop,
+    scheduler: Box<dyn Scheduler>,
+    pub(crate) executor: SegmentalExecutor,
+    /// Sum of the executed groups' sequential-execution times, ms.
+    sequential_ms: f64,
 }
 
-/// Run the headroom-routed cluster. `router_model` scores candidates on
+impl ClusterGpu {
+    pub(crate) fn new(
+        scheduler: Box<dyn Scheduler>,
+        lib: &Arc<ModelLibrary>,
+        gpu: GpuSpec,
+        noise: &NoiseModel,
+        seed: u64,
+    ) -> Self {
+        Self {
+            gpu: GpuLoop::new(ModelId::ALL),
+            scheduler,
+            executor: SegmentalExecutor::new(gpu, noise.clone(), lib.clone(), seed),
+            sequential_ms: 0.0,
+        }
+    }
+
+    /// Run every round that starts at or before `until`.
+    pub(crate) fn run_until(&mut self, until: f64, records: &mut Vec<QueryRecord>) {
+        let (gpu, sched, ex) = (&mut self.gpu, &mut *self.scheduler, &mut self.executor);
+        let opts = NodeOptions::default();
+        while let Some(spec) = gpu.step_until(until, sched, ex, opts, None, None, records) {
+            self.sequential_ms += spec.sequential_ms(ex.library(), ex.gpu());
+        }
+    }
+
+    /// Utilisation so far, overlap-gain numerator included.
+    pub(crate) fn usage(&self) -> GpuUsage {
+        GpuUsage {
+            sequential_ms: self.sequential_ms,
+            ..self.gpu.usage()
+        }
+    }
+}
+
+/// The record of a query retired outside any GPU (shed at ingress or
+/// refused by Clockwork's admission).
+pub(crate) fn record_of(q: &Query, latency_ms: f64, outcome: QueryOutcome) -> QueryRecord {
+    QueryRecord {
+        service: q.model.index(),
+        arrival_ms: q.arrival_ms,
+        latency_ms,
+        qos_ms: q.qos_ms,
+        outcome,
+        requests: q.input.batch,
+        queue_ms: q.queue_ms().unwrap_or(latency_ms),
+    }
+}
+
+/// The query of arrival `id`.
+pub(crate) fn make_query(
+    cfg: &RoutedClusterConfig,
+    lib: &ModelLibrary,
+    id: usize,
+    a: &Arrival,
+    input: QueryInput,
+) -> Query {
+    let model = cfg.models[a.service];
+    let n_ops = lib.graph(model, input).len();
+    Query::new(id as u64, model, input, a.at_ms, cfg.qos_ms, n_ops)
+}
+
+/// Build the merged arrival stream: the aggregate trace split evenly across
+/// the deployed services, each query with a random Table-1 input. It
+/// depends on `(models, trace, seed)` alone, so every system replays the
+/// byte-identical stream.
+pub fn cluster_workload(
+    cfg: &RoutedClusterConfig,
+    lib: &ModelLibrary,
+) -> (Vec<Arrival>, Vec<QueryInput>) {
+    let mut rng = SeededRng::new(fork_seed(cfg.seed, 0x10AD));
+    let per_service = cfg.trace.scaled(1.0 / cfg.models.len() as f64);
+    let streams: Vec<Vec<Arrival>> = (0..cfg.models.len())
+        .map(|s| per_service.generate(s, &mut rng))
+        .collect();
+    let arrivals = workload::merge_arrivals(streams);
+    let inputs: Vec<QueryInput> = arrivals
+        .iter()
+        .map(|a| lib.random_input(cfg.models[a.service], &mut rng))
+        .collect();
+    (arrivals, inputs)
+}
+
+/// Run the cluster over the workload [`cluster_workload`] derives from
+/// `cfg`. `router_model` scores candidates on
 /// [`RoutedClusterConfig::reference`] hardware; `pool_models` (parallel to
 /// `cfg.pools`) drive the in-node Abacus schedulers — pass `None` to
 /// derive them from `router_model` via per-pool [`DeratedModel`]s.
+/// Clockwork reads neither.
 pub fn run_routed_cluster(
     cfg: &RoutedClusterConfig,
     lib: &Arc<ModelLibrary>,
@@ -631,7 +782,7 @@ pub fn run_routed_cluster(
     pool_models: Option<&[Arc<dyn LatencyModel>]>,
     telemetry: Option<&mut Telemetry>,
 ) -> RoutedRunResult {
-    let (arrivals, inputs) = shared_workload(&cfg.models, &cfg.trace, cfg.seed, lib);
+    let (arrivals, inputs) = cluster_workload(cfg, lib);
     run_routed_cluster_on(
         cfg,
         lib,
@@ -645,10 +796,92 @@ pub fn run_routed_cluster(
 }
 
 /// [`run_routed_cluster`] over a caller-supplied workload (the same
-/// `(arrivals, inputs)` that [`crate::cluster_workload`] derives) —
-/// benchmarks generate the trace once and time only the routed run.
+/// `(arrivals, inputs)` that [`cluster_workload`] derives) — benchmarks
+/// generate the trace once and time only the run. Records are
+/// arrival-stamped, so timelines can be rebuilt at any granularity.
+///
+/// # Panics
+/// Panics on an empty fleet, on Clockwork with the autoscaler on, if the
+/// arrivals and inputs differ in length, or if `pool_models` does not hold
+/// one model per pool.
 #[allow(clippy::too_many_arguments)]
 pub fn run_routed_cluster_on(
+    cfg: &RoutedClusterConfig,
+    lib: &Arc<ModelLibrary>,
+    noise: &NoiseModel,
+    router_model: Arc<dyn LatencyModel>,
+    pool_models: Option<&[Arc<dyn LatencyModel>]>,
+    mut telemetry: Option<&mut Telemetry>,
+    arrivals: &[Arrival],
+    inputs: &[QueryInput],
+) -> RoutedRunResult {
+    assert!(cfg.total_gpus() > 0, "a cluster needs at least one GPU");
+    assert!(
+        cfg.system != ClusterSystem::Clockwork || cfg.autoscale.is_none(),
+        "Clockwork runs without the autoscaler"
+    );
+    assert_eq!(arrivals.len(), inputs.len(), "one input per arrival");
+    let out = match cfg.system {
+        ClusterSystem::Clockwork => crate::clockwork::run(cfg, lib, noise, arrivals, inputs),
+        _ => run_epochs(
+            cfg,
+            lib,
+            noise,
+            router_model,
+            pool_models,
+            telemetry.as_deref_mut(),
+            arrivals,
+            inputs,
+        ),
+    };
+    let (records, r) = (&out.records, out.router);
+    assert_eq!(
+        records.len(),
+        arrivals.len(),
+        "every arrival must be accounted exactly once"
+    );
+    assert_eq!(
+        r.routed + r.spilled + r.shed,
+        arrivals.len() as u64,
+        "every arrival gets one ingress decision"
+    );
+    if let Some(h) = telemetry.and_then(Telemetry::health_mut) {
+        // Per-GPU sims retire queries on their own clocks; the burn-rate
+        // windows need one global stream, so replay the outcomes in
+        // retire-time order. The sort key is fully determined by the
+        // records (ties broken by service, arrival, then the records' own
+        // deterministic serial≡parallel order), so the resulting alert
+        // stream is byte-reproducible.
+        let mut order: Vec<usize> = (0..records.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (ra, rb) = (&records[a], &records[b]);
+            (ra.arrival_ms + ra.latency_ms)
+                .total_cmp(&(rb.arrival_ms + rb.latency_ms))
+                .then(ra.service.cmp(&rb.service))
+                .then(ra.arrival_ms.total_cmp(&rb.arrival_ms))
+                .then(a.cmp(&b))
+        });
+        for &i in &order {
+            let r = &records[i];
+            h.note_service(r.service, r.qos_ms);
+            h.observe_query(r.arrival_ms + r.latency_ms, r.service, !r.met_qos());
+        }
+    }
+    out
+}
+
+/// One epoch-driven GPU: the shared serving loop, its own record stream,
+/// and the queries the ingress assigned it this epoch.
+struct RoutedGpu {
+    sim: ClusterGpu,
+    records: Vec<QueryRecord>,
+    /// Queries routed here this epoch, arrival order.
+    assigned: Vec<Query>,
+}
+
+/// The epoch driver behind the headroom and round-robin ingresses.
+#[allow(clippy::too_many_arguments)]
+fn run_epochs(
     cfg: &RoutedClusterConfig,
     lib: &Arc<ModelLibrary>,
     noise: &NoiseModel,
@@ -661,7 +894,6 @@ pub fn run_routed_cluster_on(
     if let Some(ms) = pool_models {
         assert_eq!(ms.len(), cfg.pools.len(), "one scheduler model per pool");
     }
-    assert_eq!(arrivals.len(), inputs.len(), "one input per arrival");
     let derates = cfg.gpu_derates();
     let n_gpus = derates.len();
     let derived: Vec<Arc<dyn LatencyModel>>;
@@ -685,15 +917,10 @@ pub fn run_routed_cluster_on(
     for (p, pool) in cfg.pools.iter().enumerate() {
         for _ in 0..pool.gpus {
             let seed = fork_seed(cfg.seed, 0xE000 + sims.len() as u64);
+            let abacus =
+                AbacusScheduler::new(pool_models[p].clone(), lib.clone(), cfg.abacus.clone());
             sims.push(Mutex::new(RoutedGpu {
-                sim: ClusterGpu::new(
-                    pool_models[p].clone(),
-                    lib,
-                    &cfg.abacus,
-                    pool.gpu.clone(),
-                    noise,
-                    seed,
-                ),
+                sim: ClusterGpu::new(Box::new(abacus), lib, pool.gpu.clone(), noise, seed),
                 records: Vec::new(),
                 assigned: Vec::new(),
             }));
@@ -713,9 +940,16 @@ pub fn run_routed_cluster_on(
     let mut shed_records: Vec<QueryRecord> = Vec::new();
     let horizon = cfg.trace.horizon_ms();
     assert!(cfg.epoch_ms > 0.0, "epoch must be positive");
-    let epochs = ((horizon / cfg.epoch_ms).ceil() as usize).max(1);
+    // Round-robin reads no mirror, so only the autoscaler's epoch
+    // boundaries could change where its queries go.
+    let epochs = if cfg.system == ClusterSystem::AbacusK8s && cfg.autoscale.is_none() {
+        0
+    } else {
+        ((horizon / cfg.epoch_ms).ceil() as usize).max(1)
+    };
     let mut next = 0usize;
-    // Epoch `epochs` is the drain: no arrivals left, run queues dry.
+    // Epoch `epochs` is the drain: it routes whatever arrivals are left,
+    // then runs the queues dry.
     for e in 0..=epochs {
         let t_start = e as f64 * cfg.epoch_ms;
         let t_end = if e == epochs {
@@ -753,11 +987,13 @@ pub fn run_routed_cluster_on(
         // Serial routing pass over this epoch's arrivals.
         while next < arrivals.len() && arrivals[next].at_ms < t_end {
             let a = &arrivals[next];
-            let model = cfg.models[a.service];
-            let input = inputs[next];
-            let n_ops = lib.graph(model, input).len();
-            let q = Query::new(next as u64, model, input, a.at_ms, cfg.qos_ms, n_ops);
-            match router.route(a.at_ms, &q, telemetry.as_deref_mut()) {
+            let q = make_query(cfg, lib, next, a, inputs[next]);
+            let tel = telemetry.as_deref_mut();
+            let outcome = match cfg.system {
+                ClusterSystem::AbacusK8s => router.round_robin(tel),
+                _ => router.route(a.at_ms, &q, tel),
+            };
+            match outcome {
                 RouteOutcome::Route(g) | RouteOutcome::Spill(g) => {
                     sims[g].get_mut().unwrap().assigned.push(q);
                 }
@@ -798,7 +1034,6 @@ pub fn run_routed_cluster_on(
             router.sync(g, queue.len() as u32, s.sim.gpu.now(), head);
         }
     }
-    debug_assert!(next == arrivals.len(), "arrivals routed past the horizon");
     let mut records = Vec::with_capacity(arrivals.len());
     let mut gpu_usage = Vec::with_capacity(n_gpus);
     for s in sims {
@@ -811,35 +1046,6 @@ pub fn run_routed_cluster_on(
         gpu_usage.push(s.sim.usage());
     }
     records.append(&mut shed_records);
-    assert_eq!(
-        records.len(),
-        arrivals.len(),
-        "every arrival must be accounted exactly once"
-    );
-    if let Some(t) = telemetry {
-        if let Some(h) = t.health_mut() {
-            // Per-GPU sims retire queries on their own clocks; the burn-rate
-            // windows need one global stream, so replay the outcomes in
-            // retire-time order. The sort key is fully determined by the
-            // records (ties broken by service, arrival, then the records'
-            // own deterministic serial≡parallel order), so the resulting
-            // alert stream is byte-reproducible.
-            let mut order: Vec<usize> = (0..records.len()).collect();
-            order.sort_by(|&a, &b| {
-                let (ra, rb) = (&records[a], &records[b]);
-                (ra.arrival_ms + ra.latency_ms)
-                    .total_cmp(&(rb.arrival_ms + rb.latency_ms))
-                    .then(ra.service.cmp(&rb.service))
-                    .then(ra.arrival_ms.total_cmp(&rb.arrival_ms))
-                    .then(a.cmp(&b))
-            });
-            for &i in &order {
-                let r = &records[i];
-                h.note_service(r.service, r.qos_ms);
-                h.observe_query(r.arrival_ms + r.latency_ms, r.service, !r.met_qos());
-            }
-        }
-    }
     RoutedRunResult {
         records,
         gpu_usage,
@@ -880,6 +1086,9 @@ pub fn write_records_csv(path: &std::path::Path, records: &[QueryRecord]) -> std
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abacus_metrics::percentile;
+    use predictor::features::SLOT_WIDTH;
+    use predictor::MAX_COLOCATED;
 
     #[test]
     fn derates_are_roofline_pessimistic() {
@@ -984,5 +1193,232 @@ mod tests {
         let mut r = HeadroomRouter::new(Arc::new(ConstModel(30.0)), vec![1.0, 3.0], 20.0, 7);
         let q = test_query(0, 0.0);
         assert_eq!(r.route(0.0, &q, None), RouteOutcome::Route(0));
+    }
+
+    /// Cheap monotone predictor for tests: the solo-latency share of each
+    /// entry's operator span.
+    struct SpanModel {
+        lib: Arc<ModelLibrary>,
+        gpu: GpuSpec,
+    }
+    impl LatencyModel for SpanModel {
+        fn predict_one(&self, x: &[f64]) -> f64 {
+            let mut total = 0.0;
+            let mut slot = 0;
+            for (idx, m) in ModelId::ALL.into_iter().enumerate() {
+                if x[idx] > 0.5 {
+                    let base = predictor::MODEL_SLOT_BASE + slot * SLOT_WIDTH;
+                    let span = x[base + 1] - x[base];
+                    total += span * self.lib.solo_ms(m, m.max_input(), &self.gpu);
+                    slot += 1;
+                }
+            }
+            debug_assert!(slot <= MAX_COLOCATED);
+            total
+        }
+        fn name(&self) -> &'static str {
+            "span"
+        }
+    }
+
+    fn v100s(gpus: usize) -> NodePool {
+        NodePool {
+            name: "v100",
+            gpus,
+            gpu: GpuSpec::v100(),
+        }
+    }
+
+    /// A run of `system` over the workload `cfg` derives, every Abacus GPU
+    /// and the router on the span predictor.
+    fn run(system: ClusterSystem, cfg: &RoutedClusterConfig) -> RoutedRunResult {
+        let lib = Arc::new(ModelLibrary::new());
+        let span = Arc::new(SpanModel {
+            lib: lib.clone(),
+            gpu: GpuSpec::v100(),
+        });
+        let cfg = RoutedClusterConfig {
+            system,
+            ..cfg.clone()
+        };
+        run_routed_cluster(&cfg, &lib, &NoiseModel::calibrated(), span, None, None)
+    }
+
+    /// Two V100s under a flat two-minute load.
+    fn tiny_cfg(peak_qps: f64) -> RoutedClusterConfig {
+        let trace = RateTrace::new(vec![peak_qps; 2]);
+        RoutedClusterConfig {
+            pools: vec![v100s(2)],
+            ..RoutedClusterConfig::paper(trace, 5)
+        }
+    }
+
+    fn completed_requests(rs: &[QueryRecord]) -> u64 {
+        rs.iter()
+            .filter(|r| r.outcome == QueryOutcome::Completed)
+            .map(|r| u64::from(r.requests))
+            .sum()
+    }
+
+    #[test]
+    fn all_systems_account_every_query() {
+        let lib = ModelLibrary::new();
+        let cfg = tiny_cfg(40.0);
+        let (arrivals, _) = cluster_workload(&cfg, &lib);
+        for system in [
+            ClusterSystem::Headroom,
+            ClusterSystem::AbacusK8s,
+            ClusterSystem::Clockwork,
+        ] {
+            let out = run(system, &cfg);
+            let r = out.router;
+            assert_eq!(out.records.len(), arrivals.len(), "{system:?}");
+            assert_eq!(r.routed + r.spilled + r.shed, arrivals.len() as u64);
+            assert_eq!(out.gpu_usage.len(), 2);
+        }
+    }
+
+    #[test]
+    fn clockwork_p99_stays_under_qos() {
+        let cfg = tiny_cfg(60.0);
+        let recs = run(ClusterSystem::Clockwork, &cfg).records;
+        let lats: Vec<f64> = recs
+            .iter()
+            .filter(|r| r.outcome == QueryOutcome::Completed)
+            .map(|r| r.latency_ms)
+            .collect();
+        // Admission control: Clockwork never completes a query past its
+        // deadline (it drops instead), so p99 <= QoS.
+        let p99 = percentile(&lats, 99.0);
+        assert!(p99 <= cfg.qos_ms + 1e-6, "p99 {p99}");
+    }
+
+    #[test]
+    fn abacus_cluster_throughput_at_least_clockwork() {
+        let cfg = tiny_cfg(80.0); // keep both systems busy
+        let a = completed_requests(&run(ClusterSystem::AbacusK8s, &cfg).records);
+        let c = completed_requests(&run(ClusterSystem::Clockwork, &cfg).records);
+        assert!(a as f64 >= c as f64 * 0.95, "abacus {a} vs clockwork {c}");
+    }
+
+    #[test]
+    fn round_robin_parallel_matches_serial_bitwise() {
+        let mut cfg = RoutedClusterConfig {
+            pools: vec![v100s(4)],
+            ..RoutedClusterConfig::paper(
+                RateTrace::with_bucket_ms(vec![40.0, 160.0, 40.0], 2_000.0),
+                5,
+            )
+        };
+        // Pin the prediction-round latency: the default calibrates it from
+        // the wall clock, which would differ between the two runs.
+        cfg.abacus.predict_round_ms = Some(0.08);
+        for autoscale in [None, Some(PredictiveAutoscaler::new(30.0, 1))] {
+            cfg.autoscale = autoscale.map(|a| PredictiveAutoscaler {
+                lead_ms: 500.0,
+                ..a
+            });
+            cfg.parallel = false;
+            let serial = run(ClusterSystem::AbacusK8s, &cfg);
+            cfg.parallel = true;
+            let parallel = run(ClusterSystem::AbacusK8s, &cfg);
+            assert!(!serial.records.is_empty());
+            assert_eq!(serial.records, parallel.records);
+            assert_eq!(serial.gpu_usage, parallel.gpu_usage);
+            assert_eq!(serial.router, parallel.router);
+            assert_eq!(serial.autoscale, parallel.autoscale);
+            let scaled = serial.autoscale.up_events + serial.autoscale.down_events > 0;
+            assert_eq!(scaled, autoscale.is_some(), "the autoscaler must act");
+        }
+    }
+
+    #[test]
+    fn slowed_pool_loses_goodput_and_stays_deterministic() {
+        let mut cfg = RoutedClusterConfig {
+            pools: vec![v100s(2)],
+            ..RoutedClusterConfig::paper(RateTrace::new(vec![50.0; 2]), 5)
+        };
+        cfg.abacus.predict_round_ms = Some(0.08);
+        let healthy = run(ClusterSystem::AbacusK8s, &cfg).records;
+        cfg.pools = vec![
+            v100s(1),
+            NodePool {
+                name: "v100-slowed",
+                gpus: 1,
+                gpu: slowed(&GpuSpec::v100(), 3.0),
+            },
+        ];
+        cfg.parallel = false;
+        let serial = run(ClusterSystem::AbacusK8s, &cfg).records;
+        cfg.parallel = true;
+        let parallel = run(ClusterSystem::AbacusK8s, &cfg).records;
+        // Slowing is deterministic and serial ≡ parallel.
+        assert_eq!(serial, parallel);
+        // Same arrivals, worse outcomes: a 3× slower GPU must not improve
+        // QoS.
+        assert_eq!(healthy.len(), serial.len());
+        let good = |rs: &[QueryRecord]| {
+            rs.iter()
+                .filter(|r| r.outcome == QueryOutcome::Completed && r.met_qos())
+                .count()
+        };
+        assert!(
+            good(&serial) < good(&healthy),
+            "slowed {} vs healthy {}",
+            good(&serial),
+            good(&healthy)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a cluster needs at least one GPU")]
+    fn empty_pool_is_rejected() {
+        let cfg = RoutedClusterConfig {
+            pools: vec![v100s(0)],
+            ..tiny_cfg(10.0)
+        };
+        run(ClusterSystem::Clockwork, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "a cluster needs at least one GPU")]
+    fn no_pools_is_rejected() {
+        let cfg = RoutedClusterConfig {
+            pools: Vec::new(),
+            ..tiny_cfg(10.0)
+        };
+        run(ClusterSystem::AbacusK8s, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "Clockwork runs without the autoscaler")]
+    fn clockwork_with_autoscaler_is_rejected() {
+        let cfg = RoutedClusterConfig {
+            autoscale: Some(PredictiveAutoscaler::new(30.0, 1)),
+            ..tiny_cfg(10.0)
+        };
+        run(ClusterSystem::Clockwork, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "slowdown must be finite and >= 1")]
+    fn speedup_is_not_a_slowdown() {
+        slowed(&GpuSpec::v100(), 0.5);
+    }
+
+    #[test]
+    fn workload_split_across_services() {
+        let lib = ModelLibrary::new();
+        let (arrivals, inputs) = cluster_workload(&tiny_cfg(100.0), &lib);
+        assert_eq!(arrivals.len(), inputs.len());
+        let mut counts = [0usize; 4];
+        for a in &arrivals {
+            counts[a.service] += 1;
+        }
+        let total: usize = counts.iter().sum();
+        for &c in &counts {
+            let frac = c as f64 / total as f64;
+            assert!((frac - 0.25).abs() < 0.06, "{counts:?}");
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! index, arena-backed scratch, recycled entry buffers, buffered multi-way
 //! search — must be *bit-identical* to the pre-overhaul controller and
 //! search it replaced. The reference is the shared frozen copy in
-//! `bench::reference::decision` (the same one `decision_bench` measures
-//! against). Three layers pin that:
+//! `bench::reference::decision` (the same one the `bench` binary's
+//! decision bench measures against). Three layers pin that:
 //!
 //! 1. The live [`plan_group`] matches the reference `plan_group` over
 //!    fixed query sets, budgets, search widths and predictor scales.

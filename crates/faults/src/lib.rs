@@ -4,7 +4,7 @@
 //! crate supplies the adversarial conditions under which that assumption is
 //! deliberately broken, so the scheduler's defensive machinery (drop
 //! mechanism, safety margin, FCFS degradation, per-query timeout) can be
-//! exercised and its invariants checked. A [`FaultPlan`] bundles four
+//! exercised and its invariants checked. A [`FaultPlan`] bundles three
 //! orthogonal injections, all derived from one base seed via forked
 //! SplitMix64 streams (the repo-wide reproducibility contract):
 //!
@@ -17,10 +17,10 @@
 //!   sanitised to finite, non-negative values);
 //! * **arrival bursts** — [`burst_arrivals`] generates an extra Poisson
 //!   surge inside a window, merged into the base workload *without*
-//!   perturbing the base stream's RNG draws;
-//! * **node degradation** — [`NodeDegradation`] marks a cluster node's GPUs
-//!   as uniformly slowed (MIG-slice-loss-style capacity reduction), applied
-//!   by `cluster::sim`.
+//!   perturbing the base stream's RNG draws.
+//!
+//! A degraded cluster node is not a fault here but hardware: a pool of
+//! GPUs slowed by `cluster::slowed`.
 //!
 //! `FaultPlan::none()` is the identity: every consumer treats it as "hooks
 //! disabled" and produces bit-identical output to a build without the fault
@@ -93,18 +93,6 @@ pub struct ArrivalBurst {
     pub extra_qps: f64,
 }
 
-/// One cluster node running at reduced capacity (e.g. a lost MIG slice or
-/// thermally throttled GPUs). Applied by `cluster::sim`: every GPU on the
-/// node computes and moves data `slowdown`× slower while QoS targets stay
-/// calibrated to healthy hardware.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeDegradation {
-    /// Index of the degraded node.
-    pub node: usize,
-    /// Capacity slowdown factor (> 1; 2.0 ≈ losing half the slices).
-    pub slowdown: f64,
-}
-
 /// A complete, seedable fault scenario. See module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -116,8 +104,6 @@ pub struct FaultPlan {
     pub predictor: Option<PredictorFault>,
     /// Arrival burst, if any.
     pub burst: Option<ArrivalBurst>,
-    /// Degraded cluster nodes (empty = all healthy).
-    pub degraded: Vec<NodeDegradation>,
 }
 
 impl FaultPlan {
@@ -129,16 +115,12 @@ impl FaultPlan {
             kernel: None,
             predictor: None,
             burst: None,
-            degraded: Vec::new(),
         }
     }
 
     /// True when the plan injects nothing.
     pub fn is_none(&self) -> bool {
-        self.kernel.is_none()
-            && self.predictor.is_none()
-            && self.burst.is_none()
-            && self.degraded.is_empty()
+        self.kernel.is_none() && self.predictor.is_none() && self.burst.is_none()
     }
 
     /// A canonical scenario family parameterised by `intensity ∈ [0, 1]`,
@@ -165,7 +147,6 @@ impl FaultPlan {
                 end_ms: 4_000.0,
                 extra_qps: 60.0 * intensity,
             }),
-            degraded: Vec::new(),
         }
     }
 
@@ -188,14 +169,6 @@ impl FaultPlan {
             Some(fault) => Arc::new(FaultyModel::new(model, fault)),
             None => model,
         }
-    }
-
-    /// Capacity slowdown of `node` under this plan (1.0 = healthy).
-    pub fn node_slowdown(&self, node: usize) -> f64 {
-        self.degraded
-            .iter()
-            .find(|d| d.node == node)
-            .map_or(1.0, |d| d.slowdown)
     }
 }
 
@@ -310,7 +283,6 @@ mod tests {
         let p = FaultPlan::none();
         assert!(p.is_none());
         assert!(p.kernel_fault_spec().is_none());
-        assert_eq!(p.node_slowdown(0), 1.0);
         let m: Arc<dyn LatencyModel> = Arc::new(Echo);
         let wrapped = p.wrap_predictor(m.clone());
         assert_eq!(wrapped.predict_one(&[3.5]), 3.5);

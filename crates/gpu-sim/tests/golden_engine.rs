@@ -5,12 +5,13 @@
 //! The reference is the shared frozen copy
 //! `bench::reference::engine::ReferenceEngine` (binary-insert pending
 //! queue, slowdowns recomputed for the whole running set every event,
-//! retired streams keep their slots forever) — the same engine
-//! `engine_bench` measures against. Running seeded open-loop workloads —
-//! including clusters of equal-start arrivals, whose activation order
-//! decides the order noise factors are drawn in, and kernel fault specs —
-//! through both engines and comparing every completion with `f64::to_bits`
-//! pins the live engine to the old semantics exactly, not approximately.
+//! retired streams keep their slots forever) — the same engine the
+//! `bench` binary's engine bench measures against. Running seeded
+//! open-loop workloads — including clusters of equal-start arrivals, whose
+//! activation order decides the order noise factors are drawn in, and
+//! kernel fault specs — through both engines and comparing every
+//! completion with `f64::to_bits` pins the live engine to the old
+//! semantics exactly, not approximately.
 //!
 //! The group-mode suites drive the executor's shape instead: reset, add 1–4
 //! precomputed-profile streams at `t = 0`, run to idle, repeat. Width-1

@@ -1065,8 +1065,8 @@ impl Mlp {
     /// The pre-refactor scalar trainer, preserved verbatim as the golden
     /// reference for [`Mlp::train`]: one sample at a time, per-sample
     /// forward/backward, gradients folded in sample order. The golden
-    /// trainer test and `train_bench` compare against it; it is not used
-    /// by production paths.
+    /// trainer test and the `bench` binary's train bench compare against
+    /// it; it is not used by production paths.
     ///
     /// # Panics
     /// Panics on an empty dataset.

@@ -7,8 +7,8 @@
 //! ```
 
 use cluster::{
-    build_timeline, cluster_workload, run_cluster_on, summarize, AutoscalePolicy, ClusterConfig,
-    ClusterSystem, NodeSignals,
+    build_timeline, cluster_workload, run_routed_cluster_on, summarize, AutoscalePolicy,
+    ClusterSystem, NodePool, NodeSignals, RoutedClusterConfig,
 };
 use dnn_models::ModelLibrary;
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -22,18 +22,21 @@ fn main() {
     let v100 = GpuSpec::v100();
     let noise = NoiseModel::calibrated();
 
-    // A 2-node × 2-GPU cluster and an 8-minute diurnal trace.
+    // Four GPUs behind round-robin ingress and an 8-minute diurnal trace.
     let minutes = 8;
     let trace = synthesize_maf_like(minutes, 200.0, 11);
-    let cfg = ClusterConfig {
-        nodes: 2,
-        gpus_per_node: 2,
-        ..ClusterConfig::paper(trace, 3)
+    let cfg = RoutedClusterConfig {
+        system: ClusterSystem::AbacusK8s,
+        pools: vec![NodePool {
+            name: "v100",
+            gpus: 4,
+            gpu: v100.clone(),
+        }],
+        ..RoutedClusterConfig::paper(trace, 3)
     };
     println!(
-        "cluster: {} nodes x {} {} GPUs, quad deployment {:?}, QoS {} ms",
-        cfg.nodes,
-        cfg.gpus_per_node,
+        "cluster: {} {} GPUs, quad deployment {:?}, QoS {} ms",
+        cfg.total_gpus(),
         v100.name,
         cfg.models.iter().map(|m| m.name()).collect::<Vec<_>>(),
         cfg.qos_ms
@@ -57,35 +60,32 @@ fn main() {
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
     println!("replaying {} queries over {minutes} minutes...\n", arrivals.len());
 
-    let detailed = run_cluster_on(
-        ClusterSystem::AbacusK8s,
-        &cfg,
-        &lib,
-        &v100,
-        &noise,
-        Some(mlp),
-        &arrivals,
-        &inputs,
-    );
-    let abacus = detailed.records;
-    let clockwork = run_cluster_on(
-        ClusterSystem::Clockwork,
-        &cfg,
-        &lib,
-        &v100,
-        &noise,
-        None,
-        &arrivals,
-        &inputs,
-    )
+    let run = |cfg: &RoutedClusterConfig| {
+        run_routed_cluster_on(
+            cfg,
+            &lib,
+            &noise,
+            mlp.clone(),
+            None,
+            None,
+            &arrivals,
+            &inputs,
+        )
+    };
+    let detailed = run(&cfg);
+    let abacus = &detailed.records;
+    let clockwork = &run(&RoutedClusterConfig {
+        system: ClusterSystem::Clockwork,
+        ..cfg.clone()
+    })
     .records;
 
     println!(
         "{:>6} {:>9} {:>11} {:>11} {:>9} {:>9}",
         "minute", "offered", "abacus r/s", "clock r/s", "aba p99", "clk p99"
     );
-    let tl_a = build_timeline(&arrivals, &reqs, &abacus, minutes);
-    let tl_c = build_timeline(&arrivals, &reqs, &clockwork, minutes);
+    let tl_a = build_timeline(&arrivals, &reqs, abacus, minutes);
+    let tl_c = build_timeline(&arrivals, &reqs, clockwork, minutes);
     for (a, c) in tl_a.iter().zip(&tl_c) {
         println!(
             "{:>6} {:>9.0} {:>11.0} {:>11.0} {:>9.1} {:>9.1}",
@@ -93,8 +93,8 @@ fn main() {
         );
     }
 
-    let sa = summarize(&abacus, 1, minutes);
-    let sc = summarize(&clockwork, 1, minutes);
+    let sa = summarize(abacus, 1, minutes);
+    let sc = summarize(clockwork, 1, minutes);
     println!(
         "\nsteady state: Abacus {:.0} r/s ({:.1}% drops) vs Clockwork {:.0} r/s ({:.1}% drops)",
         sa.mean_rps,

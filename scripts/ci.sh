@@ -94,8 +94,9 @@ echo "== per-GPU loop golden checksums =="
 # Every driver runs the one per-GPU serving loop (serving::GpuLoop). These
 # pin its record streams on the paths that share it: an Abacus run through
 # run_colocation_observed under a fault plan with telemetry on (records and
-# the whole recorded telemetry), the round-robin Abacus + K8s cluster with a
-# degraded node, and the headroom-routed heterogeneous fleet with the
+# the whole recorded telemetry), and every system of the one cluster
+# simulator — round-robin Abacus + K8s and Clockwork on a fleet with a
+# slowed pool, and the headroom-routed heterogeneous fleet with the
 # autoscaler on.
 cargo test -q -p integration --test fault_properties golden_observed_abacus
 cargo test -q -p integration --test cluster_pipeline checksum_is_pinned

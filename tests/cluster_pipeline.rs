@@ -1,32 +1,42 @@
 //! Integration of the cluster layer (§7.6): trace synthesis → routing →
-//! per-GPU serving → timelines, for both systems.
+//! per-GPU serving → timelines, for every system.
 
 use abacus_metrics::{QueryOutcome, QueryRecord};
 use bench::reference::decision::{pinned_config, SpanModel};
 use cluster::{
-    build_timeline, cluster_workload, run_cluster_on, run_routed_cluster, summarize,
-    AutoscalePolicy, ClusterConfig, ClusterSystem, GpuUsage, NodePool, NodeSignals,
-    PredictiveAutoscaler, RoutedClusterConfig, ScaleDecision,
+    build_timeline, cluster_workload, run_routed_cluster, slowed, summarize, AutoscalePolicy,
+    ClusterSystem, GpuUsage, NodePool, NodeSignals, PredictiveAutoscaler, RoutedClusterConfig,
+    RoutedRunResult, ScaleDecision,
 };
 use dnn_models::{ModelId, ModelLibrary};
-use faults::NodeDegradation;
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{train_unified, TrainerConfig};
 use std::sync::Arc;
 use workload::{synthesize_maf_like, RateTrace};
 
-/// The records of a run over the workload `cfg` derives.
-fn cluster_records(
+/// `gpus` V100s in one pool.
+fn v100s(gpus: usize) -> NodePool {
+    NodePool {
+        name: "v100",
+        gpus,
+        gpu: GpuSpec::v100(),
+    }
+}
+
+/// A run of `system` over the workload `cfg` derives, every Abacus
+/// controller on `model` (Clockwork reads no model).
+fn run_system(
     system: ClusterSystem,
-    cfg: &ClusterConfig,
+    cfg: &RoutedClusterConfig,
     lib: &Arc<ModelLibrary>,
-    gpu: &GpuSpec,
-    noise: &NoiseModel,
-    predictor: Option<Arc<dyn LatencyModel>>,
-) -> Vec<QueryRecord> {
-    let (arrivals, inputs) = cluster_workload(cfg, lib);
-    run_cluster_on(system, cfg, lib, gpu, noise, predictor, &arrivals, &inputs).records
+    model: Arc<dyn LatencyModel>,
+) -> RoutedRunResult {
+    let cfg = RoutedClusterConfig {
+        system,
+        ..cfg.clone()
+    };
+    run_routed_cluster(&cfg, lib, &NoiseModel::calibrated(), model, None, None)
 }
 
 fn trained_quad(lib: &Arc<ModelLibrary>, gpu: &GpuSpec) -> Arc<dyn LatencyModel> {
@@ -59,28 +69,18 @@ fn trained_quad(lib: &Arc<ModelLibrary>, gpu: &GpuSpec) -> Arc<dyn LatencyModel>
 #[test]
 fn cluster_replay_full_accounting() {
     let lib = Arc::new(ModelLibrary::new());
-    let v100 = GpuSpec::v100();
-    let noise = NoiseModel::calibrated();
     let minutes = 3;
     let trace = synthesize_maf_like(minutes, 120.0, 5);
-    let cfg = ClusterConfig {
-        nodes: 1,
-        gpus_per_node: 3,
-        ..ClusterConfig::paper(trace, 17)
+    let cfg = RoutedClusterConfig {
+        pools: vec![v100s(3)],
+        ..RoutedClusterConfig::paper(trace, 17)
     };
     let (arrivals, inputs) = cluster_workload(&cfg, &lib);
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
-    let mlp = trained_quad(&lib, &v100);
+    let mlp = trained_quad(&lib, &GpuSpec::v100());
 
-    let abacus = cluster_records(
-        ClusterSystem::AbacusK8s,
-        &cfg,
-        &lib,
-        &v100,
-        &noise,
-        Some(mlp),
-    );
-    let clockwork = cluster_records(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None);
+    let abacus = run_system(ClusterSystem::AbacusK8s, &cfg, &lib, mlp.clone()).records;
+    let clockwork = run_system(ClusterSystem::Clockwork, &cfg, &lib, mlp).records;
     assert_eq!(abacus.len(), arrivals.len());
     assert_eq!(clockwork.len(), arrivals.len());
 
@@ -116,16 +116,15 @@ fn cluster_replay_full_accounting() {
 #[test]
 fn scaling_out_adds_capacity() {
     let lib = Arc::new(ModelLibrary::new());
-    let v100 = GpuSpec::v100();
-    let noise = NoiseModel::calibrated();
     let trace = RateTrace::new(vec![260.0; 2]);
     let completed = |gpus: usize| {
-        let cfg = ClusterConfig {
-            nodes: 1,
-            gpus_per_node: gpus,
-            ..ClusterConfig::paper(trace.clone(), 7)
+        let cfg = RoutedClusterConfig {
+            pools: vec![v100s(gpus)],
+            ..RoutedClusterConfig::paper(trace.clone(), 7)
         };
-        cluster_records(ClusterSystem::Clockwork, &cfg, &lib, &v100, &noise, None)
+        let span = Arc::new(SpanModel::default());
+        run_system(ClusterSystem::Clockwork, &cfg, &lib, span)
+            .records
             .iter()
             .filter(|r| r.outcome == QueryOutcome::Completed)
             .count()
@@ -191,40 +190,68 @@ fn run_checksum(records: &[QueryRecord], usage: &[GpuUsage]) -> u64 {
     h
 }
 
-/// Checksum pin of the round-robin Abacus + K8s path: 2 nodes × 2 V100s,
-/// node 1 degraded, every GPU's controller on the synthetic span predictor
-/// with the round latency pinned. The records interleave each node's GPUs
-/// in retire order. Update only for an intentional change to cluster
-/// serving semantics.
+/// The 4-GPU V100 fleet of the round-robin and Clockwork pins: GPUs 2-3
+/// run 2.5× slowed, 240 qps for 8 s, round latency pinned.
+fn degraded_fleet(system: ClusterSystem) -> RoutedClusterConfig {
+    RoutedClusterConfig {
+        system,
+        pools: vec![
+            v100s(2),
+            NodePool {
+                name: "v100-slowed",
+                gpus: 2,
+                gpu: slowed(&GpuSpec::v100(), 2.5),
+            },
+        ],
+        abacus: pinned_config(),
+        ..RoutedClusterConfig::paper(RateTrace::with_bucket_ms(vec![240.0], 8_000.0), 23)
+    }
+}
+
+/// Checksum pin of the round-robin Abacus + K8s path on the degraded
+/// fleet, every GPU's controller on the un-derated synthetic span
+/// predictor. Records in GPU order. Update only for an intentional change
+/// to cluster serving semantics.
 #[test]
 fn abacus_k8s_records_checksum_is_pinned() {
     let lib = Arc::new(ModelLibrary::new());
-    let cfg = ClusterConfig {
-        nodes: 2,
-        gpus_per_node: 2,
-        abacus: pinned_config(),
-        degraded: vec![NodeDegradation {
-            node: 1,
-            slowdown: 2.5,
-        }],
-        ..ClusterConfig::paper(RateTrace::with_bucket_ms(vec![240.0], 8_000.0), 23)
-    };
-    let (arrivals, inputs) = cluster_workload(&cfg, &lib);
-    let out = run_cluster_on(
-        ClusterSystem::AbacusK8s,
+    let cfg = degraded_fleet(ClusterSystem::AbacusK8s);
+    let span: Arc<dyn LatencyModel> = Arc::new(SpanModel::default());
+    let out = run_routed_cluster(
         &cfg,
         &lib,
-        &GpuSpec::v100(),
         &NoiseModel::calibrated(),
-        Some(Arc::new(SpanModel::default())),
-        &arrivals,
-        &inputs,
+        span.clone(),
+        Some(&[span.clone(), span]),
+        None,
     );
-    assert_eq!(out.records.len(), arrivals.len());
+    assert_eq!(out.router.routed as usize, out.records.len());
     assert_eq!(
         run_checksum(&out.records, &out.gpu_usage),
-        1_534_384_327_468_534_143,
+        9_805_163_526_220_396_860,
         "round-robin cluster records drifted from the pinned checksum"
+    );
+}
+
+/// Checksum pin of Clockwork on the degraded fleet: records in simulation
+/// order, admission drops among them. Update only for an intentional
+/// change to cluster serving semantics.
+#[test]
+fn clockwork_records_checksum_is_pinned() {
+    let lib = Arc::new(ModelLibrary::new());
+    let cfg = degraded_fleet(ClusterSystem::Clockwork);
+    let out = run_routed_cluster(
+        &cfg,
+        &lib,
+        &NoiseModel::calibrated(),
+        Arc::new(SpanModel::default()),
+        None,
+        None,
+    );
+    assert_eq!(
+        run_checksum(&out.records, &out.gpu_usage),
+        5_959_821_675_674_640_707,
+        "Clockwork records drifted from the pinned checksum"
     );
 }
 

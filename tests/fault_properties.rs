@@ -159,7 +159,6 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
             kernel,
             predictor,
             burst,
-            degraded: Vec::new(),
         })
 }
 

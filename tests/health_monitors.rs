@@ -118,7 +118,6 @@ fn bias_plan(intensity: f64) -> FaultPlan {
             factor: 1.0 - 0.5 * intensity,
         }),
         burst: None,
-        degraded: Vec::new(),
     }
 }
 
@@ -132,7 +131,6 @@ fn burst_plan(intensity: f64) -> FaultPlan {
             end_ms: 4_000.0,
             extra_qps: 60.0 * intensity,
         }),
-        degraded: Vec::new(),
     }
 }
 
