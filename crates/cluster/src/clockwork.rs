@@ -81,9 +81,10 @@ pub(crate) fn run(
                 if cq.arrival_ms > t {
                     break;
                 }
-                let solo = lib
-                    .graph(cq.model, cq.input)
-                    .solo_ms(gpus[g].executor.gpu());
+                let solo = gpus[g]
+                    .executor
+                    .profile_table()
+                    .solo_ms(cq.model, cq.input, 0, cq.n_ops);
                 let cq = central.remove(0);
                 if t + solo * CLOCKWORK_ADMISSION_MARGIN > cq.deadline_ms() {
                     stats.shed += 1;

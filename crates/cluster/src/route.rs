@@ -707,7 +707,12 @@ impl ClusterGpu {
         let (gpu, sched, ex) = (&mut self.gpu, &mut *self.scheduler, &mut self.executor);
         let opts = NodeOptions::default();
         while let Some(spec) = gpu.step_until(until, sched, ex, opts, None, None, records) {
-            self.sequential_ms += spec.sequential_ms(ex.library(), ex.gpu());
+            let table = ex.profile_table();
+            self.sequential_ms += spec
+                .entries
+                .iter()
+                .map(|e| table.solo_ms(e.model, e.input, e.op_start, e.op_end))
+                .sum::<f64>();
         }
     }
 

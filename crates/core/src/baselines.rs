@@ -11,6 +11,7 @@
 //! (§7.2 discusses this as the reason SJF trails even FCFS/EDF).
 
 use crate::group::{PlannedEntry, PlannedGroup};
+use crate::profile::ProfileTable;
 use crate::query::Query;
 use crate::scheduler::{RoundDecision, Scheduler};
 use dnn_models::ModelLibrary;
@@ -51,8 +52,8 @@ impl BaselinePolicy {
 #[derive(Debug, Clone)]
 pub struct BaselineScheduler {
     policy: BaselinePolicy,
-    lib: Arc<ModelLibrary>,
-    gpu: GpuSpec,
+    /// Solo latencies on the scheduler's GPU.
+    table: ProfileTable,
     /// Planned-entry buffer parked here whenever a round plans no group;
     /// otherwise it cycles through the caller's decision (same scratch
     /// lifecycle as the Abacus controller's `DecisionScratch`).
@@ -64,18 +65,15 @@ impl BaselineScheduler {
     pub fn new(policy: BaselinePolicy, lib: Arc<ModelLibrary>, gpu: GpuSpec) -> Self {
         Self {
             policy,
-            lib,
-            gpu,
+            table: ProfileTable::new(lib, gpu),
             spare_entries: Vec::new(),
         }
     }
 
     /// Estimated remaining solo latency of `q` (profiled solo run, as Nexus
     /// and Clockwork keep per-model latency profiles).
-    fn remaining_solo_ms(&self, q: &Query) -> f64 {
-        self.lib
-            .graph(q.model, q.input)
-            .solo_ms_range(&self.gpu, q.next_op, q.n_ops)
+    fn remaining_solo_ms(&mut self, q: &Query) -> f64 {
+        self.table.solo_ms(q.model, q.input, q.next_op, q.n_ops)
     }
 }
 
@@ -185,6 +183,47 @@ mod tests {
         assert_eq!(g.entries[0].query_id, 2); // ResNet50 is shorter
         assert_eq!(d.overhead_ms, 2.0 * SJF_PREDICT_MS);
         assert!(g.predicted_ms > 0.0);
+    }
+
+    #[test]
+    fn sjf_on_partially_advanced_queries_matches_solo_ms_range() {
+        // Fresh and advanced queries of the same models: an advanced query
+        // (`next_op > 0`) must be keyed on its remaining suffix, never on
+        // the memoised whole-graph total.
+        let lib = ModelLibrary::new();
+        let gpu = GpuSpec::a100();
+        let mut queue = vec![
+            query(1, ModelId::ResNet50, 0.0, 1e4),
+            query(2, ModelId::ResNet50, 0.0, 1e4),
+            query(3, ModelId::Vgg19, 0.0, 1e4),
+            query(4, ModelId::Vgg19, 0.0, 1e4),
+            query(5, ModelId::Bert, 0.0, 1e4),
+        ];
+        queue[1].advance_to(60);
+        let vgg_ops = queue[3].n_ops;
+        queue[3].advance_to(vgg_ops - 3);
+        let reference =
+            |q: &Query| lib.graph(q.model, q.input).solo_ms_range(&gpu, q.next_op, q.n_ops);
+        let shortest = |queue: &[Query]| {
+            queue
+                .iter()
+                .min_by(|a, b| reference(a).total_cmp(&reference(b)).then(a.id.cmp(&b.id)))
+                .unwrap()
+                .clone()
+        };
+        assert!(shortest(&queue).next_op > 0, "the shortest job should be an advanced one");
+        let mut s = mk(BaselinePolicy::Sjf);
+        // Serve the queue out in SJF order. Each pick is decided twice:
+        // once while its rows may still be filling, once replaying them.
+        while !queue.is_empty() {
+            let expect = shortest(&queue);
+            for _ in 0..2 {
+                let g = s.decide(1.0, &queue).group.unwrap();
+                assert_eq!(g.entries[0].query_id, expect.id);
+                assert_eq!(g.predicted_ms.to_bits(), reference(&expect).to_bits());
+            }
+            queue.retain(|q| q.id != expect.id);
+        }
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! save/restore charge per partial query (§7.8's ≈ 20 MB of intermediate
 //! state).
 
-use dnn_models::{ModelId, ModelLibrary, QueryInput};
+use crate::profile::ProfileTable;
+use dnn_models::ModelLibrary;
 use gpu_sim::{
-    run_group, Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, RunningKernel,
-    StreamCompletion,
+    run_group, Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, StreamCompletion,
 };
 use predictor::GroupSpec;
-use std::collections::HashMap;
 use std::sync::Arc;
 use workload::fork_seed;
 
@@ -47,7 +46,8 @@ pub struct ExecOutcome {
 ///
 /// Holds one persistent [`Engine`] that is [`Engine::reset`] (not rebuilt)
 /// per group, and lowers every entry through the library's memoised kernel
-/// and profile caches, so the engine side of a group reuses its buffers.
+/// lowering and the executor's own [`ProfileTable`], so the engine side of a
+/// group reuses its buffers.
 /// The serving inner loop still allocates twice per group: the
 /// [`ExecOutcome::stream_ms`] vector returned here, and the entry `Vec` that
 /// [`PlannedGroup::to_spec`](crate::PlannedGroup::to_spec) builds for the
@@ -55,7 +55,6 @@ pub struct ExecOutcome {
 #[derive(Debug, Clone)]
 pub struct SegmentalExecutor {
     engine: Engine,
-    lib: Arc<ModelLibrary>,
     seed: u64,
     rounds: u64,
     /// Cumulative GPU busy time across executed groups, ms. Fault-spike
@@ -73,21 +72,19 @@ pub struct SegmentalExecutor {
     core_stats: gpu_sim::EngineCoreStats,
     /// Reused completion buffer for [`Engine::completions_into`].
     completions: Vec<StreamCompletion>,
-    /// Memoised [`RunningKernel::profile`] rows per `(model, input)`,
-    /// parallel to the library's cached kernel lowering. The executor's GPU
-    /// is fixed at construction, so a profile row is computed once and
-    /// replayed for every later group — the engine then skips its
-    /// per-kernel-start profile evaluation (bit-identical; the profile is a
-    /// pure function of kernel and GPU).
-    profiles: HashMap<(ModelId, QueryInput), Vec<RunningKernel>>,
+    /// Memoised [`RunningKernel`](gpu_sim::RunningKernel) profiles and solo
+    /// latencies on the executor's GPU, which is fixed at construction: a
+    /// row is computed once and replayed for every later group, so the
+    /// engine skips its per-kernel-start profile evaluation.
+    table: ProfileTable,
 }
 
 impl SegmentalExecutor {
     /// Create an executor on `gpu` with the given noise model and seed.
     pub fn new(gpu: GpuSpec, noise: NoiseModel, lib: Arc<ModelLibrary>, seed: u64) -> Self {
         Self {
+            table: ProfileTable::new(lib, gpu.clone()),
             engine: Engine::new(gpu, noise, 0),
-            lib,
             seed,
             rounds: 0,
             busy_ms: 0.0,
@@ -95,7 +92,6 @@ impl SegmentalExecutor {
             fault_spikes: 0,
             core_stats: gpu_sim::EngineCoreStats::default(),
             completions: Vec::new(),
-            profiles: HashMap::new(),
         }
     }
 
@@ -149,7 +145,12 @@ impl SegmentalExecutor {
 
     /// The model library used to lower operator ranges.
     pub fn library(&self) -> &Arc<ModelLibrary> {
-        &self.lib
+        self.table.library()
+    }
+
+    /// The solo-latency table on this executor's GPU.
+    pub fn profile_table(&mut self) -> &mut ProfileTable {
+        &mut self.table
     }
 
     /// Rounds executed so far.
@@ -164,21 +165,8 @@ impl SegmentalExecutor {
         self.engine.reset(run_seed);
         self.engine.set_fault_time_base(self.busy_ms);
         for e in &spec.entries {
-            let profiles = self
-                .profiles
-                .entry((e.model, e.input))
-                .or_insert_with(|| {
-                    self.lib
-                        .kernels(e.model, e.input)
-                        .iter()
-                        .map(|k| RunningKernel::profile(k, self.engine.gpu()))
-                        .collect()
-                });
-            self.engine.add_stream_slice_profiled(
-                self.lib.kernels_range(e.model, e.input, e.op_start, e.op_end),
-                &profiles[e.op_start..e.op_end],
-                0.0,
-            );
+            let (kernels, profiles) = self.table.segment(e.model, e.input, e.op_start, e.op_end);
+            self.engine.add_stream_slice_profiled(kernels, profiles, 0.0);
         }
         self.engine.run_until_idle();
         self.engine.completions_into(&mut self.completions);
@@ -201,7 +189,7 @@ impl SegmentalExecutor {
         let mut overhead = GROUP_SYNC_MS;
         let mut saved_bytes = 0.0;
         for e in &spec.entries {
-            let graph = self.lib.graph(e.model, e.input);
+            let graph = self.library().graph(e.model, e.input);
             if e.op_start > 0 {
                 overhead += SAVE_RESTORE_MS; // restore at round start
             }
@@ -225,7 +213,7 @@ impl SegmentalExecutor {
         let streams: Vec<&[KernelDesc]> = spec
             .entries
             .iter()
-            .map(|e| self.lib.kernels_range(e.model, e.input, e.op_start, e.op_end))
+            .map(|e| self.library().kernels_range(e.model, e.input, e.op_start, e.op_end))
             .collect();
         run_group(self.engine.gpu(), &NoiseModel::disabled(), 0, &streams).total_ms + GROUP_SYNC_MS
     }

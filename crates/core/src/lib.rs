@@ -16,6 +16,8 @@
 //!   intermediate results for partially-processed queries;
 //! * [`baselines`] — the FCFS / SJF / EDF sequential policies the paper
 //!   compares against (the per-GPU behaviour of Nexus and Clockwork);
+//! * [`profile`] — the per-GPU solo-latency table every serving path reads
+//!   solo latencies and kernel profiles from;
 //! * [`scheduler`] — the trait tying any of the above to a serving node.
 
 pub mod abacus;
@@ -23,6 +25,7 @@ pub mod baselines;
 pub mod executor;
 pub mod group;
 pub mod order;
+pub mod profile;
 pub mod query;
 pub mod scheduler;
 pub mod search;
@@ -34,6 +37,7 @@ pub use baselines::{BaselinePolicy, BaselineScheduler, SJF_PREDICT_MS};
 pub use executor::{ExecOutcome, SegmentalExecutor, GROUP_SYNC_MS, SAVE_RESTORE_MS};
 pub use group::{PlannedEntry, PlannedGroup};
 pub use order::{order_key, OrderIndex};
+pub use profile::ProfileTable;
 pub use query::Query;
 pub use scheduler::{DecisionStats, RoundDecision, Scheduler};
 pub use search::{plan_group, plan_group_core, PlanOutcome, SearchBuffers, SearchResult};

@@ -154,8 +154,10 @@ impl QueryInput {
     }
 }
 
-/// Pre-instantiated graphs for every (model, input) combination plus memoised
-/// solo latencies, kernel lowerings and QoS targets.
+/// Pre-instantiated graphs for every (model, input) combination plus their
+/// memoised kernel lowerings. Solo latencies and QoS targets are computed
+/// on demand; the serving paths read memoised solo latencies from a per-GPU
+/// `abacus_core::ProfileTable`.
 #[derive(Debug, Clone)]
 pub struct ModelLibrary {
     graphs: HashMap<(ModelId, QueryInput), Arc<ModelGraph>>,

@@ -101,6 +101,16 @@ echo "== per-GPU loop golden checksums =="
 cargo test -q -p integration --test fault_properties golden_observed_abacus
 cargo test -q -p integration --test cluster_pipeline checksum_is_pinned
 
+echo "== solo-latency table bit-identity =="
+# The baselines' policy keys, the cluster's overlap-gain sum and
+# Clockwork's admission read solo latencies from each GPU's memoised
+# ProfileTable. The golden checksums above stay put only if every read is
+# bit-identical to ModelGraph::solo_ms_range: the whole-graph total, and
+# any other range summed left to right like the reference. A prefix-sum
+# difference (prefix[end] - prefix[start]) rounds differently and breaks
+# this pin, so the table must not use one.
+cargo test -q -p integration --test scheduling_policies solo_latency_table_is_bit_identical_to_solo_ms_range
+
 echo "== trace export smoke =="
 TRACE_OUT=$(mktemp -d)
 trap 'rm -rf "$TRACE_OUT"' EXIT

@@ -2,8 +2,8 @@
 //! policies, the drop mechanism, headroom discipline, and the MIG study's
 //! building blocks.
 
-use abacus_core::{AbacusConfig, AbacusScheduler, Query, Scheduler};
-use dnn_models::{ModelId, ModelLibrary, QueryInput};
+use abacus_core::{AbacusConfig, AbacusScheduler, ProfileTable, Query, Scheduler};
+use dnn_models::{fuse_elementwise, ModelId, ModelLibrary, QueryInput, BATCH_CHOICES};
 use faults::{FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
@@ -384,4 +384,48 @@ fn sjf_overhead_visible_under_pressure() {
     // SJF's mean latency for completed small jobs is lower (that is its
     // point), but it cannot complete more than the queue allows.
     assert!(sjf.all.mean_latency() <= fcfs.all.mean_latency() * 1.05);
+}
+
+/// The per-GPU solo-latency table every serving path reads is bit-identical
+/// to the reference `ModelGraph::solo_ms_range` on every graph, input and
+/// simulated GPU, for each range shape the paths ask for: the whole graph
+/// (the memoised total), every prefix `[0, k)`, and every suffix `[k, n)`
+/// (a baseline's remaining work once `next_op > 0`).
+#[test]
+fn solo_latency_table_is_bit_identical_to_solo_ms_range() {
+    let lib = Arc::new(ModelLibrary::new());
+    let fused = Arc::new(ModelLibrary::new_with(|g| fuse_elementwise(&g)));
+    let a100 = GpuSpec::a100();
+    let mut cases = vec![
+        (lib.clone(), a100.clone()),
+        (lib.clone(), GpuSpec::v100()),
+        (lib.clone(), cluster::slowed(&GpuSpec::v100(), 2.5)),
+        (fused, a100.clone()),
+    ];
+    for p in [MigProfile::OneG5Gb, MigProfile::TwoG10Gb, MigProfile::FourG20Gb] {
+        cases.push((lib.clone(), a100.mig_slice(p)));
+    }
+    for (lib, gpu) in cases {
+        let mut table = ProfileTable::new(lib.clone(), gpu.clone());
+        for m in ModelId::ALL {
+            for &batch in &BATCH_CHOICES {
+                for &seq in m.seq_choices() {
+                    let input = QueryInput::new(batch, seq);
+                    let graph = lib.graph(m, input);
+                    let n = graph.len();
+                    for k in 0..=n {
+                        for (start, end) in [(0, k), (k, n)] {
+                            assert_eq!(
+                                table.solo_ms(m, input, start, end).to_bits(),
+                                graph.solo_ms_range(&gpu, start, end).to_bits(),
+                                "{} {input:?} [{start}, {end}) on {}",
+                                m.name(),
+                                gpu.name
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
