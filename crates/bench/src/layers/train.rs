@@ -1,5 +1,5 @@
-//! Cold-start offline training: the preserved scalar per-sample trainer
-//! (`Mlp::train_reference`) vs the vectorised minibatch trainer
+//! Cold-start offline training: the frozen scalar per-sample trainer
+//! ([`crate::reference::train`]) vs the vectorised minibatch trainer
 //! (`Mlp::train`) in its serial and worker-pool dispatch modes, plus the
 //! parallel dataset-collection front end.
 //!
@@ -8,6 +8,7 @@
 //! only ever adds time.
 
 use crate::harness::wall_ms;
+use crate::reference;
 use crate::{Bench, Gated, Report};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -77,7 +78,7 @@ impl Bench for Train {
         let (mut serial, mut pooled) = (None, None);
         for _ in 0..REPS {
             reference_ms = reference_ms.min(wall_ms(|| {
-                std::hint::black_box(Mlp::train_reference(&data, &cfg(false)));
+                std::hint::black_box(reference::train::mlp(&data, &cfg(false)));
             }));
             serial_ms = serial_ms.min(wall_ms(|| serial = Some(Mlp::train(&data, &cfg(true)))));
             pooled_ms = pooled_ms.min(wall_ms(|| pooled = Some(Mlp::train(&data, &cfg(false)))));

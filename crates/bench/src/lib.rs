@@ -10,8 +10,8 @@
 //!   (the full-scale versions are the `abacus-repro` subcommands).
 //!
 //! [`reference`] holds the one frozen pre-overhaul copy of each hot layer
-//! (engine, decision path) that both the perf benches and the golden
-//! bit-identity suites run against; [`baseline_number`] reads a committed
+//! (engine, decision path, MLP trainer) that both the perf benches and the
+//! golden bit-identity suites run against; [`baseline_number`] reads a committed
 //! `BENCH_*.json` for the `--check` gate.
 
 use dnn_models::{ModelId, ModelLibrary};
@@ -35,6 +35,7 @@ pub use layers::BENCHES;
 pub mod reference {
     pub mod decision;
     pub mod engine;
+    pub mod train;
 }
 
 /// One step of the benches' order- and bit-sensitive checksums.

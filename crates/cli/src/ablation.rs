@@ -171,13 +171,13 @@ pub fn run(opts: &Options) {
     // (e) tail-aware prediction (extension): a q90 pinball-loss duration
     // model certifies budgets against the latency *tail* instead of the
     // mean — fewer violations for a little throughput.
-    let q90: Arc<dyn LatencyModel> = Arc::new(predictor::Mlp::train(
+    let q90: Arc<dyn LatencyModel> = Arc::new(predictor::QuantileMlp::train(
         &data,
         &predictor::MlpConfig {
             epochs: opts.scale.epochs(),
-            quantile: Some(0.9),
             ..predictor::MlpConfig::default()
         },
+        &[0.9],
     ));
     let mut table3 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
     for (name, model) in [("mean MLP", as_model(&mlp)), ("q90 MLP (pinball loss)", q90)] {

@@ -5,8 +5,9 @@
 //! and evaluate co-run slowdowns — are expressed here over the engine's
 //! struct-of-arrays state (see [`crate::engine`]) and dispatched across
 //! scalar / AVX2 / AVX-512 tiers. [`SimdTier::detect`] is the workspace's
-//! one tier detector: the predictor's MLP training and inference kernels
-//! (`predictor::mlp`) dispatch on it too.
+//! one tier detector, and [`multiversion!`](crate::multiversion) its one
+//! way to compile a plain Rust kernel per tier: the predictor's MLP
+//! training and inference kernels (`predictor::mlp`) dispatch through it.
 //!
 //! Every tier is bit-identical to the scalar reference, which is part of
 //! the engine's determinism contract:
@@ -136,6 +137,54 @@ impl SimdTier {
             }
         }
     }
+}
+
+/// Compile an `#[inline(always)]` kernel once per [`SimdTier`] and
+/// dispatch on the tier at run time.
+///
+/// `multiversion!(pub fn name(a: A, b: B) = kernel;)` defines
+/// `pub fn name(tier: SimdTier, a: A, b: B)`, which runs `kernel(a, b)`
+/// inside an `#[target_feature(enable = "avx512f")]` copy, an
+/// `#[target_feature(enable = "avx2")]` copy, or as plain code. The kernel
+/// must be `#[inline(always)]` so each copy compiles its body with that
+/// tier's vector instructions. Element-wise kernels whose per-output
+/// accumulation order does not depend on vector width (Rust never
+/// contracts `mul` + `add` into an FMA) stay bit-identical across tiers.
+#[macro_export]
+macro_rules! multiversion {
+    ($(#[$attr:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $kernel:path;) => {
+        $(#[$attr])*
+        #[inline]
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $name(tier: $crate::simd::SimdTier, $($arg: $ty),*) $(-> $ret)? {
+            /// # Safety
+            /// The host must support AVX2.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $kernel($($arg),*)
+            }
+            /// # Safety
+            /// The host must support AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            #[allow(clippy::too_many_arguments)]
+            unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                $kernel($($arg),*)
+            }
+            match tier {
+                // SAFETY: a tier other than `Scalar` comes only from
+                // `SimdTier::detect`/`supported`, which check the CPU
+                // features its copy enables.
+                #[cfg(target_arch = "x86_64")]
+                $crate::simd::SimdTier::Avx512 => unsafe { avx512($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                $crate::simd::SimdTier::Avx2 => unsafe { avx2($($arg),*) },
+                $crate::simd::SimdTier::Scalar => $kernel($($arg),*),
+            }
+        }
+    };
 }
 
 fn decrement_scalar(remaining: &mut [f64], slowdowns: &[f64], dt: f64) {

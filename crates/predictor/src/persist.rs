@@ -24,61 +24,18 @@ const CMAGIC: &str = "abacus-conf-v1";
 
 /// Serialise an MLP to a string.
 pub fn to_string(mlp: &Mlp) -> String {
-    let (y_mean, y_std) = mlp.target_scaling();
-    let dims = mlp.dims();
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&dims.iter().map(ToString::to_string).collect::<Vec<_>>().join(" "));
-    out.push('\n');
-    out.push_str(&format!("{y_mean:e} {y_std:e}\n"));
-    for p in mlp.raw_params() {
-        out.push_str(&format!("{p:e}\n"));
-    }
-    out
+    net_to_string(MAGIC, &mlp.dims(), None, mlp.target_scaling(), &mlp.raw_params())
 }
 
 /// Parse an MLP from the [`to_string`] format.
 pub fn from_str(s: &str) -> Result<Mlp, String> {
-    let mut lines = s.lines();
-    match lines.next() {
-        Some(l) if l == MAGIC => {}
-        other => return Err(format!("bad magic: {other:?}")),
-    }
-    let dims: Vec<usize> = lines
-        .next()
-        .ok_or("missing dims line")?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| format!("bad dim: {e}")))
-        .collect::<Result<_, String>>()?;
-    let scale_line = lines.next().ok_or("missing scaling line")?;
-    let mut it = scale_line.split_whitespace();
-    let y_mean: f64 = it
-        .next()
-        .ok_or("missing y_mean")?
-        .parse()
-        .map_err(|e| format!("bad y_mean: {e}"))?;
-    let y_std: f64 = it
-        .next()
-        .ok_or("missing y_std")?
-        .parse()
-        .map_err(|e| format!("bad y_std: {e}"))?;
-    let params: Vec<f64> = lines
-        .map(|l| l.trim().parse().map_err(|e| format!("bad param: {e}")))
-        .collect::<Result<_, String>>()?;
-    Mlp::from_raw(&dims, &params, y_mean, y_std)
+    let net = parse_net(s, MAGIC, false)?;
+    Mlp::from_raw(&net.dims, &net.params, net.y_mean, net.y_std)
 }
 
 /// Save to a file, creating parent directories.
 pub fn save(mlp: &Mlp, path: impl AsRef<Path>) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let mut f = fs::File::create(path)?;
-    f.write_all(to_string(mlp).as_bytes())
+    write_artifact(path.as_ref(), &to_string(mlp))
 }
 
 /// Load from a file.
@@ -98,24 +55,76 @@ pub fn load_or_else(path: impl AsRef<Path>, build: impl FnOnce() -> Mlp) -> (Mlp
     }
 }
 
-/// Serialise quantile heads to a string: magic, dims, quantile levels,
-/// target scaling, one parameter per line — the [`to_string`] layout plus
-/// a taus line.
-pub fn quantile_to_string(q: &QuantileMlp) -> String {
-    let (y_mean, y_std) = q.target_scaling();
-    let dims = q.dims();
+/// Serialise one network: the magic line, the dims line, the quantile
+/// levels line (heads only), the target scaling line, then one parameter
+/// per line. The mean model and the quantile heads differ only in the
+/// magic and the levels line.
+fn net_to_string(
+    magic: &str,
+    dims: &[usize],
+    taus: Option<&[f64]>,
+    (y_mean, y_std): (f64, f64),
+    params: &[f64],
+) -> String {
     let mut out = String::new();
-    out.push_str(QMAGIC);
+    out.push_str(magic);
     out.push('\n');
     out.push_str(&dims.iter().map(ToString::to_string).collect::<Vec<_>>().join(" "));
     out.push('\n');
-    out.push_str(&q.taus().iter().map(|t| format!("{t:e}")).collect::<Vec<_>>().join(" "));
-    out.push('\n');
+    if let Some(taus) = taus {
+        out.push_str(&taus.iter().map(|t| format!("{t:e}")).collect::<Vec<_>>().join(" "));
+        out.push('\n');
+    }
     out.push_str(&format!("{y_mean:e} {y_std:e}\n"));
-    for p in q.raw_params() {
+    for p in params {
         out.push_str(&format!("{p:e}\n"));
     }
     out
+}
+
+/// The fields of one serialised network, as [`net_to_string`] wrote them.
+struct RawNet {
+    dims: Vec<usize>,
+    /// Empty unless the format carries quantile levels.
+    taus: Vec<f64>,
+    y_mean: f64,
+    y_std: f64,
+    params: Vec<f64>,
+}
+
+/// Parse one network written by [`net_to_string`] under `magic`, with a
+/// quantile levels line when `has_taus`.
+fn parse_net(s: &str, magic: &str, has_taus: bool) -> Result<RawNet, String> {
+    let mut lines = s.lines();
+    match lines.next() {
+        Some(l) if l == magic => {}
+        other => return Err(format!("bad magic: {other:?}")),
+    }
+    let dims: Vec<usize> = lines
+        .next()
+        .ok_or("missing dims line")?
+        .split_whitespace()
+        .map(|t| t.parse().map_err(|e| format!("bad dim: {e}")))
+        .collect::<Result<_, String>>()?;
+    let taus = if has_taus {
+        parse_f64_line(lines.next().ok_or("missing taus line")?, "tau")?
+    } else {
+        Vec::new()
+    };
+    let scaling = parse_f64_line(lines.next().ok_or("missing scaling line")?, "scaling")?;
+    let [y_mean, y_std] = scaling[..] else {
+        return Err("scaling line needs y_mean and y_std".into());
+    };
+    let params: Vec<f64> = lines
+        .map(|l| l.trim().parse().map_err(|e| format!("bad param: {e}")))
+        .collect::<Result<_, String>>()?;
+    Ok(RawNet {
+        dims,
+        taus,
+        y_mean,
+        y_std,
+        params,
+    })
 }
 
 /// Parse one whitespace-separated line of `f64`s.
@@ -125,51 +134,16 @@ fn parse_f64_line(line: &str, what: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
+/// Serialise quantile heads: the [`to_string`] layout under their own
+/// magic, plus the levels line. Stored only inside the conformal artifact.
+fn quantile_to_string(q: &QuantileMlp) -> String {
+    net_to_string(QMAGIC, &q.dims(), Some(q.taus()), q.target_scaling(), &q.raw_params())
+}
+
 /// Parse quantile heads from the [`quantile_to_string`] format.
-pub fn quantile_from_str(s: &str) -> Result<QuantileMlp, String> {
-    let mut lines = s.lines();
-    match lines.next() {
-        Some(l) if l == QMAGIC => {}
-        other => return Err(format!("bad magic: {other:?}")),
-    }
-    let dims: Vec<usize> = lines
-        .next()
-        .ok_or("missing dims line")?
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|e| format!("bad dim: {e}")))
-        .collect::<Result<_, String>>()?;
-    let taus = parse_f64_line(lines.next().ok_or("missing taus line")?, "tau")?;
-    let scaling = parse_f64_line(lines.next().ok_or("missing scaling line")?, "scaling")?;
-    let [y_mean, y_std] = scaling[..] else {
-        return Err("scaling line needs y_mean and y_std".into());
-    };
-    let params: Vec<f64> = lines
-        .map(|l| l.trim().parse().map_err(|e| format!("bad param: {e}")))
-        .collect::<Result<_, String>>()?;
-    QuantileMlp::from_raw(&dims, &params, y_mean, y_std, taus)
-}
-
-/// Save quantile heads to a file, creating parent directories.
-pub fn save_quantile(q: &QuantileMlp, path: impl AsRef<Path>) -> io::Result<()> {
-    write_artifact(path.as_ref(), &quantile_to_string(q))
-}
-
-/// Load quantile heads from a file.
-pub fn load_quantile(path: impl AsRef<Path>) -> Result<QuantileMlp, String> {
-    let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
-    quantile_from_str(&text)
-}
-
-/// [`load_or_else`] for quantile heads: any cache failure — missing file,
-/// bad magic, truncation, corrupt levels — degrades to `build`.
-pub fn load_quantile_or_else(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> QuantileMlp,
-) -> (QuantileMlp, bool) {
-    match load_quantile(path) {
-        Ok(q) => (q, true),
-        Err(_) => (build(), false),
-    }
+fn quantile_from_str(s: &str) -> Result<QuantileMlp, String> {
+    let net = parse_net(s, QMAGIC, true)?;
+    QuantileMlp::from_raw(&net.dims, &net.params, net.y_mean, net.y_std, net.taus)
 }
 
 /// Serialise a conformal certifier to a string: magic, certification
@@ -248,18 +222,6 @@ pub fn save_conformal(model: &ConformalModel, path: impl AsRef<Path>) -> io::Res
 pub fn load_conformal(path: impl AsRef<Path>) -> Result<ConformalModel, String> {
     let text = fs::read_to_string(path).map_err(|e| e.to_string())?;
     conformal_from_str(&text)
-}
-
-/// [`load_or_else`] for conformal certifiers: any cache failure degrades
-/// to `build` (re-train + re-calibrate) instead of panicking.
-pub fn load_conformal_or_else(
-    path: impl AsRef<Path>,
-    build: impl FnOnce() -> ConformalModel,
-) -> (ConformalModel, bool) {
-    match load_conformal(path) {
-        Ok(m) => (m, true),
-        Err(_) => (build(), false),
-    }
 }
 
 /// Write one artifact file, creating parent directories.
@@ -345,6 +307,8 @@ mod tests {
         assert!(from_str(&text).is_err());
         let truncated: String = to_string(&mlp).lines().take(5).collect::<Vec<_>>().join("\n");
         assert!(from_str(&truncated).is_err());
+        // A zero-width layer would divide every row into empty chunks.
+        assert!(from_str(&format!("{MAGIC}\n0 1\n0e0 1e0\n0e0\n")).is_err());
     }
 
     #[test]
@@ -440,7 +404,7 @@ mod tests {
         let cert = tiny_certifier();
         let q = cert.heads();
         let back = quantile_from_str(&quantile_to_string(q)).unwrap();
-        assert_eq!(back.taus(), q.taus());
+        assert_eq!(&back, q);
         for i in 0..10 {
             let x = [i as f64 / 10.0, 1.0 - i as f64 / 10.0];
             assert_eq!(q.predict_quantiles_one(&x), back.predict_quantiles_one(&x));
@@ -463,71 +427,96 @@ mod tests {
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
+    /// The corrupt-cache cases for the heads section of the conformal
+    /// artifact — the only place quantile heads are stored: each must fail
+    /// the load (so the caller retrains) instead of panicking or
+    /// half-loading.
     #[test]
     fn corrupt_quantile_cache_degrades_to_retrain() {
-        let dir = std::env::temp_dir().join("abacus_persist_qmlp_load_or_else_test");
-        let path = dir.join("heads.qmlp");
-        let fresh = tiny_certifier().heads().clone();
+        let dir = std::env::temp_dir().join("abacus_persist_qmlp_corrupt_test");
+        let path = dir.join("cert.conf");
+        let fresh = tiny_certifier();
+        save_conformal(&fresh, &path).unwrap();
+        assert!(load_conformal(&path).is_ok());
+        let full = conformal_to_string(&fresh);
+        let heads = quantile_to_string(fresh.heads());
+        let table = &full[..full.len() - heads.len()];
 
-        // Missing cache: build runs.
-        let (q, cached) = load_quantile_or_else(&path, || fresh.clone());
-        assert!(!cached);
-        assert_eq!(q, fresh);
+        // A stale *mean-model* artifact in the heads section.
+        std::fs::write(&path, format!("{table}{}", to_string(&tiny_mlp()))).unwrap();
+        assert!(load_conformal(&path).is_err(), "mean model loaded as heads");
 
-        // Intact cache: build must not run.
-        save_quantile(&fresh, &path).unwrap();
-        let (_, cached) = load_quantile_or_else(&path, || unreachable!("cache was intact"));
-        assert!(cached);
+        // Truncated heads.
+        let truncated: String = heads.lines().take(6).collect::<Vec<_>>().join("\n");
+        std::fs::write(&path, format!("{table}{truncated}")).unwrap();
+        assert!(load_conformal(&path).is_err(), "truncated heads loaded");
 
-        // A stale *mean-model* artifact at the heads path (the PR 3 magic)
-        // must retrain, not panic or half-load.
-        let mean = tiny_mlp();
-        save(&mean, &path).unwrap();
-        let (_, cached) = load_quantile_or_else(&path, || fresh.clone());
-        assert!(!cached);
-
-        // Truncated and parameter-corrupted caches: graceful retrain.
-        let full = quantile_to_string(&fresh);
-        let truncated: String = full.lines().take(6).collect::<Vec<_>>().join("\n");
-        std::fs::write(&path, truncated).unwrap();
-        let (_, cached) = load_quantile_or_else(&path, || fresh.clone());
-        assert!(!cached);
-        std::fs::write(&path, full + "not-a-number\n").unwrap();
-        let (_, cached) = load_quantile_or_else(&path, || fresh.clone());
-        assert!(!cached);
+        // A non-numeric parameter.
+        std::fs::write(&path, format!("{full}not-a-number\n")).unwrap();
+        assert!(load_conformal(&path).is_err(), "corrupt parameter loaded");
 
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_conformal_cache_degrades_to_recalibrate() {
-        let dir = std::env::temp_dir().join("abacus_persist_conf_load_or_else_test");
+        let dir = std::env::temp_dir().join("abacus_persist_conf_corrupt_test");
         let path = dir.join("cert.conf");
         let fresh = tiny_certifier();
 
-        // Missing cache: build runs.
-        let (m, cached) = load_conformal_or_else(&path, || fresh.clone());
-        assert!(!cached);
-        assert_eq!(m, fresh);
+        // Missing cache.
+        assert!(load_conformal(&path).is_err());
 
-        // Intact cache: build must not run.
+        // Intact cache.
         save_conformal(&fresh, &path).unwrap();
-        let (_, cached) = load_conformal_or_else(&path, || unreachable!("cache was intact"));
-        assert!(cached);
+        assert_eq!(load_conformal(&path).unwrap(), fresh);
 
-        // Truncated mid-table, truncated mid-heads, corrupted correction.
+        // Truncated mid-table, truncated mid-heads, corrupted heads magic.
         let full = conformal_to_string(&fresh);
         for keep in [3, 8] {
             let truncated: String = full.lines().take(keep).collect::<Vec<_>>().join("\n");
             std::fs::write(&path, truncated).unwrap();
-            let (_, cached) = load_conformal_or_else(&path, || fresh.clone());
-            assert!(!cached, "truncation at line {keep} must miss the cache");
+            assert!(load_conformal(&path).is_err(), "truncation at line {keep} must miss the cache");
         }
         let corrupted = full.replacen("abacus-qmlp-v1", "abacus-qmlp-v9", 1);
         std::fs::write(&path, corrupted).unwrap();
-        let (_, cached) = load_conformal_or_else(&path, || fresh.clone());
-        assert!(!cached);
+        assert!(load_conformal(&path).is_err());
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A mean model has one output. A well-formed net with a wider last
+    /// layer must not load as one: it would report `[2, 1]` dims and
+    /// predict a different head alone than inside a batch.
+    #[test]
+    fn multi_output_artifact_is_not_a_mean_model() {
+        let params: Vec<String> = (1..=9).map(|p| format!("{p:e}")).collect();
+        let wide = format!("{MAGIC}\n2 3\n1e1 1e0\n{}\n", params.join("\n"));
+        let err = from_str(&wide).unwrap_err();
+        assert!(err.contains("one output"), "{err}");
+        // The same parameters reshaped to a one-output net load, and its
+        // dims read the last layer's width.
+        let narrow = format!("{MAGIC}\n2 2 1\n1e1 1e0\n{}\n", params.join("\n"));
+        let mlp = from_str(&narrow).unwrap();
+        assert_eq!(mlp.dims(), vec![2, 2, 1]);
+        assert_eq!(to_string(&mlp), narrow);
+    }
+
+    /// Every committed model artifact loads and re-serialises byte for
+    /// byte, so the on-disk format is stable.
+    #[test]
+    fn committed_model_artifacts_roundtrip_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/models");
+        let mut checked = 0;
+        for entry in fs::read_dir(&dir).expect("results/models is committed") {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "mlp") {
+                let text = fs::read_to_string(&path).unwrap();
+                let mlp = from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                assert!(to_string(&mlp) == text, "{} did not round-trip", path.display());
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "no .mlp artifacts under {}", dir.display());
     }
 }

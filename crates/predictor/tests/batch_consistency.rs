@@ -1,7 +1,7 @@
 //! Property tests: the batched prediction paths (`predict_into`,
-//! `predict_batch`) of all three predictors and the conformal certifier
-//! agree with the per-sample `predict_one` to within 1e-9 for arbitrary
-//! batch sizes 1..=32 — the
+//! `predict_batch`) of all three predictors, one- and three-head quantile
+//! models and the conformal certifier agree with the per-sample
+//! `predict_one` to within 1e-9 for arbitrary batch sizes 1..=32 — the
 //! batched kernel must be safe to substitute in the multi-way search —
 //! and every shipped model keeps the `LatencyModel` purity contract
 //! bitwise: a row's prediction does not depend on the batch around it.
@@ -27,7 +27,9 @@ fn synthetic(n: usize, seed: u64) -> Dataset {
     d
 }
 
-/// Every shipped model kind, the calibrated certifier included.
+/// Every shipped model kind: the mean MLP, a one-head (single pinball) and
+/// a three-head quantile model, the linear baselines, and the calibrated
+/// certifier.
 fn models() -> &'static Vec<Box<dyn LatencyModel>> {
     static MODELS: OnceLock<Vec<Box<dyn LatencyModel>>> = OnceLock::new();
     MODELS.get_or_init(|| {
@@ -39,6 +41,8 @@ fn models() -> &'static Vec<Box<dyn LatencyModel>> {
         let heads = QuantileMlp::train(&d, &cfg, &CERT_TAUS);
         vec![
             Box::new(Mlp::train(&d, &cfg)),
+            Box::new(QuantileMlp::train(&d, &cfg, &[0.9])),
+            Box::new(heads.clone()),
             Box::new(LinearRegression::fit(&d, 1e-6)),
             Box::new(LinearSvr::fit(
                 &d,

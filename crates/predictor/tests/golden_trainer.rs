@@ -1,6 +1,7 @@
-//! Golden pin for the minibatch matrix-form trainer: [`Mlp::train`] must
-//! reproduce the preserved pre-refactor scalar trainer
-//! ([`Mlp::train_reference`]).
+//! Golden pin for the minibatch matrix-form trainer: [`Mlp::train`] and
+//! [`QuantileMlp::train`] must reproduce the frozen pre-refactor scalar
+//! trainer, `bench::reference::train` (linked as a dev-dependency, as
+//! `gpu-sim`'s golden engine suite links the reference engine).
 //!
 //! Two regimes, per DESIGN.md's training-determinism rules:
 //!
@@ -13,7 +14,11 @@
 //! A third pin: training with `serial: true` (all gradient chunks on the
 //! calling thread) and `serial: false` (worker-pool fan-out) must produce
 //! bit-identical models — thread-count independence is a hard contract.
+//!
+//! A model is its parameters, target scaling and inference plan; the Adam
+//! moments stay in the trainer, so `assert_eq!` compares whole models.
 
+use bench::reference::train as reference;
 use predictor::{Dataset, LatencyModel, Mlp, MlpConfig, QuantileMlp};
 use workload::SeededRng;
 
@@ -33,17 +38,17 @@ fn synthetic(n: usize, seed: u64) -> Dataset {
 #[test]
 fn single_chunk_minibatches_match_reference_bit_for_bit() {
     let d = synthetic(300, 11);
-    for quantile in [None, Some(0.9)] {
-        let cfg = MlpConfig {
-            epochs: 8,
-            batch_size: 16,
-            quantile,
-            ..MlpConfig::default()
-        };
-        let new = Mlp::train(&d, &cfg);
-        let old = Mlp::train_reference(&d, &cfg);
-        assert_eq!(new, old, "quantile {quantile:?}");
-    }
+    let cfg = MlpConfig {
+        epochs: 8,
+        batch_size: 16,
+        ..MlpConfig::default()
+    };
+    assert_eq!(Mlp::train(&d, &cfg), reference::mlp(&d, &cfg));
+    // A single pinball-loss model is a one-head quantile model.
+    assert_eq!(
+        QuantileMlp::train(&d, &cfg, &[0.9]),
+        reference::quantile(&d, &cfg, &[0.9])
+    );
 }
 
 #[test]
@@ -55,7 +60,7 @@ fn multi_chunk_minibatches_match_reference_within_tolerance() {
         ..MlpConfig::default()
     };
     let new = Mlp::train(&d, &cfg);
-    let old = Mlp::train_reference(&d, &cfg);
+    let old = reference::mlp(&d, &cfg);
     assert_eq!(new.dims(), old.dims());
     let (pn, po) = (new.raw_params(), old.raw_params());
     for (j, (a, b)) in pn.iter().zip(&po).enumerate() {
@@ -84,7 +89,7 @@ fn quantile_single_chunk_minibatches_match_reference_bit_for_bit() {
                 ..MlpConfig::default()
             };
             let new = QuantileMlp::train(&d, &cfg, taus);
-            let old = QuantileMlp::train_reference(&d, &cfg, taus);
+            let old = reference::quantile(&d, &cfg, taus);
             assert_eq!(new, old, "taus {taus:?} batch {batch_size}");
         }
     }
@@ -99,7 +104,7 @@ fn quantile_multi_chunk_minibatches_match_reference_within_tolerance() {
         ..MlpConfig::default()
     };
     let new = QuantileMlp::train(&d, &cfg, &TAUS);
-    let old = QuantileMlp::train_reference(&d, &cfg, &TAUS);
+    let old = reference::quantile(&d, &cfg, &TAUS);
     assert_eq!(new.dims(), old.dims());
     let (pn, po) = (new.raw_params(), old.raw_params());
     for (j, (a, b)) in pn.iter().zip(&po).enumerate() {

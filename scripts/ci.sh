@@ -20,8 +20,9 @@ cargo test -q -p integration --test fault_properties -- --include-ignored
 
 echo "== reference code stays out of shipped crates =="
 # The frozen pre-overhaul references live in the non-shipped `bench`
-# crate, which the golden suites link only as a dev-dependency. No shipped
-# crate may pull it into its normal dependency graph.
+# crate, which the golden suites (gpu-sim, abacus-core, predictor) link
+# only as a dev-dependency. No shipped crate may pull it into its normal
+# dependency graph.
 for crate in abacus-cli serving cluster abacus-core predictor gpu-sim; do
     if cargo tree -q -e normal -p "$crate" --prefix none | awk '{print $1}' | grep -qx bench; then
         echo "shipped crate $crate depends on the bench crate" >&2
@@ -70,10 +71,19 @@ echo "== predictor purity + worker-pool panic safety =="
 cargo test -q -p predictor --test batch_consistency row_prediction_is_independent_of_its_batch
 cargo test -q -p rayon --lib pool::tests::panicking_task_propagates_and_pool_recovers
 
+echo "== model artifacts =="
+# Every committed results/models/*.mlp loads and re-serialises byte for
+# byte, and a net whose last layer is wider than one output never loads as
+# a mean model (it would predict one head alone and another in a batch).
+cargo test -q -p predictor --lib persist::tests::committed_model_artifacts_roundtrip_byte_for_byte
+cargo test -q -p predictor --lib persist::tests::multi_output_artifact_is_not_a_mean_model
+
 echo "== certification suites (quantile golden, conformal coverage, byte-identity) =="
-# The uncertainty-aware certification stack: the multi-head pinball
-# trainer must match its scalar reference (bit-for-bit in the single-chunk
-# regime, 1e-9 otherwise), split-conformal calibration must hit its
+# The uncertainty-aware certification stack: the mean and multi-head
+# pinball trainers must match the frozen per-sample trainer
+# (bench::reference::train, also the train bench's baseline) bit for bit
+# in the single-chunk regime and to 1e-9 otherwise, serial and pooled
+# training must agree bit for bit, split-conformal calibration must hit its
 # coverage band on held-out data, and a run that merely *carries* a
 # certifier with the `conformal` flag off must stay byte-identical to the
 # pre-certification serving path.
