@@ -1,13 +1,10 @@
-//! The perf benches: one `bench` binary over six layer benches, the
-//! Criterion figure benches, and the fixtures they share.
+//! The perf benches: one `bench` binary over six layer benches, and the
+//! fixtures they share.
 //!
 //! * [`harness`] — the [`Bench`] trait, the report writer, the single
 //!   regression gate and the `bench [NAME...] [--check]` command line;
 //! * [`BENCHES`] — the six layer benches (search, serving, train, engine,
-//!   decision, cluster), in the order a bare `bench` run executes them;
-//! * `benches/figures.rs` — one Criterion benchmark per paper table/figure,
-//!   each timing a scaled-down end-to-end regeneration of that experiment
-//!   (the full-scale versions are the `abacus-repro` subcommands).
+//!   decision, cluster), in the order a bare `bench` run executes them.
 //!
 //! [`reference`] holds the one frozen pre-overhaul copy of each hot layer
 //! (engine, decision path, MLP trainer) that both the perf benches and the

@@ -41,11 +41,10 @@ pub fn run(opts: &Options) {
     let mut table = Table::new(vec!["policy", "queue", "q50", "q99", "service", "mean e2e", "p99"]);
     println!(
         "Latency anatomy — ({},{}) at {} QPS aggregate (completed queries; queue \
-         percentiles {})",
+         percentiles exact)",
         pair[0].name(),
         pair[1].name(),
         opts.qos_load_total(),
-        if opts.sketch { "from the streaming sketch" } else { "exact" }
     );
     for policy in PolicyKind::ALL {
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
@@ -53,15 +52,14 @@ pub fn run(opts: &Options) {
         let queue = r.all.mean_queue_ms();
         let mean = r.all.mean_latency();
         let service = mean - queue;
-        // `--sketch` swaps the q50/q99 columns to the mergeable streaming
-        // sketch (bounded memory, within its documented rank-error of the
-        // exact pool); the default stays the exact kept-every-delay path.
-        let (q50, q99) = if opts.sketch {
-            (r.all.queue_sketch_percentile(50.0), r.all.queue_sketch_percentile(99.0))
-        } else {
-            (r.all.queue_p50_ms(), r.all.queue_p99_ms())
-        };
-        let row = [queue, q50, q99, service, mean, r.all.p99_latency()];
+        let row = [
+            queue,
+            r.all.queue_p50_ms(),
+            r.all.queue_p99_ms(),
+            service,
+            mean,
+            r.all.p99_latency(),
+        ];
         csv.write_record(policy.name(), &row).expect("row");
         table.row_f64(policy.name().to_string(), &row, 1);
     }

@@ -81,10 +81,6 @@ pub struct Options {
     /// and therefore the CSVs — are byte-identical to the serial order;
     /// `--serial` exists for demonstrating exactly that.
     pub parallel: bool,
-    /// Report queue-delay percentiles from the streaming quantile sketch
-    /// instead of the exact kept-every-delay pool (`--sketch`; bounded
-    /// memory, within `QuantileSketch::RELATIVE_ERROR` of exact).
-    pub sketch: bool,
 }
 
 impl Default for Options {
@@ -95,7 +91,6 @@ impl Default for Options {
             out_dir: PathBuf::from("results"),
             retrain: false,
             parallel: true,
-            sketch: false,
         }
     }
 }
@@ -132,7 +127,7 @@ impl Options {
     }
 }
 
-/// Parse `[scale] [--seed N] [--out DIR] [--retrain] [--serial] [--sketch]`
+/// Parse `[scale] [--seed N] [--out DIR] [--retrain] [--serial]`
 /// style arguments.
 pub fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -144,7 +139,6 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
             "--full" => opts.scale = Scale::Full,
             "--retrain" => opts.retrain = true,
             "--serial" => opts.parallel = false,
-            "--sketch" => opts.sketch = true,
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
                 opts.seed = v.parse().map_err(|e| format!("bad seed: {e}"))?;

@@ -54,10 +54,7 @@ options:
   --fast | --medium | --full   experiment scale (default: --medium)
   --seed N                     master seed (default: 2021)
   --out DIR                    output directory (default: results/)
-  --retrain                    ignore cached predictor models
-  --sketch                     report queue-delay percentiles from the
-                               streaming quantile sketch instead of the
-                               exact per-query pool";
+  --retrain                    ignore cached predictor models";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -8,7 +8,7 @@
 //! isolation starves the big models of compute and blows through QoS, while
 //! Abacus's flexible co-location on bigger slices does not.
 
-use crate::common::{as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options};
+use crate::common::{as_model, ensure_predictor, map_cells, pinned_abacus_config, Options};
 use abacus_metrics::{CsvWriter, ServiceStats, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
@@ -187,10 +187,4 @@ pub fn run(opts: &Options) {
         opts.csv_path("fig20").display(),
         opts.csv_path("fig21").display()
     );
-}
-
-/// The pair label helper keeps figure ordering consistent.
-#[allow(dead_code)]
-fn label_of(models: &[ModelId]) -> String {
-    pair_label(models)
 }

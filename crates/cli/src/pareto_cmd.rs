@@ -93,20 +93,15 @@ pub fn run(opts: &Options) {
         .collect();
     let results: Vec<Cell> = map_cells(opts.parallel, &cells, |&(i, a)| {
         let arm = &arms[a];
-        let abacus = match arm {
-            Arm::Margin(m) => AbacusConfig {
-                predict_round_ms: Some(PREDICT_ROUND_MS),
-                margin_ms: *m,
-                ..AbacusConfig::default()
-            },
-            Arm::Conformal(_) => AbacusConfig {
-                predict_round_ms: Some(PREDICT_ROUND_MS),
-                conformal: true,
-                ..AbacusConfig::default()
-            },
+        let mut abacus = AbacusConfig {
+            predict_round_ms: Some(PREDICT_ROUND_MS),
+            ..AbacusConfig::default()
         };
         let cert: Option<Arc<dyn LatencyModel>> = match arm {
-            Arm::Margin(_) => None,
+            Arm::Margin(m) => {
+                abacus.margin_ms = *m;
+                None
+            }
             Arm::Conformal(alpha) => Some(Arc::new(certifier.with_alpha(*alpha))),
         };
         let cfg = ColocationConfig {

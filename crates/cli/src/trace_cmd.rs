@@ -133,13 +133,8 @@ pub fn run(opts: &Options) {
         json_path.display()
     );
     println!(
-        "queue delay p99 ({}, completed queries): {:.2} ms; violation ratio {:.3}",
-        if opts.sketch { "sketch" } else { "exact" },
-        if opts.sketch {
-            result.all.queue_sketch_percentile(99.0)
-        } else {
-            result.all.queue_p99_ms()
-        },
+        "queue delay p99 (exact, completed queries): {:.2} ms; violation ratio {:.3}",
+        result.all.queue_p99_ms(),
         result.violation_ratio()
     );
     if let Some(r) = tel.ledger.error_report_where(|row| row.entries.len() >= 2) {

@@ -58,16 +58,6 @@ pub struct AbacusConfig {
     /// Off by default — with it off the controller is bit-identical to the
     /// pre-fault-layer behaviour.
     pub adaptive_margin: bool,
-    /// Opt-in (default off) conformal QoS certification: when a certifier
-    /// model has been supplied ([`AbacusScheduler::with_certifier`]) and
-    /// this flag is set, Eq. 2 feasibility is certified against the
-    /// certifier's calibrated upper bound over the **raw** headroom —
-    /// `margin_ms`/`margin_frac` are not applied, because the conformal
-    /// interval already absorbs the predictor's error tail at the
-    /// configured coverage level. Off (the default), or without a
-    /// certifier, the controller is bit-identical to the mean + margin
-    /// behaviour.
-    pub conformal: bool,
     /// Opt-in graceful degradation: when the rolling under-prediction bias
     /// exceeds this threshold — or [`FALLBACK_BARREN_ROUNDS`] consecutive
     /// rounds drop queries without planning anything (total predictor
@@ -106,7 +96,6 @@ impl Default for AbacusConfig {
             margin_ms: 0.3,
             margin_frac: 0.05,
             adaptive_margin: false,
-            conformal: false,
             fcfs_fallback_error: None,
         }
     }
@@ -150,7 +139,8 @@ pub fn calibrate_predict_round_ms(model: &dyn LatencyModel, ways: usize) -> f64 
 pub struct AbacusScheduler {
     model: Arc<dyn LatencyModel>,
     /// Calibrated upper-bound model for conformal certification
-    /// ([`AbacusConfig::conformal`]); `None` keeps mean + margin planning.
+    /// ([`AbacusScheduler::with_certifier`]); `None` keeps mean + margin
+    /// planning.
     certifier: Option<Arc<dyn LatencyModel>>,
     lib: Arc<ModelLibrary>,
     cfg: AbacusConfig,
@@ -233,12 +223,13 @@ impl AbacusScheduler {
     }
 
     /// Create a controller with an optional conformal certifier: when
-    /// `certifier` is supplied **and** [`AbacusConfig::conformal`] is set,
-    /// groups are certified against the certifier's calibrated upper bound
-    /// over the raw headroom (no safety margin), while `model` keeps
-    /// producing the mean `predicted_ms` the telemetry ledger and the
-    /// error EWMA are defined on. With `certifier == None` or the flag
-    /// off, behaviour is bit-identical to [`AbacusScheduler::new`].
+    /// `certifier` is supplied, Eq. 2 feasibility is certified against its
+    /// calibrated upper bound over the **raw** headroom — `margin_ms` and
+    /// `margin_frac` are not applied, because the conformal interval already
+    /// absorbs the predictor's error tail at its coverage level — while
+    /// `model` keeps producing the mean `predicted_ms` the telemetry ledger
+    /// and the error EWMA are defined on. With `certifier == None`,
+    /// behaviour is bit-identical to [`AbacusScheduler::new`].
     pub fn with_certifier(
         model: Arc<dyn LatencyModel>,
         certifier: Option<Arc<dyn LatencyModel>>,
@@ -409,11 +400,9 @@ impl Scheduler for AbacusScheduler {
         // Conformal certification: plan against the certifier's calibrated
         // upper bound over the *raw* headroom — the interval already holds
         // the error tail, so no margin is stacked on top.
-        let certifying = self.cfg.conformal && self.certifier.is_some();
-        let planning_model: &dyn LatencyModel = match &self.certifier {
-            Some(c) if certifying => c.as_ref(),
-            _ => self.model.as_ref(),
-        };
+        let certifying = self.certifier.is_some();
+        let planning_model: &dyn LatencyModel =
+            self.certifier.as_deref().unwrap_or(self.model.as_ref());
 
         // Ascending `(deadline, id)` ranks — the same permutation the
         // former per-round headroom sort produced (the order key is
@@ -839,14 +828,13 @@ mod tests {
         assert!(!s.is_degraded());
     }
 
-    fn conformal(certifier: Option<Arc<dyn LatencyModel>>, enabled: bool) -> AbacusScheduler {
+    fn conformal(certifier: Option<Arc<dyn LatencyModel>>) -> AbacusScheduler {
         AbacusScheduler::with_certifier(
             Arc::new(SpanModel),
             certifier,
             Arc::new(ModelLibrary::new()),
             AbacusConfig {
                 predict_round_ms: Some(0.08),
-                conformal: enabled,
                 ..AbacusConfig::default()
             },
         )
@@ -858,7 +846,7 @@ mod tests {
         // the inflated bound, but `predicted_ms` stays the mean estimate.
         let certifier: Arc<dyn LatencyModel> =
             Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel), 1.5));
-        let mut s = conformal(Some(certifier), true);
+        let mut s = conformal(Some(certifier));
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 100.0)];
         let d = s.decide(5.0, &queue);
         let g = d.group.unwrap();
@@ -876,35 +864,15 @@ mod tests {
         // the fixed-margin budget (10.2 − 0.3)/1.05 ≈ 9.43 drops the query;
         // an exact certifier over the raw headroom certifies it (10 ≤ 10.2).
         let queue = vec![query(1, ModelId::ResNet50, 0.0, 10.2)];
-        let mut margined = conformal(None, false);
+        let mut margined = conformal(None);
         let d = margined.decide(0.0, &queue);
         assert_eq!(d.dropped, vec![1]);
         assert!(d.group.is_none());
-        let mut certified = conformal(Some(Arc::new(SpanModel)), true);
+        let mut certified = conformal(Some(Arc::new(SpanModel)));
         let d = certified.decide(0.0, &queue);
         assert!(d.dropped.is_empty());
         let g = d.group.unwrap();
         assert!(g.upper_ms.unwrap() <= 10.2);
-    }
-
-    #[test]
-    fn certifier_without_flag_is_inert() {
-        // A supplied certifier with the flag off — and the flag on without
-        // a certifier — must both decide bit-identically to the plain
-        // controller, with no certified bound recorded.
-        let wild: Arc<dyn LatencyModel> =
-            Arc::new(predictor::DeratedModel::new(Arc::new(SpanModel), 50.0));
-        let queue = vec![
-            query(1, ModelId::ResNet50, 0.0, 100.0),
-            query(2, ModelId::Bert, 0.0, 30.0),
-        ];
-        let mut plain = conformal(None, false);
-        let mut flag_off = conformal(Some(wild), false);
-        let mut no_certifier = conformal(None, true);
-        let want = plain.decide(5.0, &queue);
-        assert_eq!(flag_off.decide(5.0, &queue), want);
-        assert_eq!(no_certifier.decide(5.0, &queue), want);
-        assert_eq!(want.group.as_ref().unwrap().upper_ms, None);
     }
 
     #[test]

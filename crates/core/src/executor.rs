@@ -15,9 +15,7 @@
 
 use crate::profile::ProfileTable;
 use dnn_models::ModelLibrary;
-use gpu_sim::{
-    run_group, Engine, GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel, StreamCompletion,
-};
+use gpu_sim::{Engine, GpuSpec, KernelFaultSpec, NoiseModel, StreamCompletion};
 use predictor::GroupSpec;
 use std::sync::Arc;
 use workload::fork_seed;
@@ -205,17 +203,6 @@ impl SegmentalExecutor {
             stream_ms: self.completions.iter().map(|c| c.end_ms - c.start_ms).collect(),
             saved_bytes,
         }
-    }
-
-    /// Noise-free duration of a group — used by tests and the oracle
-    /// ablation (never by the controller, which must use the predictor).
-    pub fn expected_duration_ms(&self, spec: &GroupSpec) -> f64 {
-        let streams: Vec<&[KernelDesc]> = spec
-            .entries
-            .iter()
-            .map(|e| self.library().kernels_range(e.model, e.input, e.op_start, e.op_end))
-            .collect();
-        run_group(self.engine.gpu(), &NoiseModel::disabled(), 0, &streams).total_ms + GROUP_SYNC_MS
     }
 }
 

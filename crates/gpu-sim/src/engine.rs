@@ -380,11 +380,6 @@ impl Engine {
         self.faults = spec.map(|s| KernelFaultState::new(s, self.run_seed));
     }
 
-    /// The installed spike spec, if any.
-    pub fn kernel_faults(&self) -> Option<&KernelFaultSpec> {
-        self.faults.as_ref().map(|f| &f.spec)
-    }
-
     /// Re-base the fault window clock: cumulative busy time at this run's
     /// `t = 0`. The segmental executor calls this per group so the spec's
     /// window refers to serving-wide execution time, not group-local time.

@@ -11,7 +11,6 @@
 //! * **Fig. 17 style** (peak throughput): queries completed within their QoS
 //!   target per second of simulated time (goodput).
 
-use crate::sketch::QuantileSketch;
 use crate::stats::percentile;
 
 /// How a query's lifetime ended.
@@ -64,11 +63,6 @@ pub struct ServiceStats {
     /// `completed_latencies` (the running `queue_sum_ms` stays — the mean
     /// must remain the exact incremental sum the golden results pin).
     queue_delays: Vec<f64>,
-    /// Streaming sketch over the same completed-query queue delays: bounded
-    /// memory, mergeable, within [`QuantileSketch::RELATIVE_ERROR`] of the
-    /// exact pool above. The exact `Vec` stays authoritative for golden
-    /// results; `--sketch` reporting reads this instead.
-    queue_sketch: QuantileSketch,
     queue_sum_ms: f64,
     completed_within_qos: usize,
     requests_within_qos: u64,
@@ -91,7 +85,6 @@ impl ServiceStats {
             QueryOutcome::Completed => {
                 self.queue_sum_ms += r.queue_ms;
                 self.queue_delays.push(r.queue_ms);
-                self.queue_sketch.record(r.queue_ms);
                 self.completed_latencies.push(r.latency_ms);
                 if r.latency_ms <= r.qos_ms {
                     self.completed_within_qos += 1;
@@ -122,7 +115,6 @@ impl ServiceStats {
         self.completed_latencies
             .extend_from_slice(&other.completed_latencies);
         self.queue_delays.extend_from_slice(&other.queue_delays);
-        self.queue_sketch.merge(&other.queue_sketch);
         self.queue_sum_ms += other.queue_sum_ms;
         self.completed_within_qos += other.completed_within_qos;
         self.requests_within_qos += other.requests_within_qos;
@@ -183,18 +175,6 @@ impl ServiceStats {
     /// 99%-ile queueing delay of completed queries, ms.
     pub fn queue_p99_ms(&self) -> f64 {
         self.queue_percentile(99.0)
-    }
-
-    /// Streaming sketch over completed-query queueing delays.
-    pub fn queue_sketch(&self) -> &QuantileSketch {
-        &self.queue_sketch
-    }
-
-    /// Queueing-delay percentile from the streaming sketch (within
-    /// [`QuantileSketch::RELATIVE_ERROR`] above the exact
-    /// [`queue_percentile`](Self::queue_percentile)).
-    pub fn queue_sketch_percentile(&self, p: f64) -> f64 {
-        self.queue_sketch.quantile(p)
     }
 
     /// QoS violation ratio in `[0, 1]`: (late completions + drops +
@@ -346,38 +326,6 @@ mod tests {
         pooled.extend_from(&s);
         assert_eq!(pooled.queue_p50_ms(), s.queue_p50_ms());
         assert_eq!(ServiceStats::new().queue_p99_ms(), 0.0);
-    }
-
-    #[test]
-    fn queue_sketch_tracks_exact_percentiles() {
-        let mut s = ServiceStats::new();
-        for i in 1..=500 {
-            s.record(&rec(0.8 * i as f64, 10_000.0, QueryOutcome::Completed));
-        }
-        for p in [50.0, 99.0, 99.9] {
-            let exact = s.queue_percentile(p);
-            let est = s.queue_sketch_percentile(p);
-            // The exact path interpolates (R-7) while the sketch reports a
-            // bucket upper edge at the ceil rank, so allow the documented
-            // relative error on top of one rank step.
-            assert!(
-                est >= exact * (1.0 - 1e-9),
-                "p{p}: sketch {est} under exact {exact}"
-            );
-            assert!(
-                est <= exact * (1.0 + 2.0 * QuantileSketch::RELATIVE_ERROR) + 0.4,
-                "p{p}: sketch {est} too far above exact {exact}"
-            );
-        }
-        // Merging pools the sketch alongside the exact pool.
-        let mut pooled = ServiceStats::new();
-        pooled.extend_from(&s);
-        pooled.extend_from(&s);
-        assert_eq!(pooled.queue_sketch().count(), 1000);
-        assert_eq!(
-            pooled.queue_sketch_percentile(50.0),
-            s.queue_sketch_percentile(50.0)
-        );
     }
 
     #[test]

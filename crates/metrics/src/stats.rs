@@ -18,7 +18,8 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 }
 
 /// Percentile with linear interpolation between order statistics
-/// (the "exclusive" R-7 definition used by numpy's default).
+/// (the inclusive R-7 definition: numpy's default, Excel's
+/// `PERCENTILE.INC`).
 ///
 /// `p` is in `[0, 100]`. Returns 0.0 for empty input.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {

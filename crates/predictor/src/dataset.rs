@@ -1,6 +1,5 @@
 //! Training datasets: (feature vector, measured latency) pairs.
 
-use crate::features::GroupSpec;
 use crate::profiler::ProfiledGroup;
 use dnn_models::ModelLibrary;
 use workload::SeededRng;
@@ -113,12 +112,6 @@ impl Dataset {
             .sqrt()
             .max(1e-9)
     }
-}
-
-/// Encode a batch of candidate groups for batched prediction (the multi-way
-/// search path).
-pub fn encode_groups(groups: &[GroupSpec], lib: &ModelLibrary) -> Vec<Vec<f64>> {
-    groups.iter().map(|g| g.features(lib)).collect()
 }
 
 #[cfg(test)]

@@ -159,32 +159,6 @@ impl LatencyModel for DeratedModel {
     }
 }
 
-/// An oracle predictor that queries the GPU simulator's noise-free latency
-/// directly. Not available in a real deployment (it *is* the hardware) —
-/// used in tests and as an upper bound in the ablation benches.
-pub struct OracleModel {
-    lib: std::sync::Arc<dnn_models::ModelLibrary>,
-    gpu: gpu_sim::GpuSpec,
-}
-
-impl OracleModel {
-    /// Create an oracle for `gpu`.
-    pub fn new(lib: std::sync::Arc<dnn_models::ModelLibrary>, gpu: gpu_sim::GpuSpec) -> Self {
-        Self { lib, gpu }
-    }
-
-    /// Exact (noise-free) group latency.
-    pub fn measure(&self, spec: &GroupSpec) -> f64 {
-        gpu_sim::run_group(
-            &self.gpu,
-            &gpu_sim::NoiseModel::disabled(),
-            0,
-            &spec.streams(&self.lib),
-        )
-        .total_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,13 +195,5 @@ mod tests {
     fn derated_batch_validates_lengths() {
         let mut out = Vec::new();
         Doubler.predict_derated_into(&[1.0, 3.0], 2, &[1.0], &mut out);
-    }
-
-    #[test]
-    fn oracle_measures_groups() {
-        let lib = std::sync::Arc::new(dnn_models::ModelLibrary::new());
-        let oracle = OracleModel::new(lib.clone(), gpu_sim::GpuSpec::a100());
-        let g = sample_groups(&[dnn_models::ModelId::ResNet50], 1, &lib, 1);
-        assert!(oracle.measure(&g[0]) > 0.0);
     }
 }

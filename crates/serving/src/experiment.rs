@@ -393,10 +393,10 @@ pub struct FaultRunOutcome {
 /// the entry point the fault, certification and run-health studies use
 /// (drift detectors and SLO burn monitors ride inside the `Telemetry`).
 ///
-/// With `FaultPlan::none()`, default options, no certifier (or
-/// `cfg.abacus.conformal` off) and no telemetry the records are
-/// bit-identical to [`run_colocation`]'s: both run one body, and the
-/// checker and telemetry only observe (pinned by the golden checksums).
+/// With `FaultPlan::none()`, default options, no certifier and no
+/// telemetry the records are bit-identical to [`run_colocation`]'s: both
+/// run one body, and the checker and telemetry only observe (pinned by the
+/// golden checksums). Passing a certifier is what turns certification on.
 #[allow(clippy::too_many_arguments)]
 pub fn run_colocation_observed(
     models: &[ModelId],
@@ -587,50 +587,10 @@ mod tests {
     }
 
     #[test]
-    fn certified_runner_without_certifier_matches_faulty_runner() {
-        // A supplied certifier with the conformal flag off must reproduce
-        // the uncertified run bit for bit.
-        let (lib, gpu, noise) = setup();
-        let models = [ModelId::ResNet50, ModelId::Bert];
-        let mut cfg = small_cfg();
-        // Pin the per-round prediction latency: startup calibration is
-        // wall-clock-measured, so unpinned Abacus runs are not repeatable.
-        cfg.abacus.predict_round_ms = Some(0.08);
-        let (mlp, _) = crate::trainer::train_unified(
-            &[models.to_vec()],
-            &lib,
-            &gpu,
-            &noise,
-            &TrainerConfig::fast(),
-        );
-        let mlp: Arc<dyn LatencyModel> = Arc::new(mlp);
-        let run = |certifier: Option<Arc<dyn LatencyModel>>| {
-            run_colocation_observed(
-                &models,
-                PolicyKind::Abacus,
-                Some(mlp.clone()),
-                certifier,
-                &lib,
-                &gpu,
-                &noise,
-                &cfg,
-                &faults::FaultPlan::none(),
-                crate::node::NodeOptions::default(),
-                None,
-            )
-        };
-        let plain = run(None);
-        // Flag off: an attached certifier must be inert.
-        assert!(!cfg.abacus.conformal);
-        assert_eq!(run(Some(mlp.clone())).records, plain.records);
-    }
-
-    #[test]
     fn conformal_certification_changes_planning_when_enabled() {
         let (lib, gpu, noise) = setup();
         let models = [ModelId::ResNet50, ModelId::ResNet152];
-        let mut cfg = small_cfg();
-        cfg.abacus.conformal = true;
+        let cfg = small_cfg();
         let certified = crate::trainer::train_certified(
             &[models.to_vec()],
             &lib,
@@ -641,24 +601,45 @@ mod tests {
         );
         let mean: Arc<dyn LatencyModel> = Arc::new(certified.mean);
         let upper: Arc<dyn LatencyModel> = Arc::new(certified.certifier);
-        let out = run_colocation_observed(
-            &models,
-            PolicyKind::Abacus,
-            Some(mean),
-            Some(upper),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &faults::FaultPlan::none(),
-            crate::node::NodeOptions::default(),
-            None,
-        );
+        let run = |certifier: Option<Arc<dyn LatencyModel>>| {
+            let mut tel = Telemetry::new();
+            let out = run_colocation_observed(
+                &models,
+                PolicyKind::Abacus,
+                Some(mean.clone()),
+                certifier,
+                &lib,
+                &gpu,
+                &noise,
+                &cfg,
+                &faults::FaultPlan::none(),
+                crate::node::NodeOptions::default(),
+                Some(&mut tel),
+            );
+            (out, tel)
+        };
+        let (out, tel) = run(Some(upper));
         assert!(out.invariant_violations.is_empty());
         assert!(!out.degraded);
         assert!(out.result.all.total() > 0);
         // Certified planning still serves the workload usefully.
         assert!(out.result.violation_ratio() < 0.5);
+        // Passing a certifier is what turns certification on: with one,
+        // every planned round records its bound; without one, none does.
+        let planned = |tel: &Telemetry| {
+            let rows: Vec<f64> = tel
+                .ledger
+                .rows()
+                .iter()
+                .filter(|r| !r.entries.is_empty())
+                .map(|r| r.upper_ms)
+                .collect();
+            assert!(!rows.is_empty(), "no planned rounds");
+            rows
+        };
+        assert!(planned(&tel).iter().all(|u| u.is_finite()));
+        let (_, tel) = run(None);
+        assert!(planned(&tel).iter().all(|u| u.is_nan()));
     }
 
     #[test]

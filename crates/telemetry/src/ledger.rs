@@ -160,12 +160,6 @@ impl DecisionLedger {
             .map(|i| &self.rows[i])
     }
 
-    /// Signed relative prediction errors of every usable row, appended to
-    /// `out` in round order.
-    pub fn rel_errors_into(&self, out: &mut Vec<f64>) {
-        out.extend(self.rows.iter().filter_map(RoundEntry::rel_error));
-    }
-
     /// §5.2-style prediction-error summary (`None` when no row carries a
     /// usable prediction).
     pub fn error_report(&self) -> Option<PredictionErrorReport> {

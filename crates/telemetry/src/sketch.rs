@@ -1,9 +1,9 @@
 //! Streaming accumulators for the run-health layer.
 //!
-//! The quantile sketch itself lives in `abacus_metrics` (so `ServiceStats`
-//! can carry one without a dependency cycle) and is re-exported here; this
-//! module adds the fixed-capacity windowed moment accumulator the drift
-//! detectors use for windowed mean/std over recent prediction errors.
+//! The quantile sketch itself lives in `abacus_metrics`, beside the exact
+//! percentile estimators, and is re-exported here; this module adds the
+//! fixed-capacity windowed moment accumulator the drift detectors use for
+//! windowed mean/std over recent prediction errors.
 
 pub use abacus_metrics::QuantileSketch;
 

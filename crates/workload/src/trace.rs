@@ -82,12 +82,6 @@ impl RateTrace {
         self.buckets() as f64 * self.bucket_ms
     }
 
-    /// Offered load during bucket `m` (QPS; minute `m` for per-minute
-    /// traces).
-    pub fn qps_at_minute(&self, m: usize) -> f64 {
-        self.qps_per_bucket[m]
-    }
-
     /// Per-bucket rates as a slice.
     pub fn rates(&self) -> &[f64] {
         &self.qps_per_bucket

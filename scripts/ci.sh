@@ -6,6 +6,23 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Run the tests that FILTER selects in one cargo test target, and fail when
+# it selects none: cargo test exits 0 on "0 passed; N filtered out", so a
+# renamed or deleted test would otherwise turn its step into a silent pass.
+#
+#   run_filtered FILTER CARGO_TEST_ARGS...
+run_filtered() {
+    local filter=$1
+    shift
+    local listed
+    listed=$(cargo test -q "$@" -- --list "$filter" | grep -c ': test$' || true)
+    if [[ "$listed" -eq 0 ]]; then
+        echo "no test matches '$filter' in: cargo test $*" >&2
+        exit 1
+    fi
+    cargo test -q "$@" -- "$filter"
+}
+
 echo "== build (release, all targets) =="
 cargo build --release --workspace --all-targets
 
@@ -41,8 +58,8 @@ echo "== engine golden + proptest bit-identity =="
 # every model-library kernel's shares lie in [0, 1], so a lone kernel's
 # slowdown is exactly 1.0 on every simulated GPU.
 cargo test -q -p gpu-sim --test golden_engine
-cargo test -q -p gpu-sim --test golden_engine group_mode_matches_reference_bitwise
-cargo test -q -p gpu-sim --lib contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one
+run_filtered group_mode_matches_reference_bitwise -p gpu-sim --test golden_engine
+run_filtered contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one -p gpu-sim --lib
 
 echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +
@@ -68,15 +85,15 @@ echo "== predictor purity + worker-pool panic safety =="
 # any batch. The per-epoch GPU fan-out runs on the persistent pool, which
 # must re-raise a task's panic on the caller and keep serving later
 # fan-outs instead of hanging.
-cargo test -q -p predictor --test batch_consistency row_prediction_is_independent_of_its_batch
-cargo test -q -p rayon --lib pool::tests::panicking_task_propagates_and_pool_recovers
+run_filtered row_prediction_is_independent_of_its_batch -p predictor --test batch_consistency
+run_filtered pool::tests::panicking_task_propagates_and_pool_recovers -p rayon --lib
 
 echo "== model artifacts =="
 # Every committed results/models/*.mlp loads and re-serialises byte for
 # byte, and a net whose last layer is wider than one output never loads as
 # a mean model (it would predict one head alone and another in a batch).
-cargo test -q -p predictor --lib persist::tests::committed_model_artifacts_roundtrip_byte_for_byte
-cargo test -q -p predictor --lib persist::tests::multi_output_artifact_is_not_a_mean_model
+run_filtered persist::tests::committed_model_artifacts_roundtrip_byte_for_byte -p predictor --lib
+run_filtered persist::tests::multi_output_artifact_is_not_a_mean_model -p predictor --lib
 
 echo "== certification suites (quantile golden, conformal coverage, byte-identity) =="
 # The uncertainty-aware certification stack: the mean and multi-head
@@ -84,21 +101,24 @@ echo "== certification suites (quantile golden, conformal coverage, byte-identit
 # (bench::reference::train, also the train bench's baseline) bit for bit
 # in the single-chunk regime and to 1e-9 otherwise, serial and pooled
 # training must agree bit for bit, split-conformal calibration must hit its
-# coverage band on held-out data, and a run that merely *carries* a
-# certifier with the `conformal` flag off must stay byte-identical to the
-# pre-certification serving path.
+# coverage band on held-out data, passing a certifier must be what turns
+# certification on (a bound on every planned ledger row with one, NaN on
+# every row without), and with no certifier the observed runner must stay
+# byte-identical to the pre-certification entry point on every service's
+# records.
 cargo test -q -p predictor --test golden_trainer
-cargo test -q -p predictor --lib conformal
-cargo test -q -p abacus-core --lib conformal
-cargo test -q -p serving --lib certified
-cargo test -q -p integration --test predictor_pipeline conformal_upper_bounds
-cargo test -q -p integration --test scheduling_policies conformal_disabled
+run_filtered conformal -p predictor --lib
+run_filtered conformal -p abacus-core --lib
+run_filtered certified -p serving --lib
+run_filtered conformal_upper_bounds -p integration --test predictor_pipeline
+run_filtered conformal_certification_changes_planning_when_enabled -p serving --lib
+run_filtered golden_none_plan_matches_plain_runner_bitwise -p integration --test fault_properties
 
 echo "== telemetry-disabled golden checksum =="
 # The telemetry-instrumented serving loop with no Telemetry attached must
 # stay byte-identical to the pre-telemetry loop — pinned by the no-fault
 # golden trace checksum.
-cargo test -q -p integration --test fault_properties golden_no_fault
+run_filtered golden_no_fault -p integration --test fault_properties
 
 echo "== per-GPU loop golden checksums =="
 # Every driver runs the one per-GPU serving loop (serving::GpuLoop). These
@@ -108,8 +128,8 @@ echo "== per-GPU loop golden checksums =="
 # simulator — round-robin Abacus + K8s and Clockwork on a fleet with a
 # slowed pool, and the headroom-routed heterogeneous fleet with the
 # autoscaler on.
-cargo test -q -p integration --test fault_properties golden_observed_abacus
-cargo test -q -p integration --test cluster_pipeline checksum_is_pinned
+run_filtered golden_observed_abacus -p integration --test fault_properties
+run_filtered checksum_is_pinned -p integration --test cluster_pipeline
 
 echo "== solo-latency table bit-identity =="
 # The baselines' policy keys, the cluster's overlap-gain sum and
@@ -119,7 +139,7 @@ echo "== solo-latency table bit-identity =="
 # any other range summed left to right like the reference. A prefix-sum
 # difference (prefix[end] - prefix[start]) rounds differently and breaks
 # this pin, so the table must not use one.
-cargo test -q -p integration --test scheduling_policies solo_latency_table_is_bit_identical_to_solo_ms_range
+run_filtered solo_latency_table_is_bit_identical_to_solo_ms_range -p integration --test scheduling_policies
 
 echo "== trace export smoke =="
 TRACE_OUT=$(mktemp -d)

@@ -251,9 +251,10 @@ proptest! {
     }
 }
 
-/// `FaultPlan::none()` through the fault-aware runner is bit-identical to
-/// the plain runner that predates the fault layer, for both a baseline and
-/// the full Abacus stack.
+/// `FaultPlan::none()` through the fault-aware runner, with no certifier,
+/// is bit-identical to the plain runner that predates the fault and
+/// certification layers, for both a baseline and the full Abacus stack:
+/// pooled, and per service down to every latency and queueing delay.
 #[test]
 fn golden_none_plan_matches_plain_runner_bitwise() {
     let lib = library();
@@ -293,6 +294,19 @@ fn golden_none_plan_matches_plain_runner_bitwise() {
             plain.violation_ratio().to_bits(),
             faulty.result.violation_ratio().to_bits()
         );
+        assert_eq!(plain.per_service.len(), faulty.result.per_service.len());
+        let services = plain.per_service.iter().zip(&faulty.result.per_service);
+        for (i, (p, f)) in services.enumerate() {
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(p.latencies()),
+                bits(f.latencies()),
+                "{}: service {i} latencies drifted",
+                policy.name()
+            );
+            assert_eq!(p.mean_queue_ms().to_bits(), f.mean_queue_ms().to_bits());
+            assert_eq!(p.queue_p99_ms().to_bits(), f.queue_p99_ms().to_bits());
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use faults::{FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation, run_colocation_observed, run_with_services, train_certified, train_unified,
+    run_colocation, run_colocation_observed, run_with_services, train_unified,
     ColocationConfig, NodeOptions, PolicyKind, ServiceSpec, TrainerConfig,
 };
 use std::sync::Arc;
@@ -278,91 +278,6 @@ fn degraded_abacus_never_worse_than_fcfs_under_total_predictor_failure() {
         dv <= fv + 0.05,
         "degraded Abacus ({dv}) worse than plain FCFS ({fv})"
     );
-}
-
-/// Byte-identity regression: with conformal certification *disabled*, a
-/// run that carries a fully trained certifier produces the exact same
-/// per-query record stream — and the exact same serialized CSV bytes — as
-/// the pre-certification entry point, both fault-free and under a PR 4
-/// fault plan. The `conformal` flag is the only thing allowed to change
-/// behaviour; merely attaching the artifact must be inert end-to-end.
-#[test]
-fn conformal_disabled_is_byte_identical_end_to_end() {
-    let (lib, gpu, noise) = setup();
-    let pair = [ModelId::ResNet50, ModelId::ResNet152];
-    let trained = train_certified(
-        &[pair.to_vec()],
-        &lib,
-        &gpu,
-        &noise,
-        &TrainerConfig {
-            samples_per_set: 400,
-            runs_per_group: 3,
-            seed: 4,
-            ..TrainerConfig::fast()
-        },
-        0.05,
-    );
-    let mean: Arc<dyn LatencyModel> = Arc::new(trained.mean);
-    let certifier: Arc<dyn LatencyModel> = Arc::new(trained.certifier);
-    let cfg = ColocationConfig {
-        qps_per_service: 25.0,
-        horizon_ms: 5_000.0,
-        seed: 17,
-        abacus: AbacusConfig {
-            // Wall-clock startup calibration makes unpinned runs
-            // non-repeatable across invocations; byte-identity needs a
-            // pinned decision overhead.
-            predict_round_ms: Some(0.08),
-            ..AbacusConfig::default()
-        },
-        ..ColocationConfig::default()
-    };
-    let csv = |records: &[abacus_metrics::QueryRecord]| -> String {
-        let mut s = String::from("service,arrival_ms,latency_ms,qos_ms,outcome,requests,queue_ms\n");
-        for r in records {
-            s.push_str(&format!(
-                "{},{},{},{},{:?},{},{}\n",
-                r.service, r.arrival_ms, r.latency_ms, r.qos_ms, r.outcome, r.requests, r.queue_ms
-            ));
-        }
-        s
-    };
-    for plan in [FaultPlan::none(), FaultPlan::at_intensity(41, 0.5)] {
-        let plain = run_colocation_observed(
-            &pair,
-            PolicyKind::Abacus,
-            Some(mean.clone()),
-            None,
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-            None,
-        );
-        let carried = run_colocation_observed(
-            &pair,
-            PolicyKind::Abacus,
-            Some(mean.clone()),
-            Some(certifier.clone()),
-            &lib,
-            &gpu,
-            &noise,
-            &cfg,
-            &plan,
-            NodeOptions::default(),
-            None,
-        );
-        assert_eq!(plain.records, carried.records, "plan seed {}", plan.seed);
-        assert_eq!(csv(&plain.records), csv(&carried.records));
-        assert_eq!(plain.degraded, carried.degraded);
-        assert_eq!(
-            plain.invariant_violations, carried.invariant_violations,
-            "certifier-carrying run tripped different invariants"
-        );
-    }
 }
 
 /// SJF pays prediction latency on the critical path; with a deep queue its
