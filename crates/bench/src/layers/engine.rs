@@ -1,10 +1,11 @@
 //! The discrete-event engine core: kernel-level events/sec on three
-//! workloads — an open-loop arrival backlog (the calendar queue's worst
-//! case), a tight group-mode reset loop of wide groups (the SoA/SIMD hot
-//! loop), and serving-shaped groups (1–4 model-library streams with
-//! precomputed profiles, the executor's shape, which runs mostly in the
-//! lone-stream closed form) — for both the live `gpu_sim::Engine` and the
-//! frozen `bench::reference::engine::ReferenceEngine`, the same copy the
+//! workloads — an open-loop arrival backlog (160k pre-enqueued streams,
+//! the pending heap at its deepest), a tight group-mode reset loop of
+//! wide groups (the SoA/SIMD hot loop), and serving-shaped groups (1–4
+//! model-library streams with precomputed profiles, the executor's shape,
+//! which runs mostly in the lone-stream closed form) — for both the live
+//! `gpu_sim::Engine` and the frozen
+//! `bench::reference::engine::ReferenceEngine`, the same copy the
 //! `golden_engine` suite pins the live engine to. Both engines consume the
 //! same RNG protocol, so every leg checks that their completion checksums
 //! and event counts agree. Each leg is timed once.
@@ -45,13 +46,13 @@ impl Measured {
 }
 
 /// Workload A — open-loop: every stream pre-enqueued, then drained. The
-/// pending structure holds the whole backlog, so this is where the
-/// calendar queue vs. binary-insert memmove difference shows.
+/// pending structure holds the whole backlog, so this is where the live
+/// engine's heap vs. the reference's binary-insert memmove difference shows.
 fn open_loop_live(work: &[(f64, Vec<KernelDesc>)]) -> Measured {
     let t0 = Instant::now();
     let mut e = gpu_sim::Engine::new(GpuSpec::a100(), NoiseModel::calibrated(), SEED);
     for (at, kernels) in work {
-        e.add_stream_slice(kernels, *at);
+        e.add_stream(kernels, *at);
     }
     let mut checksum = 0u64;
     while let Some(c) = e.step() {
@@ -126,8 +127,8 @@ fn groups_live(
             e.reset(SEED ^ (rep * groups.len() + gi) as u64);
             for (si, kernels) in group.iter().enumerate() {
                 match profiles {
-                    Some(p) => e.add_stream_slice_profiled(kernels, &p[gi][si], 0.0),
-                    None => e.add_stream_slice(kernels, 0.0),
+                    Some(p) => e.add_stream_profiled(kernels, &p[gi][si], 0.0),
+                    None => e.add_stream(kernels, 0.0),
                 };
             }
             while let Some(c) = e.step() {

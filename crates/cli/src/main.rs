@@ -1,10 +1,11 @@
 //! `abacus-repro` — regenerates every table and figure of the paper.
 //!
 //! Usage: `abacus-repro <experiment> [--fast|--medium|--full] [--seed N]
-//! [--out DIR] [--retrain]`
+//! [--out DIR] [--retrain] [--serial]`
 //!
 //! Experiments: `table1 table2 fig3 fig7 fig10 fig14 fig15 fig16 fig17
-//! fig18 fig19 fig20 fig21 fig22 fig23 overhead ablation summary all`.
+//! fig18 fig19 fig20 fig21 fig22 fig23 overhead ablation analysis affinity
+//! faults pareto trace health summary all`.
 //! CSV series land in `results/` (override with `--out`); a human-readable
 //! rendition of each figure prints to stdout together with the paper's
 //! reference numbers.
@@ -54,7 +55,9 @@ options:
   --fast | --medium | --full   experiment scale (default: --medium)
   --seed N                     master seed (default: 2021)
   --out DIR                    output directory (default: results/)
-  --retrain                    ignore cached predictor models";
+  --retrain                    ignore cached predictor models
+  --serial                     run sweep cells in order, not on the pool
+                               (same CSVs either way)";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

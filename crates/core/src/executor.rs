@@ -116,8 +116,7 @@ impl SegmentalExecutor {
     }
 
     /// Element-wise peaks of the engine core's health stats (deepest
-    /// running set, deepest arrival backlog, fullest calendar bucket)
-    /// across all executed groups.
+    /// running set, deepest arrival backlog) across all executed groups.
     pub fn engine_core_stats(&self) -> gpu_sim::EngineCoreStats {
         self.core_stats
     }
@@ -164,7 +163,7 @@ impl SegmentalExecutor {
         self.engine.set_fault_time_base(self.busy_ms);
         for e in &spec.entries {
             let (kernels, profiles) = self.table.segment(e.model, e.input, e.op_start, e.op_end);
-            self.engine.add_stream_slice_profiled(kernels, profiles, 0.0);
+            self.engine.add_stream_profiled(kernels, profiles, 0.0);
         }
         self.engine.run_until_idle();
         self.engine.completions_into(&mut self.completions);

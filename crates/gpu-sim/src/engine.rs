@@ -28,8 +28,9 @@
 //! those arrays with runtime-dispatched SIMD ([`crate::simd`]); slowdowns
 //! are refreshed *incrementally*: a full vector recompute only when the
 //! aggregate utilisations `U_c`/`U_m` changed bits, otherwise only entries
-//! whose own kernel changed. Pending arrivals wait in a calendar queue
-//! with a sorted-`Vec` fallback ([`crate::pqueue`]). All of it is
+//! whose own kernel changed. Pending arrivals wait in a binary heap
+//! ([`crate::pqueue`]), and a retired stream's slot and kernel buffers go
+//! straight back to the next arrival. All of it is
 //! bit-identical to the scalar reference engine pinned by
 //! `tests/golden_engine.rs` — decrement order, tie-breaking and RNG draw
 //! order are part of the contract (see DESIGN.md §11).
@@ -57,7 +58,7 @@ use workload::SeededRng;
 
 /// Upper bound on retired kernel buffers kept for reuse (see
 /// [`Engine::reset`] and slot recycling). Small: each buffer is just
-/// capacity, and the steady state of a reset-per-group or recycling
+/// capacity, and the steady state of a reset-per-group or open-loop
 /// workload cycles through a handful.
 const SPARE_POOL_CAP: usize = 64;
 
@@ -116,10 +117,6 @@ pub struct EngineCoreStats {
     pub max_active: usize,
     /// Peak pending-arrival backlog.
     pub pending_peak: usize,
-    /// Calendar-queue bucket count (0 while on the sorted-`Vec` path).
-    pub calendar_buckets: usize,
-    /// Peak single-bucket occupancy (0 while on the sorted-`Vec` path).
-    pub calendar_peak_bucket: usize,
 }
 
 impl EngineCoreStats {
@@ -129,8 +126,6 @@ impl EngineCoreStats {
     pub fn merge_peaks(&mut self, other: &EngineCoreStats) {
         self.max_active = self.max_active.max(other.max_active);
         self.pending_peak = self.pending_peak.max(other.pending_peak);
-        self.calendar_buckets = self.calendar_buckets.max(other.calendar_buckets);
-        self.calendar_peak_bucket = self.calendar_peak_bucket.max(other.calendar_peak_bucket);
     }
 }
 
@@ -173,7 +168,7 @@ pub struct Engine {
     session_factor: f64,
     time_ms: f64,
     streams: Vec<Stream>,
-    /// Streams not yet started (calendar queue / sorted-`Vec` hybrid).
+    /// Streams not yet started, soonest start first (binary heap).
     pending: PendingQueue,
     /// Stream slots with a kernel in flight. The arrays below are SoA
     /// state parallel to it, maintained in lockstep (push on kernel
@@ -211,17 +206,15 @@ pub struct Engine {
     u_c: f64,
     /// Incremental Σ memory_share over the running set.
     u_m: f64,
-    /// Retired stream slots available for reuse (slot recycling only).
+    /// Retired stream slots, handed to later arrivals so long open-loop
+    /// runs keep `streams` bounded by the streams live at once.
     free_slots: Vec<usize>,
-    /// Retired kernel buffers kept to serve [`Engine::add_stream_slice`]
+    /// Retired kernel buffers kept to serve [`Engine::add_stream`]
     /// without allocating.
     spare_kernels: Vec<Vec<KernelDesc>>,
     /// Retired profile buffers, pooled like `spare_kernels` for
-    /// [`Engine::add_stream_slice_profiled`].
+    /// [`Engine::add_stream_profiled`].
     spare_profiles: Vec<Vec<RunningKernel>>,
-    /// When set, retired streams' slots are reused by later arrivals so
-    /// long open-loop runs stop growing `streams` unboundedly.
-    recycle: bool,
     events: u64,
     /// Fault spike activations (kernels whose duration was actually
     /// perturbed) since the last reset.
@@ -273,7 +266,6 @@ impl Engine {
             free_slots: Vec::new(),
             spare_kernels: Vec::new(),
             spare_profiles: Vec::new(),
-            recycle: false,
             events: 0,
             fault_spikes: 0,
             max_active: 0,
@@ -301,15 +293,8 @@ impl Engine {
         self.events = 0;
         self.fault_spikes = 0;
         self.max_active = 0;
-        for s in &mut self.streams {
-            let buf = std::mem::take(&mut s.kernels);
-            if buf.capacity() > 0 && self.spare_kernels.len() < SPARE_POOL_CAP {
-                self.spare_kernels.push(buf);
-            }
-            let buf = std::mem::take(&mut s.profiles);
-            if buf.capacity() > 0 && self.spare_profiles.len() < SPARE_POOL_CAP {
-                self.spare_profiles.push(buf);
-            }
+        for idx in 0..self.streams.len() {
+            self.reclaim_buffers(idx);
         }
         self.streams.clear();
         self.pending.clear();
@@ -345,18 +330,6 @@ impl Engine {
             self.noise = noise.clone();
         }
         self.reset(seed);
-    }
-
-    /// Reuse retired streams' slots for later arrivals. Intended for long
-    /// open-loop runs ([`crate::engine`] module docs pattern 2): memory
-    /// stays bounded by the number of *concurrently live* streams instead
-    /// of the total arrival count. [`StreamId`]s are recycled along with
-    /// the slots, so callers must consume each completion as
-    /// [`Engine::step`] yields it; [`Engine::completions`] and
-    /// [`Engine::group_result`] only cover streams whose slot has not been
-    /// reused yet.
-    pub fn enable_slot_recycling(&mut self) {
-        self.recycle = true;
     }
 
     /// Record every kernel's execution interval. Must be called before any
@@ -407,24 +380,15 @@ impl Engine {
 
     /// Event-core health counters since the last reset.
     pub fn core_stats(&self) -> EngineCoreStats {
-        let (calendar_buckets, calendar_peak_bucket) = self.pending.calendar_stats();
         EngineCoreStats {
             max_active: self.max_active,
             pending_peak: self.pending.peak_len(),
-            calendar_buckets,
-            calendar_peak_bucket,
         }
     }
 
     /// The GPU this engine simulates.
     pub fn gpu(&self) -> &GpuSpec {
         &self.gpu
-    }
-
-    /// Add a stream of kernels that may start at `start_ms` (clamped to
-    /// now). Empty streams complete instantly at their start time.
-    pub fn add_stream(&mut self, kernels: Vec<KernelDesc>, start_ms: f64) -> StreamId {
-        self.add_stream_inner(kernels, Vec::new(), start_ms)
     }
 
     fn add_stream_inner(
@@ -456,40 +420,41 @@ impl Engine {
         StreamId(id)
     }
 
-    /// [`Engine::add_stream`] from a borrowed kernel slice: copies into a
-    /// retired kernel buffer when one is available instead of allocating.
-    /// This is the executor hot path — groups lower to cached kernel
-    /// slices which no longer need to be cloned per run.
-    pub fn add_stream_slice(&mut self, kernels: &[KernelDesc], start_ms: f64) -> StreamId {
-        let mut buf = self.spare_kernels.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(kernels);
+    /// Add a stream of kernels that may start at `start_ms` (clamped to
+    /// now). Empty streams complete instantly at their start time. The
+    /// kernels are copied into a retired kernel buffer when one is
+    /// available instead of allocating.
+    ///
+    /// A retired stream's slot goes to the next stream added, and its
+    /// [`StreamId`] with it: a caller that adds streams while the engine
+    /// runs must consume each completion as [`Engine::step`] yields it, as
+    /// [`Engine::completions`] and [`Engine::group_result`] only cover
+    /// streams whose slot has not been reused yet. Streams added before
+    /// the run starts never share a slot.
+    pub fn add_stream(&mut self, kernels: &[KernelDesc], start_ms: f64) -> StreamId {
+        let buf = pooled_copy(&mut self.spare_kernels, kernels);
         self.add_stream_inner(buf, Vec::new(), start_ms)
     }
 
-    /// [`Engine::add_stream_slice`] with the kernels' contention profiles
+    /// [`Engine::add_stream`] with the kernels' contention profiles
     /// precomputed by the caller (one [`RunningKernel::profile`] per
     /// kernel, on this engine's GPU). The per-kernel-start profile
     /// evaluation — the one `powf` left in the event hot path — is then
     /// skipped; since the profile is a pure function of `(kernel, gpu)` the
-    /// run is bit-identical to [`Engine::add_stream_slice`] (debug builds
+    /// run is bit-identical to [`Engine::add_stream`] (debug builds
     /// assert this at every kernel start).
     ///
     /// # Panics
     /// Panics if `profiles.len() != kernels.len()`.
-    pub fn add_stream_slice_profiled(
+    pub fn add_stream_profiled(
         &mut self,
         kernels: &[KernelDesc],
         profiles: &[RunningKernel],
         start_ms: f64,
     ) -> StreamId {
         assert_eq!(kernels.len(), profiles.len(), "one profile per kernel");
-        let mut buf = self.spare_kernels.pop().unwrap_or_default();
-        buf.clear();
-        buf.extend_from_slice(kernels);
-        let mut pbuf = self.spare_profiles.pop().unwrap_or_default();
-        pbuf.clear();
-        pbuf.extend_from_slice(profiles);
+        let buf = pooled_copy(&mut self.spare_kernels, kernels);
+        let pbuf = pooled_copy(&mut self.spare_profiles, profiles);
         self.add_stream_inner(buf, pbuf, start_ms)
     }
 
@@ -580,24 +545,21 @@ impl Engine {
         }
     }
 
-    /// Stamp stream `idx` complete at the current instant.
+    /// Stamp stream `idx` complete at the current instant, reclaim its
+    /// buffers and hand its slot to the next arrival. The completion record
+    /// (start/end) stays readable until the slot is actually reused, which
+    /// is after the caller has observed it from `step`.
     fn retire_stream(&mut self, idx: usize) {
         self.streams[idx].end_ms = Some(self.time_ms);
-        if self.recycle {
-            // Reclaim the kernel buffer and hand the slot to the next
-            // arrival. The completion record (start/end) stays readable
-            // until the slot is actually reused, which is after the caller
-            // has observed it from `step`.
-            let buf = std::mem::take(&mut self.streams[idx].kernels);
-            if buf.capacity() > 0 && self.spare_kernels.len() < SPARE_POOL_CAP {
-                self.spare_kernels.push(buf);
-            }
-            let buf = std::mem::take(&mut self.streams[idx].profiles);
-            if buf.capacity() > 0 && self.spare_profiles.len() < SPARE_POOL_CAP {
-                self.spare_profiles.push(buf);
-            }
-            self.free_slots.push(idx);
-        }
+        self.reclaim_buffers(idx);
+        self.free_slots.push(idx);
+    }
+
+    /// Move stream `idx`'s kernel and profile buffers to the spare pools.
+    fn reclaim_buffers(&mut self, idx: usize) {
+        let s = &mut self.streams[idx];
+        pool_buffer(&mut self.spare_kernels, std::mem::take(&mut s.kernels));
+        pool_buffer(&mut self.spare_profiles, std::mem::take(&mut s.profiles));
     }
 
     /// Count one retired kernel of stream `idx` (the one before its
@@ -858,6 +820,21 @@ impl Engine {
     }
 }
 
+/// `items` copied into a buffer from `pool`, or a new one when it is empty.
+fn pooled_copy<T: Copy>(pool: &mut Vec<Vec<T>>, items: &[T]) -> Vec<T> {
+    let mut buf = pool.pop().unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(items);
+    buf
+}
+
+/// Keep `buf`'s allocation in `pool`, up to [`SPARE_POOL_CAP`] buffers.
+fn pool_buffer<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
+    if buf.capacity() > 0 && pool.len() < SPARE_POOL_CAP {
+        pool.push(buf);
+    }
+}
+
 /// Debug check of the lone-stream closed form's precondition: `p` running
 /// alone — the aggregates `U_c`/`U_m` are its own shares — has a slowdown
 /// of exactly `1.0`.
@@ -972,7 +949,7 @@ mod tests {
     #[test]
     fn delayed_stream_starts_on_time() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![small_kernel(); 2], 5.0);
+        e.add_stream(&[small_kernel(); 2], 5.0);
         let c = e.step().unwrap();
         assert!((c.start_ms - 5.0).abs() < 1e-12);
         assert!(c.end_ms > 5.0);
@@ -981,9 +958,9 @@ mod tests {
     #[test]
     fn step_yields_completions_in_time_order() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![small_kernel(); 2], 0.0);
-        e.add_stream(vec![small_kernel(); 20], 0.0);
-        e.add_stream(vec![small_kernel(); 6], 1.0);
+        e.add_stream(&[small_kernel(); 2], 0.0);
+        e.add_stream(&[small_kernel(); 20], 0.0);
+        e.add_stream(&[small_kernel(); 6], 1.0);
         let mut ends = Vec::new();
         while let Some(c) = e.step() {
             ends.push(c.end_ms);
@@ -998,8 +975,8 @@ mod tests {
     #[test]
     fn empty_stream_completes_at_start() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![], 3.0);
-        e.add_stream(vec![small_kernel()], 0.0);
+        e.add_stream(&[], 3.0);
+        e.add_stream(&[small_kernel()], 0.0);
         e.run_until_idle();
         let r = e.group_result();
         let empty = r.completions.iter().find(|c| c.id == StreamId(0)).unwrap();
@@ -1014,8 +991,8 @@ mod tests {
         let solo =
             crate::run_group(&gpu(), &NoiseModel::disabled(), 0, std::slice::from_ref(&a)).total_ms;
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(a.clone(), 0.0);
-        e.add_stream(vec![big_kernel(); 4], solo / 2.0);
+        e.add_stream(&a, 0.0);
+        e.add_stream(&[big_kernel(); 4], solo / 2.0);
         e.run_until_idle();
         let r = e.group_result();
         let a_end = r.completions[0].end_ms;
@@ -1037,8 +1014,8 @@ mod tests {
     fn trace_records_every_kernel_interval() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
         e.enable_trace();
-        e.add_stream(vec![small_kernel(); 5], 0.0);
-        e.add_stream(vec![big_kernel(); 3], 0.1);
+        e.add_stream(&[small_kernel(); 5], 0.0);
+        e.add_stream(&[big_kernel(); 3], 0.1);
         e.run_until_idle();
         let trace = e.trace();
         assert_eq!(trace.len(), 8);
@@ -1062,7 +1039,7 @@ mod tests {
     #[test]
     fn trace_disabled_by_default() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![small_kernel()], 0.0);
+        e.add_stream(&[small_kernel()], 0.0);
         e.run_until_idle();
         assert!(e.trace().is_empty());
     }
@@ -1070,7 +1047,7 @@ mod tests {
     #[test]
     fn stream_ms_accounts_own_start() {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![small_kernel(); 2], 10.0);
+        e.add_stream(&[small_kernel(); 2], 10.0);
         e.run_until_idle();
         let r = e.group_result();
         let dur = r.stream_ms(0);
@@ -1081,9 +1058,9 @@ mod tests {
     #[test]
     fn reset_is_bit_identical_to_fresh_engine() {
         let run = |e: &mut Engine, seed: u64| {
-            e.add_stream(vec![small_kernel(); 5], 0.0);
-            e.add_stream(vec![big_kernel(); 3], 0.5);
-            e.add_stream(vec![small_kernel(); 2], 0.5); // equal-start tie
+            e.add_stream(&[small_kernel(); 5], 0.0);
+            e.add_stream(&[big_kernel(); 3], 0.5);
+            e.add_stream(&[small_kernel(); 2], 0.5); // equal-start tie
             e.run_until_idle();
             let _ = seed;
             e.group_result()
@@ -1108,56 +1085,57 @@ mod tests {
         let noisy = NoiseModel::calibrated();
         e.reset_with(&gpu(), &noisy, 9);
         for s in &streams {
-            e.add_stream(s.clone(), 0.0);
+            e.add_stream(s, 0.0);
         }
         e.run_until_idle();
         let r = e.group_result();
         let mut fresh = Engine::new(gpu(), noisy, 9);
         for s in &streams {
-            fresh.add_stream(s.clone(), 0.0);
+            fresh.add_stream(s, 0.0);
         }
         fresh.run_until_idle();
         assert_eq!(r, fresh.group_result());
     }
 
     #[test]
-    fn slot_recycling_matches_growing_engine() {
-        // Open-loop run: 60 arrivals, at most a few live at once. The
-        // recycling engine must yield the same (start, end) sequence from
-        // step() as the growing one, while keeping `streams` bounded.
+    fn open_loop_run_reuses_retired_slots() {
+        // Open-loop run: 60 arrivals, each added once the clock reaches it,
+        // at most a few live at once. Retired slots go to later arrivals,
+        // so `streams` stays bounded while every arrival still completes
+        // once, in time order, no earlier than it arrived. (The golden
+        // open-loop suite pins these completions bit for bit against the
+        // reference engine, which never reuses a slot.)
         let arrivals: Vec<f64> = (0..60).map(|i| i as f64 * 0.4).collect();
-        let run = |recycle: bool| -> (Vec<(f64, f64)>, usize) {
-            let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 3);
-            if recycle {
-                e.enable_slot_recycling();
+        let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 3);
+        let mut done = Vec::new();
+        let mut next = 0;
+        loop {
+            while next < arrivals.len() && arrivals[next] <= e.now() + 1e-9 {
+                e.add_stream(&[small_kernel(), big_kernel()], arrivals[next]);
+                next += 1;
             }
-            let mut out = Vec::new();
-            let mut next = 0;
-            loop {
-                while next < arrivals.len() && arrivals[next] <= e.now() + 1e-9 {
-                    e.add_stream_slice(&[small_kernel(), big_kernel()], arrivals[next]);
-                    next += 1;
-                }
-                if next < arrivals.len() && e.is_idle() {
-                    e.add_stream_slice(&[small_kernel(), big_kernel()], arrivals[next]);
-                    next += 1;
-                }
-                match e.step() {
-                    Some(c) => out.push((c.start_ms, c.end_ms)),
-                    None if next >= arrivals.len() => break,
-                    None => {}
-                }
+            if next < arrivals.len() && e.is_idle() {
+                e.add_stream(&[small_kernel(), big_kernel()], arrivals[next]);
+                next += 1;
             }
-            (out, e.streams.len())
-        };
-        let (grown, grown_slots) = run(false);
-        let (recycled, recycled_slots) = run(true);
-        assert_eq!(grown.len(), arrivals.len());
-        assert_eq!(grown, recycled);
-        assert_eq!(grown_slots, arrivals.len());
+            match e.step() {
+                Some(c) => done.push((c.start_ms, c.end_ms)),
+                None if next >= arrivals.len() => break,
+                None => {}
+            }
+        }
+        assert_eq!(done.len(), arrivals.len());
+        for w in done.windows(2) {
+            assert!(w[0].1 <= w[1].1, "completions out of time order");
+        }
+        let mut starts: Vec<f64> = done.iter().map(|&(start, _)| start).collect();
+        starts.sort_by(f64::total_cmp);
+        assert!(starts.iter().zip(&arrivals).all(|(s, a)| s >= a));
+        assert!(done.iter().all(|&(start, end)| end > start));
         assert!(
-            recycled_slots < arrivals.len() / 2,
-            "recycling kept {recycled_slots} slots for {} arrivals",
+            e.streams.len() < arrivals.len() / 2,
+            "kept {} slots for {} arrivals",
+            e.streams.len(),
             arrivals.len()
         );
     }
@@ -1165,8 +1143,8 @@ mod tests {
     #[test]
     fn completions_into_matches_completions() {
         let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 5);
-        e.add_stream(vec![small_kernel(); 3], 0.0);
-        e.add_stream(vec![big_kernel(); 2], 1.0);
+        e.add_stream(&[small_kernel(); 3], 0.0);
+        e.add_stream(&[big_kernel(); 2], 1.0);
         e.run_until_idle();
         let mut buf = vec![StreamCompletion {
             id: StreamId(99),
@@ -1186,7 +1164,7 @@ mod tests {
             let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 17);
             e.set_kernel_faults(spec);
             for s in &streams {
-                e.add_stream(s.clone(), 0.0);
+                e.add_stream(s, 0.0);
             }
             e.run_until_idle();
             e.group_result()
@@ -1205,7 +1183,7 @@ mod tests {
             crate::run_group(&gpu(), &NoiseModel::disabled(), 0, std::slice::from_ref(&ks)).total_ms;
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
         e.set_kernel_faults(Some(KernelFaultSpec::always(3, 1.0, 2.5)));
-        e.add_stream(ks, 0.0);
+        e.add_stream(&ks, 0.0);
         e.run_until_idle();
         let spiked = e.group_result().total_ms;
         assert!((spiked - base * 2.5).abs() < 1e-9, "{spiked} vs {}", base * 2.5);
@@ -1219,7 +1197,7 @@ mod tests {
         e.set_kernel_faults(Some(spec));
         let run = |e: &mut Engine| {
             for s in &streams {
-                e.add_stream(s.clone(), 0.0);
+                e.add_stream(s, 0.0);
             }
             e.run_until_idle();
             e.group_result()
@@ -1251,7 +1229,7 @@ mod tests {
             let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 2);
             e.set_kernel_faults(spec);
             for s in &streams {
-                e.add_stream(s.clone(), 0.0);
+                e.add_stream(s, 0.0);
             }
             e.run_until_idle();
             e.group_result()
@@ -1272,9 +1250,9 @@ mod tests {
         let session = noise.session_factor(&mut rng);
         let first_draw = noise.kernel_factor(&mut rng);
         let mut e = Engine::new(gpu(), noise, 13);
-        e.add_stream(vec![k], 2.0);
-        e.add_stream(vec![k], 2.0);
-        e.add_stream(vec![k], 2.0); // newest arrival: must draw first
+        e.add_stream(&[k], 2.0);
+        e.add_stream(&[k], 2.0);
+        e.add_stream(&[k], 2.0); // newest arrival: must draw first
         e.run_until_idle();
         let r = e.group_result();
         let expect = k.solo_ms(&gpu()) * session * first_draw;
@@ -1289,8 +1267,8 @@ mod tests {
         // activated there: the empty stream completes at the event time,
         // a hair *before* its own nominal start.
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![launch_only(d)], 0.0);
-        e.add_stream(vec![], d + ACTIVATION_SLACK_MS);
+        e.add_stream(&[launch_only(d)], 0.0);
+        e.add_stream(&[], d + ACTIVATION_SLACK_MS);
         e.run_until_idle();
         let r = e.group_result();
         assert_eq!(r.completions[1].start_ms, d + ACTIVATION_SLACK_MS);
@@ -1298,8 +1276,8 @@ mod tests {
         // A start just past the slack is not picked up at `d`; the idle
         // engine jumps to the exact start instead.
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![launch_only(d)], 0.0);
-        e.add_stream(vec![], d + 3.0 * ACTIVATION_SLACK_MS);
+        e.add_stream(&[launch_only(d)], 0.0);
+        e.add_stream(&[], d + 3.0 * ACTIVATION_SLACK_MS);
         e.run_until_idle();
         let r = e.group_result();
         assert_eq!(r.completions[1].end_ms, d + 3.0 * ACTIVATION_SLACK_MS);
@@ -1311,8 +1289,8 @@ mod tests {
         // A kernel left with less than RETIRE_EPSILON_MS of solo time
         // after an event retires *at* that event (near-tie collapse)...
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![launch_only(d)], 0.0);
-        e.add_stream(vec![launch_only(d + 0.5 * RETIRE_EPSILON_MS)], 0.0);
+        e.add_stream(&[launch_only(d)], 0.0);
+        e.add_stream(&[launch_only(d + 0.5 * RETIRE_EPSILON_MS)], 0.0);
         e.run_until_idle();
         let r = e.group_result();
         assert_eq!(r.completions[0].end_ms, d);
@@ -1320,8 +1298,8 @@ mod tests {
         // ...while one with more than the epsilon left survives to its own
         // completion event.
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
-        e.add_stream(vec![launch_only(d)], 0.0);
-        e.add_stream(vec![launch_only(d + 2.0 * RETIRE_EPSILON_MS)], 0.0);
+        e.add_stream(&[launch_only(d)], 0.0);
+        e.add_stream(&[launch_only(d + 2.0 * RETIRE_EPSILON_MS)], 0.0);
         e.run_until_idle();
         let r = e.group_result();
         assert_eq!(r.completions[0].end_ms, d);
@@ -1338,13 +1316,12 @@ mod tests {
         let mut e = Engine::new(gpu(), NoiseModel::disabled(), 0);
         assert_eq!(e.core_stats(), EngineCoreStats::default());
         for i in 0..3 {
-            e.add_stream(vec![small_kernel(); 2], i as f64 * 1e-3);
+            e.add_stream(&[small_kernel(); 2], i as f64 * 1e-3);
         }
         e.run_until_idle();
         let stats = e.core_stats();
         assert_eq!(stats.max_active, 3);
         assert_eq!(stats.pending_peak, 3);
-        assert_eq!(stats.calendar_buckets, 0, "small backlog stays on the sorted path");
         e.reset(0);
         assert_eq!(e.core_stats(), EngineCoreStats::default());
     }

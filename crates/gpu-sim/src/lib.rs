@@ -74,7 +74,7 @@ pub fn run_group<S: AsRef<[KernelDesc]>>(
             None => slot.insert(Engine::new(gpu.clone(), noise.clone(), seed)),
         };
         for s in streams {
-            engine.add_stream_slice(s.as_ref(), 0.0);
+            engine.add_stream(s.as_ref(), 0.0);
         }
         engine.run_until_idle();
         engine.group_result()

@@ -1,4 +1,4 @@
-//! Golden test: the optimized engine (SoA running set, calendar-queue
+//! Golden test: the optimized engine (SoA running set, binary-heap
 //! arrivals, incremental `U_c`/`U_m` aggregates, slot recycling, engine
 //! reuse via `reset`) must be bit-identical to the pre-overhaul engine.
 //!
@@ -90,15 +90,14 @@ fn run_reference(
     )
 }
 
-/// Every completion of `work` through a prepared live engine, with slot
-/// recycling on.
-fn run_optimized(mut engine: Engine, work: &[(f64, Vec<KernelDesc>)]) -> Vec<(u64, u64)> {
-    engine.enable_slot_recycling();
+/// Every completion of `work` through a prepared live engine, which hands
+/// retired slots to later arrivals.
+fn run_optimized(engine: Engine, work: &[(f64, Vec<KernelDesc>)]) -> Vec<(u64, u64)> {
     let e = RefCell::new(engine);
     drive(
         work,
         |k, at| {
-            e.borrow_mut().add_stream_slice(k, at);
+            e.borrow_mut().add_stream(k, at);
         },
         || e.borrow_mut().step().map(|c| (c.start_ms, c.end_ms)),
         || e.borrow().now(),
@@ -115,7 +114,7 @@ fn optimized_engine_matches_pre_refactor_reference_bitwise() {
     let mut engine = Engine::new(GpuSpec::a100(), noise, seed);
     // Exercise `reset` reuse on top of recycling: dirty the engine with an
     // unrelated run first, then reset to the golden seed.
-    engine.add_stream_slice(&work[0].1, 0.0);
+    engine.add_stream(&work[0].1, 0.0);
     engine.run_until_idle();
     engine.reset(seed);
     let optimized = run_optimized(engine, &work);
@@ -193,7 +192,7 @@ fn run_groups_optimized(
             for kernels in group {
                 profiles.clear();
                 profiles.extend(kernels.iter().map(|k| RunningKernel::profile(k, &gpu)));
-                e.add_stream_slice_profiled(kernels, &profiles, 0.0);
+                e.add_stream_profiled(kernels, &profiles, 0.0);
             }
             let mut out = Vec::new();
             while let Some(c) = e.step() {

@@ -36,7 +36,7 @@ proptest! {
         let mut e = Engine::new(gpu(), NoiseModel::calibrated(), seed);
         e.enable_trace();
         for s in &streams {
-            e.add_stream(s.clone(), 0.0);
+            e.add_stream(s, 0.0);
         }
         e.run_until_idle();
         let completions = e.completions();
@@ -102,7 +102,7 @@ proptest! {
         }
         for (g, kernels) in groups.iter().enumerate() {
             e.reset(seed + g as u64);
-            e.add_stream_slice(kernels, 0.0);
+            e.add_stream(kernels, 0.0);
             let c = e.step().expect("the group's one stream completes");
             prop_assert!(e.step().is_none());
             let trace = e.trace();

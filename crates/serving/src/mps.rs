@@ -39,10 +39,10 @@ pub fn mps_victim_latencies(cfg: &MpsConfig, lib: &ModelLibrary, gpu: &GpuSpec) 
 
     let victim_kernels = lib.kernels(cfg.victim, cfg.victim_input);
     let mut engine = Engine::new(gpu.clone(), NoiseModel::calibrated(), cfg.seed);
-    // Open-loop run: recycle retired slots so memory stays bounded by the
-    // number of concurrently live queries, not the arrival count. We only
-    // consume completions from `step`, as recycling requires.
-    engine.enable_slot_recycling();
+    // Open-loop run: the engine hands retired slots to later arrivals, so
+    // memory stays bounded by the number of concurrently live queries, not
+    // the arrival count. Completions are consumed from `step`, as slot
+    // reuse requires.
 
     // MPS dispatches every antagonist query at its arrival instant — no
     // queueing, no coordination. Bursts therefore overlap with each other
@@ -50,11 +50,11 @@ pub fn mps_victim_latencies(cfg: &MpsConfig, lib: &ModelLibrary, gpu: &GpuSpec) 
     // lowering — no per-query re-derivation.
     for a in &antagonist_arrivals {
         let input = lib.random_input(cfg.antagonist, &mut rng);
-        engine.add_stream_slice(lib.kernels(cfg.antagonist, input), a.at_ms);
+        engine.add_stream(lib.kernels(cfg.antagonist, input), a.at_ms);
     }
 
     // Closed-loop victim: one query in flight at all times.
-    let mut victim_stream = engine.add_stream_slice(victim_kernels, 0.0);
+    let mut victim_stream = engine.add_stream(victim_kernels, 0.0);
     let mut victim_started = 0.0f64;
     let mut latencies = Vec::new();
 
@@ -65,7 +65,7 @@ pub fn mps_victim_latencies(cfg: &MpsConfig, lib: &ModelLibrary, gpu: &GpuSpec) 
                 break;
             }
             victim_started = done.end_ms;
-            victim_stream = engine.add_stream_slice(victim_kernels, done.end_ms);
+            victim_stream = engine.add_stream(victim_kernels, done.end_ms);
         }
     }
     latencies

@@ -491,10 +491,6 @@ fn log_group(
         .set(Counter::EngineMaxActive, core.max_active as u64);
     t.registry
         .set(Counter::EnginePendingPeak, core.pending_peak as u64);
-    t.registry.set(
-        Counter::EngineCalendarPeakBucket,
-        core.calendar_peak_bucket as u64,
-    );
     if let Some(w) = t.predictor_ways() {
         for _ in 0..group.prediction_rounds {
             t.registry.observe(Hist::PredictorBatch, w as f64);

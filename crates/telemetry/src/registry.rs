@@ -33,9 +33,6 @@ pub enum Counter {
     EngineMaxActive,
     /// Deepest pending-arrival backlog seen by the engine core (peak).
     EnginePendingPeak,
-    /// Fullest calendar-queue bucket seen by the engine core (peak; 0 when
-    /// the backlog never left the sorted-Vec regime).
-    EngineCalendarPeakBucket,
     /// Deepest scheduler order-index seen (peak queue of deadline keys).
     DecisionOrderPeak,
     /// High-water mark of the scheduler's per-round scratch arena (peak).
@@ -63,7 +60,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 21] = [
         Counter::QueriesArrived,
         Counter::QueriesCompleted,
         Counter::QueriesDropped,
@@ -75,7 +72,6 @@ impl Counter {
         Counter::FaultSpikes,
         Counter::EngineMaxActive,
         Counter::EnginePendingPeak,
-        Counter::EngineCalendarPeakBucket,
         Counter::DecisionOrderPeak,
         Counter::DecisionScratchPeak,
         Counter::DecisionIncrementalRounds,
@@ -102,7 +98,6 @@ impl Counter {
             Counter::FaultSpikes => "fault_spikes",
             Counter::EngineMaxActive => "engine_max_active",
             Counter::EnginePendingPeak => "engine_pending_peak",
-            Counter::EngineCalendarPeakBucket => "engine_calendar_peak_bucket",
             Counter::DecisionOrderPeak => "decision_order_peak",
             Counter::DecisionScratchPeak => "decision_scratch_peak",
             Counter::DecisionIncrementalRounds => "decision_incremental_rounds",

@@ -48,7 +48,7 @@ for crate in abacus-cli serving cluster abacus-core predictor gpu-sim; do
 done
 
 echo "== engine golden + proptest bit-identity =="
-# The optimized event core (SoA + SIMD + calendar queue) must stay
+# The optimized event core (SoA + SIMD + pending-arrival heap) must stay
 # bit-identical to the shared frozen reference engine
 # (bench::reference::engine, also the engine bench's baseline), on the pinned
 # fixed-seed workloads and on randomized property workloads with fault
@@ -56,10 +56,14 @@ echo "== engine golden + proptest bit-identity =="
 # 1-4 profiled streams at t = 0), whose single-stream groups and tails run
 # in the engine's lone-stream closed form; that form is exact only because
 # every model-library kernel's shares lie in [0, 1], so a lone kernel's
-# slowdown is exactly 1.0 on every simulated GPU.
+# slowdown is exactly 1.0 on every simulated GPU. The heap's pop order is
+# pinned on its own: earliest start first, equal starts (-0.0 and +0.0
+# included) newest insert first, against a sorted model and a linear-scan
+# model over 20k interleaved pushes and pops.
 cargo test -q -p gpu-sim --test golden_engine
 run_filtered group_mode_matches_reference_bitwise -p gpu-sim --test golden_engine
 run_filtered contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one -p gpu-sim --lib
+run_filtered pqueue::tests:: -p gpu-sim --lib
 
 echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +

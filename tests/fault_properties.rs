@@ -372,7 +372,7 @@ fn golden_observed_abacus_checksums_are_pinned() {
     );
     assert_eq!(
         fnv1a(format!("{tel:?}").as_bytes()),
-        2_776_302_505_262_737_622,
+        4_952_828_755_519_525_026,
         "observed Abacus telemetry drifted from the pinned checksum"
     );
 }
