@@ -12,8 +12,8 @@
 //! shorter than 25 ms the floor, not the 2% budget, is the binding limit.
 //!
 //! The sweep measures the same cells twice — in a serial loop and through
-//! the parallel leg, which fans out only when `rayon::worth_fanning_out`
-//! says the host can run cells concurrently — and checks the results are
+//! `par_iter` on the worker pool, which runs a serial loop itself when the
+//! host cannot run cells concurrently — and checks the results are
 //! identical. On a single-core host the speedup is ~1.0 by construction, so
 //! it is informational; `host_cores` is recorded to read it by.
 
@@ -216,15 +216,7 @@ impl Bench for Serving {
             ))
         };
         let run_serial = || cells.iter().map(run_one).collect::<Vec<_>>();
-        // Fan out only when the host can actually run cells concurrently:
-        // on a single core the scoped-thread machinery is pure overhead.
-        let run_parallel = || {
-            if rayon::worth_fanning_out(cells.len()) {
-                cells.par_iter().map(run_one).collect::<Vec<_>>()
-            } else {
-                run_serial()
-            }
-        };
+        let run_parallel = || cells.par_iter().map(run_one).collect::<Vec<_>>();
         // Interleaved reps with alternating leg order, keeping the minimum
         // of each leg: the minima estimate the true costs, and alternating
         // which leg runs first cancels the position bias that charged

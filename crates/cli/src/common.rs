@@ -153,14 +153,21 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Cache path of the unified duration model for `tag` at the current
-/// scale. The key includes the GPU tag and scale, so A100, MIG and V100
-/// predictors coexist under `results/models/`; the `.round_ms` calibration
-/// sidecar lives next to it (see [`predictor::persist::round_ms_path`]).
+/// Cache path of a trained artefact for `tag` with extension `ext`. The
+/// key includes the GPU tag, the scale and the master seed (which seeds
+/// training, see [`Options::trainer_config`]), so A100, MIG and V100
+/// predictors coexist under `results/models/` and a run under another
+/// `--seed` never loads a predictor trained under this one.
+fn cache_path(tag: &str, opts: &Options, ext: &str) -> PathBuf {
+    let stem = format!("{tag}_{:?}_seed{}", opts.scale, opts.seed).to_lowercase();
+    opts.out_dir.join("models").join(format!("{stem}.{ext}"))
+}
+
+/// Cache path of the unified duration model for `tag`; the `.round_ms`
+/// calibration sidecar lives next to it (see
+/// [`predictor::persist::round_ms_path`]).
 pub fn model_path(tag: &str, opts: &Options) -> PathBuf {
-    opts.out_dir
-        .join("models")
-        .join(format!("{tag}_{:?}.mlp", opts.scale).to_lowercase())
+    cache_path(tag, opts, "mlp")
 }
 
 /// Train (or load from cache) the unified duration model for `sets` on
@@ -213,12 +220,10 @@ pub fn as_model(mlp: &Arc<Mlp>) -> Arc<dyn LatencyModel> {
     mlp.clone()
 }
 
-/// Cache path of the conformal certifier artifact for `tag` at the
-/// current scale, next to the mean model under `results/models/`.
+/// Cache path of the conformal certifier artifact for `tag`, next to the
+/// mean model under `results/models/`.
 pub fn conformal_path(tag: &str, opts: &Options) -> PathBuf {
-    opts.out_dir
-        .join("models")
-        .join(format!("{tag}_{:?}.conformal", opts.scale).to_lowercase())
+    cache_path(tag, opts, "conformal")
 }
 
 /// Train (or load from cache) the *certified* predictor stack for `sets`:
@@ -272,21 +277,17 @@ pub fn ensure_certified(
     (Arc::new(trained.mean), Arc::new(trained.certifier))
 }
 
-/// Map `f` over experiment cells, fanned out over threads when
+/// Map `f` over experiment cells, fanned out over the worker pool when
 /// `parallel` — output order always matches input order, and because every
-/// cell derives its own seed, the results are identical either way.
-///
-/// `--parallel` is downgraded to the plain serial loop when fanning out
-/// cannot help ([`rayon::worth_fanning_out`]): a single-core host, or
-/// fewer than two cells. The fan-out machinery degrades to a serial loop
-/// in those cases anyway, so this only removes its overhead — results are
-/// identical by construction (see DESIGN.md §7).
+/// cell derives its own seed, the results are identical either way (see
+/// DESIGN.md §7). The fan-out itself runs a plain serial loop where it
+/// cannot engage a second core.
 pub fn map_cells<T: Sync, R: Send>(
     parallel: bool,
     items: &[T],
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    if parallel && rayon::worth_fanning_out(items.len()) {
+    if parallel {
         use rayon::prelude::*;
         items.par_iter().map(f).collect()
     } else {
@@ -300,7 +301,7 @@ pub fn map_cells<T: Sync, R: Send>(
 /// which would make each Abacus cell's timing — and hence the CSVs —
 /// irreproducible across runs and between the serial and parallel sweep
 /// paths. The calibrated value is cached on disk next to the predictor
-/// (keyed by `tag` and scale, honouring `--retrain`), so *reruns* of an
+/// (keyed like it, honouring `--retrain`), so *reruns* of an
 /// experiment — serial or parallel — charge the identical Eq. 3 overhead
 /// and reproduce the CSVs byte for byte.
 pub fn pinned_abacus_config(
@@ -337,4 +338,25 @@ pub fn pair_label(models: &[ModelId]) -> String {
 /// Ensure the output directory exists.
 pub fn ensure_out_dir(path: &Path) {
     std::fs::create_dir_all(path).expect("cannot create output directory");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cache_paths_are_keyed_by_seed() {
+        let a = Options::default();
+        let b = Options {
+            seed: 7,
+            ..Options::default()
+        };
+        assert_ne!(model_path("unified_a100", &a), model_path("unified_a100", &b));
+        assert_ne!(conformal_path("unified_a100", &a), conformal_path("unified_a100", &b));
+        assert_eq!(model_path("unified_a100", &a), model_path("unified_a100", &a.clone()));
+        assert_eq!(
+            model_path("unified_a100", &a),
+            Path::new("results/models/unified_a100_medium_seed2021.mlp")
+        );
+    }
 }

@@ -38,7 +38,7 @@ pub use features::{
 pub use conformal::{width_of_row, ConformalModel, StratifiedConformal, CERT_TAUS};
 pub use linreg::LinearRegression;
 pub use mlp::{Mlp, MlpConfig, QuantileMlp};
-pub use profiler::{profile_group, profile_groups, ProfiledGroup};
+pub use profiler::{profile_groups, ProfiledGroup};
 pub use sampling::{all_pairs, paper_multiway_sets, sample_group, sample_groups};
 pub use svr::{LinearSvr, SvrConfig};
 

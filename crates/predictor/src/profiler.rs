@@ -4,7 +4,8 @@
 //! simulator `runs` times with different noise seeds and records the mean
 //! and standard deviation of the group latency — exactly the 42 000 × 100
 //! measurement campaign of §5.2, scaled by configuration. Groups are
-//! profiled in parallel with rayon (the measurement legs are independent).
+//! profiled in parallel on the rayon worker pool (the measurement legs are
+//! independent, and each group's seed depends on its index alone).
 
 use crate::features::GroupSpec;
 use dnn_models::ModelLibrary;
@@ -24,7 +25,7 @@ pub struct ProfiledGroup {
 }
 
 /// Profile one group: `runs` measurements with seeds forked from `seed`.
-pub fn profile_group(
+fn profile_group(
     spec: &GroupSpec,
     lib: &ModelLibrary,
     gpu: &GpuSpec,
@@ -50,7 +51,9 @@ pub fn profile_group(
     }
 }
 
-/// Profile many groups in parallel.
+/// Profile many groups in parallel: group `i` is measured with seeds forked
+/// from `fork_seed(seed, i)`, so the result is the same at any worker count
+/// and when called from inside another fan-out (which runs it inline).
 pub fn profile_groups(
     specs: &[GroupSpec],
     lib: &ModelLibrary,

@@ -8,14 +8,12 @@
 //! sample-profile-train pipeline, and [`experiment`] drives the §7.2–7.5
 //! co-location studies with paired workloads across policies.
 
-pub mod deploy;
 pub mod experiment;
 pub mod invariants;
 pub mod mps;
 pub mod node;
 pub mod trainer;
 
-pub use deploy::{memory_report, MemoryReport, ServiceFootprint};
 pub use experiment::{
     build_faulty_workload, build_workload, make_scheduler, run_colocation,
     run_colocation_observed, run_with_services, services_for, ColocationConfig, ColocationResult,

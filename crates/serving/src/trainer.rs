@@ -9,10 +9,9 @@
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
 use predictor::{
-    profile_group, profile_groups, sample_groups, ConformalModel, Dataset, GroupSpec, Mlp,
-    MlpConfig, ProfiledGroup, QuantileMlp, CERT_TAUS,
+    profile_groups, sample_groups, ConformalModel, Dataset, Mlp, MlpConfig, ProfiledGroup,
+    QuantileMlp, CERT_TAUS,
 };
-use rayon::prelude::*;
 use workload::{fork_seed, SeededRng};
 
 /// Sub-stream indices for per-set seed derivation. Each co-location set's
@@ -111,15 +110,11 @@ pub fn collect_dataset(
 /// Returns the trained MLP together with the pooled dataset (so callers can
 /// hold out a test split or run cross-validation).
 ///
-/// Collection is parallel but deterministic: sampling is serial per set
-/// (cheap), then every `(set, group)` profiling job — by far the dominant
-/// cost — is flattened into one set-major parallel campaign with each
-/// job's seed derived exactly as [`collect_profiles`] derives it, so the
-/// pooled dataset is identical to concatenating [`collect_dataset`] over
-/// the sets serially (asserted by a test below). Flattening instead of
-/// nesting a per-set loop around `profile_groups` keeps a single fan-out
-/// level, which both avoids thread oversubscription and load-balances when
-/// sets have very different per-group costs.
+/// Set `i` is sampled and profiled by [`collect_profiles`] under label `i`,
+/// and the pooled dataset is the sets' profiles in set order. Each set's
+/// profiling campaign, by far the dominant cost, fans out over the worker
+/// pool, which claims groups one at a time and so balances uneven
+/// per-group costs; the result is the same at any worker count.
 pub fn train_unified(
     sets: &[Vec<ModelId>],
     lib: &ModelLibrary,
@@ -128,34 +123,12 @@ pub fn train_unified(
     cfg: &TrainerConfig,
 ) -> (Mlp, Dataset) {
     assert!(!sets.is_empty());
-    let specs_per_set: Vec<Vec<GroupSpec>> = sets
+    let profiles: Vec<ProfiledGroup> = sets
         .iter()
         .enumerate()
-        .map(|(i, set)| {
-            sample_groups(
-                set,
-                cfg.samples_per_set,
-                lib,
-                set_stream_seed(cfg.seed, i as u64, SAMPLE_STREAM),
-            )
-        })
+        .flat_map(|(i, set)| collect_profiles(set, lib, gpu, noise, cfg, i as u64))
         .collect();
-    let jobs: Vec<(&GroupSpec, u64)> = specs_per_set
-        .iter()
-        .enumerate()
-        .flat_map(|(i, specs)| {
-            let profile_seed = set_stream_seed(cfg.seed, i as u64, PROFILE_STREAM);
-            specs
-                .iter()
-                .enumerate()
-                .map(move |(g, spec)| (spec, fork_seed(profile_seed, g as u64)))
-        })
-        .collect();
-    let profiled: Vec<ProfiledGroup> = jobs
-        .par_iter()
-        .map(|(spec, seed)| profile_group(spec, lib, gpu, noise, *seed, cfg.runs_per_group))
-        .collect();
-    let data = Dataset::from_profiles(&profiled, lib);
+    let data = Dataset::from_profiles(&profiles, lib);
     let mlp = Mlp::train(&data, &cfg.mlp);
     (mlp, data)
 }
@@ -247,9 +220,10 @@ mod tests {
 
     #[test]
     fn parallel_collection_matches_serial_concat() {
-        // The flattened parallel campaign in `train_unified` must produce
-        // exactly the dataset a serial per-set `collect_dataset` loop
-        // produces — same samples, same order, same bits.
+        // `train_unified`'s pooled dataset, whose per-set profiling
+        // campaigns fan out over the worker pool, must be exactly the
+        // dataset a per-set `collect_dataset` loop produces — same samples,
+        // same order, same bits.
         let lib = ModelLibrary::new();
         let gpu = GpuSpec::a100();
         let noise = NoiseModel::calibrated();

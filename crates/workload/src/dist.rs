@@ -1,8 +1,7 @@
 //! Distribution samplers used across the evaluation.
 //!
 //! The paper's load generator draws query arrivals from a Poisson process
-//! (exponential inter-arrival times), picks batch sizes / sequence lengths
-//! uniformly from Table 1, and the GPU simulator applies lognormal
+//! (exponential inter-arrival times), and the GPU simulator applies lognormal
 //! multiplicative noise to reproduce the latency determinism statistics of
 //! §5.2. These samplers are implemented here rather than pulling in
 //! `rand_distr` (see DESIGN.md §5).
@@ -40,27 +39,6 @@ impl Exponential {
     }
 }
 
-/// Normal distribution `N(mean, std^2)` via Box–Muller.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std: f64,
-}
-
-impl Normal {
-    /// Create a sampler. `std` must be non-negative and finite.
-    pub fn new(mean: f64, std: f64) -> Self {
-        assert!(std >= 0.0 && std.is_finite(), "std must be non-negative");
-        Self { mean, std }
-    }
-
-    /// Draw one sample.
-    #[inline]
-    pub fn sample(&self, rng: &mut SeededRng) -> f64 {
-        self.mean + self.std * rng.normal()
-    }
-}
-
 /// Lognormal distribution: `exp(N(mu, sigma^2))`.
 ///
 /// The GPU simulator uses `LogNormal::noise(sigma)` — a unit-median
@@ -90,38 +68,6 @@ impl LogNormal {
     }
 }
 
-/// Uniform choice over a fixed, non-empty set of values.
-///
-/// Models Table 1's input randomisation: batch size ∈ {4, 8, 16, 32} and
-/// BERT sequence length ∈ {8, 16, 32, 64}.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UniformChoice<T: Copy> {
-    values: Vec<T>,
-}
-
-impl<T: Copy> UniformChoice<T> {
-    /// Create a chooser over `values`.
-    ///
-    /// # Panics
-    /// Panics if `values` is empty.
-    pub fn new(values: impl Into<Vec<T>>) -> Self {
-        let values = values.into();
-        assert!(!values.is_empty(), "choice set must be non-empty");
-        Self { values }
-    }
-
-    /// The underlying choice set.
-    pub fn values(&self) -> &[T] {
-        &self.values
-    }
-
-    /// Draw one value uniformly.
-    #[inline]
-    pub fn sample(&self, rng: &mut SeededRng) -> T {
-        *rng.choose(&self.values)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,17 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_mean_and_spread() {
-        let mut rng = SeededRng::new(2);
-        let d = Normal::new(10.0, 2.0);
-        let samples: Vec<f64> = (0..40_000).map(|_| d.sample(&mut rng)).collect();
-        let mean = mean_of(&samples);
-        assert!((mean - 10.0).abs() < 0.1, "mean {mean}");
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-        assert!((var - 4.0).abs() < 0.3, "var {var}");
-    }
-
-    #[test]
     fn lognormal_noise_has_unit_median() {
         let mut rng = SeededRng::new(3);
         let d = LogNormal::noise(0.04);
@@ -161,27 +96,6 @@ mod tests {
         assert!((median - 1.0).abs() < 0.01, "median {median}");
         // 4% log-sigma means nearly all mass within ±20%.
         assert!(samples.iter().all(|&x| x > 0.8 && x < 1.25));
-    }
-
-    #[test]
-    fn uniform_choice_hits_every_value() {
-        let mut rng = SeededRng::new(4);
-        let c = UniformChoice::new(vec![4u32, 8, 16, 32]);
-        let mut counts = [0u32; 4];
-        for _ in 0..4000 {
-            let v = c.sample(&mut rng);
-            let idx = c.values().iter().position(|&x| x == v).unwrap();
-            counts[idx] += 1;
-        }
-        for &n in &counts {
-            assert!(n > 800, "counts {counts:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_choice_panics() {
-        let _ = UniformChoice::<u32>::new(vec![]);
     }
 
     #[test]

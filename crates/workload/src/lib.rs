@@ -16,6 +16,6 @@ pub mod rng;
 pub mod trace;
 
 pub use arrivals::{merge_arrivals, Arrival, PoissonProcess};
-pub use dist::{Exponential, LogNormal, Normal, UniformChoice};
+pub use dist::{Exponential, LogNormal};
 pub use rng::{fork_seed, SeededRng};
 pub use trace::{synthesize_maf_like, RateTrace};

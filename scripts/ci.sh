@@ -88,9 +88,14 @@ echo "== predictor purity + worker-pool panic safety =="
 # if every shipped model predicts a row bit-identically alone and inside
 # any batch. The per-epoch GPU fan-out runs on the persistent pool, which
 # must re-raise a task's panic on the caller and keep serving later
-# fan-outs instead of hanging.
+# fan-outs instead of hanging. `par_iter` (profiling campaigns, figure
+# sweeps) runs on the same pool: a `par_iter` inside a pool task must run
+# inline and keep input order, and a panicking `par_iter` closure must
+# re-raise on the caller and leave the next `par_iter` whole.
 run_filtered row_prediction_is_independent_of_its_batch -p predictor --test batch_consistency
 run_filtered pool::tests::panicking_task_propagates_and_pool_recovers -p rayon --lib
+run_filtered pool::tests::par_iter_inside_a_task_runs_inline_in_order -p rayon --lib
+run_filtered pool::tests::panicking_par_iter_propagates_and_next_par_iter_returns_everything -p rayon --lib
 
 echo "== model artifacts =="
 # Every committed results/models/*.mlp loads and re-serialises byte for
