@@ -6,8 +6,8 @@
 //! which runs mostly in the lone-stream closed form) — for both the live
 //! `gpu_sim::Engine` and the frozen
 //! `bench::reference::engine::ReferenceEngine`, the same copy the
-//! `golden_engine` suite pins the live engine to. Both engines consume the
-//! same RNG protocol, so every leg checks that their completion checksums
+//! `golden_engine` suite pins the live engine to. Both engines follow the
+//! same noise protocol, so every leg checks that their completion checksums
 //! and event counts agree. Each leg is timed once.
 
 use crate::reference::engine::{

@@ -7,13 +7,15 @@
 //! contention slowdowns recomputed for the whole running set on every
 //! event, and a scalar decrement / min-scan. It is expressed against the
 //! crate's public API (`RunningKernel::profile`, `co_run_slowdowns_summed`,
-//! `NoiseModel` draws) and consumes the same RNG protocol as
+//! `NoiseModel` factors) and follows the same noise protocol as
 //! `gpu_sim::Engine`, so completions are comparable bit for bit:
 //!
-//! * one session-factor draw at construction / reset;
-//! * one kernel-factor draw per kernel launch, unconditionally (zero-cost
-//!   kernels draw and then complete instantly);
-//! * with a [`KernelFaultSpec`] installed, one further unconditional `f64`
+//! * the session factor is `NoiseModel::session_factor(run seed)`;
+//! * kernel `k` of the stream added `n`-th takes the scalar
+//!   `NoiseModel::kernel_factor(stream_key(run seed, n), k)` at its launch
+//!   (zero-cost kernels too, and then complete instantly); stream ids are
+//!   never reused here, so a stream's id is its add ordinal;
+//! * with a [`KernelFaultSpec`] installed, one unconditional `f64`
 //!   draw per launch from a stream forked from `(spec seed, run seed)`,
 //!   the spike window tested on engine-local time;
 //! * equal-start arrivals activate newest first.
@@ -25,6 +27,7 @@
 
 use dnn_models::{ModelId, ModelLibrary, QueryInput, BATCH_CHOICES};
 use gpu_sim::contention::{co_run_slowdowns_summed, RunningKernel};
+use gpu_sim::noise::stream_key;
 use gpu_sim::{GpuSpec, KernelDesc, KernelFaultSpec, NoiseModel};
 use workload::{fork_seed, SeededRng};
 
@@ -40,7 +43,7 @@ struct Stream {
 pub struct ReferenceEngine {
     gpu: GpuSpec,
     noise: NoiseModel,
-    rng: SeededRng,
+    run_seed: u64,
     session_factor: f64,
     time_ms: f64,
     streams: Vec<Stream>,
@@ -58,14 +61,13 @@ pub struct ReferenceEngine {
 }
 
 impl ReferenceEngine {
-    /// A fresh engine; draws the session factor from `seed`.
+    /// A fresh engine for the run seeded `seed`.
     pub fn new(gpu: GpuSpec, noise: NoiseModel, seed: u64) -> Self {
-        let mut rng = SeededRng::new(seed);
-        let session_factor = noise.session_factor(&mut rng);
+        let session_factor = noise.session_factor(seed);
         Self {
             gpu,
             noise,
-            rng,
+            run_seed: seed,
             session_factor,
             time_ms: 0.0,
             streams: Vec::new(),
@@ -80,11 +82,11 @@ impl ReferenceEngine {
         }
     }
 
-    /// Forget every stream and restart the RNG protocol from `seed`; an
+    /// Forget every stream and restart the noise protocol from `seed`; an
     /// installed spike spec is re-forked from `(spec seed, seed)`.
     pub fn reset(&mut self, seed: u64) {
-        self.rng = SeededRng::new(seed);
-        self.session_factor = self.noise.session_factor(&mut self.rng);
+        self.run_seed = seed;
+        self.session_factor = self.noise.session_factor(seed);
         self.time_ms = 0.0;
         self.events = 0;
         self.streams.clear();
@@ -153,7 +155,8 @@ impl ReferenceEngine {
             let kernel = self.streams[idx].kernels[next];
             self.streams[idx].next = next + 1;
             let profile = RunningKernel::profile(&kernel, &self.gpu);
-            let kf = self.noise.kernel_factor(&mut self.rng);
+            let key = stream_key(self.run_seed, idx as u64);
+            let kf = self.noise.kernel_factor(key, next as u64);
             let mut dur = (kernel.launch_ms + profile.exec_ms) * self.session_factor * kf;
             if let Some((spec, rng)) = &mut self.faults {
                 let u = rng.f64();

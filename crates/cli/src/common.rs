@@ -154,12 +154,20 @@ pub fn parse_options(args: &[String]) -> Result<Options, String> {
 }
 
 /// Cache path of a trained artefact for `tag` with extension `ext`. The
-/// key includes the GPU tag, the scale and the master seed (which seeds
-/// training, see [`Options::trainer_config`]), so A100, MIG and V100
-/// predictors coexist under `results/models/` and a run under another
-/// `--seed` never loads a predictor trained under this one.
+/// key includes the GPU tag, the scale, the master seed (which seeds
+/// training, see [`Options::trainer_config`]) and the simulator's noise
+/// protocol ([`gpu_sim::NOISE_PROTOCOL`]), so A100, MIG and V100
+/// predictors coexist under `results/models/`, a run under another
+/// `--seed` never loads a predictor trained under this one, and a
+/// predictor profiled under an older noise protocol is never loaded.
 fn cache_path(tag: &str, opts: &Options, ext: &str) -> PathBuf {
-    let stem = format!("{tag}_{:?}_seed{}", opts.scale, opts.seed).to_lowercase();
+    let stem = format!(
+        "{tag}_{:?}_seed{}_{}",
+        opts.scale,
+        opts.seed,
+        gpu_sim::NOISE_PROTOCOL
+    )
+    .to_lowercase();
     opts.out_dir.join("models").join(format!("{stem}.{ext}"))
 }
 
@@ -356,7 +364,7 @@ mod tests {
         assert_eq!(model_path("unified_a100", &a), model_path("unified_a100", &a.clone()));
         assert_eq!(
             model_path("unified_a100", &a),
-            Path::new("results/models/unified_a100_medium_seed2021.mlp")
+            Path::new("results/models/unified_a100_medium_seed2021_noise2.mlp")
         );
     }
 }

@@ -32,8 +32,15 @@
 //! ([`crate::pqueue`]), and a retired stream's slot and kernel buffers go
 //! straight back to the next arrival. All of it is
 //! bit-identical to the scalar reference engine pinned by
-//! `tests/golden_engine.rs` — decrement order, tie-breaking and RNG draw
-//! order are part of the contract (see DESIGN.md §11).
+//! `tests/golden_engine.rs` — decrement order, tie-breaking and the fault
+//! draw order are part of the contract (see DESIGN.md §11).
+//!
+//! # Kernel noise
+//!
+//! A stream's kernel noise factors are a pure function of the run seed,
+//! the stream's add ordinal and the kernel's index ([`crate::noise`]), so
+//! [`Engine::add_stream`] fills them as one SIMD batch into a pooled
+//! buffer next to the kernels, and a kernel start only reads its factor.
 //!
 //! # Lone-stream closed form
 //!
@@ -44,17 +51,16 @@
 //! in-flight kernel ends after its remaining time, and each later kernel
 //! adds its noisy duration. An uncontended kernel's slowdown is exactly
 //! `1.0` (see `Engine::run_lone_stream`), so this sum is the same bits the
-//! general loop produces. Both paths draw kernels through one helper, so
-//! the draw protocol has a single definition.
+//! general loop produces. Both paths start kernels through one helper, so
+//! a kernel's duration has a single definition.
 
 use crate::contention::{slowdown_one, RunningKernel};
 use crate::faults::{KernelFaultSpec, KernelFaultState};
 use crate::gpu::GpuSpec;
 use crate::kernel::KernelDesc;
-use crate::noise::NoiseModel;
+use crate::noise::{stream_key, NoiseModel};
 use crate::pqueue::PendingQueue;
 use crate::simd::SimdTier;
-use workload::SeededRng;
 
 /// Upper bound on retired kernel buffers kept for reuse (see
 /// [`Engine::reset`] and slot recycling). Small: each buffer is just
@@ -139,6 +145,9 @@ struct Stream {
     /// the same kernel sequences (the segmental executor) precompute once
     /// and skip the per-start `powf`.
     profiles: Vec<RunningKernel>,
+    /// Kernel noise factors parallel to `kernels`, filled when the stream
+    /// is added (see [`crate::noise`]).
+    factors: Vec<f64>,
     next: usize,
     start_ms: f64,
     end_ms: Option<f64>,
@@ -164,10 +173,12 @@ pub struct KernelSpan {
 pub struct Engine {
     gpu: GpuSpec,
     noise: NoiseModel,
-    rng: SeededRng,
     session_factor: f64,
     time_ms: f64,
     streams: Vec<Stream>,
+    /// Streams added since the last reset: the next stream's add ordinal,
+    /// which keys its kernel noise factors.
+    added: u64,
     /// Streams not yet started, soonest start first (binary heap).
     pending: PendingQueue,
     /// Stream slots with a kernel in flight. The arrays below are SoA
@@ -215,6 +226,8 @@ pub struct Engine {
     /// Retired profile buffers, pooled like `spare_kernels` for
     /// [`Engine::add_stream_profiled`].
     spare_profiles: Vec<Vec<RunningKernel>>,
+    /// Retired noise-factor buffers, pooled like `spare_kernels`.
+    spare_factors: Vec<Vec<f64>>,
     events: u64,
     /// Fault spike activations (kernels whose duration was actually
     /// perturbed) since the last reset.
@@ -223,8 +236,8 @@ pub struct Engine {
     max_active: usize,
     /// Per-kernel execution spans; populated only when tracing is on.
     trace: Option<Vec<KernelSpan>>,
-    /// Seed of the current run (recorded so a fault spec installed
-    /// mid-lifetime can fork its draw stream consistently).
+    /// Seed of the current run: keys the kernel noise factors, and lets a
+    /// fault spec installed mid-lifetime fork its draw stream consistently.
     run_seed: u64,
     /// Deterministic kernel latency-spike injection; `None` (the default)
     /// leaves the hot path untouched.
@@ -234,18 +247,17 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create an idle engine at `t = 0`. The session noise factor is drawn
-    /// immediately, so the same seed reproduces the same run exactly.
+    /// Create an idle engine at `t = 0`. Every noise factor is a function
+    /// of `seed`, so the same seed reproduces the same run exactly.
     pub fn new(gpu: GpuSpec, noise: NoiseModel, seed: u64) -> Self {
-        let mut rng = SeededRng::new(seed);
-        let session_factor = noise.session_factor(&mut rng);
+        let session_factor = noise.session_factor(seed);
         Self {
             gpu,
             noise,
-            rng,
             session_factor,
             time_ms: 0.0,
             streams: Vec::new(),
+            added: 0,
             pending: PendingQueue::default(),
             active: Vec::new(),
             remaining: Vec::new(),
@@ -266,6 +278,7 @@ impl Engine {
             free_slots: Vec::new(),
             spare_kernels: Vec::new(),
             spare_profiles: Vec::new(),
+            spare_factors: Vec::new(),
             events: 0,
             fault_spikes: 0,
             max_active: 0,
@@ -278,14 +291,15 @@ impl Engine {
 
     /// Return the engine to the idle `t = 0` state under a new seed,
     /// keeping its allocations (stream slots, kernel buffers, scratch
-    /// vectors). The RNG and session noise factor are re-derived exactly as
-    /// in [`Engine::new`], so a reset engine is bit-identical to a freshly
-    /// constructed one — this is what lets the segmental executor run one
-    /// group after another without rebuilding the engine.
+    /// vectors). The session noise factor and the stream ordinals are
+    /// re-derived exactly as in [`Engine::new`], so a reset engine is
+    /// bit-identical to a freshly constructed one — this is what lets the
+    /// segmental executor run one group after another without rebuilding
+    /// the engine.
     pub fn reset(&mut self, seed: u64) {
-        self.rng = SeededRng::new(seed);
-        self.session_factor = self.noise.session_factor(&mut self.rng);
+        self.session_factor = self.noise.session_factor(seed);
         self.run_seed = seed;
+        self.added = 0;
         if let Some(f) = &mut self.faults {
             f.reseed(seed);
         }
@@ -399,9 +413,16 @@ impl Engine {
     ) -> StreamId {
         debug_assert!(profiles.is_empty() || profiles.len() == kernels.len());
         let start_ms = start_ms.max(self.time_ms);
+        let mut factors = self.spare_factors.pop().unwrap_or_default();
+        factors.clear();
+        factors.resize(kernels.len(), 0.0);
+        let key = stream_key(self.run_seed, self.added);
+        self.noise.fill_kernel_factors(self.simd, key, &mut factors);
+        self.added += 1;
         let stream = Stream {
             kernels,
             profiles,
+            factors,
             next: 0,
             start_ms,
             end_ms: None,
@@ -503,9 +524,9 @@ impl Engine {
     /// Draw stream `idx`'s next kernel that takes time: its profile and
     /// noisy solo duration, or `None` once the stream has no kernels left.
     /// Advances the stream's cursor past the returned kernel and past any
-    /// degenerate zero-cost kernels before it. The one definition of the
-    /// per-kernel draw protocol, shared by the general event loop and the
-    /// lone-stream closed form.
+    /// degenerate zero-cost kernels before it. The one definition of a
+    /// kernel's duration and of the fault draw protocol, shared by the
+    /// general event loop and the lone-stream closed form.
     fn draw_next_kernel(&mut self, idx: usize) -> Option<(RunningKernel, f64)> {
         loop {
             let s = &mut self.streams[idx];
@@ -513,9 +534,7 @@ impl Engine {
             let &kernel = s.kernels.get(next)?;
             s.next = next + 1;
             // One profile evaluation serves both the noisy solo duration
-            // (launch + exec roofline) and the contention shares; the
-            // kernel noise factor is drawn unconditionally so the RNG
-            // stream is independent of degenerate zero-cost kernels.
+            // (launch + exec roofline) and the contention shares.
             let profile = match s.profiles.get(next) {
                 Some(&p) => {
                     debug_assert_eq!(
@@ -527,7 +546,7 @@ impl Engine {
                 }
                 None => RunningKernel::profile(&kernel, &self.gpu),
             };
-            let kf = self.noise.kernel_factor(&mut self.rng);
+            let kf = s.factors[next];
             let mut dur = (kernel.launch_ms + profile.exec_ms) * self.session_factor * kf;
             if let Some(f) = &mut self.faults {
                 // Separate draw stream: installed-but-never-spiking specs
@@ -555,11 +574,13 @@ impl Engine {
         self.free_slots.push(idx);
     }
 
-    /// Move stream `idx`'s kernel and profile buffers to the spare pools.
+    /// Move stream `idx`'s kernel, profile and factor buffers to the spare
+    /// pools.
     fn reclaim_buffers(&mut self, idx: usize) {
         let s = &mut self.streams[idx];
         pool_buffer(&mut self.spare_kernels, std::mem::take(&mut s.kernels));
         pool_buffer(&mut self.spare_profiles, std::mem::take(&mut s.profiles));
+        pool_buffer(&mut self.spare_factors, std::mem::take(&mut s.factors));
     }
 
     /// Count one retired kernel of stream `idx` (the one before its
@@ -587,8 +608,8 @@ impl Engine {
     /// the interference term is `1`. The general loop would therefore
     /// advance time by exactly each remaining duration, and nothing can
     /// join the stream before it ends. Summing the durations here is
-    /// bit-identical to that loop, with the same draw order, event count
-    /// and trace spans.
+    /// bit-identical to that loop, with the same fault draw order, event
+    /// count and trace spans.
     fn run_lone_stream(&mut self) -> StreamCompletion {
         debug_assert!(self.active.len() == 1 && self.pending.is_empty());
         debug_assert_eq!(self.u_c.to_bits(), self.k_c_share[0].to_bits());
@@ -1158,7 +1179,7 @@ mod tests {
     #[test]
     fn zero_prob_fault_spec_is_bit_identical_to_none() {
         // An installed spec that never fires must not perturb anything:
-        // the spike stream is separate from the noise stream.
+        // the spike stream is separate from the noise factors.
         let streams = vec![vec![small_kernel(); 8], vec![big_kernel(); 3]];
         let run = |spec: Option<KernelFaultSpec>| {
             let mut e = Engine::new(gpu(), NoiseModel::calibrated(), 17);
@@ -1237,27 +1258,101 @@ mod tests {
         assert_eq!(run(Some(spec)), run(None));
     }
 
+    /// A compute-only kernel small enough that a few co-running copies see
+    /// a slowdown of exactly 1, so each kernel's duration is its own noisy
+    /// solo time whatever runs beside it.
+    fn light_kernel() -> KernelDesc {
+        KernelDesc::new(1e8, 0.0, 64.0)
+    }
+
     #[test]
-    fn binary_insert_keeps_equal_start_activation_order() {
-        // Three streams with the same start time: the engine activates the
-        // most recently added first (the legacy push + stable-sort order),
-        // which fixes the order kernel noise factors are drawn in. Use a
-        // compute-only kernel small enough that slowdowns are exactly 1, so
-        // each stream's duration is exactly solo * session * its own draw.
+    fn equal_start_streams_draw_by_add_ordinal() {
+        // Equal starts activate newest first, but each stream's factor is
+        // keyed by its add ordinal, so the activation order does not move
+        // any duration.
         let noise = NoiseModel::calibrated();
-        let k = KernelDesc::new(1e8, 0.0, 64.0);
-        let mut rng = SeededRng::new(13);
-        let session = noise.session_factor(&mut rng);
-        let first_draw = noise.kernel_factor(&mut rng);
-        let mut e = Engine::new(gpu(), noise, 13);
-        e.add_stream(&[k], 2.0);
-        e.add_stream(&[k], 2.0);
-        e.add_stream(&[k], 2.0); // newest arrival: must draw first
+        let k = light_kernel();
+        let session = noise.session_factor(13);
+        let mut e = Engine::new(gpu(), noise.clone(), 13);
+        for _ in 0..3 {
+            e.add_stream(&[k], 2.0);
+        }
         e.run_until_idle();
         let r = e.group_result();
-        let expect = k.solo_ms(&gpu()) * session * first_draw;
-        let got = r.stream_ms(2);
-        assert!((got - expect).abs() < 1e-12, "{got} vs {expect}");
+        for i in 0..3 {
+            let kf = noise.kernel_factor(stream_key(13, i as u64), 0);
+            let expect = k.solo_ms(&gpu()) * session * kf;
+            let got = r.stream_ms(i);
+            assert!(
+                (got - expect).abs() < 1e-12,
+                "stream {i}: {got} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn stream_factors_ignore_co_runners_and_slot() {
+        // The same stream, added second to a seed-21 run, three ways: alone
+        // in slot 1, co-running with the first stream in slot 1, and alone
+        // in the first stream's recycled slot 0. Its factors, and so its
+        // kernel durations, are the same each time.
+        let noise = NoiseModel::calibrated();
+        let x = [light_kernel(); 7];
+        let y = [light_kernel(); 4];
+        let want: Vec<f64> = (0..x.len() as u64)
+            .map(|k| noise.kernel_factor(stream_key(21, 1), k))
+            .collect();
+        let durations = |e: &mut Engine, id: StreamId| {
+            let f: Vec<u64> = e.streams[id.0]
+                .factors
+                .iter()
+                .map(|f| f.to_bits())
+                .collect();
+            assert_eq!(f, want.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+            e.run_until_idle();
+            let spans: Vec<f64> = e
+                .trace()
+                .iter()
+                .filter(|s| s.stream == id)
+                .map(|s| s.end_ms - s.start_ms)
+                .collect();
+            spans[spans.len() - x.len()..].to_vec()
+        };
+        let engine = || {
+            let mut e = Engine::new(gpu(), noise.clone(), 21);
+            e.enable_trace();
+            e
+        };
+        let mut alone = engine();
+        alone.add_stream(&[], 0.0);
+        let id = alone.add_stream(&x, 0.0);
+        assert_eq!(id, StreamId(1));
+        let alone = durations(&mut alone, id);
+        let mut co_run = engine();
+        co_run.add_stream(&y, 0.0);
+        let id = co_run.add_stream(&x, 0.0);
+        assert_eq!(id, StreamId(1));
+        let co_run = durations(&mut co_run, id);
+        let mut recycled = engine();
+        recycled.add_stream(&y, 0.0);
+        recycled.run_until_idle();
+        let id = recycled.add_stream(&x, recycled.now());
+        assert_eq!(id, StreamId(0));
+        let recycled = durations(&mut recycled, id);
+        let solo = light_kernel().solo_ms(&gpu()) * noise.session_factor(21);
+        for (k, kf) in want.iter().enumerate() {
+            for (how, got) in [
+                ("alone", alone[k]),
+                ("co-run", co_run[k]),
+                ("recycled", recycled[k]),
+            ] {
+                let expect = solo * kf;
+                assert!(
+                    (got / expect - 1.0).abs() < 1e-12,
+                    "{how} kernel {k}: {got} vs {expect}"
+                );
+            }
+        }
     }
 
     #[test]

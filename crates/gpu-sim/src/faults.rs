@@ -9,9 +9,10 @@
 //! across serial/parallel execution and across engine reuse, exactly like
 //! the noise model.
 //!
-//! The spike draw uses a *separate* RNG from the engine's noise stream: an
-//! installed spec with `prob = 0.0` leaves every duration — and the whole
-//! run — bit-identical to an engine with no spec installed at all. When no
+//! The spike draw is separate from the engine's noise factors (which are
+//! counter-based, see [`crate::noise`]): an installed spec with
+//! `prob = 0.0` leaves every duration — and the whole run — bit-identical
+//! to an engine with no spec installed at all. When no
 //! spec is installed the engine's hot path does not touch this module.
 
 use workload::{fork_seed, SeededRng};

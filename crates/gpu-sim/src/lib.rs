@@ -22,7 +22,8 @@
 //!
 //! [`GpuSpec`] provides calibrated A100/V100 presets and MIG slices
 //! (Table 2, Table 3); [`NoiseModel`] provides the calibrated ~4%
-//! lognormal run-to-run jitter.
+//! lognormal run-to-run jitter, as counter-based draws keyed by run seed,
+//! stream and kernel.
 
 pub mod contention;
 pub mod engine;
@@ -41,7 +42,7 @@ pub use engine::{
 pub use faults::KernelFaultSpec;
 pub use gpu::{GpuSpec, MigProfile};
 pub use kernel::KernelDesc;
-pub use noise::NoiseModel;
+pub use noise::{NoiseModel, NOISE_PROTOCOL};
 
 /// Run a deterministic operator group to completion on an idle GPU.
 ///

@@ -7,7 +7,8 @@
 //! scalar / AVX2 / AVX-512 tiers. [`SimdTier::detect`] is the workspace's
 //! one tier detector, and [`multiversion!`](crate::multiversion) its one
 //! way to compile a plain Rust kernel per tier: the predictor's MLP
-//! training and inference kernels (`predictor::mlp`) dispatch through it.
+//! training and inference kernels (`predictor::mlp`) and the kernel-noise
+//! batch fill ([`crate::noise`]) dispatch through it.
 //!
 //! Every tier is bit-identical to the scalar reference, which is part of
 //! the engine's determinism contract:
@@ -53,6 +54,17 @@ impl SimdTier {
             }
         }
         SimdTier::Scalar
+    }
+
+    /// `f64` lanes of one vector register on this tier.
+    pub(crate) fn f64_lanes(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => 8,
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => 4,
+            SimdTier::Scalar => 1,
+        }
     }
 
     /// Every tier this host can run, scalar first — for tests that pin

@@ -1,10 +1,10 @@
 //! Distribution samplers used across the evaluation.
 //!
 //! The paper's load generator draws query arrivals from a Poisson process
-//! (exponential inter-arrival times), and the GPU simulator applies lognormal
-//! multiplicative noise to reproduce the latency determinism statistics of
-//! §5.2. These samplers are implemented here rather than pulling in
-//! `rand_distr` (see DESIGN.md §5).
+//! (exponential inter-arrival times). The sampler is implemented here
+//! rather than pulling in `rand_distr` (see DESIGN.md §5). The GPU
+//! simulator's lognormal latency noise is counter-based and lives in
+//! `gpu_sim::noise`.
 
 use crate::rng::SeededRng;
 
@@ -39,35 +39,6 @@ impl Exponential {
     }
 }
 
-/// Lognormal distribution: `exp(N(mu, sigma^2))`.
-///
-/// The GPU simulator uses `LogNormal::noise(sigma)` — a unit-median
-/// multiplicative jitter — to model run-to-run latency variation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Create from the parameters of the underlying normal.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(sigma >= 0.0 && sigma.is_finite(), "sigma must be non-negative");
-        Self { mu, sigma }
-    }
-
-    /// Unit-median multiplicative noise with the given log-scale `sigma`.
-    pub fn noise(sigma: f64) -> Self {
-        Self::new(0.0, sigma)
-    }
-
-    /// Draw one sample.
-    #[inline]
-    pub fn sample(&self, rng: &mut SeededRng) -> f64 {
-        (self.mu + self.sigma * rng.normal()).exp()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,18 +55,6 @@ mod tests {
         let mean = mean_of(&samples);
         assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
         assert!(samples.iter().all(|&x| x >= 0.0));
-    }
-
-    #[test]
-    fn lognormal_noise_has_unit_median() {
-        let mut rng = SeededRng::new(3);
-        let d = LogNormal::noise(0.04);
-        let mut samples: Vec<f64> = (0..10_001).map(|_| d.sample(&mut rng)).collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let median = samples[samples.len() / 2];
-        assert!((median - 1.0).abs() < 0.01, "median {median}");
-        // 4% log-sigma means nearly all mass within ±20%.
-        assert!(samples.iter().all(|&x| x > 0.8 && x < 1.25));
     }
 
     #[test]

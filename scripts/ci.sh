@@ -65,6 +65,19 @@ run_filtered group_mode_matches_reference_bitwise -p gpu-sim --test golden_engin
 run_filtered contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one -p gpu-sim --lib
 run_filtered pqueue::tests:: -p gpu-sim --lib
 
+echo "== counter-based kernel noise =="
+# A kernel's noise factor is a pure function of (run seed, stream add
+# ordinal, kernel index), filled per stream as one batch. The batch fill
+# must equal the scalar definition bit for bit on every SIMD tier (lengths
+# 0-167, sigma 0 giving exactly 1), the in-house Box-Muller normal must
+# keep standard moments and tails over 1M draws, the in-house ln/sincos/exp
+# factor must stay within 1e-12 of the libm formula on the same uniforms,
+# and a stream's factors must not depend on its co-runners or its slot.
+run_filtered noise::tests::batch_fill_matches_scalar_on_every_tier -p gpu-sim --lib
+run_filtered noise::tests::normal_has_standard_moments_and_tails -p gpu-sim --lib
+run_filtered noise::tests::factor_matches_libm_formula_on_the_same_uniforms -p gpu-sim --lib
+run_filtered engine::tests::stream_factors_ignore_co_runners_and_slot -p gpu-sim --lib
+
 echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +
 # buffered search) must stay bit-identical to the shared frozen

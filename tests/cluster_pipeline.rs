@@ -228,7 +228,7 @@ fn abacus_k8s_records_checksum_is_pinned() {
     assert_eq!(out.router.routed as usize, out.records.len());
     assert_eq!(
         run_checksum(&out.records, &out.gpu_usage),
-        9_805_163_526_220_396_860,
+        179_454_527_636_416_606,
         "round-robin cluster records drifted from the pinned checksum"
     );
 }
@@ -250,7 +250,7 @@ fn clockwork_records_checksum_is_pinned() {
     );
     assert_eq!(
         run_checksum(&out.records, &out.gpu_usage),
-        5_959_821_675_674_640_707,
+        5_738_182_151_696_144_931,
         "Clockwork records drifted from the pinned checksum"
     );
 }
@@ -303,11 +303,11 @@ fn routed_heterogeneous_autoscaled_checksum_is_pinned() {
         None,
     );
     let (r, a) = (out.router, out.autoscale);
-    assert_eq!((r.routed, r.spilled, r.shed), (1413, 50, 4));
+    assert_eq!((r.routed, r.spilled, r.shed), (1416, 45, 6));
     assert_eq!((a.up_events, a.down_events), (4, 8));
     assert_eq!(
         run_checksum(&out.records, &out.gpu_usage),
-        4_134_212_462_009_362_822,
+        13_210_795_039_573_215_298,
         "routed cluster records drifted from the pinned checksum"
     );
 }

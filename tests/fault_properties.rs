@@ -325,7 +325,7 @@ fn golden_no_fault_trace_checksum_is_pinned() {
 }
 
 /// See [`golden_no_fault_trace_checksum_is_pinned`].
-const GOLDEN_FCFS_TRACE_CHECKSUM: u64 = 9_024_202_897_011_311_138;
+const GOLDEN_FCFS_TRACE_CHECKSUM: u64 = 5_650_876_077_892_008_803;
 
 /// FNV-1a over a byte string.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -367,12 +367,12 @@ fn golden_observed_abacus_checksums_are_pinned() {
     assert!(out.invariant_violations.is_empty());
     assert_eq!(
         trace_checksum(&out.records),
-        10_304_472_022_572_081_248,
+        394_485_762_425_519_648,
         "observed Abacus records drifted from the pinned checksum"
     );
     assert_eq!(
         fnv1a(format!("{tel:?}").as_bytes()),
-        4_952_828_755_519_525_026,
+        9_058_245_471_655_841_464,
         "observed Abacus telemetry drifted from the pinned checksum"
     );
 }

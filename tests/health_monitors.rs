@@ -185,7 +185,7 @@ fn healthy_run_flags_solo_ood_and_keeps_slo_quiet() {
     let solo = h.drift().class(0);
     let multi = h.drift().class(1);
     assert!(solo.samples > 20, "expected solo rounds, got {}", solo.samples);
-    assert!(multi.samples > 12, "expected 2-way rounds, got {}", multi.samples);
+    assert!(multi.samples > 11, "expected 2-way rounds, got {}", multi.samples);
     assert!(
         solo.ewma_abs > 3.0 * multi.ewma_abs,
         "solo |err| {} not an OOD outlier vs 2-way {}",
