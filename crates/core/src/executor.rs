@@ -73,7 +73,8 @@ pub struct SegmentalExecutor {
     /// Memoised [`RunningKernel`](gpu_sim::RunningKernel) profiles and solo
     /// latencies on the executor's GPU, which is fixed at construction: a
     /// row is computed once and replayed for every later group, so the
-    /// engine skips its per-kernel-start profile evaluation.
+    /// engine skips its per-kernel profile evaluation when a stream is
+    /// added.
     table: ProfileTable,
 }
 

@@ -35,24 +35,34 @@
 //! `tests/golden_engine.rs` — decrement order, tie-breaking and the fault
 //! draw order are part of the contract (see DESIGN.md §11).
 //!
-//! # Kernel noise
+//! # Kernel durations
 //!
 //! A stream's kernel noise factors are a pure function of the run seed,
 //! the stream's add ordinal and the kernel's index ([`crate::noise`]), so
-//! [`Engine::add_stream`] fills them as one SIMD batch into a pooled
-//! buffer next to the kernels, and a kernel start only reads its factor.
+//! a kernel's whole noisy solo duration, `(launch + exec) · session ·
+//! factor` multiplied in that order, is known when its stream is added.
+//! [`Engine::add_stream`] computes the stream's contention profiles and
+//! these durations there, the durations in the same SIMD pass as the noise
+//! batch and into one pooled buffer; starting a kernel later only reads
+//! its profile and duration (times a fault spike, when a fault spec is
+//! installed: spikes depend on the start time). The kernels themselves are
+//! copied only while tracing, where a span reports their occupancy.
 //!
 //! # Lone-stream closed form
 //!
 //! Most serving events have exactly one kernel in flight (single-query
 //! groups, and the single-stream tail of every wider group). When one
 //! kernel runs and no arrival is pending, [`Engine::step`] skips the SoA
-//! passes and runs that stream to completion in a scalar loop: the
-//! in-flight kernel ends after its remaining time, and each later kernel
-//! adds its noisy duration. An uncontended kernel's slowdown is exactly
-//! `1.0` (see `Engine::run_lone_stream`), so this sum is the same bits the
-//! general loop produces. Both paths start kernels through one helper, so
-//! a kernel's duration has a single definition.
+//! passes and runs that stream to completion: the in-flight kernel ends
+//! after its remaining time, and each later kernel adds its duration from
+//! the buffer. Without faults or tracing that is a flat left-to-right sum
+//! over the rest of the buffer; with either, it starts each kernel
+//! through the same `start_next` as the general loop (the zero-cost skip
+//! and the fault spike draw) and records spans with the same
+//! `Stream::span`, on a local clock. An uncontended
+//! kernel's slowdown is exactly `1.0` (see `Engine::run_lone_stream`), so
+//! the sum is the same bits the general loop produces, and both read the
+//! one buffer, so a kernel's duration has a single definition.
 
 use crate::contention::{slowdown_one, RunningKernel};
 use crate::faults::{KernelFaultSpec, KernelFaultState};
@@ -137,20 +147,34 @@ impl EngineCoreStats {
 
 #[derive(Debug, Clone)]
 struct Stream {
+    /// The kernels, kept only while tracing (a span reports the kernel's
+    /// occupancy); empty otherwise.
     kernels: Vec<KernelDesc>,
-    /// Precomputed contention profiles parallel to `kernels`, or empty when
-    /// the caller did not supply any ([`Engine::add_stream`]). Profiles are
-    /// a pure function of `(kernel, gpu)`, so a stored profile is
-    /// bit-identical to recomputing it at kernel start — callers that replay
-    /// the same kernel sequences (the segmental executor) precompute once
-    /// and skip the per-start `powf`.
+    /// Contention profile of each kernel on the engine's GPU: computed
+    /// when the stream is added, or copied from the caller
+    /// ([`Engine::add_stream_profiled`]).
     profiles: Vec<RunningKernel>,
-    /// Kernel noise factors parallel to `kernels`, filled when the stream
-    /// is added (see [`crate::noise`]).
-    factors: Vec<f64>,
+    /// Noisy solo duration of each kernel, `(launch + exec) · session ·
+    /// factor` (see the module docs), computed when the stream is added.
+    durations: Vec<f64>,
+    /// Index of the stream's next kernel to start.
     next: usize,
     start_ms: f64,
     end_ms: Option<f64>,
+}
+
+impl Stream {
+    /// The span of kernel `k` of this stream, in slot `idx`, between
+    /// `start_ms` and `end_ms`. Needs the kernel copy kept while tracing.
+    fn span(&self, idx: usize, k: usize, start_ms: f64, end_ms: f64, gpu: &GpuSpec) -> KernelSpan {
+        KernelSpan {
+            stream: StreamId(idx),
+            kernel: k,
+            start_ms,
+            end_ms,
+            occupancy: self.kernels[k].occupancy(gpu),
+        }
+    }
 }
 
 /// One kernel's execution interval, recorded when tracing is enabled.
@@ -220,14 +244,13 @@ pub struct Engine {
     /// Retired stream slots, handed to later arrivals so long open-loop
     /// runs keep `streams` bounded by the streams live at once.
     free_slots: Vec<usize>,
-    /// Retired kernel buffers kept to serve [`Engine::add_stream`]
-    /// without allocating.
+    /// Retired kernel buffers kept to serve a traced
+    /// [`Engine::add_stream`] without allocating.
     spare_kernels: Vec<Vec<KernelDesc>>,
-    /// Retired profile buffers, pooled like `spare_kernels` for
-    /// [`Engine::add_stream_profiled`].
+    /// Retired profile buffers, pooled like `spare_kernels`.
     spare_profiles: Vec<Vec<RunningKernel>>,
-    /// Retired noise-factor buffers, pooled like `spare_kernels`.
-    spare_factors: Vec<Vec<f64>>,
+    /// Retired duration buffers, pooled like `spare_kernels`.
+    spare_durations: Vec<Vec<f64>>,
     events: u64,
     /// Fault spike activations (kernels whose duration was actually
     /// perturbed) since the last reset.
@@ -278,7 +301,7 @@ impl Engine {
             free_slots: Vec::new(),
             spare_kernels: Vec::new(),
             spare_profiles: Vec::new(),
-            spare_factors: Vec::new(),
+            spare_durations: Vec::new(),
             events: 0,
             fault_spikes: 0,
             max_active: 0,
@@ -346,9 +369,17 @@ impl Engine {
         self.reset(seed);
     }
 
-    /// Record every kernel's execution interval. Must be called before any
-    /// stream starts executing.
+    /// Record every kernel's execution interval. Must be called while no
+    /// stream is queued or running: a stream keeps the kernel copy its
+    /// spans read only when it is added with tracing on.
+    ///
+    /// # Panics
+    /// Panics if a stream is queued or running.
     pub fn enable_trace(&mut self) {
+        assert!(
+            self.active.is_empty() && self.pending.is_empty(),
+            "enable_trace while streams are queued"
+        );
         self.trace = Some(Vec::new());
     }
 
@@ -405,24 +436,33 @@ impl Engine {
         &self.gpu
     }
 
+    /// Add a stream whose `profiles` (parallel to `kernels`) are already
+    /// in a buffer of the engine's: compute its durations, keep the kernels
+    /// when tracing, and queue it.
     fn add_stream_inner(
         &mut self,
-        kernels: Vec<KernelDesc>,
+        kernels: &[KernelDesc],
         profiles: Vec<RunningKernel>,
         start_ms: f64,
     ) -> StreamId {
-        debug_assert!(profiles.is_empty() || profiles.len() == kernels.len());
+        debug_assert_eq!(profiles.len(), kernels.len());
         let start_ms = start_ms.max(self.time_ms);
-        let mut factors = self.spare_factors.pop().unwrap_or_default();
-        factors.clear();
-        factors.resize(kernels.len(), 0.0);
+        let mut durations = self.spare_durations.pop().unwrap_or_default();
+        durations.clear();
+        durations.extend(kernels.iter().zip(&profiles).map(|(k, p)| k.launch_ms + p.exec_ms));
         let key = stream_key(self.run_seed, self.added);
-        self.noise.fill_kernel_factors(self.simd, key, &mut factors);
+        self.noise
+            .scale_kernel_durations(self.simd, key, self.session_factor, &mut durations);
         self.added += 1;
+        let kernels = if self.trace.is_some() {
+            pooled_copy(&mut self.spare_kernels, kernels)
+        } else {
+            Vec::new()
+        };
         let stream = Stream {
             kernels,
             profiles,
-            factors,
+            durations,
             next: 0,
             start_ms,
             end_ms: None,
@@ -442,9 +482,9 @@ impl Engine {
     }
 
     /// Add a stream of kernels that may start at `start_ms` (clamped to
-    /// now). Empty streams complete instantly at their start time. The
-    /// kernels are copied into a retired kernel buffer when one is
-    /// available instead of allocating.
+    /// now). Empty streams complete instantly at their start time. Every
+    /// kernel's contention profile and noisy duration are computed here,
+    /// into retired buffers when available instead of allocating.
     ///
     /// A retired stream's slot goes to the next stream added, and its
     /// [`StreamId`] with it: a caller that adds streams while the engine
@@ -453,17 +493,19 @@ impl Engine {
     /// streams whose slot has not been reused yet. Streams added before
     /// the run starts never share a slot.
     pub fn add_stream(&mut self, kernels: &[KernelDesc], start_ms: f64) -> StreamId {
-        let buf = pooled_copy(&mut self.spare_kernels, kernels);
-        self.add_stream_inner(buf, Vec::new(), start_ms)
+        let mut profiles = self.spare_profiles.pop().unwrap_or_default();
+        profiles.clear();
+        profiles.extend(kernels.iter().map(|k| RunningKernel::profile(k, &self.gpu)));
+        self.add_stream_inner(kernels, profiles, start_ms)
     }
 
     /// [`Engine::add_stream`] with the kernels' contention profiles
     /// precomputed by the caller (one [`RunningKernel::profile`] per
-    /// kernel, on this engine's GPU). The per-kernel-start profile
-    /// evaluation — the one `powf` left in the event hot path — is then
-    /// skipped; since the profile is a pure function of `(kernel, gpu)` the
-    /// run is bit-identical to [`Engine::add_stream`] (debug builds
-    /// assert this at every kernel start).
+    /// kernel, on this engine's GPU), which skips the per-kernel profile
+    /// evaluation — its `powf` — for callers that replay the same kernel
+    /// sequences (the segmental executor). Since the profile is a pure
+    /// function of `(kernel, gpu)` the run is bit-identical to
+    /// [`Engine::add_stream`] (debug builds assert this for every kernel).
     ///
     /// # Panics
     /// Panics if `profiles.len() != kernels.len()`.
@@ -474,9 +516,15 @@ impl Engine {
         start_ms: f64,
     ) -> StreamId {
         assert_eq!(kernels.len(), profiles.len(), "one profile per kernel");
-        let buf = pooled_copy(&mut self.spare_kernels, kernels);
-        let pbuf = pooled_copy(&mut self.spare_profiles, profiles);
-        self.add_stream_inner(buf, pbuf, start_ms)
+        debug_assert!(
+            kernels
+                .iter()
+                .zip(profiles)
+                .all(|(k, p)| *p == RunningKernel::profile(k, &self.gpu)),
+            "precomputed profile diverges from fresh evaluation"
+        );
+        let profiles = pooled_copy(&mut self.spare_profiles, profiles);
+        self.add_stream_inner(kernels, profiles, start_ms)
     }
 
     /// True when no stream is running or waiting to start.
@@ -521,47 +569,15 @@ impl Engine {
         }
     }
 
-    /// Draw stream `idx`'s next kernel that takes time: its profile and
-    /// noisy solo duration, or `None` once the stream has no kernels left.
-    /// Advances the stream's cursor past the returned kernel and past any
-    /// degenerate zero-cost kernels before it. The one definition of a
-    /// kernel's duration and of the fault draw protocol, shared by the
-    /// general event loop and the lone-stream closed form.
+    /// Start stream `idx`'s next kernel that takes time now (see
+    /// [`start_next`]): its profile and duration, or `None` once the
+    /// stream has no kernels left.
     fn draw_next_kernel(&mut self, idx: usize) -> Option<(RunningKernel, f64)> {
-        loop {
-            let s = &mut self.streams[idx];
-            let next = s.next;
-            let &kernel = s.kernels.get(next)?;
-            s.next = next + 1;
-            // One profile evaluation serves both the noisy solo duration
-            // (launch + exec roofline) and the contention shares.
-            let profile = match s.profiles.get(next) {
-                Some(&p) => {
-                    debug_assert_eq!(
-                        p,
-                        RunningKernel::profile(&kernel, &self.gpu),
-                        "precomputed profile diverges from fresh evaluation"
-                    );
-                    p
-                }
-                None => RunningKernel::profile(&kernel, &self.gpu),
-            };
-            let kf = s.factors[next];
-            let mut dur = (kernel.launch_ms + profile.exec_ms) * self.session_factor * kf;
-            if let Some(f) = &mut self.faults {
-                // Separate draw stream: installed-but-never-spiking specs
-                // leave `dur` — and the whole run — bit-identical.
-                let sf = f.spike_factor(self.time_ms);
-                if sf != 1.0 {
-                    self.fault_spikes += 1;
-                }
-                dur *= sf;
-            }
-            // A degenerate zero-cost kernel completes instantly.
-            if dur > 0.0 {
-                return Some((profile, dur));
-            }
-        }
+        let s = &mut self.streams[idx];
+        let faults = self.faults.as_mut();
+        let (k, dur) =
+            start_next(&s.durations, &mut s.next, faults, &mut self.fault_spikes, self.time_ms)?;
+        Some((s.profiles[k], dur))
     }
 
     /// Stamp stream `idx` complete at the current instant, reclaim its
@@ -574,13 +590,13 @@ impl Engine {
         self.free_slots.push(idx);
     }
 
-    /// Move stream `idx`'s kernel, profile and factor buffers to the spare
-    /// pools.
+    /// Move stream `idx`'s kernel, profile and duration buffers to the
+    /// spare pools.
     fn reclaim_buffers(&mut self, idx: usize) {
         let s = &mut self.streams[idx];
         pool_buffer(&mut self.spare_kernels, std::mem::take(&mut s.kernels));
         pool_buffer(&mut self.spare_profiles, std::mem::take(&mut s.profiles));
-        pool_buffer(&mut self.spare_factors, std::mem::take(&mut s.factors));
+        pool_buffer(&mut self.spare_durations, std::mem::take(&mut s.durations));
     }
 
     /// Count one retired kernel of stream `idx` (the one before its
@@ -589,13 +605,7 @@ impl Engine {
         self.events += 1;
         if let Some(trace) = &mut self.trace {
             let s = &self.streams[idx];
-            trace.push(KernelSpan {
-                stream: StreamId(idx),
-                kernel: s.next - 1,
-                start_ms: started_ms,
-                end_ms: self.time_ms,
-                occupancy: s.kernels[s.next - 1].occupancy(&self.gpu),
-            });
+            trace.push(s.span(idx, s.next - 1, started_ms, self.time_ms, &self.gpu));
         }
     }
 
@@ -609,7 +619,13 @@ impl Engine {
     /// advance time by exactly each remaining duration, and nothing can
     /// join the stream before it ends. Summing the durations here is
     /// bit-identical to that loop, with the same fault draw order, event
-    /// count and trace spans.
+    /// count and trace spans. Without faults or tracing the remaining
+    /// durations are one flat sum: a zero-cost kernel's duration is
+    /// `+0.0`, and adding it leaves the (non-negative) clock's bits
+    /// unchanged, so the sum needs no branch to skip it; it only does not
+    /// count as an event. Otherwise each kernel is started through
+    /// [`start_next`] (its spike and the zero-cost skip), as in the
+    /// general loop, on a local clock and cursor.
     fn run_lone_stream(&mut self) -> StreamCompletion {
         debug_assert!(self.active.len() == 1 && self.pending.is_empty());
         debug_assert_eq!(self.u_c.to_bits(), self.k_c_share[0].to_bits());
@@ -622,18 +638,40 @@ impl Engine {
             exec_ms: self.k_exec[0],
         });
         let idx = self.active[0];
-        let mut started_ms = self.started[0];
+        let started_ms = self.started[0];
         self.time_ms += self.remaining[0];
         self.remove_active(0);
-        loop {
-            self.record_retired_kernel(idx, started_ms);
-            let Some((profile, dur)) = self.draw_next_kernel(idx) else {
-                break;
-            };
-            debug_assert_uncontended(&profile);
-            started_ms = self.time_ms;
-            self.time_ms += dur;
+        self.record_retired_kernel(idx, started_ms);
+        let s = &mut self.streams[idx];
+        if cfg!(debug_assertions) {
+            s.profiles[s.next..].iter().for_each(debug_assert_uncontended);
         }
+        let mut t = self.time_ms;
+        let mut ran = 0;
+        if self.faults.is_none() && self.trace.is_none() {
+            for &d in &s.durations[s.next..] {
+                t += d;
+                ran += u64::from(d > 0.0);
+            }
+            s.next = s.durations.len();
+        } else {
+            let mut faults = self.faults.as_mut();
+            let spikes = &mut self.fault_spikes;
+            let mut next = s.next;
+            while let Some((k, dur)) =
+                start_next(&s.durations, &mut next, faults.as_deref_mut(), spikes, t)
+            {
+                let start_ms = t;
+                t += dur;
+                ran += 1;
+                if let Some(trace) = &mut self.trace {
+                    trace.push(s.span(idx, k, start_ms, t, &self.gpu));
+                }
+            }
+            s.next = next;
+        }
+        self.time_ms = t;
+        self.events += ran;
         self.retire_stream(idx);
         let s = &self.streams[idx];
         StreamCompletion {
@@ -853,6 +891,41 @@ fn pooled_copy<T: Copy>(pool: &mut Vec<Vec<T>>, items: &[T]) -> Vec<T> {
 fn pool_buffer<T>(pool: &mut Vec<Vec<T>>, buf: Vec<T>) {
     if buf.capacity() > 0 && pool.len() < SPARE_POOL_CAP {
         pool.push(buf);
+    }
+}
+
+/// Start the next kernel that takes time of a stream whose kernel
+/// durations are `durations` and whose cursor is `next`, at `now_ms`: its
+/// index and duration, or `None` once no kernels are left. Advances the
+/// cursor past it and past any degenerate zero-cost kernels before it.
+/// With a fault regime, each kernel start, zero-cost ones included, draws
+/// one spike (counted in `spikes` when it perturbs the kernel). The one
+/// definition of the skip rule and the fault draw protocol, shared by the
+/// general event loop and the lone-stream closed form.
+#[inline]
+fn start_next(
+    durations: &[f64],
+    next: &mut usize,
+    mut faults: Option<&mut KernelFaultState>,
+    spikes: &mut u64,
+    now_ms: f64,
+) -> Option<(usize, f64)> {
+    loop {
+        let k = *next;
+        let mut dur = *durations.get(k)?;
+        *next = k + 1;
+        if let Some(f) = faults.as_deref_mut() {
+            // Separate draw stream: installed-but-never-spiking specs
+            // leave `dur` — and the whole run — bit-identical.
+            let sf = f.spike_factor(now_ms);
+            if sf != 1.0 {
+                *spikes += 1;
+            }
+            dur *= sf;
+        }
+        if dur > 0.0 {
+            return Some((k, dur));
+        }
     }
 }
 
@@ -1294,21 +1367,28 @@ mod tests {
     fn stream_factors_ignore_co_runners_and_slot() {
         // The same stream, added second to a seed-21 run, three ways: alone
         // in slot 1, co-running with the first stream in slot 1, and alone
-        // in the first stream's recycled slot 0. Its factors, and so its
-        // kernel durations, are the same each time.
+        // in the first stream's recycled slot 0. Its duration buffer holds
+        // `(launch + exec) · session · kernel_factor(key, k)` bits each
+        // time, and so do its kernels' spans.
         let noise = NoiseModel::calibrated();
-        let x = [light_kernel(); 7];
+        let x = [light_kernel(), launch_only(0.0), light_kernel(), launch_only(0.004)]
+            .repeat(5);
         let y = [light_kernel(); 4];
-        let want: Vec<f64> = (0..x.len() as u64)
-            .map(|k| noise.kernel_factor(stream_key(21, 1), k))
+        let session = noise.session_factor(21);
+        let want: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(k, kernel)| {
+                let exec = RunningKernel::profile(kernel, &gpu()).exec_ms;
+                (kernel.launch_ms + exec) * session * noise.kernel_factor(stream_key(21, 1), k as u64)
+            })
             .collect();
+        // Zero-cost kernels leave no span.
+        let taking_time: Vec<f64> = want.iter().copied().filter(|&d| d > 0.0).collect();
+        assert!(taking_time.len() < want.len());
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         let durations = |e: &mut Engine, id: StreamId| {
-            let f: Vec<u64> = e.streams[id.0]
-                .factors
-                .iter()
-                .map(|f| f.to_bits())
-                .collect();
-            assert_eq!(f, want.iter().map(|f| f.to_bits()).collect::<Vec<_>>());
+            assert_eq!(bits(&e.streams[id.0].durations), bits(&want));
             e.run_until_idle();
             let spans: Vec<f64> = e
                 .trace()
@@ -1316,7 +1396,7 @@ mod tests {
                 .filter(|s| s.stream == id)
                 .map(|s| s.end_ms - s.start_ms)
                 .collect();
-            spans[spans.len() - x.len()..].to_vec()
+            spans[spans.len() - taking_time.len()..].to_vec()
         };
         let engine = || {
             let mut e = Engine::new(gpu(), noise.clone(), 21);
@@ -1339,14 +1419,8 @@ mod tests {
         let id = recycled.add_stream(&x, recycled.now());
         assert_eq!(id, StreamId(0));
         let recycled = durations(&mut recycled, id);
-        let solo = light_kernel().solo_ms(&gpu()) * noise.session_factor(21);
-        for (k, kf) in want.iter().enumerate() {
-            for (how, got) in [
-                ("alone", alone[k]),
-                ("co-run", co_run[k]),
-                ("recycled", recycled[k]),
-            ] {
-                let expect = solo * kf;
+        for (how, got) in [("alone", alone), ("co-run", co_run), ("recycled", recycled)] {
+            for (k, (got, expect)) in got.iter().zip(&taking_time).enumerate() {
                 assert!(
                     (got / expect - 1.0).abs() < 1e-12,
                     "{how} kernel {k}: {got} vs {expect}"

@@ -23,16 +23,18 @@
 //! and the angle, and even `k` takes the cosine, odd `k` the sine, so one
 //! hash pair serves two kernels. A stream's factors therefore do not
 //! depend on which other streams ran, in what order they interleaved, or
-//! which engine slot the stream landed in, and a whole stream's factors can
-//! be filled at once ([`NoiseModel::fill_kernel_factors`]).
+//! which engine slot the stream landed in, and a whole stream's noisy
+//! kernel durations can be computed at once, when the stream is added
+//! ([`NoiseModel::scale_kernel_durations`]).
 //!
 //! `ln`, `sincos` and `exp` are written here with IEEE `+ − × ÷ √` and bit
-//! manipulation only, with no libm call: the batch fill is compiled once
-//! per [`SimdTier`] through [`multiversion!`](crate::multiversion), and
+//! manipulation only, with no libm call: the batch is compiled once per
+//! [`SimdTier`] through [`multiversion!`](crate::multiversion), and
 //! element-wise code over those operations is bit-identical on every tier
 //! (Rust never contracts `mul` + `add` into an FMA). The scalar
 //! [`NoiseModel::kernel_factor`] runs the same operations for the one
-//! factor it returns, so it equals the batch fill bit for bit.
+//! factor it returns, so the batch equals `solo · session · kernel_factor`
+//! bit for bit.
 
 use crate::simd::SimdTier;
 use workload::fork_seed;
@@ -82,19 +84,23 @@ impl NoiseModel {
 
     /// The factor of kernel `k` of the stream keyed `key` (see
     /// [`stream_key`]): the scalar definition
-    /// [`NoiseModel::fill_kernel_factors`] equals bit for bit.
+    /// [`NoiseModel::scale_kernel_durations`] applies bit for bit.
     pub fn kernel_factor(&self, key: u64, k: u64) -> f64 {
         lognormal_at(self.kernel_sigma, key, k)
     }
 
-    /// Write the factors of kernels `0..out.len()` of the stream keyed
-    /// `key` into `out`, as one batch on `tier`. Element `k` equals
-    /// [`NoiseModel::kernel_factor`]`(key, k)` bit for bit on every tier.
-    pub fn fill_kernel_factors(&self, tier: SimdTier, key: u64, out: &mut [f64]) {
+    /// Turn the solo durations of kernels `0..out.len()` of the stream
+    /// keyed `key` into noisy durations, in place and as one batch on
+    /// `tier`: element `k` becomes `out[k] · session · kernel_factor(key,
+    /// k)`, multiplied in that order, bit for bit on every tier. `out[k]`
+    /// is the kernel's `launch + exec` time and `session` the run's
+    /// [`NoiseModel::session_factor`].
+    pub fn scale_kernel_durations(&self, tier: SimdTier, key: u64, session: f64, out: &mut [f64]) {
         if self.kernel_sigma == 0.0 {
-            out.fill(1.0);
+            // The factor is exactly 1, and `x · 1 = x`.
+            out.iter_mut().for_each(|d| *d *= session);
         } else {
-            fill_lognormal(tier, tier.f64_lanes(), self.kernel_sigma, key, out);
+            scale_lognormal(tier, tier.f64_lanes(), self.kernel_sigma, key, session, out);
         }
     }
 }
@@ -117,34 +123,43 @@ fn lognormal_at(sigma: f64, key: u64, k: u64) -> f64 {
 }
 
 crate::multiversion! {
-    fn fill_lognormal(lanes: usize, sigma: f64, key: u64, out: &mut [f64]) = fill_lognormal_kernel;
+    fn scale_lognormal(lanes: usize, sigma: f64, key: u64, session: f64, out: &mut [f64]) = scale_lognormal_kernel;
 }
 
-/// Fills `out` in blocks of one pair per `f64` lane of the tier (`lanes`
-/// is [`SimdTier::f64_lanes`]). A fixed-size block compiles to straight
-/// vector code, so the tail is one more whole block, of which only the
-/// needed factors are kept, rather than a loop over the leftover pairs.
+/// Scales `out` in blocks of one factor pair per `f64` lane of the tier
+/// (`lanes` is [`SimdTier::f64_lanes`]). A fixed-size block compiles to
+/// straight vector code, so the tail is one more whole block, of which
+/// only the needed factors are used, rather than a loop over the leftover
+/// pairs.
 #[inline(always)]
-fn fill_lognormal_kernel(lanes: usize, sigma: f64, key: u64, out: &mut [f64]) {
+fn scale_lognormal_kernel(lanes: usize, sigma: f64, key: u64, session: f64, out: &mut [f64]) {
     match lanes {
-        8 => fill_blocks::<8>(sigma, key, out),
-        4 => fill_blocks::<4>(sigma, key, out),
-        _ => fill_blocks::<1>(sigma, key, out),
+        8 => scale_blocks::<8>(sigma, key, session, out),
+        4 => scale_blocks::<4>(sigma, key, session, out),
+        _ => scale_blocks::<1>(sigma, key, session, out),
     }
 }
 
 #[inline(always)]
-fn fill_blocks<const PAIRS: usize>(sigma: f64, key: u64, out: &mut [f64]) {
+fn scale_blocks<const PAIRS: usize>(sigma: f64, key: u64, session: f64, out: &mut [f64]) {
     let mut blocks = out.chunks_exact_mut(2 * PAIRS);
     let mut p = 0;
     for block in &mut blocks {
-        block.copy_from_slice(lognormal_block::<PAIRS>(sigma, key, p).as_flattened());
+        scale_block::<PAIRS>(sigma, key, session, p, block);
         p += PAIRS as u64;
     }
     let tail = blocks.into_remainder();
     if !tail.is_empty() {
-        let block = lognormal_block::<PAIRS>(sigma, key, p);
-        tail.copy_from_slice(&block.as_flattened()[..tail.len()]);
+        scale_block::<PAIRS>(sigma, key, session, p, tail);
+    }
+}
+
+/// Scales the durations of kernels `2p ..` (at most `2 · PAIRS` of them).
+#[inline(always)]
+fn scale_block<const PAIRS: usize>(sigma: f64, key: u64, session: f64, p: u64, block: &mut [f64]) {
+    let factors = lognormal_block::<PAIRS>(sigma, key, p);
+    for (d, &f) in block.iter_mut().zip(factors.as_flattened()) {
+        *d = *d * session * f;
     }
 }
 
@@ -339,9 +354,10 @@ mod tests {
         assert!(n.is_disabled());
         assert_eq!(n.session_factor(0), 1.0);
         assert_eq!(n.kernel_factor(stream_key(0, 0), 0), 1.0);
-        let mut out = vec![0.0; 5];
-        n.fill_kernel_factors(SimdTier::detect(), 3, &mut out);
-        assert!(out.iter().all(|&f| f.to_bits() == 1.0f64.to_bits()));
+        let solo = [0.0, 0.25, 1.0, 3.5, 1e-9];
+        let mut out = solo;
+        n.scale_kernel_durations(SimdTier::detect(), 3, 1.0, &mut out);
+        assert_eq!(out.map(f64::to_bits), solo.map(f64::to_bits));
     }
 
     #[test]
@@ -359,8 +375,8 @@ mod tests {
     #[test]
     fn factors_are_positive() {
         let n = NoiseModel::calibrated();
-        let mut out = vec![0.0; 1000];
-        n.fill_kernel_factors(SimdTier::detect(), stream_key(2, 0), &mut out);
+        let mut out = vec![1.0; 1000];
+        n.scale_kernel_durations(SimdTier::detect(), stream_key(2, 0), 1.0, &mut out);
         for seed in 0..1000 {
             assert!(n.session_factor(seed) > 0.0);
         }
@@ -369,29 +385,38 @@ mod tests {
 
     #[test]
     fn batch_fill_matches_scalar_on_every_tier() {
+        // Solo durations mixing zero-cost, launch-only-sized and long
+        // kernels, under a unit and a non-unit session factor.
+        let solo = |k: u64| [0.0, 0.004, 0.0125, 1.75, 31.0][(k * 7 % 5) as usize];
         for sigma in [0.0, 0.015, 0.038, 0.5] {
             let n = NoiseModel {
                 session_sigma: 0.0,
                 kernel_sigma: sigma,
             };
-            for key in [0u64, 1, 2021, u64::MAX] {
-                for len in [0usize, 1, 2, 3, 16, 167] {
-                    let want: Vec<u64> = (0..len as u64)
-                        .map(|k| n.kernel_factor(key, k).to_bits())
-                        .collect();
-                    for tier in SimdTier::supported() {
-                        let mut out = vec![f64::NAN; len];
-                        n.fill_kernel_factors(tier, key, &mut out);
-                        let got: Vec<u64> = out.iter().map(|f| f.to_bits()).collect();
-                        assert_eq!(got, want, "sigma {sigma} key {key} len {len} tier {tier:?}");
-                    }
-                    // The kernel itself, not only the disabled shortcut,
-                    // yields exactly 1 at sigma = 0.
-                    if sigma == 0.0 {
+            for session in [1.0, 1.0413] {
+                for key in [0u64, 1, 2021, u64::MAX] {
+                    for len in [0usize, 1, 2, 3, 16, 167] {
+                        let want: Vec<u64> = (0..len as u64)
+                            .map(|k| (solo(k) * session * n.kernel_factor(key, k)).to_bits())
+                            .collect();
                         for tier in SimdTier::supported() {
-                            let mut out = vec![f64::NAN; len];
-                            fill_lognormal(tier, tier.f64_lanes(), 0.0, key, &mut out);
-                            assert!(out.iter().all(|&f| f.to_bits() == 1.0f64.to_bits()));
+                            let mut out: Vec<f64> = (0..len as u64).map(solo).collect();
+                            n.scale_kernel_durations(tier, key, session, &mut out);
+                            let got: Vec<u64> = out.iter().map(|f| f.to_bits()).collect();
+                            assert_eq!(
+                                got, want,
+                                "sigma {sigma} session {session} key {key} len {len} tier {tier:?}"
+                            );
+                            // The kernel itself, not only the disabled
+                            // shortcut, scales by exactly 1 at sigma = 0.
+                            if sigma == 0.0 {
+                                let mut out = vec![1.0; len];
+                                scale_lognormal(tier, tier.f64_lanes(), 0.0, key, 1.0, &mut out);
+                                assert!(
+                                    out.iter().all(|&f| f.to_bits() == 1.0f64.to_bits()),
+                                    "key {key} len {len} tier {tier:?}"
+                                );
+                            }
                         }
                     }
                 }

@@ -2,8 +2,9 @@
 //!
 //! Arrivals wait here until simulated time reaches their start. The queue
 //! is a [`BinaryHeap`] under a *total order* on equal starts (newest
-//! arrival first — tie order decides the order noise factors are drawn
-//! in, so it is part of the determinism contract, see [`crate::engine`]).
+//! arrival first — tie order decides the order kernel fault spikes are
+//! drawn in, so it is part of the determinism contract, see
+//! [`crate::engine`]).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

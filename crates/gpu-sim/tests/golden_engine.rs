@@ -8,7 +8,7 @@
 //! retired streams keep their slots forever) — the same engine the
 //! `bench` binary's engine bench measures against. Running seeded
 //! open-loop workloads — including clusters of equal-start arrivals, whose
-//! activation order decides the order noise factors are drawn in, and
+//! activation order decides the order fault spikes are drawn in, and
 //! kernel fault specs — through both engines and comparing every
 //! completion with `f64::to_bits` pins the live engine to the old
 //! semantics exactly, not approximately.
@@ -16,7 +16,10 @@
 //! The group-mode suites drive the executor's shape instead: reset, add 1–4
 //! precomputed-profile streams at `t = 0`, run to idle, repeat. Width-1
 //! groups run whole in the engine's lone-stream closed form; wider groups
-//! reach it for their single-stream tail, after a partial decrement.
+//! reach it for their single-stream tail, after a partial decrement. A
+//! last suite runs width-1 groups at serving length through every branch
+//! of the closed form: profiled and unprofiled adds, trace on and off,
+//! fault spec on and off.
 
 use bench::reference::engine::{
     kernel_shapes, open_loop_workload, serving_groups, OpenLoop, ReferenceEngine,
@@ -172,17 +175,37 @@ fn run_groups_reference(
         .collect()
 }
 
+/// How [`run_groups_optimized`] adds streams and whether it traces.
+#[derive(Debug, Clone, Copy)]
+struct GroupMode {
+    /// Add streams with precomputed profiles, as the executor does.
+    profiled: bool,
+    /// Record kernel spans, and check they tile every stream exactly.
+    traced: bool,
+}
+
+/// The segmental executor's way of driving the engine.
+const EXECUTOR: GroupMode = GroupMode {
+    profiled: true,
+    traced: false,
+};
+
 /// [`run_groups_reference`] through one reused live engine, the way the
-/// segmental executor drives it: streams carry precomputed profiles.
+/// segmental executor drives it (with `mode` choosing how streams are
+/// added and whether spans are recorded).
 fn run_groups_optimized(
     groups: &[Vec<Vec<KernelDesc>>],
     noise: &NoiseModel,
     seed: u64,
     spec: Option<KernelFaultSpec>,
+    mode: GroupMode,
 ) -> Vec<GroupRun> {
     let gpu = GpuSpec::a100();
     let mut e = Engine::new(gpu.clone(), noise.clone(), seed);
     e.set_kernel_faults(spec);
+    if mode.traced {
+        e.enable_trace();
+    }
     let mut profiles = Vec::new();
     groups
         .iter()
@@ -190,17 +213,43 @@ fn run_groups_optimized(
         .map(|(g, group)| {
             e.reset(seed.wrapping_add(g as u64));
             for kernels in group {
-                profiles.clear();
-                profiles.extend(kernels.iter().map(|k| RunningKernel::profile(k, &gpu)));
-                e.add_stream_profiled(kernels, &profiles, 0.0);
+                if mode.profiled {
+                    profiles.clear();
+                    profiles.extend(kernels.iter().map(|k| RunningKernel::profile(k, &gpu)));
+                    e.add_stream_profiled(kernels, &profiles, 0.0);
+                } else {
+                    e.add_stream(kernels, 0.0);
+                }
             }
             let mut out = Vec::new();
             while let Some(c) = e.step() {
                 out.push((c.id.0, c.start_ms.to_bits(), c.end_ms.to_bits()));
             }
+            if mode.traced {
+                assert_spans_tile_streams(&e, g);
+            }
             (out, e.events())
         })
         .collect()
+}
+
+/// One span per kernel event, and per stream: kernel indices ascending,
+/// each span starting at the bits its predecessor ended on, the first at
+/// the stream's start and the last at its end.
+fn assert_spans_tile_streams(e: &Engine, g: usize) {
+    assert_eq!(e.trace().len() as u64, e.events(), "group {g}: spans vs events");
+    for c in e.completions() {
+        let mut at = c.start_ms.to_bits();
+        let mut last_kernel = None;
+        for span in e.trace().iter().filter(|s| s.stream == c.id) {
+            assert_eq!(span.start_ms.to_bits(), at, "group {g} stream {:?}", c.id);
+            assert!(last_kernel < Some(span.kernel), "group {g}: kernel order");
+            assert!(span.end_ms > span.start_ms && span.occupancy > 0.0);
+            at = span.end_ms.to_bits();
+            last_kernel = Some(span.kernel);
+        }
+        assert_eq!(at, c.end_ms.to_bits(), "group {g} stream {:?} end", c.id);
+    }
 }
 
 #[test]
@@ -226,7 +275,7 @@ fn group_mode_matches_reference_bitwise() {
         let groups = serving_groups(&lib, seed, 60, 4);
         assert!(groups.iter().any(|g| g.len() == 1) && groups.iter().any(|g| g.len() > 1));
         let reference = run_groups_reference(&groups, &noise, seed, spec);
-        let optimized = run_groups_optimized(&groups, &noise, seed, spec);
+        let optimized = run_groups_optimized(&groups, &noise, seed, spec, EXECUTOR);
         for (g, (r, o)) in reference.iter().zip(&optimized).enumerate() {
             // `step` yields one completion per event, so streams that tie
             // another's end are only counted by the event total.
@@ -342,13 +391,66 @@ mod proptests {
                 factor,
             });
             let reference = run_groups_reference(&groups, &noise, seed, spec);
-            let optimized = run_groups_optimized(&groups, &noise, seed, spec);
+            let optimized = run_groups_optimized(&groups, &noise, seed, spec, EXECUTOR);
             prop_assert_eq!(
                 reference,
                 optimized,
                 "divergence: seed {} noisy {} spec {:?}",
                 seed,
                 noisy,
+                spec
+            );
+        }
+
+        /// Single-stream groups at serving length: 150–400 kernels each
+        /// from the exotic pool, so every SIMD block tail of the duration
+        /// fill and zero-cost kernels are hit, run whole in the engine's
+        /// lone-stream closed form. Profiled and unprofiled adds, trace on
+        /// (spans must tile each stream bit for bit) and off, fault spec
+        /// on and off, compared completion by completion and event count
+        /// by event count against the reference.
+        #[test]
+        fn lone_stream_groups_are_bit_identical(
+            seed in 0u64..(1 << 32),
+            groups in proptest::collection::vec(
+                proptest::collection::vec(0usize..6, 150..400),
+                1..4,
+            ),
+            flags in (0u64..2, 0u64..2, 0u64..2)
+                .prop_map(|(a, b, c)| (a == 1, b == 1, c == 1)),
+            fault in proptest::option::of((
+                (0u64..1_000, 0.0f64..=1.0),
+                (0.25f64..4.0, 0.0f64..40.0, 0.0f64..60.0),
+            )),
+        ) {
+            let (noisy, profiled, traced) = flags;
+            let shapes = kernel_shapes(&GpuSpec::a100());
+            let groups: Vec<Vec<Vec<KernelDesc>>> = groups
+                .iter()
+                .map(|s| vec![s.iter().map(|&k| shapes[k]).collect()])
+                .collect();
+            let noise = if noisy {
+                NoiseModel::calibrated()
+            } else {
+                NoiseModel::disabled()
+            };
+            let spec = fault.map(|((fseed, prob), (factor, w0, wlen))| KernelFaultSpec {
+                seed: fseed,
+                window_start_ms: w0,
+                window_end_ms: w0 + wlen,
+                prob,
+                factor,
+            });
+            let mode = GroupMode { profiled, traced };
+            let reference = run_groups_reference(&groups, &noise, seed, spec);
+            let optimized = run_groups_optimized(&groups, &noise, seed, spec, mode);
+            prop_assert_eq!(
+                reference,
+                optimized,
+                "divergence: seed {} noisy {} mode {:?} spec {:?}",
+                seed,
+                noisy,
+                mode,
                 spec
             );
         }

@@ -62,17 +62,24 @@ echo "== engine golden + proptest bit-identity =="
 # model over 20k interleaved pushes and pops.
 cargo test -q -p gpu-sim --test golden_engine
 run_filtered group_mode_matches_reference_bitwise -p gpu-sim --test golden_engine
+# Serving-length single-stream groups (150-400 kernels, zero-cost kernels
+# and every SIMD block tail of the duration fill) through each branch of
+# the lone-stream closed form: profiled and unprofiled adds, trace on and
+# off, fault spec on and off.
+run_filtered lone_stream_groups_are_bit_identical -p gpu-sim --test golden_engine
 run_filtered contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one -p gpu-sim --lib
 run_filtered pqueue::tests:: -p gpu-sim --lib
 
 echo "== counter-based kernel noise =="
 # A kernel's noise factor is a pure function of (run seed, stream add
-# ordinal, kernel index), filled per stream as one batch. The batch fill
-# must equal the scalar definition bit for bit on every SIMD tier (lengths
-# 0-167, sigma 0 giving exactly 1), the in-house Box-Muller normal must
-# keep standard moments and tails over 1M draws, the in-house ln/sincos/exp
-# factor must stay within 1e-12 of the libm formula on the same uniforms,
-# and a stream's factors must not depend on its co-runners or its slot.
+# ordinal, kernel index), and its noisy duration (launch + exec) * session
+# * factor is computed per stream, as one batch, when the stream is added.
+# The batch must equal the scalar definition bit for bit on every SIMD tier
+# (lengths 0-167, sigma 0 scaling by exactly 1), the in-house Box-Muller
+# normal must keep standard moments and tails over 1M draws, the in-house
+# ln/sincos/exp factor must stay within 1e-12 of the libm formula on the
+# same uniforms, and a stream's duration buffer must hold exactly those
+# bits whatever its co-runners or its slot.
 run_filtered noise::tests::batch_fill_matches_scalar_on_every_tier -p gpu-sim --lib
 run_filtered noise::tests::normal_has_standard_moments_and_tails -p gpu-sim --lib
 run_filtered noise::tests::factor_matches_libm_formula_on_the_same_uniforms -p gpu-sim --lib
