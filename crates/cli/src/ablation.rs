@@ -6,7 +6,9 @@
 //!   baseline vs a deliberately pessimistic sequential-sum estimate,
 //!   showing why *precise* overlap-aware prediction is load-bearing.
 
-use crate::common::{as_model, ensure_predictor, Options};
+use crate::common::{
+    as_model, ensure_predictor, pinned_abacus_config, pinned_abacus_config_at, Options,
+};
 use abacus_core::AbacusConfig;
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
@@ -33,13 +35,21 @@ impl LatencyModel for Pessimist {
 
 /// Run all ablations on the (Res152, Bert) pair and emit
 /// `results/ablation.csv`.
+///
+/// Every leg runs the pair's pinned Abacus config (prediction-round cost
+/// calibrated once per predictor and search width, cached next to the
+/// predictor) with one field or the predictor changed, so reruns sharing
+/// one `--out` directory write the same CSV byte for byte, and a leg
+/// differs from the default only in what it ablates.
 pub fn run(opts: &Options) {
     let lib = Arc::new(ModelLibrary::new());
     let gpu = GpuSpec::a100();
     let noise = NoiseModel::calibrated();
     let pair = [ModelId::ResNet152, ModelId::Bert];
     let sets = vec![pair.to_vec()];
-    let mlp = ensure_predictor("ablation_res152_bert", &sets, &lib, &gpu, opts);
+    let tag = "ablation_res152_bert";
+    let mlp = ensure_predictor(tag, &sets, &lib, &gpu, opts);
+    let pinned = pinned_abacus_config(&mlp, tag, opts);
 
     let mut csv = CsvWriter::create(
         opts.csv_path("ablation"),
@@ -52,6 +62,7 @@ pub fn run(opts: &Options) {
         qps_per_service: opts.qos_load_total() / 2.0,
         horizon_ms: opts.scale.horizon_ms(),
         seed: opts.seed,
+        abacus: pinned.clone(),
         ..ColocationConfig::default()
     };
 
@@ -67,25 +78,22 @@ pub fn run(opts: &Options) {
     };
 
     // (a) pipelined vs non-pipelined scheduling.
-    leg("mlp+pipelined (default)", as_model(&mlp), AbacusConfig::default());
+    leg("mlp+pipelined (default)", as_model(&mlp), pinned.clone());
     leg(
         "mlp, no pipelining",
         as_model(&mlp),
         AbacusConfig {
             pipelined: false,
-            ..AbacusConfig::default()
+            ..pinned.clone()
         },
     );
 
-    // (b) search-ways sweep.
+    // (b) search-ways sweep, each width charging its own round cost.
     for ways in [1usize, 2, 8, 16] {
         leg(
             &format!("mlp, {ways}-way search"),
             as_model(&mlp),
-            AbacusConfig {
-                ways,
-                ..AbacusConfig::default()
-            },
+            pinned_abacus_config_at(&mlp, tag, opts, ways),
         );
     }
 
@@ -105,12 +113,12 @@ pub fn run(opts: &Options) {
         99,
     );
     let lr: Arc<dyn LatencyModel> = Arc::new(LinearRegression::fit(&data, 1e-3));
-    leg("linear-regression predictor", lr, AbacusConfig::default());
+    leg("linear-regression predictor", lr, pinned.clone());
     let pessimist: Arc<dyn LatencyModel> = Arc::new(Pessimist {
         inner: as_model(&mlp),
         factor: 1.8,
     });
-    leg("no-overlap pessimist (Fig. 6a view)", pessimist, AbacusConfig::default());
+    leg("no-overlap pessimist (Fig. 6a view)", pessimist, pinned.clone());
 
     csv.flush().expect("flush");
     println!("Ablations on (Res152, Bert) at {} QPS aggregate", opts.qos_load_total());
@@ -122,7 +130,8 @@ pub fn run(opts: &Options) {
     // where the paper's precision requirement is load-bearing.
     let vgg = [ModelId::Vgg16, ModelId::Vgg19];
     let vgg_sets = vec![vgg.to_vec()];
-    let vgg_mlp = ensure_predictor("ablation_vgg16_vgg19", &vgg_sets, &lib, &gpu, opts);
+    let vgg_tag = "ablation_vgg16_vgg19";
+    let vgg_mlp = ensure_predictor(vgg_tag, &vgg_sets, &lib, &gpu, opts);
     let vgg_data = collect_dataset(
         &vgg,
         &lib,
@@ -141,6 +150,7 @@ pub fn run(opts: &Options) {
         qps_per_service: opts.peak_load_total() * 0.45,
         horizon_ms: opts.scale.horizon_ms(),
         seed: opts.seed,
+        abacus: pinned_abacus_config(&vgg_mlp, vgg_tag, opts),
         ..ColocationConfig::default()
     };
     let mut table2 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);

@@ -317,20 +317,36 @@ pub fn pinned_abacus_config(
     tag: &str,
     opts: &Options,
 ) -> abacus_core::AbacusConfig {
-    let cfg = abacus_core::AbacusConfig::default();
-    let path = model_path(tag, opts);
-    if !opts.retrain {
-        if let Some(round_ms) = persist::load_round_ms(&path) {
-            return abacus_core::AbacusConfig {
-                predict_round_ms: Some(round_ms),
-                ..cfg
-            };
+    pinned_abacus_config_at(model, tag, opts, abacus_core::AbacusConfig::default().ways)
+}
+
+/// [`pinned_abacus_config`] searching `ways` groups per round, with the
+/// round latency calibrated at that width. The default width shares the
+/// predictor's sidecar; any other width caches its own, under the tag
+/// `<tag>_ways<N>`, so a width never reuses another width's cost.
+pub fn pinned_abacus_config_at(
+    model: &Arc<Mlp>,
+    tag: &str,
+    opts: &Options,
+    ways: usize,
+) -> abacus_core::AbacusConfig {
+    let cfg = abacus_core::AbacusConfig {
+        ways,
+        ..abacus_core::AbacusConfig::default()
+    };
+    let path = if ways == abacus_core::AbacusConfig::default().ways {
+        model_path(tag, opts)
+    } else {
+        model_path(&format!("{tag}_ways{ways}"), opts)
+    };
+    let cached = if opts.retrain { None } else { persist::load_round_ms(&path) };
+    let round_ms = cached.unwrap_or_else(|| {
+        let round_ms = abacus_core::calibrate_predict_round_ms(model.as_ref(), ways);
+        if let Err(e) = persist::save_round_ms(&path, round_ms) {
+            eprintln!("[predictor] warning: could not cache round latency: {e}");
         }
-    }
-    let round_ms = abacus_core::calibrate_predict_round_ms(model.as_ref(), cfg.ways);
-    if let Err(e) = persist::save_round_ms(&path, round_ms) {
-        eprintln!("[predictor] warning: could not cache round latency: {e}");
-    }
+        round_ms
+    });
     abacus_core::AbacusConfig {
         predict_round_ms: Some(round_ms),
         ..cfg

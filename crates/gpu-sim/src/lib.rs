@@ -50,16 +50,48 @@ pub use noise::{NoiseModel, NOISE_PROTOCOL};
 /// operators execute in topological order on its own stream; streams
 /// overlap). Returns per-stream finish times and the group duration.
 ///
-/// This is the primitive both the segmental model executor and the offline
-/// profiler are built on. Accepts any slice of kernel sequences (owned
-/// `Vec`s or borrowed slices from the lowering cache), and reuses one
-/// engine per thread via [`Engine::reset_with`] so the steady state
-/// allocates nothing per group.
+/// Accepts any slice of kernel sequences (owned `Vec`s or borrowed slices
+/// from the lowering cache), and reuses one engine per thread via
+/// [`Engine::reset_with`] so the steady state allocates nothing per group.
 pub fn run_group<S: AsRef<[KernelDesc]>>(
     gpu: &GpuSpec,
     noise: &NoiseModel,
     seed: u64,
     streams: &[S],
+) -> GroupResult {
+    with_idle_engine(gpu, noise, seed, |engine| {
+        for s in streams {
+            engine.add_stream(s.as_ref(), 0.0);
+        }
+    })
+}
+
+/// [`run_group`] for callers that replay the same kernel sequences many
+/// times: each stream comes with its kernels' precomputed contention
+/// profiles and is added through [`Engine::add_stream_profiled`], so the
+/// run is bit-identical to [`run_group`] on the same kernels without
+/// re-deriving a profile per kernel. The offline profiler measures every
+/// group this way.
+pub fn run_group_profiled(
+    gpu: &GpuSpec,
+    noise: &NoiseModel,
+    seed: u64,
+    streams: &[(&[KernelDesc], &[RunningKernel])],
+) -> GroupResult {
+    with_idle_engine(gpu, noise, seed, |engine| {
+        for &(kernels, profiles) in streams {
+            engine.add_stream_profiled(kernels, profiles, 0.0);
+        }
+    })
+}
+
+/// Run the streams `add` queues to completion on this thread's engine,
+/// reset to an idle `gpu` under `seed`.
+fn with_idle_engine(
+    gpu: &GpuSpec,
+    noise: &NoiseModel,
+    seed: u64,
+    add: impl FnOnce(&mut Engine),
 ) -> GroupResult {
     use std::cell::RefCell;
     thread_local! {
@@ -74,9 +106,7 @@ pub fn run_group<S: AsRef<[KernelDesc]>>(
             }
             None => slot.insert(Engine::new(gpu.clone(), noise.clone(), seed)),
         };
-        for s in streams {
-            engine.add_stream(s.as_ref(), 0.0);
-        }
+        add(engine);
         engine.run_until_idle();
         engine.group_result()
     })

@@ -85,6 +85,23 @@ run_filtered noise::tests::normal_has_standard_moments_and_tails -p gpu-sim --li
 run_filtered noise::tests::factor_matches_libm_formula_on_the_same_uniforms -p gpu-sim --lib
 run_filtered engine::tests::stream_factors_ignore_co_runners_and_slot -p gpu-sim --lib
 
+echo "== training kernels + profiling campaign bit-identity =="
+# The trainer's forward, gradient and delta kernels keep their accumulator
+# row in registers at the nets' real widths (hidden 32, input FEATURE_DIM =
+# 24) and run one runtime-width body otherwise. Every body on every SIMD
+# tier must equal a width-agnostic scalar reference bit for bit at the
+# widths 23/24/25 and 31/32/33 (and every remainder-lane split), on sparse
+# inputs holding both signs of zero, and whole minibatch gradients must
+# equal the per-sample reference bit for bit within one gradient chunk.
+# The profiling campaign profiles each kernel once and replays borrowed
+# kernel slices; its mean and std must keep the bits of running every
+# measurement through run_group on freshly lowered kernels, for 1-4-stream
+# groups with noise on and off.
+run_filtered mlp::tests::all_tiers_match_scalar_bitwise -p predictor --lib
+run_filtered mlp::tests::minibatch_grads_at_net_widths_match_scalar_bitwise -p predictor --lib
+run_filtered mlp::tests::minibatch_grads_match_scalar_reference -p predictor --lib
+run_filtered profiler::tests::profile_once_matches_per_run_profiling_bitwise -p predictor --lib
+
 echo "== decision golden + proptest bit-identity =="
 # The decision hot path (incremental order index + arena scratch +
 # buffered search) must stay bit-identical to the shared frozen
