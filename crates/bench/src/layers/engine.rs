@@ -1,7 +1,7 @@
 //! The discrete-event engine core: kernel-level events/sec on three
 //! workloads — an open-loop arrival backlog (160k pre-enqueued streams,
 //! the pending heap at its deepest), a tight group-mode reset loop of
-//! wide groups (the SoA/SIMD hot loop), and serving-shaped groups (1–4
+//! wide groups (the one leg with more than 4 kernels in flight), and serving-shaped groups (1–4
 //! model-library streams with precomputed profiles, the executor's shape,
 //! which runs mostly in the lone-stream closed form) — for both the live
 //! `gpu_sim::Engine` and the frozen
@@ -83,8 +83,9 @@ fn open_loop_reference(work: &[(f64, Vec<KernelDesc>)]) -> Measured {
 }
 
 /// Workload B — group mode: reset, launch `width` streams at `t = 0`, run
-/// to idle, repeat. The executor's pattern; exercises the SoA decrement /
-/// min-scan / slowdown refresh hot loop with a dense running set.
+/// to idle, repeat. The executor's pattern at synthetic widths: the one leg
+/// with more than 4 kernels in flight, so the decrement / min-scan /
+/// slowdown refresh passes run over a dense running set.
 fn group_mode_groups(seed: u64, width: usize) -> Vec<Vec<Vec<KernelDesc>>> {
     let all_shapes = kernel_shapes(&GpuSpec::a100());
     let shapes = &all_shapes[..4];

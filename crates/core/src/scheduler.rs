@@ -1,6 +1,6 @@
 //! The scheduling interface shared by Abacus and the sequential baselines.
 //!
-//! A serving node calls [`Scheduler::decide`] whenever the GPU becomes
+//! A serving node calls [`Scheduler::decide_into`] whenever the GPU becomes
 //! free; the scheduler may drop queries (the query-drop mechanism §7.1
 //! enables for every policy) and proposes at most one operator group to
 //! execute. The node reports the executed group's duration back through
@@ -50,26 +50,20 @@ pub struct DecisionStats {
 }
 
 /// A per-GPU scheduling policy.
-///
-/// Implementors must override at least one of [`Scheduler::decide`] /
-/// [`Scheduler::decide_into`]; the defaults delegate to each other.
 pub trait Scheduler: Send {
-    /// Decide what to run next. `queue` holds every incomplete, undropped
+    /// Decide what to run next, writing the decision into `out` and
+    /// reusing its buffers. `queue` holds every incomplete, undropped
     /// query; the scheduler must reference queries by id and must not
-    /// assume any ordering.
+    /// assume any ordering. The serving loop keeps one `RoundDecision`
+    /// alive across rounds and the scheduler recycles the planned group's
+    /// entry vector through it, so a steady-state round allocates nothing.
+    fn decide_into(&mut self, now_ms: f64, queue: &[Query], out: &mut RoundDecision);
+
+    /// [`Scheduler::decide_into`] into a fresh [`RoundDecision`].
     fn decide(&mut self, now_ms: f64, queue: &[Query]) -> RoundDecision {
         let mut out = RoundDecision::idle();
         self.decide_into(now_ms, queue, &mut out);
         out
-    }
-
-    /// Allocation-free variant of [`Scheduler::decide`]: write the decision
-    /// into `out`, reusing its buffers. The serving loop keeps one
-    /// `RoundDecision` alive across rounds and the scheduler recycles the
-    /// planned group's entry vector through it, so a steady-state round
-    /// allocates nothing.
-    fn decide_into(&mut self, now_ms: f64, queue: &[Query], out: &mut RoundDecision) {
-        *out = self.decide(now_ms, queue);
     }
 
     /// Observe a query entering the node queue (order-maintenance hook;

@@ -146,9 +146,8 @@ pub fn co_run_slowdowns_summed(u_c: f64, u_m: f64, set: &[RunningKernel], out: &
 
 /// Slowdown of one kernel given precomputed `over_c = U_c.max(1)` and
 /// `over_m = U_m.max(1)`. The scalar core shared by
-/// [`co_run_slowdowns_summed`], the engine's per-kernel stale refresh and
-/// the remainder lanes of the SIMD tiers ([`crate::simd`]) — one
-/// definition, so every path is bit-identical by construction.
+/// [`co_run_slowdowns_summed`] and the engine's per-event slowdown refresh
+/// — one definition, so both paths are bit-identical by construction.
 #[inline]
 pub(crate) fn slowdown_one(
     u_m: f64,

@@ -20,18 +20,17 @@
 //!
 //! # Event-core layout
 //!
-//! The per-event hot loop runs over struct-of-arrays state: the in-flight
-//! set is `active[pos]` (stream slots) with parallel `f64` arrays for
-//! remaining solo time, kernel start stamps, the contention-profile fields
-//! and the current slowdowns. The three per-event passes — slowdown
-//! evaluation, completion-horizon scan and time decrement — stream through
-//! those arrays with runtime-dispatched SIMD ([`crate::simd`]); slowdowns
-//! are refreshed *incrementally*: a full vector recompute only when the
-//! aggregate utilisations `U_c`/`U_m` changed bits, otherwise only entries
-//! whose own kernel changed. Pending arrivals wait in a binary heap
-//! ([`crate::pqueue`]), and a retired stream's slot and kernel buffers go
-//! straight back to the next arrival. All of it is
-//! bit-identical to the scalar reference engine pinned by
+//! The in-flight set is one array of [`Running`] entries: the stream slot,
+//! the remaining solo time, the start stamp, the kernel's contention
+//! profile and its current slowdown. A stream has one kernel in flight and
+//! serving co-locates at most four queries, so in serving the set holds at
+//! most four kernels. The three per-event passes — slowdown refresh,
+//! completion-horizon scan and time decrement — are plain scalar loops
+//! over it, and every refresh recomputes each slowdown through
+//! [`crate::contention::slowdown_one`].
+//! Pending arrivals wait in a binary heap ([`crate::pqueue`]), and a
+//! retired stream's slot and kernel buffers go straight back to the next
+//! arrival. All of it is bit-identical to the reference engine pinned by
 //! `tests/golden_engine.rs` — decrement order, tie-breaking and the fault
 //! draw order are part of the contract (see DESIGN.md §11).
 //!
@@ -52,10 +51,10 @@
 //!
 //! Most serving events have exactly one kernel in flight (single-query
 //! groups, and the single-stream tail of every wider group). When one
-//! kernel runs and no arrival is pending, [`Engine::step`] skips the SoA
-//! passes and runs that stream to completion: the in-flight kernel ends
-//! after its remaining time, and each later kernel adds its duration from
-//! the buffer. Without faults or tracing that is a flat left-to-right sum
+//! kernel runs and no arrival is pending, [`Engine::step`] skips the
+//! per-event passes and runs that stream to completion: the in-flight
+//! kernel ends after its remaining time, and each later kernel adds its
+//! duration from the buffer. Without faults or tracing that is a flat left-to-right sum
 //! over the rest of the buffer; with either, it starts each kernel
 //! through the same `start_next` as the general loop (the zero-cost skip
 //! and the fault spike draw) and records spans with the same
@@ -177,6 +176,22 @@ impl Stream {
     }
 }
 
+/// One kernel in flight.
+#[derive(Debug, Clone, Copy)]
+struct Running {
+    /// Slot of the stream the kernel belongs to.
+    stream: usize,
+    /// Remaining noisy solo time, ms.
+    remaining: f64,
+    /// When the kernel started executing (read for trace spans).
+    started_ms: f64,
+    /// The kernel's contention profile.
+    profile: RunningKernel,
+    /// Current slowdown, set by `refresh_slowdowns` before any pass reads
+    /// it.
+    slowdown: f64,
+}
+
 /// One kernel's execution interval, recorded when tracing is enabled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelSpan {
@@ -205,36 +220,9 @@ pub struct Engine {
     added: u64,
     /// Streams not yet started, soonest start first (binary heap).
     pending: PendingQueue,
-    /// Stream slots with a kernel in flight. The arrays below are SoA
-    /// state parallel to it, maintained in lockstep (push on kernel
-    /// start, `swap_remove` on retire).
-    active: Vec<usize>,
-    /// Remaining noisy solo-time of each running kernel, ms.
-    remaining: Vec<f64>,
-    /// When each running kernel started executing (trace only).
-    started: Vec<f64>,
-    /// Contention profile, split per field: compute-limited time.
-    k_t_compute: Vec<f64>,
-    /// Memory-limited time.
-    k_t_memory: Vec<f64>,
-    /// Compute share (enters `U_c`).
-    k_c_share: Vec<f64>,
-    /// Memory share (enters `U_m` and the interference term).
-    k_m_share: Vec<f64>,
-    /// Solo execution time (max of the rooflines).
-    k_exec: Vec<f64>,
-    /// Current slowdown of each running kernel.
-    slowdowns: Vec<f64>,
-    /// Entries of `slowdowns` not yet computed for the current set.
-    stale: Vec<bool>,
-    /// Whether any `stale` flag is set (cheap gate on the scan).
-    any_stale: bool,
-    /// Whether `slowdowns`/`last_u_*` hold values at all (false right
-    /// after construction/reset).
-    slow_valid: bool,
-    /// Aggregates the non-stale `slowdowns` entries were computed under.
-    last_u_c: f64,
-    last_u_m: f64,
+    /// Kernels in flight: pushed on kernel start, `swap_remove`d on
+    /// retire.
+    running: Vec<Running>,
     /// Incremental Σ compute_share over the running set. Shares are
     /// quantised (see [`crate::contention`]), so this equals re-summing
     /// bit for bit.
@@ -255,7 +243,7 @@ pub struct Engine {
     /// Fault spike activations (kernels whose duration was actually
     /// perturbed) since the last reset.
     fault_spikes: u64,
-    /// Peak size of `active` since the last reset.
+    /// Peak size of `running` since the last reset.
     max_active: usize,
     /// Per-kernel execution spans; populated only when tracing is on.
     trace: Option<Vec<KernelSpan>>,
@@ -265,7 +253,7 @@ pub struct Engine {
     /// Deterministic kernel latency-spike injection; `None` (the default)
     /// leaves the hot path untouched.
     faults: Option<KernelFaultState>,
-    /// SIMD tier for the hot-loop kernels, detected once at construction.
+    /// SIMD tier for the kernel-noise fill, detected once at construction.
     simd: SimdTier,
 }
 
@@ -282,20 +270,7 @@ impl Engine {
             streams: Vec::new(),
             added: 0,
             pending: PendingQueue::default(),
-            active: Vec::new(),
-            remaining: Vec::new(),
-            started: Vec::new(),
-            k_t_compute: Vec::new(),
-            k_t_memory: Vec::new(),
-            k_c_share: Vec::new(),
-            k_m_share: Vec::new(),
-            k_exec: Vec::new(),
-            slowdowns: Vec::new(),
-            stale: Vec::new(),
-            any_stale: false,
-            slow_valid: false,
-            last_u_c: 0.0,
-            last_u_m: 0.0,
+            running: Vec::new(),
             u_c: 0.0,
             u_m: 0.0,
             free_slots: Vec::new(),
@@ -335,20 +310,7 @@ impl Engine {
         }
         self.streams.clear();
         self.pending.clear();
-        self.active.clear();
-        self.remaining.clear();
-        self.started.clear();
-        self.k_t_compute.clear();
-        self.k_t_memory.clear();
-        self.k_c_share.clear();
-        self.k_m_share.clear();
-        self.k_exec.clear();
-        self.slowdowns.clear();
-        self.stale.clear();
-        self.any_stale = false;
-        self.slow_valid = false;
-        self.last_u_c = 0.0;
-        self.last_u_m = 0.0;
+        self.running.clear();
         self.free_slots.clear();
         self.u_c = 0.0;
         self.u_m = 0.0;
@@ -377,7 +339,7 @@ impl Engine {
     /// Panics if a stream is queued or running.
     pub fn enable_trace(&mut self) {
         assert!(
-            self.active.is_empty() && self.pending.is_empty(),
+            self.running.is_empty() && self.pending.is_empty(),
             "enable_trace while streams are queued"
         );
         self.trace = Some(Vec::new());
@@ -529,7 +491,7 @@ impl Engine {
 
     /// True when no stream is running or waiting to start.
     pub fn is_idle(&self) -> bool {
-        self.active.is_empty() && self.pending.is_empty()
+        self.running.is_empty() && self.pending.is_empty()
     }
 
     /// Start pending streams whose start time has been reached.
@@ -549,24 +511,16 @@ impl Engine {
             self.retire_stream(idx);
             return;
         };
-        self.active.push(idx);
-        self.remaining.push(dur);
-        self.started.push(self.time_ms);
-        self.k_t_compute.push(profile.t_compute_ms);
-        self.k_t_memory.push(profile.t_memory_ms);
-        self.k_c_share.push(profile.compute_share);
-        self.k_m_share.push(profile.memory_share);
-        self.k_exec.push(profile.exec_ms);
-        // Placeholder slowdown; `refresh_slowdowns` fills it before
-        // any dt-scan or decrement reads it.
-        self.slowdowns.push(1.0);
-        self.stale.push(true);
-        self.any_stale = true;
+        self.running.push(Running {
+            stream: idx,
+            remaining: dur,
+            started_ms: self.time_ms,
+            profile,
+            slowdown: 1.0,
+        });
         self.u_c += profile.compute_share;
         self.u_m += profile.memory_share;
-        if self.active.len() > self.max_active {
-            self.max_active = self.active.len();
-        }
+        self.max_active = self.max_active.max(self.running.len());
     }
 
     /// Start stream `idx`'s next kernel that takes time now (see
@@ -627,20 +581,14 @@ impl Engine {
     /// [`start_next`] (its spike and the zero-cost skip), as in the
     /// general loop, on a local clock and cursor.
     fn run_lone_stream(&mut self) -> StreamCompletion {
-        debug_assert!(self.active.len() == 1 && self.pending.is_empty());
-        debug_assert_eq!(self.u_c.to_bits(), self.k_c_share[0].to_bits());
-        debug_assert_eq!(self.u_m.to_bits(), self.k_m_share[0].to_bits());
-        debug_assert_uncontended(&RunningKernel {
-            t_compute_ms: self.k_t_compute[0],
-            t_memory_ms: self.k_t_memory[0],
-            compute_share: self.k_c_share[0],
-            memory_share: self.k_m_share[0],
-            exec_ms: self.k_exec[0],
-        });
-        let idx = self.active[0];
-        let started_ms = self.started[0];
-        self.time_ms += self.remaining[0];
-        self.remove_active(0);
+        debug_assert!(self.running.len() == 1 && self.pending.is_empty());
+        let r = self.running[0];
+        debug_assert_eq!(self.u_c.to_bits(), r.profile.compute_share.to_bits());
+        debug_assert_eq!(self.u_m.to_bits(), r.profile.memory_share.to_bits());
+        debug_assert_uncontended(&r.profile);
+        let (idx, started_ms) = (r.stream, r.started_ms);
+        self.time_ms += r.remaining;
+        self.remove_running(0);
         self.record_retired_kernel(idx, started_ms);
         let s = &mut self.streams[idx];
         if cfg!(debug_assertions) {
@@ -681,26 +629,14 @@ impl Engine {
         }
     }
 
-    /// Drop position `pos` from the running set, keeping every SoA array
-    /// in lockstep (identical `swap_remove` order is part of the
-    /// determinism contract — it fixes which entry the retire sweep
-    /// rescans).
-    fn remove_active(&mut self, pos: usize) {
-        self.u_c -= self.k_c_share[pos];
-        self.u_m -= self.k_m_share[pos];
-        self.active.swap_remove(pos);
-        self.remaining.swap_remove(pos);
-        self.started.swap_remove(pos);
-        self.k_t_compute.swap_remove(pos);
-        self.k_t_memory.swap_remove(pos);
-        self.k_c_share.swap_remove(pos);
-        self.k_m_share.swap_remove(pos);
-        self.k_exec.swap_remove(pos);
-        // The tail entry's slowdown/staleness travel with it, so moved
-        // entries keep valid values without recompute.
-        self.slowdowns.swap_remove(pos);
-        self.stale.swap_remove(pos);
-        if self.active.is_empty() {
+    /// Drop position `pos` from the running set (the `swap_remove` order
+    /// is part of the determinism contract — it fixes which entry the
+    /// retire sweep rescans).
+    fn remove_running(&mut self, pos: usize) {
+        let r = self.running.swap_remove(pos);
+        self.u_c -= r.profile.compute_share;
+        self.u_m -= r.profile.memory_share;
+        if self.running.is_empty() {
             // Exact share arithmetic already lands on zero; snapping guards
             // the sign of zero and keeps the invariant self-evident.
             self.u_c = 0.0;
@@ -708,53 +644,21 @@ impl Engine {
         }
     }
 
-    /// Bring `slowdowns` up to date with the running set.
-    ///
-    /// Slowdowns depend on a kernel's own profile and the aggregates
-    /// `(U_c, U_m)` only. Share arithmetic is exact (quantised grid), so
-    /// comparing the aggregates *by bits* is a sound change detector:
-    /// bits unchanged ⇒ every non-stale entry's inputs are unchanged ⇒
-    /// its cached slowdown is the exact value a full recompute would
-    /// produce. Only entries pushed since the last refresh (`stale`) are
-    /// evaluated then; a bit-level change triggers one vectorised
-    /// recompute of the whole set.
+    /// Recompute every running kernel's slowdown under the current
+    /// aggregates `U_c`/`U_m`.
     fn refresh_slowdowns(&mut self) {
-        let u_changed = !self.slow_valid
-            || self.u_c.to_bits() != self.last_u_c.to_bits()
-            || self.u_m.to_bits() != self.last_u_m.to_bits();
-        if u_changed {
-            self.simd.slowdowns(
-                self.u_c,
-                self.u_m,
-                &self.k_t_compute,
-                &self.k_t_memory,
-                &self.k_m_share,
-                &self.k_exec,
-                &mut self.slowdowns,
+        let (u_m, over_c, over_m) = (self.u_m, self.u_c.max(1.0), self.u_m.max(1.0));
+        for r in &mut self.running {
+            let p = &r.profile;
+            r.slowdown = slowdown_one(
+                u_m,
+                over_c,
+                over_m,
+                p.t_compute_ms,
+                p.t_memory_ms,
+                p.memory_share,
+                p.exec_ms,
             );
-            self.stale.iter_mut().for_each(|s| *s = false);
-            self.any_stale = false;
-            self.last_u_c = self.u_c;
-            self.last_u_m = self.u_m;
-            self.slow_valid = true;
-        } else if self.any_stale {
-            let over_c = self.u_c.max(1.0);
-            let over_m = self.u_m.max(1.0);
-            for pos in 0..self.slowdowns.len() {
-                if self.stale[pos] {
-                    self.slowdowns[pos] = slowdown_one(
-                        self.u_m,
-                        over_c,
-                        over_m,
-                        self.k_t_compute[pos],
-                        self.k_t_memory[pos],
-                        self.k_m_share[pos],
-                        self.k_exec[pos],
-                    );
-                    self.stale[pos] = false;
-                }
-            }
-            self.any_stale = false;
         }
     }
 
@@ -763,18 +667,24 @@ impl Engine {
     pub fn step(&mut self) -> Option<StreamCompletion> {
         loop {
             self.activate_due_streams();
-            if self.active.is_empty() {
+            if self.running.is_empty() {
                 // Jump to the next pending start, if any.
                 let (start_ms, _) = self.pending.peek()?;
                 self.time_ms = start_ms;
                 continue;
             }
-            if self.active.len() == 1 && self.pending.is_empty() {
+            if self.running.len() == 1 && self.pending.is_empty() {
                 return Some(self.run_lone_stream());
             }
             self.refresh_slowdowns();
             // Time until the first kernel in flight completes.
-            let dt = self.simd.min_completion(&self.remaining, &self.slowdowns);
+            let mut dt = f64::INFINITY;
+            for r in &self.running {
+                let t = r.remaining * r.slowdown;
+                if t < dt {
+                    dt = t;
+                }
+            }
             // A pending start may preempt the completion horizon.
             if let Some((start_ms, _)) = self.pending.peek() {
                 let until_start = start_ms - self.time_ms;
@@ -789,12 +699,12 @@ impl Engine {
             // Retire all kernels that just finished (ties possible).
             let mut completed_stream = None;
             let mut pos = 0;
-            while pos < self.active.len() {
-                let idx = self.active[pos];
-                if self.remaining[pos] <= RETIRE_EPSILON_MS {
-                    let started_ms = self.started[pos];
-                    self.remove_active(pos);
-                    self.record_retired_kernel(idx, started_ms);
+            while pos < self.running.len() {
+                let r = self.running[pos];
+                let idx = r.stream;
+                if r.remaining <= RETIRE_EPSILON_MS {
+                    self.remove_running(pos);
+                    self.record_retired_kernel(idx, r.started_ms);
                     self.start_next_kernel(idx);
                     if self.streams[idx].end_ms.is_some() && completed_stream.is_none() {
                         completed_stream = Some(idx);
@@ -823,7 +733,12 @@ impl Engine {
             return;
         }
         self.time_ms += dt;
-        self.simd.decrement(&mut self.remaining, &self.slowdowns, dt);
+        for r in &mut self.running {
+            r.remaining -= dt / r.slowdown;
+            if r.remaining < 0.0 {
+                r.remaining = 0.0;
+            }
+        }
     }
 
     /// Run every stream to completion.

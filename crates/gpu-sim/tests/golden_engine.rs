@@ -1,4 +1,4 @@
-//! Golden test: the optimized engine (SoA running set, binary-heap
+//! Golden test: the optimized engine (one running array, binary-heap
 //! arrivals, incremental `U_c`/`U_m` aggregates, slot recycling, engine
 //! reuse via `reset`) must be bit-identical to the pre-overhaul engine.
 //!

@@ -714,6 +714,36 @@ mod tests {
         );
     }
 
+    /// The engine's running set is only as wide as the groups the node
+    /// executes: a quadruplet deployment at the saturating load (100 QPS
+    /// aggregate, the Fig. 19 load) co-runs queries, so more than one
+    /// kernel is in flight at some event, yet never more than one kernel
+    /// per co-located query.
+    #[test]
+    fn quadruplet_at_saturating_load_keeps_engine_width_within_max_colocated() {
+        let lib = lib();
+        let gpu = GpuSpec::a100();
+        let set = predictor::paper_multiway_sets()
+            .into_iter()
+            .find(|s| s.len() == predictor::MAX_COLOCATED)
+            .expect("the paper deploys one quadruplet");
+        let svcs = services(&set, &lib, &gpu);
+        let wl = mk_workload(&svcs, 100.0 / set.len() as f64, 2_000.0, &lib, 8);
+        let model = Arc::new(SeqModel {
+            lib: lib.clone(),
+            gpu: gpu.clone(),
+        });
+        let mut sched = AbacusScheduler::new(model, lib.clone(), AbacusConfig::default());
+        let mut exec = SegmentalExecutor::new(gpu, NoiseModel::calibrated(), lib.clone(), 9);
+        let records = run(&mut sched, &mut exec, &lib, &svcs, &wl);
+        assert_eq!(records.len(), wl.len());
+        let max_active = exec.engine_core_stats().max_active;
+        assert!(
+            max_active > 1 && max_active <= predictor::MAX_COLOCATED,
+            "max_active {max_active}"
+        );
+    }
+
     #[test]
     fn overload_drops_rather_than_stalls() {
         let lib = lib();
@@ -772,12 +802,13 @@ mod tests {
     /// spin on it forever; the livelock guard must terminate and flag it.
     struct StallScheduler;
     impl abacus_core::Scheduler for StallScheduler {
-        fn decide(&mut self, _now_ms: f64, _queue: &[Query]) -> abacus_core::RoundDecision {
-            abacus_core::RoundDecision {
-                dropped: vec![],
-                group: None,
-                overhead_ms: 0.0,
-            }
+        fn decide_into(
+            &mut self,
+            _now_ms: f64,
+            _queue: &[Query],
+            out: &mut abacus_core::RoundDecision,
+        ) {
+            *out = abacus_core::RoundDecision::idle();
         }
         fn on_group_complete(&mut self, _duration_ms: f64) {}
         fn name(&self) -> &'static str {

@@ -33,8 +33,6 @@ pub const PID_SERVING: u64 = 1;
 pub const PID_GPU: u64 = 2;
 /// Process id reserved for caller-added counter tracks.
 pub const PID_COUNTERS: u64 = 3;
-/// Process id of the run-health alert track.
-pub const PID_HEALTH: u64 = 4;
 
 /// One typed argument value of a trace event.
 #[derive(Debug, Clone, Copy)]
@@ -329,44 +327,6 @@ impl ChromeTrace {
                     ("occupancy", Arg::F64(k.occupancy)),
                 ],
             );
-        }
-    }
-
-    /// Lower a run's health alerts as instant events on the health track.
-    /// Emits nothing (not even track metadata) when no alert fired, so
-    /// traces of healthy runs are unchanged.
-    pub fn add_health(&mut self, health: &crate::health::RunHealth) {
-        if health.alerts().is_empty() {
-            return;
-        }
-        self.add_process_name(PID_HEALTH, "run health");
-        self.add_thread_name(PID_HEALTH, 0, "alerts");
-        for a in health.alerts() {
-            use crate::health::HealthAlertKind;
-            let label = a.label();
-            let args: Vec<(&str, Arg<'_>)> = match &a.kind {
-                HealthAlertKind::Drift {
-                    score, ewma_abs, ..
-                } => vec![
-                    ("seq", Arg::U64(a.seq)),
-                    ("score", Arg::F64(*score)),
-                    ("ewma_abs", Arg::F64(*ewma_abs)),
-                ],
-                HealthAlertKind::BurnRate {
-                    fast_burn,
-                    slow_burn,
-                    ..
-                } => vec![
-                    ("seq", Arg::U64(a.seq)),
-                    ("fast_burn", Arg::F64(*fast_burn)),
-                    ("slow_burn", Arg::F64(*slow_burn)),
-                ],
-                HealthAlertKind::BudgetExhausted { ratio, .. } => vec![
-                    ("seq", Arg::U64(a.seq)),
-                    ("ratio", Arg::F64(*ratio)),
-                ],
-            };
-            self.add_instant(PID_HEALTH, 0, &label, a.at_ms, &args);
         }
     }
 

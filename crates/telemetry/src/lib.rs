@@ -39,7 +39,7 @@ pub mod slo;
 
 pub use drift::{width_class, width_class_label, DriftAlarm, DriftConfig, DriftDetector, WIDTH_CLASSES};
 pub use event::{QueryEvent, QueryEventKind, WallKernelSpan};
-pub use export::{ChromeTrace, PID_COUNTERS, PID_GPU, PID_HEALTH, PID_SERVING};
+pub use export::{ChromeTrace, PID_COUNTERS, PID_GPU, PID_SERVING};
 pub use flight::{FlightConfig, FlightDump, FlightRecorder, FlightRound};
 pub use health::{HealthAlert, HealthAlertKind, HealthConfig, RunHealth};
 pub use ledger::{DecisionLedger, LedgerEntry, PredictionErrorReport, RoundEntry};

@@ -48,7 +48,8 @@ for crate in abacus-cli serving cluster abacus-core predictor gpu-sim; do
 done
 
 echo "== engine golden + proptest bit-identity =="
-# The optimized event core (SoA + SIMD + pending-arrival heap) must stay
+# The event core (one array of in-flight kernels with scalar per-event
+# passes, pending-arrival heap, lone-stream closed form) must stay
 # bit-identical to the shared frozen reference engine
 # (bench::reference::engine, also the engine bench's baseline), on the pinned
 # fixed-seed workloads and on randomized property workloads with fault
@@ -69,6 +70,10 @@ run_filtered group_mode_matches_reference_bitwise -p gpu-sim --test golden_engin
 run_filtered lone_stream_groups_are_bit_identical -p gpu-sim --test golden_engine
 run_filtered contention::tests::lone_kernel_shares_are_bounded_and_slowdown_is_exactly_one -p gpu-sim --lib
 run_filtered pqueue::tests:: -p gpu-sim --lib
+# The running set is only as wide as the groups served: a quadruplet
+# deployment at the saturating load puts more than one and at most
+# MAX_COLOCATED (4) kernels in flight.
+run_filtered node::tests::quadruplet_at_saturating_load_keeps_engine_width_within_max_colocated -p serving --lib
 
 echo "== counter-based kernel noise =="
 # A kernel's noise factor is a pure function of (run seed, stream add
