@@ -1,7 +1,8 @@
 //! The scheduler decision hot path. Replays fixed-seed churned queues
 //! (admits, drops, partial progress, completions) against both the live
-//! `AbacusScheduler` — incremental `(deadline, id)` order index plus
-//! arena-backed round scratch — and the frozen pre-overhaul controller
+//! `AbacusScheduler` — one queue scan per round for the `(deadline, id)`
+//! order and the per-model heads, plus arena-backed round scratch — and
+//! the frozen pre-overhaul controller
 //! `bench::reference::decision::ReferenceController` (per-round
 //! `Vec<&Query>` collect + headroom sort + fresh search buffers per plan;
 //! the same copy the `golden_decisions` suite pins against), and reports
@@ -30,25 +31,16 @@ const SEED: u64 = 2021;
 /// The decision-layer surface the driver replays against either controller.
 trait Controller {
     fn decide_into(&mut self, now_ms: f64, queue: &[Query], out: &mut RoundDecision);
-    fn on_admit(&mut self, _q: &Query) {}
-    fn on_retire(&mut self, _q: &Query) {}
     fn on_group_complete(&mut self, _duration_ms: f64) {}
 }
 
-/// The optimized path, driven exactly as the serving node drives it:
-/// admit/retire hooks feeding the order index, the decision written in
-/// place so the entry buffer cycles through it.
+/// The optimized path, driven exactly as the serving node drives it: the
+/// decision written in place so the entry buffer cycles through it.
 struct Optimized(AbacusScheduler);
 
 impl Controller for Optimized {
     fn decide_into(&mut self, now_ms: f64, queue: &[Query], out: &mut RoundDecision) {
         Scheduler::decide_into(&mut self.0, now_ms, queue, out);
-    }
-    fn on_admit(&mut self, q: &Query) {
-        Scheduler::on_admit(&mut self.0, q);
-    }
-    fn on_retire(&mut self, q: &Query) {
-        Scheduler::on_retire(&mut self.0, q);
     }
     fn on_group_complete(&mut self, duration_ms: f64) {
         Scheduler::on_group_complete(&mut self.0, duration_ms);
@@ -56,7 +48,7 @@ impl Controller for Optimized {
 }
 
 /// The baseline path, driven exactly as the old node drove it: a fresh
-/// decision returned by value each round, no hooks.
+/// decision returned by value each round.
 struct Baseline(ReferenceController);
 
 impl Controller for Baseline {
@@ -128,7 +120,6 @@ fn run<C: Controller>(ctrl: &mut C, lib: &ModelLibrary, rounds: u64) -> Measured
             let qos = QOS_MS[(next() as usize) % QOS_MS.len()];
             let q = Query::new(next_id, m, input, now, qos, n_ops);
             next_id += 1;
-            ctrl.on_admit(&q);
             queue.push(q);
         }
         let t0 = Instant::now();
@@ -140,7 +131,6 @@ fn run<C: Controller>(ctrl: &mut C, lib: &ModelLibrary, rounds: u64) -> Measured
                 .iter()
                 .position(|q| q.id == id)
                 .expect("dropped unknown query");
-            ctrl.on_retire(&queue[pos]);
             queue.swap_remove(pos);
         }
         match decision.group.as_ref() {
@@ -155,7 +145,6 @@ fn run<C: Controller>(ctrl: &mut C, lib: &ModelLibrary, rounds: u64) -> Measured
                     queue[pos].mark_started(now);
                     queue[pos].advance_to(e.op_end);
                     if queue[pos].is_complete() {
-                        ctrl.on_retire(&queue[pos]);
                         queue.swap_remove(pos);
                     }
                 }

@@ -2,11 +2,12 @@
 //!
 //! Each round:
 //!
-//! 1. sort active queries by QoS headroom, ascending (Eq. 2);
-//! 2. drop any query that is already past its deadline, and any head query
-//!    whose remaining operators alone are predicted not to fit in its
-//!    headroom (§6.2's drop mechanism — continuing would violate this *and*
-//!    later queries);
+//! 1. scan the queue once: drop every query already past its deadline, and
+//!    take each service's least-headroom query (§6.1), in ascending
+//!    headroom order (Eq. 2);
+//! 2. drop any head query whose remaining operators alone are predicted not
+//!    to fit in its headroom (§6.2's drop mechanism — continuing would
+//!    violate this *and* later queries);
 //! 3. run the multi-way search ([`crate::search`]) to form the largest
 //!    operator group that the latency predictor certifies against the head
 //!    query's headroom;
@@ -16,11 +17,10 @@
 //!    non-pipelined ablation charges it every round.
 
 use crate::group::{PlannedEntry, PlannedGroup};
-use crate::order::OrderIndex;
 use crate::query::Query;
 use crate::scheduler::{DecisionStats, RoundDecision, Scheduler};
 use crate::search::{plan_group_core, PlanOutcome, SearchBuffers};
-use dnn_models::ModelLibrary;
+use dnn_models::{ModelLibrary, MODEL_COUNT};
 use predictor::{encode_features_with_ops, GroupEntry, LatencyModel, FEATURE_DIM};
 use std::sync::Arc;
 use std::time::Instant;
@@ -167,9 +167,6 @@ pub struct AbacusScheduler {
     barren_rounds: u32,
     /// Latched FCFS fallback (see [`AbacusConfig::fcfs_fallback_error`]).
     degraded: bool,
-    /// Incrementally-maintained `(deadline, id)` order over the node queue,
-    /// fed by the [`Scheduler::on_admit`]/[`Scheduler::on_retire`] hooks.
-    order: OrderIndex,
     /// Arena-backed per-round scratch; see [`DecisionScratch`].
     scratch: DecisionScratch,
     /// Cumulative decision-layer health counters.
@@ -181,10 +178,10 @@ pub struct AbacusScheduler {
 /// round performs zero heap allocations (pinned by the counting-allocator
 /// test in `tests/decision_alloc.rs`).
 struct DecisionScratch {
-    /// [`OrderIndex::resolve_ranks`] output: rank → queue position.
-    ranks: Vec<usize>,
-    /// Eligible queue positions in round order, after the expiry drop and
-    /// the §6.1 per-model least-headroom head filter.
+    /// Queue positions of the round's expired queries.
+    expired: Vec<usize>,
+    /// Queue positions of each model's least-headroom live query, in
+    /// round order (the §6.1 per-model head filter).
     candidates: Vec<usize>,
     /// Multi-way search working set (entry prefix, feature rows feeding
     /// `predict_into`, prediction output, probe points).
@@ -204,7 +201,7 @@ struct DecisionScratch {
 impl DecisionScratch {
     fn new(ways: usize) -> Self {
         Self {
-            ranks: Vec::new(),
+            expired: Vec::new(),
             candidates: Vec::new(),
             search: SearchBuffers::new(ways),
             spare_entries: Vec::new(),
@@ -255,7 +252,6 @@ impl AbacusScheduler {
             err_samples: 0,
             barren_rounds: 0,
             degraded: false,
-            order: OrderIndex::new(),
             scratch,
             stats: DecisionStats::default(),
         }
@@ -404,40 +400,44 @@ impl Scheduler for AbacusScheduler {
         let planning_model: &dyn LatencyModel =
             self.certifier.as_deref().unwrap_or(self.model.as_ref());
 
-        // Ascending `(deadline, id)` ranks — the same permutation the
-        // former per-round headroom sort produced (the order key is
-        // now-independent; DESIGN.md §12). Incremental when the node drove
-        // the admit/retire hooks; full rebuild otherwise.
+        // One scan over the queue, in whatever order the node keeps it.
+        // Eq. 2 headroom shifts every query by the same `now`, so ascending
+        // headroom is the now-independent `(deadline, id)` order (DESIGN.md
+        // §12). Expired queries can never meet QoS: drop them outright.
+        // Since each service is a single process handling one query at a
+        // time (§6.1), the rest compete for their model's slot, and only
+        // the least-headroom head of each model becomes a candidate; later
+        // queries of the same service wait behind it.
         let DecisionScratch {
-            ranks, candidates, search, ..
+            expired,
+            candidates,
+            search,
+            ..
         } = &mut self.scratch;
-        if self.order.resolve_ranks(queue, ranks) {
-            self.stats.incremental_rounds += 1;
-        } else {
-            self.order.rebuild(queue, ranks);
-            self.stats.full_rebuilds += 1;
-        }
-        self.stats.scratch_peak = self.stats.scratch_peak.max(ranks.len());
-
-        // One pass in round order: expired queries can never meet QoS —
-        // drop outright (Eq. 2 test per element, exactly as the former
-        // retain). Then, since each service is a single process handling
-        // one query at a time (§6.1), keep only the least-headroom head of
-        // each model; later queries of the same service wait behind it.
-        candidates.clear();
-        let mut seen_models = 0u32;
-        for &pos in ranks.iter() {
-            let q = &queue[pos];
+        self.stats.scratch_peak = self.stats.scratch_peak.max(queue.len());
+        let by_deadline = |&a: &usize, &b: &usize| {
+            let (qa, qb) = (&queue[a], &queue[b]);
+            qa.deadline_ms()
+                .total_cmp(&qb.deadline_ms())
+                .then(qa.id.cmp(&qb.id))
+        };
+        expired.clear();
+        let mut heads: [Option<usize>; MODEL_COUNT] = [None; MODEL_COUNT];
+        for (pos, q) in queue.iter().enumerate() {
             if q.headroom_ms(now_ms) < 0.0 {
-                out.dropped.push(q.id);
+                expired.push(pos);
                 continue;
             }
-            let bit = 1u32 << q.model.index();
-            if seen_models & bit == 0 {
-                seen_models |= bit;
-                candidates.push(pos);
+            let head = &mut heads[q.model.index()];
+            if head.is_none_or(|h| by_deadline(&pos, &h).is_lt()) {
+                *head = Some(pos);
             }
         }
+        expired.sort_unstable_by(by_deadline);
+        out.dropped.extend(expired.iter().map(|&pos| queue[pos].id));
+        candidates.clear();
+        candidates.extend(heads.iter().flatten());
+        candidates.sort_unstable_by(by_deadline);
 
         let mut prediction_rounds = 0usize;
         let mut planned_pred: Option<f64> = None;
@@ -532,24 +532,13 @@ impl Scheduler for AbacusScheduler {
         }
     }
 
-    fn on_admit(&mut self, q: &Query) {
-        self.order.insert(q);
-    }
-
-    fn on_retire(&mut self, q: &Query) {
-        self.order.remove(q);
-    }
-
     /// True once the controller has fallen back to FCFS dispatch.
     fn is_degraded(&self) -> bool {
         self.degraded
     }
 
     fn decision_stats(&self) -> DecisionStats {
-        DecisionStats {
-            order_peak_len: self.order.peak_len(),
-            ..self.stats
-        }
+        self.stats
     }
 
     fn on_group_complete(&mut self, duration_ms: f64) {

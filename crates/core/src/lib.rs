@@ -9,8 +9,8 @@
 //! * [`query`] — in-flight query state and the Eq. 2/3 headroom arithmetic;
 //! * [`search`] — the multi-way search over operator-group candidates
 //!   (§6.2–6.3, Fig. 12);
-//! * [`abacus`] — the headroom-based query controller with pipelined
-//!   scheduling and the drop mechanism;
+//! * [`abacus`] — the headroom-based query controller: one queue scan per
+//!   round for its order, pipelined scheduling and the drop mechanism;
 //! * [`executor`] — the flexible segmental model executor (§6.1, Fig. 11)
 //!   that runs groups exclusively on the (simulated) GPU and manages
 //!   intermediate results for partially-processed queries;
@@ -24,7 +24,6 @@ pub mod abacus;
 pub mod baselines;
 pub mod executor;
 pub mod group;
-pub mod order;
 pub mod profile;
 pub mod query;
 pub mod scheduler;
@@ -36,7 +35,6 @@ pub use abacus::{
 pub use baselines::{BaselinePolicy, BaselineScheduler, SJF_PREDICT_MS};
 pub use executor::{ExecOutcome, SegmentalExecutor, GROUP_SYNC_MS, SAVE_RESTORE_MS};
 pub use group::{PlannedEntry, PlannedGroup};
-pub use order::{order_key, OrderIndex};
 pub use profile::ProfileTable;
 pub use query::Query;
 pub use scheduler::{DecisionStats, RoundDecision, Scheduler};

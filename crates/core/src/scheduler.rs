@@ -33,20 +33,14 @@ impl RoundDecision {
     }
 }
 
-/// Decision-layer health counters, surfaced through telemetry. Peaks are
-/// high-water marks over the scheduler's lifetime; round counts are
-/// cumulative.
+/// Decision-layer health counters, surfaced through telemetry. A struct
+/// rather than a bare count because `perfbench/src/probe.rs`'s
+/// `TimedScheduler` names the type, and that harness is kept unchanged so
+/// benchmark runs stay comparable across versions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecisionStats {
-    /// Deepest the incremental order index has ever been.
-    pub order_peak_len: usize,
-    /// Peak per-round scratch footprint (rank slots resolved in one round).
+    /// Deepest queue a round has scanned over the scheduler's lifetime.
     pub scratch_peak: usize,
-    /// Rounds served off the incrementally-maintained order.
-    pub incremental_rounds: u64,
-    /// Rounds that fell back to a full order rebuild (admit/retire hooks
-    /// not driven, or an index desync was detected).
-    pub full_rebuilds: u64,
 }
 
 /// A per-GPU scheduling policy.
@@ -66,13 +60,15 @@ pub trait Scheduler: Send {
         out
     }
 
-    /// Observe a query entering the node queue (order-maintenance hook;
-    /// optional — a scheduler that never sees it just re-derives order per
-    /// round).
+    /// Observe a query entering the node queue. The serving loop does not
+    /// call it and no scheduler here overrides it; it stays a provided
+    /// no-op because `perfbench/src/probe.rs`'s `TimedScheduler` overrides
+    /// it, and that harness is kept unchanged so benchmark runs stay
+    /// comparable across versions.
     fn on_admit(&mut self, _q: &Query) {}
 
-    /// Observe a query leaving the node queue for any reason (completion,
-    /// drop, timeout, eviction), called just before removal.
+    /// Observe a query leaving the node queue. Uncalled and kept as a
+    /// provided no-op for the same reason as [`Scheduler::on_admit`].
     fn on_retire(&mut self, _q: &Query) {}
 
     /// Observe the duration of the group that just finished executing.
@@ -85,6 +81,8 @@ pub trait Scheduler: Send {
     }
 
     /// Decision-layer health snapshot (telemetry; default all-zero).
+    /// `perfbench/src/probe.rs`'s `TimedScheduler` overrides it to forward
+    /// the wrapped scheduler's counters.
     fn decision_stats(&self) -> DecisionStats {
         DecisionStats::default()
     }

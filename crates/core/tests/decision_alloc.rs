@@ -91,11 +91,8 @@ fn steady_state_decide_round_allocates_nothing() {
             Query::new(i, m, input, 0.0, 40.0 + 10.0 * (i % 4) as f64, n)
         })
         .collect();
-    for q in &queue {
-        sched.on_admit(q);
-    }
 
-    // Warmup: grows ranks/candidates/search arenas and the entry buffer to
+    // Warmup: grows expired/candidates/search arenas and the entry buffer to
     // steady-state capacity, and cycles the entry buffer through the
     // caller-held decision and back.
     let mut decision = RoundDecision::idle();

@@ -1,8 +1,9 @@
 //! Golden decision-stream tests (DESIGN.md §12).
 //!
-//! The per-round decision hot path — incremental `(deadline, id)` order
-//! index, arena-backed scratch, recycled entry buffers, buffered multi-way
-//! search — must be *bit-identical* to the pre-overhaul controller and
+//! The per-round decision hot path — one queue scan for the `(deadline, id)`
+//! order and the per-model heads, arena-backed scratch, recycled entry
+//! buffers, buffered multi-way search — must be *bit-identical* to the
+//! pre-overhaul controller and
 //! search it replaced. The reference is the shared frozen copy in
 //! `bench::reference::decision` (the same one the `bench` binary's
 //! decision bench measures against). Three layers pin that:
@@ -10,14 +11,14 @@
 //! 1. The live [`plan_group`] matches the reference `plan_group` over
 //!    fixed query sets, budgets, search widths and predictor scales.
 //! 2. A fixed-seed churned replay asserts equal [`RoundDecision`] streams
-//!    round by round between the live scheduler (hooks driven) and
+//!    round by round between the live scheduler and
 //!    [`ReferenceController`] (fresh `Vec<&Query>` collect + per-round
 //!    headroom sort + retain passes + `sorted.remove(0)` drop loop).
 //! 3. Property tests over grid-quantised random queues assert that the
-//!    incremental order (admit/retire hooks driven), the full re-sort
-//!    fallback (hooks skipped → rebuild) and the reference decide
-//!    identically — including empty queues, headroom ties, expired
-//!    queries, and all-infeasible rounds under a frozen or NaN predictor.
+//!    live scheduler and the reference decide identically — including
+//!    empty queues, headroom ties, expired queries, all-infeasible rounds
+//!    under a frozen or NaN predictor, and any permutation of the queue
+//!    (the `Scheduler` contract: no assumed ordering).
 //!
 //! Arrival/QoS values are grid-quantised (multiples of 2.5 ms): subtracting
 //! `now` from grid values is exact in f64, so the former headroom sort and
@@ -133,9 +134,10 @@ fn search_matches_reference_plan_group() {
     }
 }
 
-/// Replay a fixed-seed churned workload through the live scheduler (hooks
-/// driven, so every round takes the incremental path) and the frozen
-/// pre-overhaul controller, asserting bit-identical decision streams.
+/// Replay a fixed-seed churned workload through the live scheduler and the
+/// frozen pre-overhaul controller, asserting bit-identical decision
+/// streams. The queue evolves by `swap_remove`, so the live scan sees it
+/// in a shuffled order.
 #[test]
 fn golden_stream_matches_embedded_pre_overhaul_controller() {
     let lib = lib();
@@ -164,7 +166,6 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
             let qos = QOS_MS[(rand() as usize) % QOS_MS.len()];
             let q = query(&lib, next_id, m, now, qos);
             next_id += 1;
-            opt.on_admit(&q);
             queue.push(q);
         }
 
@@ -174,7 +175,6 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
 
         for &id in &decision.dropped {
             let pos = queue.iter().position(|q| q.id == id).unwrap();
-            opt.on_retire(&queue[pos]);
             queue.swap_remove(pos);
         }
         now += decision.overhead_ms;
@@ -186,7 +186,6 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
                 queue[pos].mark_started(now);
                 queue[pos].advance_to(e.op_end);
                 if queue[pos].is_complete() {
-                    opt.on_retire(&queue[pos]);
                     queue.swap_remove(pos);
                 }
             }
@@ -199,41 +198,37 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
     }
 
     assert!(planned_rounds > 1_000, "workload planned {planned_rounds} groups");
-    // The hooks were driven every round: the order index never rebuilt.
-    let stats = opt.decision_stats();
-    assert_eq!(stats.full_rebuilds, 0, "incremental path never used");
-    assert_eq!(stats.incremental_rounds, 3_000);
-    assert!(stats.order_peak_len >= 16);
-    assert!(stats.scratch_peak >= 16);
+    // Every round scanned the refilled 16-deep queue.
+    assert_eq!(opt.decision_stats().scratch_peak, 16);
 }
 
-/// Decide one round three ways — incremental order (hooks driven), full
-/// rebuild (hooks skipped), frozen pre-overhaul controller — and demand
-/// identical decisions. Proves order-key invariance: the `(deadline, id)`
-/// index is the same permutation as the per-round headroom sort.
-fn assert_three_way_identical(
+/// Decide one round on the live scheduler and the frozen pre-overhaul
+/// controller and demand identical decisions. Proves order-key invariance:
+/// the live scan's `(deadline, id)` order is the same permutation as the
+/// reference's per-round headroom sort.
+fn assert_live_matches_reference(
     lib: &Arc<ModelLibrary>,
     model: impl Fn() -> Arc<dyn LatencyModel>,
     queue: &[Query],
     now: f64,
 ) -> RoundDecision {
-    let mut incremental = AbacusScheduler::new(model(), lib.clone(), config());
-    for q in queue {
-        incremental.on_admit(q);
-    }
-    let mut rebuild = AbacusScheduler::new(model(), lib.clone(), config());
-    let mut reference = ReferenceController::new(model(), lib.clone(), config());
+    let got = AbacusScheduler::new(model(), lib.clone(), config()).decide(now, queue);
+    let want = ReferenceController::new(model(), lib.clone(), config()).decide(now, queue);
+    assert_eq!(got, want, "live scheduler diverged from pre-overhaul");
+    got
+}
 
-    let inc = incremental.decide(now, queue);
-    let reb = rebuild.decide(now, queue);
-    let want = reference.decide(now, queue);
-    assert_eq!(inc, want, "incremental order diverged from pre-overhaul");
-    assert_eq!(reb, want, "rebuild path diverged from pre-overhaul");
-    if !queue.is_empty() {
-        assert_eq!(incremental.decision_stats().incremental_rounds, 1);
-        assert_eq!(rebuild.decision_stats().full_rebuilds, 1);
+/// `queue` reordered by a Fisher–Yates shuffle driven by `seed`.
+fn permuted(queue: &[Query], seed: u64) -> Vec<Query> {
+    let mut out = queue.to_vec();
+    let mut state = seed | 1;
+    for i in (1..out.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        out.swap(i, (state >> 33) as usize % (i + 1));
     }
-    inc
+    out
 }
 
 fn span_model() -> Arc<dyn LatencyModel> {
@@ -243,7 +238,7 @@ fn span_model() -> Arc<dyn LatencyModel> {
 #[test]
 fn empty_queue_decides_idle_on_every_path() {
     let lib = lib();
-    let d = assert_three_way_identical(&lib, span_model, &[], 0.0);
+    let d = assert_live_matches_reference(&lib, span_model, &[], 0.0);
     assert!(d.group.is_none());
     assert!(d.dropped.is_empty());
 }
@@ -255,7 +250,7 @@ fn headroom_ties_break_by_id_on_every_path() {
     let queue: Vec<Query> = (0..6)
         .map(|i| query(&lib, 10 + i, ModelId::ALL[i as usize], 0.0, 50.0))
         .collect();
-    let d = assert_three_way_identical(&lib, span_model, &queue, 5.0);
+    let d = assert_live_matches_reference(&lib, span_model, &queue, 5.0);
     let g = d.group.expect("ties still plan");
     assert_eq!(g.entries[0].query_id, 10);
 }
@@ -267,11 +262,11 @@ fn all_infeasible_rounds_drop_identically() {
         .map(|i| query(&lib, i, ModelId::ALL[i as usize], 0.0, 50.0))
         .collect();
     // Frozen far above every budget: every head is infeasible in turn.
-    let d = assert_three_way_identical(&lib, || Arc::new(FrozenModel(1e9)), &queue, 0.0);
+    let d = assert_live_matches_reference(&lib, || Arc::new(FrozenModel(1e9)), &queue, 0.0);
     assert!(d.group.is_none());
     assert_eq!(d.dropped.len(), queue.len());
     // NaN predictions must take the same drop path, not plan NaN groups.
-    let d = assert_three_way_identical(&lib, || Arc::new(FrozenModel(f64::NAN)), &queue, 0.0);
+    let d = assert_live_matches_reference(&lib, || Arc::new(FrozenModel(f64::NAN)), &queue, 0.0);
     assert!(d.group.is_none());
     assert_eq!(d.dropped.len(), queue.len());
 }
@@ -283,7 +278,7 @@ fn expired_queries_drop_identically() {
         query(&lib, 1, ModelId::ResNet50, 0.0, 10.0), // expired at now = 50
         query(&lib, 2, ModelId::Bert, 45.0, 60.0),
     ];
-    let d = assert_three_way_identical(&lib, span_model, &queue, 50.0);
+    let d = assert_live_matches_reference(&lib, span_model, &queue, 50.0);
     assert_eq!(d.dropped, vec![1]);
     assert!(d.group.is_some());
 }
@@ -292,8 +287,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random grid-quantised queues (duplicate models, partial progress,
-    /// expired members, dense ties): the incremental order, the rebuild
-    /// fallback and the frozen pre-overhaul controller agree bit-for-bit.
+    /// expired members, dense ties), presented in a seeded random order:
+    /// the live scheduler and the frozen pre-overhaul controller agree
+    /// bit-for-bit, whatever order the queue arrives in.
     #[test]
     fn random_queues_decide_identically(
         specs in proptest::collection::vec(
@@ -301,6 +297,7 @@ proptest! {
             0..24,
         ),
         now_step in 0usize..16,
+        perm_seed in 0u64..u64::MAX,
     ) {
         let lib = lib();
         let queue: Vec<Query> = specs
@@ -311,23 +308,18 @@ proptest! {
             })
             .collect();
         let now = now_step as f64 * 2.5;
+        let shuffled = permuted(&queue, perm_seed);
 
-        let mut incremental = AbacusScheduler::new(span_model(), lib.clone(), config());
-        for q in &queue {
-            incremental.on_admit(q);
-        }
-        let mut rebuild = AbacusScheduler::new(span_model(), lib.clone(), config());
-        let mut reference = ReferenceController::new(span_model(), lib.clone(), config());
-
-        let inc = incremental.decide(now, &queue);
-        let reb = rebuild.decide(now, &queue);
-        let want = reference.decide(now, &queue);
-        prop_assert_eq!(&inc, &want, "incremental vs pre-overhaul");
-        prop_assert_eq!(&reb, &want, "rebuild vs pre-overhaul");
+        let want = ReferenceController::new(span_model(), lib.clone(), config()).decide(now, &queue);
+        let got = AbacusScheduler::new(span_model(), lib.clone(), config()).decide(now, &queue);
+        let got_shuffled =
+            AbacusScheduler::new(span_model(), lib.clone(), config()).decide(now, &shuffled);
+        prop_assert_eq!(&got, &want, "live vs pre-overhaul");
+        prop_assert_eq!(&got_shuffled, &want, "permuted queue vs pre-overhaul");
     }
 
     /// Non-pipelined configs and every search width: the overhead account
-    /// and probe sequences stay identical across the three paths.
+    /// and probe sequences stay identical to the reference.
     #[test]
     fn config_variants_decide_identically(
         specs in proptest::collection::vec(
@@ -353,14 +345,8 @@ proptest! {
             ..AbacusConfig::default()
         };
 
-        let mut incremental = AbacusScheduler::new(span_model(), lib.clone(), cfg.clone());
-        for q in &queue {
-            incremental.on_admit(q);
-        }
-        let mut reference = ReferenceController::new(span_model(), lib.clone(), cfg);
-
-        let inc = incremental.decide(2.5, &queue);
-        let want = reference.decide(2.5, &queue);
-        prop_assert_eq!(&inc, &want);
+        let got = AbacusScheduler::new(span_model(), lib.clone(), cfg.clone()).decide(2.5, &queue);
+        let want = ReferenceController::new(span_model(), lib.clone(), cfg).decide(2.5, &queue);
+        prop_assert_eq!(&got, &want);
     }
 }

@@ -125,8 +125,8 @@ impl GpuUsage {
 pub struct GpuLoop {
     queue: Vec<Query>,
     /// How many queries at the tail of `queue` were admitted since the last
-    /// round began; the next round announces them to the scheduler, the
-    /// checker and the telemetry before it decides.
+    /// round began; the next round announces them to the checker and the
+    /// telemetry before it decides.
     unannounced: usize,
     /// The GPU's clock: when its next round can start, ms.
     now: f64,
@@ -268,10 +268,10 @@ impl GpuLoop {
         None
     }
 
-    /// Fire the admit hooks of the queries admitted since the last round.
+    /// Report the queries admitted since the last round to the checker and
+    /// the telemetry.
     fn announce<S: Scheduler + ?Sized>(&mut self, step: &mut Step<'_, S>) {
         for q in &self.queue[self.queue.len() - self.unannounced..] {
-            step.scheduler.on_admit(q);
             if let Some(c) = step.checker.as_deref_mut() {
                 c.on_issue(q.id, q.arrival_ms);
             }
@@ -358,16 +358,13 @@ impl GpuLoop {
         spec
     }
 
-    /// Retire `queue[pos]` with `outcome` at the current clock. Notifies
-    /// the scheduler first so its incremental order index stays in sync
-    /// with the queue.
+    /// Retire `queue[pos]` with `outcome` at the current clock.
     fn retire<S: Scheduler + ?Sized>(
         &mut self,
         pos: usize,
         outcome: QueryOutcome,
         step: &mut Step<'_, S>,
     ) {
-        step.scheduler.on_retire(&self.queue[pos]);
         let q = self.queue.swap_remove(pos);
         let now = self.now;
         if let Some(c) = step.checker.as_deref_mut() {
@@ -410,13 +407,7 @@ impl GpuLoop {
         let decision = &self.decision;
         t.registry.inc(Counter::SchedRounds);
         t.registry
-            .set(Counter::DecisionOrderPeak, stats.order_peak_len as u64);
-        t.registry
             .set(Counter::DecisionScratchPeak, stats.scratch_peak as u64);
-        t.registry
-            .set(Counter::DecisionIncrementalRounds, stats.incremental_rounds);
-        t.registry
-            .set(Counter::DecisionFullRebuilds, stats.full_rebuilds);
         if decision.group.is_none() && decision.dropped.is_empty() {
             return;
         }

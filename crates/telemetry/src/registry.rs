@@ -33,14 +33,8 @@ pub enum Counter {
     EngineMaxActive,
     /// Deepest pending-arrival backlog seen by the engine core (peak).
     EnginePendingPeak,
-    /// Deepest scheduler order-index seen (peak queue of deadline keys).
-    DecisionOrderPeak,
-    /// High-water mark of the scheduler's per-round scratch arena (peak).
+    /// Deepest queue a scheduler round has scanned (peak).
     DecisionScratchPeak,
-    /// Decision rounds served by the incremental order index (cumulative).
-    DecisionIncrementalRounds,
-    /// Decision rounds that fell back to a full order rebuild (cumulative).
-    DecisionFullRebuilds,
     /// Queries the cluster router placed on the best-headroom node.
     RouterRouted,
     /// Queries spilled to the weighted overflow pool (no node had
@@ -60,7 +54,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 18] = [
         Counter::QueriesArrived,
         Counter::QueriesCompleted,
         Counter::QueriesDropped,
@@ -72,10 +66,7 @@ impl Counter {
         Counter::FaultSpikes,
         Counter::EngineMaxActive,
         Counter::EnginePendingPeak,
-        Counter::DecisionOrderPeak,
         Counter::DecisionScratchPeak,
-        Counter::DecisionIncrementalRounds,
-        Counter::DecisionFullRebuilds,
         Counter::RouterRouted,
         Counter::RouterSpilled,
         Counter::RouterShed,
@@ -98,10 +89,7 @@ impl Counter {
             Counter::FaultSpikes => "fault_spikes",
             Counter::EngineMaxActive => "engine_max_active",
             Counter::EnginePendingPeak => "engine_pending_peak",
-            Counter::DecisionOrderPeak => "decision_order_peak",
             Counter::DecisionScratchPeak => "decision_scratch_peak",
-            Counter::DecisionIncrementalRounds => "decision_incremental_rounds",
-            Counter::DecisionFullRebuilds => "decision_full_rebuilds",
             Counter::RouterRouted => "router_routed",
             Counter::RouterSpilled => "router_spilled",
             Counter::RouterShed => "router_shed",

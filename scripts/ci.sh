@@ -108,13 +108,16 @@ run_filtered mlp::tests::minibatch_grads_match_scalar_reference -p predictor --l
 run_filtered profiler::tests::profile_once_matches_per_run_profiling_bitwise -p predictor --lib
 
 echo "== decision golden + proptest bit-identity =="
-# The decision hot path (incremental order index + arena scratch +
+# The decision hot path (one queue scan per round + arena scratch +
 # buffered search) must stay bit-identical to the shared frozen
 # pre-overhaul controller and plan_group (bench::reference::decision, also
 # the decision bench's baseline), on pinned fixed-seed replays, fixed search
 # fixtures and grid-quantised random queues, and a steady-state decide
-# round must allocate nothing.
+# round must allocate nothing. The scan reads the queue in whatever order
+# the node keeps it, so the random-queue proptest also decides a seeded
+# permutation of every queue and demands the same decision.
 cargo test -q -p abacus-core --test golden_decisions
+run_filtered random_queues_decide_identically -p abacus-core --test golden_decisions
 cargo test -q -p abacus-core --test decision_alloc --release
 
 echo "== routing golden + determinism contracts =="

@@ -372,7 +372,7 @@ fn golden_observed_abacus_checksums_are_pinned() {
     );
     assert_eq!(
         fnv1a(format!("{tel:?}").as_bytes()),
-        9_058_245_471_655_841_464,
+        17_263_454_175_668_426_464,
         "observed Abacus telemetry drifted from the pinned checksum"
     );
 }
