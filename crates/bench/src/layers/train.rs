@@ -1,7 +1,9 @@
 //! Cold-start offline training: the frozen scalar per-sample trainer
 //! ([`crate::reference::train`]) vs the vectorised minibatch trainer
 //! (`Mlp::train`) in its serial and worker-pool dispatch modes, plus the
-//! parallel dataset-collection front end.
+//! parallel dataset-collection front end. Where the pool has a single
+//! worker (1- and 2-CPU hosts) `serial: false` also trains serially, so
+//! there `pooled_train_ms` times a second serial run.
 //!
 //! Every leg is the minimum over `REPS` runs: training legs are multi-ms
 //! single shots on a possibly noisy shared host, and external interference

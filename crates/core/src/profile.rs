@@ -6,27 +6,33 @@
 //! it from one [`ProfileTable`] on its fixed GPU, the way Nexus and
 //! Clockwork keep a per-model latency profile instead of recomputing it.
 //! A row is filled lazily the first time a `(model, input)` is seen and
-//! replayed for every later range.
+//! replayed for every later range. It holds each kernel's contention
+//! profile and its `launch + exec` solo time ([`KernelRows`]): solo
+//! latencies sum the solo row, and the executor lends both rows to the
+//! engine ([`ProfileTable::segments`]), whose lone-stream entry runs a
+//! single-query group straight from the solo row.
 
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
-use gpu_sim::{GpuSpec, KernelDesc, RunningKernel};
+use gpu_sim::{GpuSpec, KernelRows, StreamRows};
+use predictor::GroupEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One `(model, input)` graph's kernel profiles and memoised total.
+/// One `(model, input)` graph's kernel rows and memoised total.
 #[derive(Debug, Clone)]
 struct ProfileRow {
-    /// [`RunningKernel::profile`] of every kernel, parallel to the
-    /// library's cached lowering.
-    profiles: Vec<RunningKernel>,
+    /// [`RunningKernel::profile`](gpu_sim::RunningKernel::profile) and the
+    /// `launch + exec` solo time of every kernel, parallel to the library's
+    /// cached lowering.
+    rows: KernelRows,
     /// Solo latency of the whole graph, ms.
     total_ms: f64,
 }
 
-/// Lazily filled [`RunningKernel::profile`] rows and solo latencies per
+/// Lazily filled kernel rows ([`KernelRows`]) and solo latencies per
 /// `(model, input)` on one GPU.
 ///
-/// A profile is a pure function of kernel and GPU, so a row computed once is
+/// A row is a pure function of kernel and GPU, so a row computed once is
 /// bit-identical to a fresh evaluation every later time it is read.
 #[derive(Debug, Clone)]
 pub struct ProfileTable {
@@ -50,34 +56,47 @@ impl ProfileTable {
         &self.lib
     }
 
-    /// Cached kernels and profiles of the operator segment `[start, end)`.
+    /// Cached kernels, profiles and solo times of the operator segment
+    /// `[start, end)`, borrowed for the engine.
     pub fn segment(
         &mut self,
         model: ModelId,
         input: QueryInput,
         start: usize,
         end: usize,
-    ) -> (&[KernelDesc], &[RunningKernel]) {
+    ) -> StreamRows<'_> {
         let row = row(&mut self.rows, &self.lib, &self.gpu, model, input);
-        (
-            self.lib.kernels_range(model, input, start, end),
-            &row.profiles[start..end],
-        )
+        row.rows.segment(self.lib.kernels(model, input), start, end)
+    }
+
+    /// [`ProfileTable::segment`] of every entry of a group, in entry order.
+    pub fn segments(&mut self, entries: &[GroupEntry]) -> Vec<StreamRows<'_>> {
+        for e in entries {
+            row(&mut self.rows, &self.lib, &self.gpu, e.model, e.input);
+        }
+        entries
+            .iter()
+            .map(|e| {
+                let kernels = self.lib.kernels(e.model, e.input);
+                self.rows[&(e.model, e.input)]
+                    .rows
+                    .segment(kernels, e.op_start, e.op_end)
+            })
+            .collect()
     }
 
     /// Solo latency of the operator segment `[start, end)`, ms —
     /// bit-identical to [`ModelGraph::solo_ms_range`](dnn_models::ModelGraph::solo_ms_range).
     ///
-    /// The whole graph reads the memoised total; any other range is summed
-    /// left to right, as the reference does. A prefix-sum difference would
-    /// round differently and is deliberately not used.
+    /// The whole graph reads the memoised total; any other range sums the
+    /// solo row left to right, as the reference does. A prefix-sum
+    /// difference would round differently and is deliberately not used.
     pub fn solo_ms(&mut self, model: ModelId, input: QueryInput, start: usize, end: usize) -> f64 {
         let row = row(&mut self.rows, &self.lib, &self.gpu, model, input);
-        let ms = if start == 0 && end == row.profiles.len() {
+        let ms = if start == 0 && end == row.rows.solo.len() {
             row.total_ms
         } else {
-            let kernels = self.lib.kernels_range(model, input, start, end);
-            segment_solo_ms(kernels, &row.profiles[start..end])
+            segment_solo_ms(&row.rows.solo[start..end])
         };
         debug_assert_eq!(
             ms.to_bits(),
@@ -100,23 +119,16 @@ fn row<'a>(
     input: QueryInput,
 ) -> &'a ProfileRow {
     rows.entry((model, input)).or_insert_with(|| {
-        let kernels = lib.kernels(model, input);
-        let profiles: Vec<RunningKernel> = kernels
-            .iter()
-            .map(|k| RunningKernel::profile(k, gpu))
-            .collect();
-        let total_ms = segment_solo_ms(kernels, &profiles);
-        ProfileRow { profiles, total_ms }
+        let rows = KernelRows::new(lib.kernels(model, input), gpu);
+        let total_ms = segment_solo_ms(&rows.solo);
+        ProfileRow { rows, total_ms }
     })
 }
 
-/// Summed solo latency of parallel kernel and profile slices, ms.
-/// `launch_ms + exec_ms` is [`KernelDesc::solo_ms`] term for term, and the
-/// left-to-right sum is the reference's, so the result keeps its bits.
-fn segment_solo_ms(kernels: &[KernelDesc], profiles: &[RunningKernel]) -> f64 {
-    kernels
-        .iter()
-        .zip(profiles)
-        .map(|(k, p)| k.launch_ms + p.exec_ms)
-        .sum()
+/// Summed solo latency of a solo row, ms. Each term is `launch_ms +
+/// exec_ms`, [`KernelDesc::solo_ms`](gpu_sim::KernelDesc::solo_ms) term for
+/// term, and the left-to-right sum is the reference's, so the result keeps
+/// its bits.
+fn segment_solo_ms(solo: &[f64]) -> f64 {
+    solo.iter().sum()
 }

@@ -36,8 +36,8 @@ pub mod simd;
 
 pub use contention::{co_run_slowdowns, RunningKernel};
 pub use engine::{
-    Engine, EngineCoreStats, GroupResult, KernelSpan, StreamCompletion, StreamId,
-    ACTIVATION_SLACK_MS, RETIRE_EPSILON_MS,
+    Engine, EngineCoreStats, GroupResult, KernelRows, KernelSpan, StreamCompletion, StreamId,
+    StreamRows, ACTIVATION_SLACK_MS, RETIRE_EPSILON_MS,
 };
 pub use faults::KernelFaultSpec;
 pub use gpu::{GpuSpec, MigProfile};
@@ -63,35 +63,33 @@ pub fn run_group<S: AsRef<[KernelDesc]>>(
         for s in streams {
             engine.add_stream(s.as_ref(), 0.0);
         }
+        engine.run_until_idle();
     })
 }
 
 /// [`run_group`] for callers that replay the same kernel sequences many
-/// times: each stream comes with its kernels' precomputed contention
-/// profiles and is added through [`Engine::add_stream_profiled`], so the
-/// run is bit-identical to [`run_group`] on the same kernels without
-/// re-deriving a profile per kernel. The offline profiler measures every
-/// group this way.
+/// times: each stream comes as [`StreamRows`], its kernels with their
+/// precomputed contention profiles and solo times, and the group runs
+/// through [`Engine::run_group_rows`], so the run is bit-identical to
+/// [`run_group`] on the same kernels without re-deriving either per kernel
+/// (and a single stream runs without a duration buffer). The offline
+/// profiler measures every group this way.
 pub fn run_group_profiled(
     gpu: &GpuSpec,
     noise: &NoiseModel,
     seed: u64,
-    streams: &[(&[KernelDesc], &[RunningKernel])],
+    streams: &[StreamRows<'_>],
 ) -> GroupResult {
-    with_idle_engine(gpu, noise, seed, |engine| {
-        for &(kernels, profiles) in streams {
-            engine.add_stream_profiled(kernels, profiles, 0.0);
-        }
-    })
+    with_idle_engine(gpu, noise, seed, |engine| engine.run_group_rows(streams))
 }
 
-/// Run the streams `add` queues to completion on this thread's engine,
-/// reset to an idle `gpu` under `seed`.
+/// Run a group with `run` to completion on this thread's engine, reset to
+/// an idle `gpu` under `seed`.
 fn with_idle_engine(
     gpu: &GpuSpec,
     noise: &NoiseModel,
     seed: u64,
-    add: impl FnOnce(&mut Engine),
+    run: impl FnOnce(&mut Engine),
 ) -> GroupResult {
     use std::cell::RefCell;
     thread_local! {
@@ -106,8 +104,7 @@ fn with_idle_engine(
             }
             None => slot.insert(Engine::new(gpu.clone(), noise.clone(), seed)),
         };
-        add(engine);
-        engine.run_until_idle();
+        run(engine);
         engine.group_result()
     })
 }

@@ -23,9 +23,11 @@
 //! and the angle, and even `k` takes the cosine, odd `k` the sine, so one
 //! hash pair serves two kernels. A stream's factors therefore do not
 //! depend on which other streams ran, in what order they interleaved, or
-//! which engine slot the stream landed in, and a whole stream's noisy
-//! kernel durations can be computed at once, when the stream is added
-//! ([`NoiseModel::scale_kernel_durations`]).
+//! which engine slot the stream landed in, and a stream's noisy kernel
+//! durations can be computed as one batch
+//! ([`NoiseModel::scale_kernel_durations`]): whole, when the stream is
+//! added, or block by block from any even kernel index, as the engine's
+//! lone-stream entry scales a solo row into a stack buffer.
 //!
 //! `ln`, `sincos` and `exp` are written here with IEEE `+ − × ÷ √` and bit
 //! manipulation only, with no libm call: the batch is compiled once per
@@ -35,6 +37,15 @@
 //! [`NoiseModel::kernel_factor`] runs the same operations for the one
 //! factor it returns, so the batch equals `solo · session · kernel_factor`
 //! bit for bit.
+//!
+//! The batch runs in blocks of one factor pair per `f64` lane and vector.
+//! Each factor is a long chain of dependent polynomial steps, so one
+//! vector at a time is latency-bound; a block of several vectors computes
+//! each stage (uniforms, radius and angle, the two exponentials) over all
+//! of them before the next stage, which keeps their independent chains in
+//! flight. Blocks of four vectors run while they fit, and the rest is one
+//! block of one to four vectors, so a short segment pays for at most one
+//! vector of padding.
 
 use crate::simd::SimdTier;
 use workload::fork_seed;
@@ -89,18 +100,42 @@ impl NoiseModel {
         lognormal_at(self.kernel_sigma, key, k)
     }
 
-    /// Turn the solo durations of kernels `0..out.len()` of the stream
-    /// keyed `key` into noisy durations, in place and as one batch on
-    /// `tier`: element `k` becomes `out[k] · session · kernel_factor(key,
-    /// k)`, multiplied in that order, bit for bit on every tier. `out[k]`
-    /// is the kernel's `launch + exec` time and `session` the run's
-    /// [`NoiseModel::session_factor`].
-    pub fn scale_kernel_durations(&self, tier: SimdTier, key: u64, session: f64, out: &mut [f64]) {
+    /// Turn the solo durations of kernels `first .. first + out.len()` of
+    /// the stream keyed `key` into noisy durations, in place and as one
+    /// batch on `tier`: element `i` becomes `out[i] · session ·
+    /// kernel_factor(key, first + i)`, multiplied in that order, bit for
+    /// bit on every tier. `out[i]` is the kernel's `launch + exec` time and
+    /// `session` the run's [`NoiseModel::session_factor`]. `first` must be
+    /// even, so a factor pair never straddles two calls: a stream can be
+    /// scaled whole or block by block with the same bits.
+    ///
+    /// # Panics
+    /// Panics if `first` is odd.
+    pub fn scale_kernel_durations(
+        &self,
+        tier: SimdTier,
+        key: u64,
+        session: f64,
+        first: u64,
+        out: &mut [f64],
+    ) {
+        assert!(
+            first.is_multiple_of(2),
+            "kernel blocks start on a factor pair"
+        );
         if self.kernel_sigma == 0.0 {
             // The factor is exactly 1, and `x · 1 = x`.
             out.iter_mut().for_each(|d| *d *= session);
         } else {
-            scale_lognormal(tier, tier.f64_lanes(), self.kernel_sigma, key, session, out);
+            scale_lognormal(
+                tier,
+                tier.f64_lanes(),
+                self.kernel_sigma,
+                key,
+                session,
+                first / 2,
+                out,
+            );
         }
     }
 }
@@ -123,34 +158,57 @@ fn lognormal_at(sigma: f64, key: u64, k: u64) -> f64 {
 }
 
 crate::multiversion! {
-    fn scale_lognormal(lanes: usize, sigma: f64, key: u64, session: f64, out: &mut [f64]) = scale_lognormal_kernel;
+    fn scale_lognormal(lanes: usize, sigma: f64, key: u64, session: f64, pair: u64, out: &mut [f64]) = scale_lognormal_kernel;
 }
 
-/// Scales `out` in blocks of one factor pair per `f64` lane of the tier
-/// (`lanes` is [`SimdTier::f64_lanes`]). A fixed-size block compiles to
-/// straight vector code, so the tail is one more whole block, of which
-/// only the needed factors are used, rather than a loop over the leftover
-/// pairs.
+/// Scales `out`, whose first kernel is the even one of factor pair `pair`,
+/// with one factor pair per `f64` lane of the tier (`lanes` is
+/// [`SimdTier::f64_lanes`]).
 #[inline(always)]
-fn scale_lognormal_kernel(lanes: usize, sigma: f64, key: u64, session: f64, out: &mut [f64]) {
+fn scale_lognormal_kernel(
+    lanes: usize,
+    sigma: f64,
+    key: u64,
+    session: f64,
+    pair: u64,
+    out: &mut [f64],
+) {
     match lanes {
-        8 => scale_blocks::<8>(sigma, key, session, out),
-        4 => scale_blocks::<4>(sigma, key, session, out),
-        _ => scale_blocks::<1>(sigma, key, session, out),
+        8 => scale_blocks::<8, 16, 24, 32>(sigma, key, session, pair, out),
+        4 => scale_blocks::<4, 8, 12, 16>(sigma, key, session, pair, out),
+        _ => scale_blocks::<1, 2, 3, 4>(sigma, key, session, pair, out),
     }
 }
 
+/// Scales `out` in wide blocks of four vectors (`P4` factor pairs, `P1`
+/// per vector) while they fit, then the rest in one block of as few
+/// vectors (`P1`, `P2 = 2 · P1` or `P3 = 3 · P1` pairs, or `P4`) as cover
+/// it. One vector's chain of dependent polynomial steps is latency-bound;
+/// a block several vectors wide keeps them all in flight at every stage.
+/// A fixed-size block compiles to straight vector code, so the last block
+/// computes up to one vector of factors it does not use: a short stream
+/// pays for at most one vector of padding.
 #[inline(always)]
-fn scale_blocks<const PAIRS: usize>(sigma: f64, key: u64, session: f64, out: &mut [f64]) {
-    let mut blocks = out.chunks_exact_mut(2 * PAIRS);
-    let mut p = 0;
-    for block in &mut blocks {
-        scale_block::<PAIRS>(sigma, key, session, p, block);
-        p += PAIRS as u64;
+fn scale_blocks<const P1: usize, const P2: usize, const P3: usize, const P4: usize>(
+    sigma: f64,
+    key: u64,
+    session: f64,
+    pair: u64,
+    out: &mut [f64],
+) {
+    let mut p = pair;
+    let mut wide = out.chunks_exact_mut(2 * P4);
+    for block in &mut wide {
+        scale_block::<P4>(sigma, key, session, p, block);
+        p += P4 as u64;
     }
-    let tail = blocks.into_remainder();
-    if !tail.is_empty() {
-        scale_block::<PAIRS>(sigma, key, session, p, tail);
+    let tail = wide.into_remainder();
+    match tail.len().div_ceil(2 * P1) {
+        0 => {}
+        1 => scale_block::<P1>(sigma, key, session, p, tail),
+        2 => scale_block::<P2>(sigma, key, session, p, tail),
+        3 => scale_block::<P3>(sigma, key, session, p, tail),
+        _ => scale_block::<P4>(sigma, key, session, p, tail),
     }
 }
 
@@ -163,22 +221,31 @@ fn scale_block<const PAIRS: usize>(sigma: f64, key: u64, session: f64, p: u64, b
     }
 }
 
-/// The factors of kernels `2p .. 2(p + PAIRS)`, as pairs.
+/// The factors of kernels `2p .. 2(p + PAIRS)`, as pairs: the operations
+/// of [`lognormal_at`] per kernel, run stage by stage over the whole block
+/// (uniforms, radius, angle, then both exponentials). Each stage is a
+/// short loop over independent elements, so a block several vectors wide
+/// keeps all of them in flight instead of finishing one vector's long
+/// chain before starting the next.
 #[inline(always)]
 fn lognormal_block<const PAIRS: usize>(sigma: f64, key: u64, p: u64) -> [[f64; 2]; PAIRS] {
+    let mut u1 = [0.0; PAIRS];
+    let mut u2 = [0.0; PAIRS];
+    for (j, (u1, u2)) in u1.iter_mut().zip(&mut u2).enumerate() {
+        (*u1, *u2) = uniforms(key, p + j as u64);
+    }
+    let mut r = [0.0; PAIRS];
+    let mut sin = [0.0; PAIRS];
+    let mut cos = [0.0; PAIRS];
+    for j in 0..PAIRS {
+        r[j] = radius(u1[j]);
+        (sin[j], cos[j]) = sincos_turns(u2[j]);
+    }
     let mut block = [[0.0; 2]; PAIRS];
     for (j, pair) in block.iter_mut().enumerate() {
-        let (even, odd) = lognormal_pair(sigma, key, p + j as u64);
-        *pair = [even, odd];
+        *pair = [exp(sigma * (r[j] * cos[j])), exp(sigma * (r[j] * sin[j]))];
     }
     block
-}
-
-/// The factors of kernels `2p` and `2p + 1`.
-#[inline(always)]
-fn lognormal_pair(sigma: f64, key: u64, p: u64) -> (f64, f64) {
-    let (even, odd) = normal_pair(key, p);
-    (exp(sigma * even), exp(sigma * odd))
 }
 
 /// `z(key, 2p)` and `z(key, 2p + 1)`: Box–Muller over hashes `2p` and
@@ -186,9 +253,15 @@ fn lognormal_pair(sigma: f64, key: u64, p: u64) -> (f64, f64) {
 #[inline(always)]
 fn normal_pair(key: u64, p: u64) -> (f64, f64) {
     let (u1, u2) = uniforms(key, p);
-    let r = (-2.0 * ln(u1)).sqrt();
+    let r = radius(u1);
     let (s, c) = sincos_turns(u2);
     (r * c, r * s)
+}
+
+/// The Box–Muller radius `√(−2 ln u1)`.
+#[inline(always)]
+fn radius(u1: f64) -> f64 {
+    (-2.0 * ln(u1)).sqrt()
 }
 
 /// The uniforms of pair `p` of `key`: `u1` in `(0, 1]` (a valid `ln`
@@ -356,7 +429,7 @@ mod tests {
         assert_eq!(n.kernel_factor(stream_key(0, 0), 0), 1.0);
         let solo = [0.0, 0.25, 1.0, 3.5, 1e-9];
         let mut out = solo;
-        n.scale_kernel_durations(SimdTier::detect(), 3, 1.0, &mut out);
+        n.scale_kernel_durations(SimdTier::detect(), 3, 1.0, 0, &mut out);
         assert_eq!(out.map(f64::to_bits), solo.map(f64::to_bits));
     }
 
@@ -376,12 +449,20 @@ mod tests {
     fn factors_are_positive() {
         let n = NoiseModel::calibrated();
         let mut out = vec![1.0; 1000];
-        n.scale_kernel_durations(SimdTier::detect(), stream_key(2, 0), 1.0, &mut out);
+        n.scale_kernel_durations(SimdTier::detect(), stream_key(2, 0), 1.0, 0, &mut out);
         for seed in 0..1000 {
             assert!(n.session_factor(seed) > 0.0);
         }
         assert!(out.iter().all(|&f| f > 0.0));
     }
+
+    /// Batch lengths around every block width a tier uses (one to four
+    /// vectors of 2, 8 or 16 kernels on scalar, AVX2 and AVX-512) ±1,
+    /// several four-vector blocks plus each tail, and serving lengths.
+    const BATCH_LENS: [usize; 33] = [
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48, 49, 63, 64, 65,
+        81, 97, 113, 129, 167, 193, 255, 400,
+    ];
 
     #[test]
     fn batch_fill_matches_scalar_on_every_tier() {
@@ -395,23 +476,35 @@ mod tests {
             };
             for session in [1.0, 1.0413] {
                 for key in [0u64, 1, 2021, u64::MAX] {
-                    for len in [0usize, 1, 2, 3, 16, 167] {
+                    for len in BATCH_LENS {
                         let want: Vec<u64> = (0..len as u64)
                             .map(|k| (solo(k) * session * n.kernel_factor(key, k)).to_bits())
                             .collect();
                         for tier in SimdTier::supported() {
                             let mut out: Vec<f64> = (0..len as u64).map(solo).collect();
-                            n.scale_kernel_durations(tier, key, session, &mut out);
+                            n.scale_kernel_durations(tier, key, session, 0, &mut out);
                             let got: Vec<u64> = out.iter().map(|f| f.to_bits()).collect();
                             assert_eq!(
                                 got, want,
                                 "sigma {sigma} session {session} key {key} len {len} tier {tier:?}"
                             );
+                            // Scaled block by block from even offsets, as
+                            // the engine's lone-stream path fills it, the
+                            // stream keeps the same bits.
+                            for block in [2usize, 10, 64] {
+                                let mut out: Vec<f64> = (0..len as u64).map(solo).collect();
+                                for (b, chunk) in out.chunks_mut(block).enumerate() {
+                                    let first = (b * block) as u64;
+                                    n.scale_kernel_durations(tier, key, session, first, chunk);
+                                }
+                                let got: Vec<u64> = out.iter().map(|f| f.to_bits()).collect();
+                                assert_eq!(got, want, "blocks of {block}, len {len} tier {tier:?}");
+                            }
                             // The kernel itself, not only the disabled
                             // shortcut, scales by exactly 1 at sigma = 0.
                             if sigma == 0.0 {
                                 let mut out = vec![1.0; len];
-                                scale_lognormal(tier, tier.f64_lanes(), 0.0, key, 1.0, &mut out);
+                                scale_lognormal(tier, tier.f64_lanes(), 0.0, key, 1.0, 0, &mut out);
                                 assert!(
                                     out.iter().all(|&f| f.to_bits() == 1.0f64.to_bits()),
                                     "key {key} len {len} tier {tier:?}"
@@ -471,8 +564,8 @@ mod tests {
                         (sigma * r * (tau * u2).cos()).exp(),
                         (sigma * r * (tau * u2).sin()).exp(),
                     ];
-                    let got = lognormal_pair(sigma, key, p);
-                    for (g, w) in [got.0, got.1].into_iter().zip(want) {
+                    let got = lognormal_block::<1>(sigma, key, p)[0];
+                    for (g, w) in got.into_iter().zip(want) {
                         worst = worst.max((g / w - 1.0).abs());
                     }
                 }

@@ -40,7 +40,8 @@ pub struct MlpConfig {
     /// Compute minibatch gradient chunks on the calling thread instead of
     /// the worker pool. Purely a perf knob (benchmarking, contention-free
     /// hosts): the chunked reduction order is fixed, so serial and pooled
-    /// training produce bit-identical weights.
+    /// training produce bit-identical weights. Training is serial anyway
+    /// wherever the pool has a single worker (1- and 2-CPU hosts).
     pub serial: bool,
 }
 
@@ -739,6 +740,19 @@ fn minibatch_grads(
 /// calls this with one MSE output and [`QuantileMlp::train`] with one
 /// pinball head per quantile.
 ///
+/// Whether a training run under `cfg` computes its gradient chunks on the
+/// calling thread. The chunked reduction makes the weights bit-identical
+/// under either dispatch, so this is a pure perf choice: serial when
+/// `cfg.serial` asks for it, and whenever the pool has a single worker
+/// (`max_concurrency() <= 2`, which holds on 1-CPU and 2-CPU hosts alike).
+/// On one CPU the worker and the caller would time-share it; on two, a
+/// fan-out per 64-row minibatch costs more than it overlaps: a pair
+/// workload's set-up measured 0.40 s pooled against 0.33 s serial on a
+/// 2-vCPU host.
+fn serial_dispatch(cfg: &MlpConfig) -> bool {
+    cfg.serial || rayon::pool::max_concurrency() <= 2
+}
+
 /// Minibatch matrix form of the frozen per-sample reference trainer
 /// (`bench::reference::train`): each minibatch is packed into a row
 /// matrix, forwarded through the inference engine's batched SIMD-dispatched
@@ -751,8 +765,16 @@ fn minibatch_grads(
 /// accumulate in the reference's sample-major order, so the only numeric
 /// difference from the reference is the cross-chunk summation tree
 /// (≤ ~1e-9 per step for minibatches wider than one chunk; bit-identical
-/// otherwise). The Adam moments live here, not in the model.
-fn train_layers(data: &Dataset, cfg: &MlpConfig, out_dim: usize, loss: Loss<'_>) -> Net {
+/// otherwise). The Adam moments live here, not in the model. `serial` is
+/// the resolved dispatch ([`serial_dispatch`]), passed in so a test can
+/// train through the pool on any host.
+fn train_layers(
+    data: &Dataset,
+    cfg: &MlpConfig,
+    out_dim: usize,
+    loss: Loss<'_>,
+    serial: bool,
+) -> Net {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let mut rng = SeededRng::new(cfg.seed);
     let dims: Vec<usize> = std::iter::once(data.dim())
@@ -770,12 +792,6 @@ fn train_layers(data: &Dataset, cfg: &MlpConfig, out_dim: usize, loss: Loss<'_>)
     let n = data.len();
     let mut order: Vec<usize> = (0..n).collect();
     let simd = SimdTier::detect();
-    // The chunked reduction makes weights bit-identical under any
-    // dispatch, so dispatch is a pure perf choice: skip the pool when
-    // it cannot add concurrency (single-core host: one pool worker plus
-    // the caller time-share one CPU, paying context switches per
-    // minibatch for nothing).
-    let serial = cfg.serial || rayon::pool::max_concurrency() <= 2;
     let mut wt = transposed(&layers);
     let batch = cfg.batch_size.max(1);
     let chunk_states: Vec<std::sync::Mutex<ChunkGrads>> = (0..batch.div_ceil(GRAD_CHUNK))
@@ -1015,7 +1031,7 @@ impl Mlp {
     /// Panics on an empty dataset.
     pub fn train(data: &Dataset, cfg: &MlpConfig) -> Mlp {
         Mlp {
-            net: train_layers(data, cfg, 1, Loss::Mse),
+            net: train_layers(data, cfg, 1, Loss::Mse, serial_dispatch(cfg)),
         }
     }
 
@@ -1125,7 +1141,13 @@ impl QuantileMlp {
             panic!("{e}");
         }
         QuantileMlp {
-            net: train_layers(data, cfg, taus.len(), Loss::MultiPinball(taus)),
+            net: train_layers(
+                data,
+                cfg,
+                taus.len(),
+                Loss::MultiPinball(taus),
+                serial_dispatch(cfg),
+            ),
             taus: taus.to_vec(),
         }
     }
@@ -1605,6 +1627,27 @@ mod tests {
         );
         let mape = crate::eval::mape(&mlp, &test);
         assert!(mape < 0.05, "mape {mape}");
+    }
+
+    /// A whole training run through the worker pool, on any host (the
+    /// public entry points train serially wherever the pool has a single
+    /// worker), against a serial run: the same model bit for bit, for the
+    /// mean and the multi-head pinball loss. 200 rows in minibatches of 64
+    /// keep up to four gradient chunks per fan-out.
+    #[test]
+    fn pooled_training_run_matches_serial_bitwise() {
+        let d = synthetic(200, 6);
+        let cfg = MlpConfig {
+            epochs: 4,
+            ..MlpConfig::default()
+        };
+        assert!(cfg.batch_size > GRAD_CHUNK);
+        let taus = [0.9, 0.99];
+        for (out_dim, loss) in [(1, Loss::Mse), (taus.len(), Loss::MultiPinball(&taus))] {
+            let pooled = train_layers(&d, &cfg, out_dim, loss, false);
+            let serial = train_layers(&d, &cfg, out_dim, loss, true);
+            assert_eq!(pooled, serial, "{out_dim} heads");
+        }
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! profiled in parallel on the rayon worker pool (the measurement legs are
 //! independent, and each group's seed depends on its index alone).
 //!
-//! A campaign derives each kernel's contention profile once: before the
-//! fan-out it profiles the whole lowering of every `(model, input)` the
-//! groups use, and every run replays borrowed slices of the library's
-//! kernels and of those rows through [`run_group_profiled`] — the same
-//! bits as [`gpu_sim::run_group`] on freshly lowered kernels.
+//! A campaign derives each kernel's contention profile and solo time once:
+//! before the fan-out it builds the [`KernelRows`] of the whole lowering of
+//! every `(model, input)` the groups use, and every run replays borrowed
+//! slices of the library's kernels and of those rows through
+//! [`run_group_profiled`] — the same bits as [`gpu_sim::run_group`] on
+//! freshly lowered kernels. A single-stream group, most of a campaign's
+//! one-model sets, runs in the engine's lone-stream entry.
 
 use crate::features::GroupSpec;
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
-use gpu_sim::{run_group_profiled, GpuSpec, KernelDesc, NoiseModel, RunningKernel};
+use gpu_sim::{run_group_profiled, GpuSpec, KernelRows, NoiseModel, StreamRows};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use workload::fork_seed;
@@ -31,9 +33,9 @@ pub struct ProfiledGroup {
     pub std_ms: f64,
 }
 
-/// [`RunningKernel::profile`] of every kernel of a whole-graph lowering,
-/// per `(model, input)`, on the campaign's GPU.
-type ProfileRows = HashMap<(ModelId, QueryInput), Vec<RunningKernel>>;
+/// The [`KernelRows`] of every whole-graph lowering, per `(model, input)`,
+/// on the campaign's GPU.
+type ProfileRows = HashMap<(ModelId, QueryInput), KernelRows>;
 
 /// Profile one group: `runs` measurements with seeds forked from `seed`.
 fn profile_group(
@@ -46,12 +48,12 @@ fn profile_group(
     runs: usize,
 ) -> ProfiledGroup {
     assert!(runs > 0);
-    let streams: Vec<(&[KernelDesc], &[RunningKernel])> = spec
+    let streams: Vec<StreamRows<'_>> = spec
         .entries
         .iter()
         .map(|e| {
-            let kernels = lib.kernels_range(e.model, e.input, e.op_start, e.op_end);
-            (kernels, &rows[&(e.model, e.input)][e.op_start..e.op_end])
+            let kernels = lib.kernels(e.model, e.input);
+            rows[&(e.model, e.input)].segment(kernels, e.op_start, e.op_end)
         })
         .collect();
     let samples: Vec<f64> = (0..runs)
@@ -83,10 +85,8 @@ pub fn profile_groups(
 ) -> Vec<ProfiledGroup> {
     let mut rows = ProfileRows::new();
     for e in specs.iter().flat_map(|s| &s.entries) {
-        rows.entry((e.model, e.input)).or_insert_with(|| {
-            let kernels = lib.kernels(e.model, e.input);
-            kernels.iter().map(|k| RunningKernel::profile(k, gpu)).collect()
-        });
+        rows.entry((e.model, e.input))
+            .or_insert_with(|| KernelRows::new(lib.kernels(e.model, e.input), gpu));
     }
     specs
         .par_iter()

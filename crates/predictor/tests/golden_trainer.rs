@@ -14,6 +14,10 @@
 //! A third pin: training with `serial: true` (all gradient chunks on the
 //! calling thread) and `serial: false` (worker-pool fan-out) must produce
 //! bit-identical models — thread-count independence is a hard contract.
+//! Where the pool has a single worker (1- and 2-CPU hosts) `serial: false`
+//! trains serially too, so there these two tests compare two serial runs;
+//! `mlp::tests::pooled_training_run_matches_serial_bitwise` trains a whole
+//! run through the pool on every host.
 //!
 //! A model is its parameters, target scaling and inference plan; the Adam
 //! moments stay in the trainer, so `assert_eq!` compares whole models.
