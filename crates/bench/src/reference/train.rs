@@ -53,7 +53,9 @@ impl Dense {
     fn new(in_dim: usize, out_dim: usize, rng: &mut SeededRng) -> Self {
         // He initialisation for ReLU nets.
         let scale = (2.0 / in_dim as f64).sqrt();
-        let w = (0..in_dim * out_dim).map(|_| rng.normal() * scale).collect();
+        let w = (0..in_dim * out_dim)
+            .map(|_| rng.normal() * scale)
+            .collect();
         Self {
             in_dim,
             out_dim,

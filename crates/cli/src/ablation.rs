@@ -53,7 +53,12 @@ pub fn run(opts: &Options) {
 
     let mut csv = CsvWriter::create(
         opts.csv_path("ablation"),
-        &["variant", "p99_over_qos", "violation_ratio", "throughput_qps"],
+        &[
+            "variant",
+            "p99_over_qos",
+            "violation_ratio",
+            "throughput_qps",
+        ],
     )
     .expect("csv");
     let mut table = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
@@ -71,7 +76,15 @@ pub fn run(opts: &Options) {
             abacus,
             ..base_cfg.clone()
         };
-        let r = run_colocation(&pair, PolicyKind::Abacus, Some(predictor), &lib, &gpu, &noise, &cfg);
+        let r = run_colocation(
+            &pair,
+            PolicyKind::Abacus,
+            Some(predictor),
+            &lib,
+            &gpu,
+            &noise,
+            &cfg,
+        );
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
         csv.write_record(name, &row).expect("row");
         table.row_f64(name.to_string(), &row, 3);
@@ -118,10 +131,17 @@ pub fn run(opts: &Options) {
         inner: as_model(&mlp),
         factor: 1.8,
     });
-    leg("no-overlap pessimist (Fig. 6a view)", pessimist, pinned.clone());
+    leg(
+        "no-overlap pessimist (Fig. 6a view)",
+        pessimist,
+        pinned.clone(),
+    );
 
     csv.flush().expect("flush");
-    println!("Ablations on (Res152, Bert) at {} QPS aggregate", opts.qos_load_total());
+    println!(
+        "Ablations on (Res152, Bert) at {} QPS aggregate",
+        opts.qos_load_total()
+    );
     println!("{}", table.render());
 
     // (d) predictor precision under pressure: on the saturating VGG pair
@@ -168,7 +188,8 @@ pub fn run(opts: &Options) {
             &peak_cfg,
         );
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("vgg-peak: {name}"), &row).expect("row");
+        csv.write_record(&format!("vgg-peak: {name}"), &row)
+            .expect("row");
         table2.row_f64(name.to_string(), &row, 3);
     }
     csv.flush().expect("flush");
@@ -190,7 +211,10 @@ pub fn run(opts: &Options) {
         &[0.9],
     ));
     let mut table3 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
-    for (name, model) in [("mean MLP", as_model(&mlp)), ("q90 MLP (pinball loss)", q90)] {
+    for (name, model) in [
+        ("mean MLP", as_model(&mlp)),
+        ("q90 MLP (pinball loss)", q90),
+    ] {
         let r = run_colocation(
             &pair,
             PolicyKind::Abacus,
@@ -201,7 +225,8 @@ pub fn run(opts: &Options) {
             &base_cfg,
         );
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("tail-aware: {name}"), &row).expect("row");
+        csv.write_record(&format!("tail-aware: {name}"), &row)
+            .expect("row");
         table3.row_f64(name.to_string(), &row, 3);
     }
     println!("Tail-aware prediction (extension) — (Res152, Bert):");
@@ -227,7 +252,11 @@ pub fn run(opts: &Options) {
     let mut table4 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);
     for (name, library, model) in [
         ("unfused graphs", lib.clone(), as_model(&mlp)),
-        ("fused graphs (Rammer/TensorRT-style)", fused_lib.clone(), fused_model),
+        (
+            "fused graphs (Rammer/TensorRT-style)",
+            fused_lib.clone(),
+            fused_model,
+        ),
     ] {
         let r = run_colocation(
             &pair,
@@ -239,7 +268,8 @@ pub fn run(opts: &Options) {
             &base_cfg,
         );
         let row = [r.normalized_p99(), r.violation_ratio(), r.completed_qps()];
-        csv.write_record(&format!("fusion: {name}"), &row).expect("row");
+        csv.write_record(&format!("fusion: {name}"), &row)
+            .expect("row");
         table4.row_f64(name.to_string(), &row, 3);
     }
     println!("Composition with operator fusion (§2 extension) — (Res152, Bert):");

@@ -39,7 +39,9 @@ pub fn run(opts: &Options) {
         ],
     )
     .expect("csv");
-    let mut table = Table::new(vec!["policy", "queue", "q50", "q99", "service", "mean e2e", "p99"]);
+    let mut table = Table::new(vec![
+        "policy", "queue", "q50", "q99", "service", "mean e2e", "p99",
+    ]);
     println!(
         "Latency anatomy — ({},{}) at {} QPS aggregate (completed queries; queue \
          percentiles exact)",

@@ -197,8 +197,13 @@ pub fn ensure_predictor(
             opts.scale.runs_per_group()
         );
         let t0 = std::time::Instant::now();
-        let (mlp, data) =
-            train_unified(sets, lib, gpu, &NoiseModel::calibrated(), &opts.trainer_config());
+        let (mlp, data) = train_unified(
+            sets,
+            lib,
+            gpu,
+            &NoiseModel::calibrated(),
+            &opts.trainer_config(),
+        );
         let mut rng = workload::SeededRng::new(1);
         let (_, test) = data.split(0.9, &mut rng);
         let err = predictor::eval::mape(&mlp, &test);
@@ -275,7 +280,10 @@ pub fn ensure_certified(
         &opts.trainer_config(),
         alpha,
     );
-    eprintln!("[predictor] certified stack trained in {:.1?}", t0.elapsed());
+    eprintln!(
+        "[predictor] certified stack trained in {:.1?}",
+        t0.elapsed()
+    );
     if let Err(e) = persist::save(&trained.mean, &mpath) {
         eprintln!("[predictor] warning: could not cache mean model: {e}");
     }
@@ -339,7 +347,11 @@ pub fn pinned_abacus_config_at(
     } else {
         model_path(&format!("{tag}_ways{ways}"), opts)
     };
-    let cached = if opts.retrain { None } else { persist::load_round_ms(&path) };
+    let cached = if opts.retrain {
+        None
+    } else {
+        persist::load_round_ms(&path)
+    };
     let round_ms = cached.unwrap_or_else(|| {
         let round_ms = abacus_core::calibrate_predict_round_ms(model.as_ref(), ways);
         if let Err(e) = persist::save_round_ms(&path, round_ms) {
@@ -375,9 +387,18 @@ mod tests {
             seed: 7,
             ..Options::default()
         };
-        assert_ne!(model_path("unified_a100", &a), model_path("unified_a100", &b));
-        assert_ne!(conformal_path("unified_a100", &a), conformal_path("unified_a100", &b));
-        assert_eq!(model_path("unified_a100", &a), model_path("unified_a100", &a.clone()));
+        assert_ne!(
+            model_path("unified_a100", &a),
+            model_path("unified_a100", &b)
+        );
+        assert_ne!(
+            conformal_path("unified_a100", &a),
+            conformal_path("unified_a100", &b)
+        );
+        assert_eq!(
+            model_path("unified_a100", &a),
+            model_path("unified_a100", &a.clone())
+        );
         assert_eq!(
             model_path("unified_a100", &a),
             Path::new("results/models/unified_a100_medium_seed2021_noise2.mlp")

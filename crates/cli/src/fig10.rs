@@ -76,7 +76,8 @@ pub fn run(opts: &Options) {
     // Unified ("all") model over every pair.
     let (train, test) = pooled.split(0.8, &mut rng);
     let (lr_all, svm_all, mlp_all) = fit_and_eval(&train, &test, epochs);
-    csv.write_record("all", &[lr_all, svm_all, mlp_all]).expect("row");
+    csv.write_record("all", &[lr_all, svm_all, mlp_all])
+        .expect("row");
     table.row_f64("all", &[lr_all, svm_all, mlp_all], 3);
     println!(
         "  unified model: LR {:.1}% SVM {:.1}% MLP {:.1}%  (paper: 30.1% / 29.2% / 5.7%)",
@@ -112,8 +113,14 @@ pub fn run(opts: &Options) {
             },
         );
         let err = eval::mape(&mlp, &test);
-        csv.write_record(label, &[f64::NAN, f64::NAN, err]).expect("row");
-        table.row(vec![label.into(), "-".into(), "-".into(), format!("{err:.3}")]);
+        csv.write_record(label, &[f64::NAN, f64::NAN, err])
+            .expect("row");
+        table.row(vec![
+            label.into(),
+            "-".into(),
+            "-".into(),
+            format!("{err:.3}"),
+        ]);
         println!(
             "  {label}: MLP MAPE {:.1}% (paper: {})",
             100.0 * err,

@@ -131,7 +131,9 @@ pub fn run(opts: &Options) {
         "  Abacus throughput vs Clockwork: {:+.1}%  (paper: +17.8%, from fewer drops)",
         100.0 * (sa.mean_rps / sc.mean_rps - 1.0)
     );
-    println!("  paper shape: both p99 <= QoS; Clockwork p99 close to QoS; Abacus avg slightly higher");
+    println!(
+        "  paper shape: both p99 <= QoS; Clockwork p99 close to QoS; Abacus avg slightly higher"
+    );
     // §7.9 extension: measured per-GPU signals drive the autoscaler.
     let horizon_ms = minutes as f64 * 60_000.0;
     let fleet: Vec<NodeSignals> = detailed
@@ -216,7 +218,12 @@ pub fn run(opts: &Options) {
                 out.autoscale.down_events,
             );
         }
-        routed_tls.push(build_timeline(&arrivals, &arrival_reqs, &out.records, minutes));
+        routed_tls.push(build_timeline(
+            &arrivals,
+            &arrival_reqs,
+            &out.records,
+            minutes,
+        ));
     }
     let mut csv = CsvWriter::create(
         opts.csv_path("fig22_routed"),

@@ -8,9 +8,9 @@
 //! ≥2 ways on a single core, and ~0.26 ms for a full decision.
 
 use crate::common::{ensure_predictor, Options};
-use abacus_metrics::CsvWriter;
 use abacus_core::search::plan_group;
 use abacus_core::Query;
+use abacus_metrics::CsvWriter;
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::GpuSpec;
 use predictor::sampling::all_pairs;
@@ -84,7 +84,10 @@ pub fn run(opts: &Options) {
         });
         csv.write_record(&ways.to_string(), &[ms, scalar_ms, scalar_ms / ms])
             .expect("row");
-        println!("  {ways:>2} ways: batched {ms:.4} ms, scalar {scalar_ms:.4} ms ({:.2}x)", scalar_ms / ms);
+        println!(
+            "  {ways:>2} ways: batched {ms:.4} ms, scalar {scalar_ms:.4} ms ({:.2}x)",
+            scalar_ms / ms
+        );
     }
     csv.flush().expect("flush");
     println!("  (paper: 0.066 ms at 1 way -> ~0.088 ms, flat beyond 2 ways)");

@@ -14,8 +14,8 @@ mod ablation;
 mod affinity_cmd;
 mod analysis;
 mod common;
-mod fig10;
 mod faults_cmd;
+mod fig10;
 mod fig22;
 mod fig23;
 mod fig3;

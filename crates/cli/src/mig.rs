@@ -78,8 +78,13 @@ pub fn run(opts: &Options) {
 
     // QoS targets always from the full A100.
     let qos_of = |m: ModelId| lib.qos_target_ms(m, &a100);
-    let mean_qos: f64 =
-        all_cases[0].groups.iter().flatten().map(|&m| qos_of(m)).sum::<f64>() / 4.0;
+    let mean_qos: f64 = all_cases[0]
+        .groups
+        .iter()
+        .flatten()
+        .map(|&m| qos_of(m))
+        .sum::<f64>()
+        / 4.0;
 
     // Train every slice geometry's predictor up front (the disk cache is
     // not safe to populate from concurrent cells), then fan the
@@ -166,14 +171,18 @@ pub fn run(opts: &Options) {
     csv21.flush().expect("flush");
     println!(
         "Table 3 — MIG profiles: {}",
-        [MigProfile::OneG5Gb, MigProfile::TwoG10Gb, MigProfile::FourG20Gb]
-            .map(|p| format!(
-                "{} = {:.0}% SMs / {:.0}% mem",
-                p.name(),
-                100.0 * p.sm_fraction(),
-                100.0 * p.bw_fraction()
-            ))
-            .join("; ")
+        [
+            MigProfile::OneG5Gb,
+            MigProfile::TwoG10Gb,
+            MigProfile::FourG20Gb
+        ]
+        .map(|p| format!(
+            "{} = {:.0}% SMs / {:.0}% mem",
+            p.name(),
+            100.0 * p.sm_fraction(),
+            100.0 * p.bw_fraction()
+        ))
+        .join("; ")
     );
     println!("Fig. 20 — normalised p99 with MIG deployments (QoS from the full A100)");
     println!("{}", t20.render());
@@ -181,7 +190,9 @@ pub fn run(opts: &Options) {
     println!("{}", tviol.render());
     println!("Fig. 21 — peak throughput with MIG deployments (completed queries/s)");
     println!("{}", t21.render());
-    println!("paper shape: full isolation >> QoS target; quad on 4g.20gb ≈ pair-wise on 2x 2g.10gb");
+    println!(
+        "paper shape: full isolation >> QoS target; quad on 4g.20gb ≈ pair-wise on 2x 2g.10gb"
+    );
     println!(
         "wrote {} and {}",
         opts.csv_path("fig20").display(),

@@ -1,6 +1,8 @@
 //! Figs. 18 + 19 — triplet- and quadruplet-wise deployments (§7.4).
 
-use crate::common::{as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options};
+use crate::common::{
+    as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options,
+};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -42,7 +44,8 @@ pub fn run(opts: &Options) {
     let loads = [opts.qos_load_total(), opts.peak_load_total()];
     let cells: Vec<(usize, usize, PolicyKind)> = (0..sets.len())
         .flat_map(|row| {
-            (0..loads.len()).flat_map(move |li| PolicyKind::ALL.into_iter().map(move |p| (row, li, p)))
+            (0..loads.len())
+                .flat_map(move |li| PolicyKind::ALL.into_iter().map(move |p| (row, li, p)))
         })
         .collect();
     let results = map_cells(opts.parallel, &cells, |&(row, li, policy)| {
@@ -64,9 +67,7 @@ pub fn run(opts: &Options) {
         let mut p99 = Vec::new();
         let mut viol = Vec::new();
         let mut tput = Vec::new();
-        for (_total_qps, out_p99, out_tput) in
-            [(loads[0], true, false), (loads[1], false, true)]
-        {
+        for (_total_qps, out_p99, out_tput) in [(loads[0], true, false), (loads[1], false, true)] {
             for _p in PolicyKind::ALL {
                 let (_, r) = by_cell.next().expect("cell results cover the grid");
                 if out_p99 {
@@ -99,8 +100,16 @@ pub fn run(opts: &Options) {
     println!("Fig. 19 — peak throughput (completed queries/s)");
     println!("{}", t19.render());
     for (k, kind, paper) in [
-        (3usize, "triplet", "p99 -21.3/-35.3/-20.8%, tput +51.0/+72.3/+57.0%"),
-        (4, "quadruplet", "p99 -16.1/-34.3/-21.1%, tput +38.4/+53.9/+63.4%"),
+        (
+            3usize,
+            "triplet",
+            "p99 -21.3/-35.3/-20.8%, tput +51.0/+72.3/+57.0%",
+        ),
+        (
+            4,
+            "quadruplet",
+            "p99 -16.1/-34.3/-21.1%, tput +38.4/+53.9/+63.4%",
+        ),
     ] {
         if let Some((p99s, _viols, tputs, _n)) = agg.get(&k) {
             println!(

@@ -37,11 +37,17 @@ fn column_sums(rows: &[[f64; 4]]) -> [f64; 4] {
 /// `fig19` when present).
 pub fn run(opts: &Options) {
     let Some(viol) = read_policy_csv(&opts.csv_path("fig15")) else {
-        eprintln!("missing {}; run `abacus-repro fig14` first", opts.csv_path("fig15").display());
+        eprintln!(
+            "missing {}; run `abacus-repro fig14` first",
+            opts.csv_path("fig15").display()
+        );
         return;
     };
     let Some(tput) = read_policy_csv(&opts.csv_path("fig17")) else {
-        eprintln!("missing {}; run `abacus-repro fig17` first", opts.csv_path("fig17").display());
+        eprintln!(
+            "missing {}; run `abacus-repro fig17` first",
+            opts.csv_path("fig17").display()
+        );
         return;
     };
     let mut tput_all = tput;

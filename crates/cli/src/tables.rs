@@ -14,7 +14,12 @@ pub fn table1(_opts: &Options) {
     let lib = ModelLibrary::new();
     let gpu = GpuSpec::a100();
     let mut t = Table::new(vec![
-        "model", "operators", "batch sizes", "seq lengths", "solo(max) ms", "QoS ms",
+        "model",
+        "operators",
+        "batch sizes",
+        "seq lengths",
+        "solo(max) ms",
+        "QoS ms",
     ]);
     for m in ModelId::PAPER_MODELS {
         let g = lib.graph(m, m.max_input());
@@ -27,7 +32,10 @@ pub fn table1(_opts: &Options) {
             format!("{:.1}", lib.qos_target_ms(m, &gpu)),
         ]);
     }
-    println!("Table 1 — DNN models used for serving (simulated A100)\n{}", t.render());
+    println!(
+        "Table 1 — DNN models used for serving (simulated A100)\n{}",
+        t.render()
+    );
 }
 
 /// Table 2: the (simulated) evaluation hardware.
@@ -36,9 +44,18 @@ pub fn table2(_opts: &Options) {
     let rows: Vec<(GpuSpec, &str)> = vec![
         (GpuSpec::a100(), "single-GPU experiments (Figs. 3-21)"),
         (GpuSpec::v100(), "cluster experiment (Fig. 22)"),
-        (GpuSpec::a100().mig_slice(MigProfile::OneG5Gb), "Fig. 20/21 full isolation"),
-        (GpuSpec::a100().mig_slice(MigProfile::TwoG10Gb), "Fig. 20/21 pair-wise isolation"),
-        (GpuSpec::a100().mig_slice(MigProfile::FourG20Gb), "Fig. 20/21 no isolation"),
+        (
+            GpuSpec::a100().mig_slice(MigProfile::OneG5Gb),
+            "Fig. 20/21 full isolation",
+        ),
+        (
+            GpuSpec::a100().mig_slice(MigProfile::TwoG10Gb),
+            "Fig. 20/21 pair-wise isolation",
+        ),
+        (
+            GpuSpec::a100().mig_slice(MigProfile::FourG20Gb),
+            "Fig. 20/21 no isolation",
+        ),
     ];
     for (g, role) in rows {
         t.row(vec![
@@ -49,7 +66,10 @@ pub fn table2(_opts: &Options) {
             role.to_string(),
         ]);
     }
-    println!("Table 2 — evaluation specification (simulated; see DESIGN.md)\n{}", t.render());
+    println!(
+        "Table 2 — evaluation specification (simulated; see DESIGN.md)\n{}",
+        t.render()
+    );
 }
 
 /// §7.8: offline profiling budget, predictor footprint, online overheads.

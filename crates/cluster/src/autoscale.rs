@@ -193,7 +193,10 @@ mod tests {
     fn overloaded_saturated_scales_out() {
         let p = AutoscalePolicy::default();
         // VGG-like: overlap gain ~1 — co-location only time-shares.
-        assert_eq!(p.decide(&signals(0.98, 0.10, 1.02)), ScaleDecision::ScaleOut);
+        assert_eq!(
+            p.decide(&signals(0.98, 0.10, 1.02)),
+            ScaleDecision::ScaleOut
+        );
     }
 
     #[test]

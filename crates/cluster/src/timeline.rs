@@ -109,7 +109,11 @@ pub struct TimelineSummary {
 }
 
 /// Summarise a run, ignoring the first `warmup_minutes` of the trace.
-pub fn summarize(records: &[QueryRecord], warmup_minutes: usize, minutes: usize) -> TimelineSummary {
+pub fn summarize(
+    records: &[QueryRecord],
+    warmup_minutes: usize,
+    minutes: usize,
+) -> TimelineSummary {
     let start = warmup_minutes as f64 * 60_000.0;
     let span_s = ((minutes - warmup_minutes) as f64) * 60.0;
     let mut requests = 0.0;
@@ -160,8 +164,14 @@ mod tests {
     #[test]
     fn timeline_buckets_by_completion_minute() {
         let arrivals = vec![
-            Arrival { service: 0, at_ms: 1_000.0 },
-            Arrival { service: 0, at_ms: 59_900.0 },
+            Arrival {
+                service: 0,
+                at_ms: 1_000.0,
+            },
+            Arrival {
+                service: 0,
+                at_ms: 59_900.0,
+            },
         ];
         let reqs = vec![8, 16];
         // First completes in minute 0; second crosses into minute 1.
@@ -200,8 +210,14 @@ mod tests {
     #[test]
     fn bucketed_with_minute_width_matches_build_timeline() {
         let arrivals = vec![
-            Arrival { service: 0, at_ms: 1_000.0 },
-            Arrival { service: 1, at_ms: 61_000.0 },
+            Arrival {
+                service: 0,
+                at_ms: 1_000.0,
+            },
+            Arrival {
+                service: 1,
+                at_ms: 61_000.0,
+            },
         ];
         let reqs = vec![8, 16];
         let records = vec![
@@ -221,8 +237,20 @@ mod tests {
     #[test]
     fn counter_tracks_emit_one_sample_pair_per_bucket() {
         let points = vec![
-            TimelinePoint { minute: 0, offered_rps: 10.0, achieved_rps: 9.0, p99_ms: 40.0, avg_ms: 20.0 },
-            TimelinePoint { minute: 1, offered_rps: 12.0, achieved_rps: 11.0, p99_ms: 45.0, avg_ms: 22.0 },
+            TimelinePoint {
+                minute: 0,
+                offered_rps: 10.0,
+                achieved_rps: 9.0,
+                p99_ms: 40.0,
+                avg_ms: 20.0,
+            },
+            TimelinePoint {
+                minute: 1,
+                offered_rps: 12.0,
+                achieved_rps: 11.0,
+                p99_ms: 45.0,
+                avg_ms: 22.0,
+            },
         ];
         let mut trace = ChromeTrace::new();
         add_counter_tracks(&mut trace, &points, 500.0);

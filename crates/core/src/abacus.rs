@@ -329,7 +329,8 @@ impl AbacusScheduler {
             &scratch.cert_ops,
             &mut scratch.cert_features[..FEATURE_DIM],
         );
-        self.model.predict_one(&scratch.cert_features[..FEATURE_DIM])
+        self.model
+            .predict_one(&scratch.cert_features[..FEATURE_DIM])
     }
 
     /// FCFS degradation dispatch: earliest arrival runs alone, no
@@ -720,7 +721,11 @@ mod tests {
         }
     }
 
-    fn defended(fallback: Option<f64>, adaptive: bool, model: Arc<dyn LatencyModel>) -> AbacusScheduler {
+    fn defended(
+        fallback: Option<f64>,
+        adaptive: bool,
+        model: Arc<dyn LatencyModel>,
+    ) -> AbacusScheduler {
         AbacusScheduler::new(
             model,
             Arc::new(ModelLibrary::new()),
@@ -770,7 +775,10 @@ mod tests {
         // Sustained 90% error: the warmup gate holds the trigger for the
         // first ERR_WARMUP_SAMPLES groups, then the threshold latches.
         for sample in 0..ERR_WARMUP_SAMPLES {
-            assert!(!s.is_degraded(), "degraded during warmup at sample {sample}");
+            assert!(
+                !s.is_degraded(),
+                "degraded during warmup at sample {sample}"
+            );
             let d = s.decide(0.0, &queue);
             s.on_group_complete(d.group.unwrap().predicted_ms * 10.0);
         }

@@ -202,8 +202,10 @@ mod tests {
         queue[1].advance_to(60);
         let vgg_ops = queue[3].n_ops;
         queue[3].advance_to(vgg_ops - 3);
-        let reference =
-            |q: &Query| lib.graph(q.model, q.input).solo_ms_range(&gpu, q.next_op, q.n_ops);
+        let reference = |q: &Query| {
+            lib.graph(q.model, q.input)
+                .solo_ms_range(&gpu, q.next_op, q.n_ops)
+        };
         let shortest = |queue: &[Query]| {
             queue
                 .iter()
@@ -211,7 +213,10 @@ mod tests {
                 .unwrap()
                 .clone()
         };
-        assert!(shortest(&queue).next_op > 0, "the shortest job should be an advanced one");
+        assert!(
+            shortest(&queue).next_op > 0,
+            "the shortest job should be an advanced one"
+        );
         let mut s = mk(BaselinePolicy::Sjf);
         // Serve the queue out in SJF order. Each pick is decided twice:
         // once while its rows may still be filling, once replaying them.
@@ -230,7 +235,7 @@ mod tests {
     fn edf_picks_earliest_deadline() {
         let mut s = mk(BaselinePolicy::Edf);
         let queue = vec![
-            query(1, ModelId::ResNet50, 0.0, 80.0),  // deadline 80
+            query(1, ModelId::ResNet50, 0.0, 80.0),   // deadline 80
             query(2, ModelId::ResNet101, 10.0, 40.0), // deadline 50
         ];
         let d = s.decide(15.0, &queue);

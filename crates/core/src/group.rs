@@ -54,11 +54,7 @@ impl PlannedGroup {
     /// Build the predictor's [`GroupSpec`] for this plan.
     ///
     /// `resolve` maps a query id to its [`Query`] (the queue lookup).
-    pub fn to_spec<'a>(
-        &self,
-        resolve: impl Fn(u64) -> &'a Query,
-        lib: &ModelLibrary,
-    ) -> GroupSpec {
+    pub fn to_spec<'a>(&self, resolve: impl Fn(u64) -> &'a Query, lib: &ModelLibrary) -> GroupSpec {
         let entries = self
             .entries
             .iter()
@@ -88,8 +84,16 @@ mod tests {
         let q2 = Query::new(11, ModelId::Bert, QueryInput::new(4, 16), 0.0, 30.0, 173);
         let plan = PlannedGroup {
             entries: vec![
-                PlannedEntry { query_id: 10, op_start: 0, op_end: 125 },
-                PlannedEntry { query_id: 11, op_start: 5, op_end: 60 },
+                PlannedEntry {
+                    query_id: 10,
+                    op_start: 0,
+                    op_end: 125,
+                },
+                PlannedEntry {
+                    query_id: 11,
+                    op_start: 5,
+                    op_end: 60,
+                },
             ],
             predicted_ms: 12.0,
             prediction_rounds: 2,
@@ -103,7 +107,11 @@ mod tests {
 
     #[test]
     fn entry_len() {
-        let e = PlannedEntry { query_id: 0, op_start: 3, op_end: 9 };
+        let e = PlannedEntry {
+            query_id: 0,
+            op_start: 3,
+            op_end: 9,
+        };
         assert_eq!(e.len(), 6);
         assert!(!e.is_empty());
     }

@@ -363,7 +363,9 @@ mod tests {
     fn head_always_fully_included() {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 30);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         // Remaining span of q0: (125-30)/125 * 10 = 7.6 ms < 8.
         match plan_group(&[&q0], 8.0, &model, &lib, 4) {
             SearchResult::Planned(p) => {
@@ -380,7 +382,9 @@ mod tests {
     fn infeasible_head_is_reported() {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         // Full span = 10 ms > 5 ms budget.
         assert!(matches!(
             plan_group(&[&q0], 5.0, &model, &lib, 4),
@@ -394,7 +398,9 @@ mod tests {
         let q0 = query(0, ModelId::ResNet50, 0);
         let q1 = query(1, ModelId::Bert, 0);
         let q2 = query(2, ModelId::Vgg16, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         // Budget 25 ms: q0 (10) + q1 (10) fit; q2 (10) does not fit fully,
         // so its prefix is added partially.
         match plan_group(&[&q0, &q1, &q2], 25.0, &model, &lib, 4) {
@@ -421,7 +427,9 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100); // small remaining span
         let q1 = query(1, ModelId::ResNet152, 0); // 363 ops to slice
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         // q0 remaining: 25/125*10 = 2 ms. Budget 7 ms -> 5 ms for q1:
         // 5 ms = 0.5 span = ~181 ops.
         match plan_group(&[&q0, &q1], 7.0, &model, &lib, 4) {
@@ -492,7 +500,9 @@ mod tests {
         // A NaN budget (poisoned headroom) must drop, not plan.
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         assert!(matches!(
             plan_group(&[&q0], f64::NAN, &model, &lib, 4),
             SearchResult::Infeasible { .. }
@@ -504,7 +514,9 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100);
         let q1 = query(1, ModelId::ResNet152, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         let ops_of = |ways| match plan_group(&[&q0, &q1], 7.0, &model, &lib, ways) {
             SearchResult::Planned(p) => p.entries[1].len(),
             _ => panic!(),
@@ -521,7 +533,9 @@ mod tests {
         let lib = lib();
         let q0 = query(0, ModelId::ResNet50, 100);
         let q1 = query(1, ModelId::ResNet152, 0);
-        let model = SpanModel { ms_per_unit_span: 10.0 };
+        let model = SpanModel {
+            ms_per_unit_span: 10.0,
+        };
         let rounds_of = |ways| match plan_group(&[&q0, &q1], 7.0, &model, &lib, ways) {
             SearchResult::Planned(p) => p.prediction_rounds,
             _ => panic!(),
@@ -540,7 +554,9 @@ mod tests {
             query(4, ModelId::Vgg16, 0),
         ];
         let refs: Vec<&Query> = qs.iter().collect();
-        let model = SpanModel { ms_per_unit_span: 0.001 }; // everything fits
+        let model = SpanModel {
+            ms_per_unit_span: 0.001,
+        }; // everything fits
         match plan_group(&refs, 100.0, &model, &lib, 4) {
             SearchResult::Planned(p) => assert_eq!(p.entries.len(), MAX_COLOCATED),
             other => panic!("{other:?}"),

@@ -99,7 +99,10 @@ fn steady_state_decide_round_allocates_nothing() {
     for _ in 0..16 {
         sched.decide_into(5.0, &queue, &mut decision);
     }
-    assert!(decision.group.is_some(), "fixture must exercise the planned path");
+    assert!(
+        decision.group.is_some(),
+        "fixture must exercise the planned path"
+    );
 
     let before = thread_allocs();
     for _ in 0..4_096 {

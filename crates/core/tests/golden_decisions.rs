@@ -25,12 +25,9 @@
 //! the deadline order cannot diverge by rounding — the §12 order-key
 //! invariance contract these tests pin.
 
-use abacus_core::{
-    plan_group, AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler,
-};
+use abacus_core::{plan_group, AbacusConfig, AbacusScheduler, Query, RoundDecision, Scheduler};
 use bench::reference::decision::{
-    self as reference, pinned_config as config, ReferenceController, SpanModel,
-    PREDICT_ROUND_MS,
+    self as reference, pinned_config as config, ReferenceController, SpanModel, PREDICT_ROUND_MS,
 };
 use dnn_models::{ModelId, ModelLibrary, QueryInput};
 use predictor::LatencyModel;
@@ -142,7 +139,8 @@ fn search_matches_reference_plan_group() {
 fn golden_stream_matches_embedded_pre_overhaul_controller() {
     let lib = lib();
     let mut opt = AbacusScheduler::new(Arc::new(SpanModel::default()), lib.clone(), config());
-    let mut reference = ReferenceController::new(Arc::new(SpanModel::default()), lib.clone(), config());
+    let mut reference =
+        ReferenceController::new(Arc::new(SpanModel::default()), lib.clone(), config());
 
     const QOS_MS: [f64; 4] = [40.0, 60.0, 90.0, 140.0];
     let mut state = 2021u64;
@@ -197,7 +195,10 @@ fn golden_stream_matches_embedded_pre_overhaul_controller() {
         }
     }
 
-    assert!(planned_rounds > 1_000, "workload planned {planned_rounds} groups");
+    assert!(
+        planned_rounds > 1_000,
+        "workload planned {planned_rounds} groups"
+    );
     // Every round scanned the refilled 16-deep queue.
     assert_eq!(opt.decision_stats().scratch_peak, 16);
 }

@@ -25,8 +25,7 @@ impl Entry {
     /// `-0.0` and `+0.0` starts tie (`total_cmp` would split them).
     #[inline]
     fn before(&self, other: &Entry) -> bool {
-        self.start_ms < other.start_ms
-            || (self.start_ms == other.start_ms && self.seq > other.seq)
+        self.start_ms < other.start_ms || (self.start_ms == other.start_ms && self.seq > other.seq)
     }
 }
 
@@ -114,12 +113,14 @@ mod tests {
 
     /// Reference: the exact pop order the queue must produce.
     fn reference_order(arrivals: &[f64]) -> Vec<usize> {
-        let mut tagged: Vec<(f64, usize)> =
-            arrivals.iter().copied().enumerate().map(|(i, s)| (s, i)).collect();
+        let mut tagged: Vec<(f64, usize)> = arrivals
+            .iter()
+            .copied()
+            .enumerate()
+            .map(|(i, s)| (s, i))
+            .collect();
         // Earlier start first; equal starts newest-insert first.
-        tagged.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1))
-        });
+        tagged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(b.1.cmp(&a.1)));
         tagged.into_iter().map(|(_, i)| i).collect()
     }
 
@@ -134,7 +135,9 @@ mod tests {
     fn lcg_stream(seed: u64) -> impl FnMut() -> u64 {
         let mut state = seed;
         move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         }
     }
@@ -186,7 +189,11 @@ mod tests {
             if round % 3 != 2 {
                 let start = (next() % 500_000) as f64 * 1e-2;
                 q.push(start, round);
-                model.push(Entry { start_ms: start, seq, idx: round });
+                model.push(Entry {
+                    start_ms: start,
+                    seq,
+                    idx: round,
+                });
                 seq += 1;
             } else {
                 popped.push(q.pop());

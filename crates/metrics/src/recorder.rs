@@ -318,7 +318,11 @@ mod tests {
             s.record(&rec(4.0 * i as f64, 1000.0, QueryOutcome::Completed));
         }
         s.record(&rec(8000.0, 1000.0, QueryOutcome::Dropped)); // huge queue_ms, ignored
-        assert!((s.queue_p50_ms() - 50.0).abs() < 1.0, "{}", s.queue_p50_ms());
+        assert!(
+            (s.queue_p50_ms() - 50.0).abs() < 1.0,
+            "{}",
+            s.queue_p50_ms()
+        );
         assert!(s.queue_p99_ms() <= 100.0, "{}", s.queue_p99_ms());
         assert!(s.queue_p99_ms() > s.queue_p50_ms());
         // Pooling carries the delay pool across.

@@ -256,7 +256,9 @@ mod tests {
 
     #[test]
     fn order_invariance() {
-        let vals: Vec<f64> = (0..500).map(|i| ((i * 37) % 499) as f64 * 0.11 + 0.01).collect();
+        let vals: Vec<f64> = (0..500)
+            .map(|i| ((i * 37) % 499) as f64 * 0.11 + 0.01)
+            .collect();
         let mut fwd = QuantileSketch::new();
         let mut rev = QuantileSketch::new();
         for &v in &vals {

@@ -32,12 +32,28 @@ fn conv_bn(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn square(g: &mut GraphBuilder, name: &str, input: usize, b: f64, cin: f64, cout: f64, hw: f64, k: f64) -> usize {
+fn square(
+    g: &mut GraphBuilder,
+    name: &str,
+    input: usize,
+    b: f64,
+    cin: f64,
+    cout: f64,
+    hw: f64,
+    k: f64,
+) -> usize {
     conv_bn(g, name, input, b, cin, cout, hw, hw, k, k)
 }
 
 /// InceptionA at 35×35: outputs 64 + 64 + 96 + pool_features channels.
-fn inception_a(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64, pf: f64) -> (usize, f64) {
+fn inception_a(
+    g: &mut GraphBuilder,
+    tag: &str,
+    input: usize,
+    b: f64,
+    cin: f64,
+    pf: f64,
+) -> (usize, f64) {
     let hw = 35.0;
     let b1 = square(g, &format!("{tag}/b1x1"), input, b, cin, 64.0, hw, 1.0);
     let b5 = square(g, &format!("{tag}/b5x5_1"), input, b, cin, 48.0, hw, 1.0);
@@ -45,7 +61,10 @@ fn inception_a(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64, 
     let d = square(g, &format!("{tag}/b3x3dbl_1"), input, b, cin, 64.0, hw, 1.0);
     let d = square(g, &format!("{tag}/b3x3dbl_2"), d, b, 64.0, 96.0, hw, 3.0);
     let d = square(g, &format!("{tag}/b3x3dbl_3"), d, b, 96.0, 96.0, hw, 3.0);
-    let p = g.push(Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0), &[input]);
+    let p = g.push(
+        Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0),
+        &[input],
+    );
     let p = square(g, &format!("{tag}/bpool"), p, b, cin, pf, hw, 1.0);
     let cout = 64.0 + 64.0 + 96.0 + pf;
     let cat = g.push(
@@ -61,7 +80,10 @@ fn inception_b(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64) 
     let d = square(g, &format!("{tag}/dbl_1"), input, b, cin, 64.0, 35.0, 1.0);
     let d = square(g, &format!("{tag}/dbl_2"), d, b, 64.0, 96.0, 35.0, 3.0);
     let d = square(g, &format!("{tag}/dbl_3"), d, b, 96.0, 96.0, 17.0, 3.0);
-    let p = g.push(Operator::pool(format!("{tag}/pool"), b * cin * 17.0 * 17.0, 3.0), &[input]);
+    let p = g.push(
+        Operator::pool(format!("{tag}/pool"), b * cin * 17.0 * 17.0, 3.0),
+        &[input],
+    );
     let cout = cin + 384.0 + 96.0;
     let cat = g.push(
         Operator::concat(format!("{tag}/concat"), b * cout * 17.0 * 17.0),
@@ -71,7 +93,14 @@ fn inception_b(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64) 
 }
 
 /// InceptionC at 17×17 with factorised 7×7 convolutions; outputs 768.
-fn inception_c(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64, c7: f64) -> (usize, f64) {
+fn inception_c(
+    g: &mut GraphBuilder,
+    tag: &str,
+    input: usize,
+    b: f64,
+    cin: f64,
+    c7: f64,
+) -> (usize, f64) {
     let hw = 17.0;
     let b1 = square(g, &format!("{tag}/b1x1"), input, b, cin, 192.0, hw, 1.0);
     let s = square(g, &format!("{tag}/b7_1"), input, b, cin, c7, hw, 1.0);
@@ -81,8 +110,22 @@ fn inception_c(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64, 
     let d = conv_bn(g, &format!("{tag}/b7dbl_2"), d, b, c7, c7, hw, hw, 7.0, 1.0);
     let d = conv_bn(g, &format!("{tag}/b7dbl_3"), d, b, c7, c7, hw, hw, 1.0, 7.0);
     let d = conv_bn(g, &format!("{tag}/b7dbl_4"), d, b, c7, c7, hw, hw, 7.0, 1.0);
-    let d = conv_bn(g, &format!("{tag}/b7dbl_5"), d, b, c7, 192.0, hw, hw, 1.0, 7.0);
-    let p = g.push(Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0), &[input]);
+    let d = conv_bn(
+        g,
+        &format!("{tag}/b7dbl_5"),
+        d,
+        b,
+        c7,
+        192.0,
+        hw,
+        hw,
+        1.0,
+        7.0,
+    );
+    let p = g.push(
+        Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0),
+        &[input],
+    );
     let p = square(g, &format!("{tag}/bpool"), p, b, cin, 192.0, hw, 1.0);
     let cout = 768.0;
     let cat = g.push(
@@ -97,10 +140,35 @@ fn inception_d(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64) 
     let s = square(g, &format!("{tag}/b3_1"), input, b, cin, 192.0, 17.0, 1.0);
     let s = square(g, &format!("{tag}/b3_2"), s, b, 192.0, 320.0, 8.0, 3.0);
     let d = square(g, &format!("{tag}/b7_1"), input, b, cin, 192.0, 17.0, 1.0);
-    let d = conv_bn(g, &format!("{tag}/b7_2"), d, b, 192.0, 192.0, 17.0, 17.0, 1.0, 7.0);
-    let d = conv_bn(g, &format!("{tag}/b7_3"), d, b, 192.0, 192.0, 17.0, 17.0, 7.0, 1.0);
+    let d = conv_bn(
+        g,
+        &format!("{tag}/b7_2"),
+        d,
+        b,
+        192.0,
+        192.0,
+        17.0,
+        17.0,
+        1.0,
+        7.0,
+    );
+    let d = conv_bn(
+        g,
+        &format!("{tag}/b7_3"),
+        d,
+        b,
+        192.0,
+        192.0,
+        17.0,
+        17.0,
+        7.0,
+        1.0,
+    );
     let d = square(g, &format!("{tag}/b7_4"), d, b, 192.0, 192.0, 8.0, 3.0);
-    let p = g.push(Operator::pool(format!("{tag}/pool"), b * cin * 8.0 * 8.0, 3.0), &[input]);
+    let p = g.push(
+        Operator::pool(format!("{tag}/pool"), b * cin * 8.0 * 8.0, 3.0),
+        &[input],
+    );
     let cout = cin + 320.0 + 192.0;
     let cat = g.push(
         Operator::concat(format!("{tag}/concat"), b * cout * 8.0 * 8.0),
@@ -114,21 +182,68 @@ fn inception_e(g: &mut GraphBuilder, tag: &str, input: usize, b: f64, cin: f64) 
     let hw = 8.0;
     let b1 = square(g, &format!("{tag}/b1x1"), input, b, cin, 320.0, hw, 1.0);
     let s = square(g, &format!("{tag}/b3_1"), input, b, cin, 384.0, hw, 1.0);
-    let sa = conv_bn(g, &format!("{tag}/b3_2a"), s, b, 384.0, 384.0, hw, hw, 1.0, 3.0);
-    let sb = conv_bn(g, &format!("{tag}/b3_2b"), s, b, 384.0, 384.0, hw, hw, 3.0, 1.0);
+    let sa = conv_bn(
+        g,
+        &format!("{tag}/b3_2a"),
+        s,
+        b,
+        384.0,
+        384.0,
+        hw,
+        hw,
+        1.0,
+        3.0,
+    );
+    let sb = conv_bn(
+        g,
+        &format!("{tag}/b3_2b"),
+        s,
+        b,
+        384.0,
+        384.0,
+        hw,
+        hw,
+        3.0,
+        1.0,
+    );
     let scat = g.push(
         Operator::concat(format!("{tag}/b3_cat"), b * 768.0 * hw * hw),
         &[sa, sb],
     );
     let d = square(g, &format!("{tag}/dbl_1"), input, b, cin, 448.0, hw, 1.0);
     let d = square(g, &format!("{tag}/dbl_2"), d, b, 448.0, 384.0, hw, 3.0);
-    let da = conv_bn(g, &format!("{tag}/dbl_3a"), d, b, 384.0, 384.0, hw, hw, 1.0, 3.0);
-    let db = conv_bn(g, &format!("{tag}/dbl_3b"), d, b, 384.0, 384.0, hw, hw, 3.0, 1.0);
+    let da = conv_bn(
+        g,
+        &format!("{tag}/dbl_3a"),
+        d,
+        b,
+        384.0,
+        384.0,
+        hw,
+        hw,
+        1.0,
+        3.0,
+    );
+    let db = conv_bn(
+        g,
+        &format!("{tag}/dbl_3b"),
+        d,
+        b,
+        384.0,
+        384.0,
+        hw,
+        hw,
+        3.0,
+        1.0,
+    );
     let dcat = g.push(
         Operator::concat(format!("{tag}/dbl_cat"), b * 768.0 * hw * hw),
         &[da, db],
     );
-    let p = g.push(Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0), &[input]);
+    let p = g.push(
+        Operator::pool(format!("{tag}/pool"), b * cin * hw * hw, 3.0),
+        &[input],
+    );
     let p = square(g, &format!("{tag}/bpool"), p, b, cin, 192.0, hw, 1.0);
     let cout = 320.0 + 768.0 + 768.0 + 192.0;
     let cat = g.push(
@@ -160,7 +275,14 @@ pub fn build(bs: u32) -> ModelGraph {
     let mut node = g.last();
     let mut cin = 192.0;
     for (i, pf) in [32.0, 64.0, 64.0].into_iter().enumerate() {
-        let (n, c) = inception_a(&mut g, &format!("mixed5{}", (b'b' + i as u8) as char), node, b, cin, pf);
+        let (n, c) = inception_a(
+            &mut g,
+            &format!("mixed5{}", (b'b' + i as u8) as char),
+            node,
+            b,
+            cin,
+            pf,
+        );
         node = n;
         cin = c;
     }
@@ -168,7 +290,14 @@ pub fn build(bs: u32) -> ModelGraph {
     node = n;
     cin = c;
     for (i, c7) in [128.0, 160.0, 160.0, 192.0].into_iter().enumerate() {
-        let (n, c) = inception_c(&mut g, &format!("mixed6{}", (b'b' + i as u8) as char), node, b, cin, c7);
+        let (n, c) = inception_c(
+            &mut g,
+            &format!("mixed6{}", (b'b' + i as u8) as char),
+            node,
+            b,
+            cin,
+            c7,
+        );
         node = n;
         cin = c;
     }
@@ -176,7 +305,13 @@ pub fn build(bs: u32) -> ModelGraph {
     node = n;
     cin = c;
     for i in 0..2 {
-        let (n, c) = inception_e(&mut g, &format!("mixed7{}", (b'b' + i as u8) as char), node, b, cin);
+        let (n, c) = inception_e(
+            &mut g,
+            &format!("mixed7{}", (b'b' + i as u8) as char),
+            node,
+            b,
+            cin,
+        );
         node = n;
         cin = c;
     }

@@ -96,7 +96,14 @@ impl Operator {
     ///
     /// Includes input activations, weights, and output activations in its
     /// traffic (a fused conv+bias+ReLU kernel in cuDNN terms).
-    pub fn conv2d(name: impl Into<String>, b: f64, cin: f64, cout: f64, hw_out: f64, k: f64) -> Self {
+    pub fn conv2d(
+        name: impl Into<String>,
+        b: f64,
+        cin: f64,
+        cout: f64,
+        hw_out: f64,
+        k: f64,
+    ) -> Self {
         Self::conv2d_rect(name, b, cin, cout, hw_out, hw_out, k, k)
     }
 
@@ -157,7 +164,13 @@ impl Operator {
 
     /// An element-wise operator over `elems` elements reading `reads`
     /// input tensors of that size and writing one.
-    fn elementwise(name: impl Into<String>, kind: OpKind, elems: f64, reads: f64, flops_per_elem: f64) -> Self {
+    fn elementwise(
+        name: impl Into<String>,
+        kind: OpKind,
+        elems: f64,
+        reads: f64,
+        flops_per_elem: f64,
+    ) -> Self {
         Self {
             name: name.into(),
             kind,

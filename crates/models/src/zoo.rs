@@ -285,10 +285,26 @@ mod tests {
         // Published FP32 weight sizes: ResNet-50 ≈ 102 MB, ResNet-152 ≈
         // 240 MB, VGG-16 ≈ 550 MB (FC-heavy), BERT-base ≈ 440 MB (we model
         // the encoder + pooler, embeddings excluded → ~350 MB).
-        assert!((80.0..120.0).contains(&mb(ModelId::ResNet50)), "{}", mb(ModelId::ResNet50));
-        assert!((200.0..280.0).contains(&mb(ModelId::ResNet152)), "{}", mb(ModelId::ResNet152));
-        assert!((450.0..620.0).contains(&mb(ModelId::Vgg16)), "{}", mb(ModelId::Vgg16));
-        assert!((250.0..450.0).contains(&mb(ModelId::Bert)), "{}", mb(ModelId::Bert));
+        assert!(
+            (80.0..120.0).contains(&mb(ModelId::ResNet50)),
+            "{}",
+            mb(ModelId::ResNet50)
+        );
+        assert!(
+            (200.0..280.0).contains(&mb(ModelId::ResNet152)),
+            "{}",
+            mb(ModelId::ResNet152)
+        );
+        assert!(
+            (450.0..620.0).contains(&mb(ModelId::Vgg16)),
+            "{}",
+            mb(ModelId::Vgg16)
+        );
+        assert!(
+            (250.0..450.0).contains(&mb(ModelId::Bert)),
+            "{}",
+            mb(ModelId::Bert)
+        );
     }
 
     #[test]

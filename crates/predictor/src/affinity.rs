@@ -91,8 +91,8 @@ pub fn plan_service_groups(
                 .iter()
                 .filter(|&&cand| group.iter().all(|&g| gain_of(g, cand) >= NO_OVERLAP_GAIN))
                 .map(|&cand| {
-                    let mean: f64 = group.iter().map(|&g| gain_of(g, cand)).sum::<f64>()
-                        / group.len() as f64;
+                    let mean: f64 =
+                        group.iter().map(|&g| gain_of(g, cand)).sum::<f64>() / group.len() as f64;
                     (cand, mean)
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1));
@@ -178,12 +178,30 @@ mod tests {
     fn planner_separates_hostile_pairs() {
         use ModelId::*;
         let affinities = vec![
-            PairAffinity { pair: [Vgg16, Vgg19], gain: 1.1 },
-            PairAffinity { pair: [Vgg16, ResNet50], gain: 1.4 },
-            PairAffinity { pair: [Vgg19, ResNet152], gain: 1.35 },
-            PairAffinity { pair: [ResNet50, ResNet152], gain: 1.5 },
-            PairAffinity { pair: [Vgg16, ResNet152], gain: 1.3 },
-            PairAffinity { pair: [Vgg19, ResNet50], gain: 1.3 },
+            PairAffinity {
+                pair: [Vgg16, Vgg19],
+                gain: 1.1,
+            },
+            PairAffinity {
+                pair: [Vgg16, ResNet50],
+                gain: 1.4,
+            },
+            PairAffinity {
+                pair: [Vgg19, ResNet152],
+                gain: 1.35,
+            },
+            PairAffinity {
+                pair: [ResNet50, ResNet152],
+                gain: 1.5,
+            },
+            PairAffinity {
+                pair: [Vgg16, ResNet152],
+                gain: 1.3,
+            },
+            PairAffinity {
+                pair: [Vgg19, ResNet50],
+                gain: 1.3,
+            },
         ];
         let groups = plan_service_groups(&[Vgg16, Vgg19, ResNet50, ResNet152], &affinities, 2);
         for g in &groups {
@@ -205,9 +223,10 @@ mod tests {
             .iter()
             .enumerate()
             .flat_map(|(i, &a)| {
-                models[i + 1..]
-                    .iter()
-                    .map(move |&b| PairAffinity { pair: [a, b], gain: 1.5 })
+                models[i + 1..].iter().map(move |&b| PairAffinity {
+                    pair: [a, b],
+                    gain: 1.5,
+                })
             })
             .collect();
         for k in 1..=4 {
@@ -220,9 +239,10 @@ mod tests {
     #[test]
     fn isolated_hostile_model_gets_own_group() {
         use ModelId::*;
-        let affinities = vec![
-            PairAffinity { pair: [Vgg16, Vgg19], gain: 1.0 },
-        ];
+        let affinities = vec![PairAffinity {
+            pair: [Vgg16, Vgg19],
+            gain: 1.0,
+        }];
         let groups = plan_service_groups(&[Vgg16, Vgg19], &affinities, 4);
         assert_eq!(groups.len(), 2);
     }

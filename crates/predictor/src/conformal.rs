@@ -79,7 +79,11 @@ impl StratifiedConformal {
         let n_heads = taus.len();
         assert!(n_heads > 0, "need at least one head");
         assert!(!widths.is_empty(), "cannot calibrate on an empty slice");
-        assert_eq!(scores.len(), widths.len() * n_heads, "one score per sample per head");
+        assert_eq!(
+            scores.len(),
+            widths.len() * n_heads,
+            "one score per sample per head"
+        );
         let quantiles = |rows: &[usize]| -> Vec<f64> {
             let mut col: Vec<f64> = Vec::with_capacity(rows.len());
             taus.iter()
@@ -376,7 +380,11 @@ mod tests {
             // The thin stratum's scores sit far above the fat one's, so its
             // own quantile would differ from the pooled one if it were
             // (wrongly) trusted.
-            scores.push(if i < 3 { 100.0 + rng.normal() } else { rng.normal() });
+            scores.push(if i < 3 {
+                100.0 + rng.normal()
+            } else {
+                rng.normal()
+            });
         }
         let conf = StratifiedConformal::from_scores(&[0.95], &widths, &scores);
         assert_eq!(conf.stratum_count(1), 3);

@@ -30,12 +30,12 @@ pub mod svr;
 pub use affinity::{
     overlap_affinity, peak_affinity, plan_service_groups, PairAffinity, NO_OVERLAP_GAIN,
 };
+pub use conformal::{width_of_row, ConformalModel, StratifiedConformal, CERT_TAUS};
 pub use dataset::Dataset;
 pub use features::{
-    encode_features, encode_features_with_ops, feature_slot_of, GroupEntry, GroupSpec,
-    FEATURE_DIM, MAX_COLOCATED, MODEL_SLOT_BASE, SLOT_WIDTH,
+    encode_features, encode_features_with_ops, feature_slot_of, GroupEntry, GroupSpec, FEATURE_DIM,
+    MAX_COLOCATED, MODEL_SLOT_BASE, SLOT_WIDTH,
 };
-pub use conformal::{width_of_row, ConformalModel, StratifiedConformal, CERT_TAUS};
 pub use linreg::LinearRegression;
 pub use mlp::{Mlp, MlpConfig, QuantileMlp};
 pub use profiler::{profile_groups, ProfiledGroup};
@@ -73,7 +73,12 @@ pub trait LatencyModel: Send + Sync {
             assert!(xs.is_empty(), "rows supplied but n == 0");
             return;
         }
-        assert_eq!(xs.len() % n, 0, "xs.len() {} not a multiple of n {n}", xs.len());
+        assert_eq!(
+            xs.len() % n,
+            0,
+            "xs.len() {} not a multiple of n {n}",
+            xs.len()
+        );
         let dim = xs.len() / n;
         out.extend(xs.chunks_exact(dim).map(|row| self.predict_one(row)));
     }

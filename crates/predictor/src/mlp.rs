@@ -82,7 +82,9 @@ impl Dense {
     fn new(in_dim: usize, out_dim: usize, rng: &mut SeededRng) -> Self {
         // He initialisation for ReLU nets.
         let scale = (2.0 / in_dim as f64).sqrt();
-        let w = (0..in_dim * out_dim).map(|_| rng.normal() * scale).collect();
+        let w = (0..in_dim * out_dim)
+            .map(|_| rng.normal() * scale)
+            .collect();
         Self {
             in_dim,
             out_dim,
@@ -377,7 +379,14 @@ fn zeroed_like(layers: &[Dense]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
 /// mispredicted branch, and adding `±0 · a` to an accumulator that is
 /// never `-0.0` leaves its bits unchanged (DESIGN.md, training rule 3).
 #[inline(always)]
-fn grad_kernel(delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize, din: usize) {
+fn grad_kernel(
+    delta: &[f64],
+    acts: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+    rows: usize,
+    din: usize,
+) {
     match din {
         HIDDEN_WIDTH => return grad_rows::<HIDDEN_WIDTH>(delta, acts, gw, gb, rows),
         FEATURE_DIM => return grad_rows::<FEATURE_DIM>(delta, acts, gw, gb, rows),
@@ -402,7 +411,13 @@ fn grad_kernel(delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows
 /// [`grad_kernel`] at input width `W`, each gradient row held in a
 /// `[f64; W]` accumulator across the chunk.
 #[inline(always)]
-fn grad_rows<const W: usize>(delta: &[f64], acts: &[f64], gw: &mut [f64], gb: &mut [f64], rows: usize) {
+fn grad_rows<const W: usize>(
+    delta: &[f64],
+    acts: &[f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+    rows: usize,
+) {
     let dout = gb.len();
     for (o, (b, grow)) in gb.iter_mut().zip(gw.chunks_exact_mut(W)).enumerate() {
         let mut acc: [f64; W] = (&*grow).try_into().expect("gradient row width");
@@ -618,8 +633,11 @@ fn chunk_forward_backward(
             for (r, &t) in targets.iter().enumerate() {
                 for (h, &tau) in taus.iter().enumerate() {
                     let out = outs[r * out_dim + h];
-                    dlast[r * out_dim + h] =
-                        if out < t { -2.0 * tau } else { 2.0 * (1.0 - tau) };
+                    dlast[r * out_dim + h] = if out < t {
+                        -2.0 * tau
+                    } else {
+                        2.0 * (1.0 - tau)
+                    };
                 }
             }
         }
@@ -627,7 +645,15 @@ fn chunk_forward_backward(
     for l in (0..n_layers).rev() {
         let layer = &layers[l];
         let inp: &[f64] = if l == 0 { xs } else { &acts[l - 1] };
-        grad_simd(simd, &delta[l], inp, &mut gw[l], &mut gb[l], rows, layer.in_dim);
+        grad_simd(
+            simd,
+            &delta[l],
+            inp,
+            &mut gw[l],
+            &mut gb[l],
+            rows,
+            layer.in_dim,
+        );
         if l > 0 {
             let (lo, hi) = delta.split_at_mut(l);
             let prev = &mut lo[l - 1];
@@ -837,8 +863,28 @@ fn train_layers(
             let bc1 = 1.0 - BETA1.powi(t_step as i32);
             let bc2 = 1.0 - BETA2.powi(t_step as i32);
             for (l, layer) in layers.iter_mut().enumerate() {
-                adam_simd(simd, &mut layer.w, &mut mw[l], &mut vw[l], &gw[l], scale, cfg.lr, bc1, bc2);
-                adam_simd(simd, &mut layer.b, &mut mb[l], &mut vb[l], &gb[l], scale, cfg.lr, bc1, bc2);
+                adam_simd(
+                    simd,
+                    &mut layer.w,
+                    &mut mw[l],
+                    &mut vw[l],
+                    &gw[l],
+                    scale,
+                    cfg.lr,
+                    bc1,
+                    bc2,
+                );
+                adam_simd(
+                    simd,
+                    &mut layer.b,
+                    &mut mb[l],
+                    &mut vb[l],
+                    &gb[l],
+                    scale,
+                    cfg.lr,
+                    bc1,
+                    bc2,
+                );
             }
             refresh_transposed(&layers, &mut wt);
         }
@@ -945,7 +991,15 @@ impl Net {
         ws.a[..xs.len()].copy_from_slice(xs);
         let n_layers = self.layers.len();
         for (l, (layer, wt)) in self.layers.iter().zip(&self.plan.wt).enumerate() {
-            layer_simd(self.plan.simd, &ws.a, &mut ws.b, wt, &layer.b, n, layer.in_dim);
+            layer_simd(
+                self.plan.simd,
+                &ws.a,
+                &mut ws.b,
+                wt,
+                &layer.b,
+                n,
+                layer.in_dim,
+            );
             if l + 1 < n_layers {
                 for v in ws.b[..n * layer.out_dim].iter_mut() {
                     *v = v.max(0.0);
@@ -960,7 +1014,14 @@ impl Net {
     /// non-negative and rearranged monotone across heads (running max):
     /// every head when `all_heads`, else only the last — the row maximum,
     /// which for a one-output net is that output.
-    fn predict_rows(&self, xs: &[f64], n: usize, all_heads: bool, ws: &mut Workspace, out: &mut Vec<f64>) {
+    fn predict_rows(
+        &self,
+        xs: &[f64],
+        n: usize,
+        all_heads: bool,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) {
         if !self.forward_rows(xs, n, ws) {
             return;
         }
@@ -1083,7 +1144,12 @@ impl Mlp {
     /// Rebuild a model from its widths, its [`Mlp::raw_params`] and its
     /// target scaling. A mean model has exactly one output, so any other
     /// last width is an error.
-    pub fn from_raw(dims: &[usize], params: &[f64], y_mean: f64, y_std: f64) -> Result<Mlp, String> {
+    pub fn from_raw(
+        dims: &[usize],
+        params: &[f64],
+        y_mean: f64,
+        y_std: f64,
+    ) -> Result<Mlp, String> {
         if dims.last() != Some(&1) {
             return Err(format!("a mean model has one output, got dims {dims:?}"));
         }
@@ -1321,7 +1387,13 @@ mod tests {
         }
     }
 
-    fn naive_delta(delta: &[f64], w: &[f64], pre_prev: &[f64], rows: usize, din: usize) -> Vec<f64> {
+    fn naive_delta(
+        delta: &[f64],
+        w: &[f64],
+        pre_prev: &[f64],
+        rows: usize,
+        din: usize,
+    ) -> Vec<f64> {
         let dout = delta.len() / rows;
         let mut prev = vec![0.0; rows * din];
         for r in 0..rows {
@@ -1350,7 +1422,9 @@ mod tests {
     fn all_tiers_match_scalar_bitwise() {
         // A layer reads `wide` inputs, so its zero gather crosses a block.
         let (rows, narrow, wide) = (4, 3, NONZERO_BLOCK + 3);
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33] {
+        for len in [
+            0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33,
+        ] {
             let mut rng = SeededRng::new(len as u64);
             // layer: axpy across `len` outputs.
             let a = signed(&mut rng, rows * wide, 4);
@@ -1395,11 +1469,16 @@ mod tests {
             let want = run(SimdTier::Scalar);
             for tier in SimdTier::supported() {
                 let got = run(tier);
-                for (k, name) in ["layer", "grad w", "grad b", "delta", "adam w", "adam m", "adam v"]
-                    .iter()
-                    .enumerate()
+                for (k, name) in [
+                    "layer", "grad w", "grad b", "delta", "adam w", "adam m", "adam v",
+                ]
+                .iter()
+                .enumerate()
                 {
-                    assert_eq!(got[k], want[k], "{name} diverged at len {len} tier {tier:?}");
+                    assert_eq!(
+                        got[k], want[k],
+                        "{name} diverged at len {len} tier {tier:?}"
+                    );
                     if let Some(reference) = naive.get(k) {
                         let at = format!("{name} vs reference at len {len} tier {tier:?}");
                         assert_eq!(&got[k], reference, "{at}");
@@ -1519,7 +1598,9 @@ mod tests {
         n_heads: Option<usize>,
     ) {
         let heads = n_heads.unwrap_or(0);
-        let taus: Vec<f64> = (1..=heads).map(|h| 0.5 + 0.45 * h as f64 / heads as f64).collect();
+        let taus: Vec<f64> = (1..=heads)
+            .map(|h| 0.5 + 0.45 * h as f64 / heads as f64)
+            .collect();
         let (loss, out_dim) = match n_heads {
             Some(_) => (Loss::MultiPinball(&taus), taus.len()),
             None => (Loss::Mse, 1),
@@ -1547,7 +1628,11 @@ mod tests {
         for tier in SimdTier::supported() {
             let (gw, gb) = run_minibatch(&layers, &xs, &targets, in_dim, loss, tier, true);
             let pooled = run_minibatch(&layers, &xs, &targets, in_dim, loss, tier, false);
-            assert_eq!((&gw, &gb), (&pooled.0, &pooled.1), "serial vs pooled, {shape}, {tier:?}");
+            assert_eq!(
+                (&gw, &gb),
+                (&pooled.0, &pooled.1),
+                "serial vs pooled, {shape}, {tier:?}"
+            );
             for (got, want) in [(&gw, &sgw), (&gb, &sgb)] {
                 for (l, (g, s)) in got.iter().zip(want).enumerate() {
                     if rows <= GRAD_CHUNK {
@@ -1588,7 +1673,10 @@ mod tests {
     /// regime.
     #[test]
     fn minibatch_grads_at_net_widths_match_scalar_bitwise() {
-        for (k, in_dim) in [FEATURE_DIM - 1, FEATURE_DIM, FEATURE_DIM + 1].into_iter().enumerate() {
+        for (k, in_dim) in [FEATURE_DIM - 1, FEATURE_DIM, FEATURE_DIM + 1]
+            .into_iter()
+            .enumerate()
+        {
             for hidden in [31, 32, 33] {
                 let seed = (k * 3 + hidden) as u64;
                 check_minibatch(seed, in_dim, &[hidden; 3], GRAD_CHUNK, None);
@@ -1678,7 +1766,10 @@ mod tests {
                 ..MlpConfig::default()
             },
         );
-        assert_eq!(mlp.param_count(), 23 * 32 + 32 + 32 * 32 + 32 + 32 * 32 + 32 + 32 + 1);
+        assert_eq!(
+            mlp.param_count(),
+            23 * 32 + 32 + 32 * 32 + 32 + 32 * 32 + 32 + 32 + 1
+        );
         assert!(mlp.size_bytes() < 30_000);
     }
 
@@ -1702,12 +1793,11 @@ mod tests {
         }
         assert!(above >= 16, "q90 above mean at {above}/20 points");
         // And it covers ~90% of the observed targets.
-        let covered = d
-            .x
-            .iter()
-            .zip(&d.y)
-            .filter(|(x, &y)| q90.predict_one(x) >= y)
-            .count();
+        let covered =
+            d.x.iter()
+                .zip(&d.y)
+                .filter(|(x, &y)| q90.predict_one(x) >= y)
+                .count();
         let frac = covered as f64 / d.len() as f64;
         assert!((0.80..0.97).contains(&frac), "coverage {frac}");
     }
@@ -1750,12 +1840,11 @@ mod tests {
         // Each head covers at least its level minus slack on the train set
         // (pinball loss pulls coverage toward tau).
         for (h, (&tau, floor)) in q.taus().iter().zip([0.80, 0.85, 0.90]).enumerate() {
-            let covered = d
-                .x
-                .iter()
-                .zip(&d.y)
-                .filter(|(x, &y)| q.predict_quantiles_one(x)[h] >= y)
-                .count();
+            let covered =
+                d.x.iter()
+                    .zip(&d.y)
+                    .filter(|(x, &y)| q.predict_quantiles_one(x)[h] >= y)
+                    .count();
             let frac = covered as f64 / d.len() as f64;
             assert!(frac >= floor, "head {h} (tau {tau}) coverage {frac}");
         }
@@ -1791,7 +1880,10 @@ mod tests {
         assert_eq!(rebuilt, q);
         for i in 0..10 {
             let x = [i as f64 / 10.0];
-            assert_eq!(q.predict_quantiles_one(&x), rebuilt.predict_quantiles_one(&x));
+            assert_eq!(
+                q.predict_quantiles_one(&x),
+                rebuilt.predict_quantiles_one(&x)
+            );
         }
         assert_eq!(q.dims(), rebuilt.dims());
         // A head-count mismatch is an error, not a panic.
@@ -1801,14 +1893,26 @@ mod tests {
     #[test]
     fn predictions_are_clamped_non_negative() {
         let d = synthetic(100, 5);
-        let mlp = Mlp::train(&d, &MlpConfig { epochs: 2, ..MlpConfig::default() });
+        let mlp = Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 2,
+                ..MlpConfig::default()
+            },
+        );
         assert!(mlp.predict_one(&[-100.0, -100.0]) >= 0.0);
     }
 
     #[test]
     fn raw_roundtrip() {
         let d = synthetic(100, 6);
-        let mlp = Mlp::train(&d, &MlpConfig { epochs: 3, ..MlpConfig::default() });
+        let mlp = Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 3,
+                ..MlpConfig::default()
+            },
+        );
         let (y_mean, y_std) = mlp.target_scaling();
         let rebuilt = Mlp::from_raw(&mlp.dims(), &mlp.raw_params(), y_mean, y_std).unwrap();
         // The optimiser state stays in the trainer, so a rebuilt model is

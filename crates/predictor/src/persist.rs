@@ -24,7 +24,13 @@ const CMAGIC: &str = "abacus-conf-v1";
 
 /// Serialise an MLP to a string.
 pub fn to_string(mlp: &Mlp) -> String {
-    net_to_string(MAGIC, &mlp.dims(), None, mlp.target_scaling(), &mlp.raw_params())
+    net_to_string(
+        MAGIC,
+        &mlp.dims(),
+        None,
+        mlp.target_scaling(),
+        &mlp.raw_params(),
+    )
 }
 
 /// Parse an MLP from the [`to_string`] format.
@@ -69,10 +75,22 @@ fn net_to_string(
     let mut out = String::new();
     out.push_str(magic);
     out.push('\n');
-    out.push_str(&dims.iter().map(ToString::to_string).collect::<Vec<_>>().join(" "));
+    out.push_str(
+        &dims
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(" "),
+    );
     out.push('\n');
     if let Some(taus) = taus {
-        out.push_str(&taus.iter().map(|t| format!("{t:e}")).collect::<Vec<_>>().join(" "));
+        out.push_str(
+            &taus
+                .iter()
+                .map(|t| format!("{t:e}"))
+                .collect::<Vec<_>>()
+                .join(" "),
+        );
         out.push('\n');
     }
     out.push_str(&format!("{y_mean:e} {y_std:e}\n"));
@@ -137,7 +155,13 @@ fn parse_f64_line(line: &str, what: &str) -> Result<Vec<f64>, String> {
 /// Serialise quantile heads: the [`to_string`] layout under their own
 /// magic, plus the levels line. Stored only inside the conformal artifact.
 fn quantile_to_string(q: &QuantileMlp) -> String {
-    net_to_string(QMAGIC, &q.dims(), Some(q.taus()), q.target_scaling(), &q.raw_params())
+    net_to_string(
+        QMAGIC,
+        &q.dims(),
+        Some(q.taus()),
+        q.target_scaling(),
+        &q.raw_params(),
+    )
 }
 
 /// Parse quantile heads from the [`quantile_to_string`] format.
@@ -164,7 +188,9 @@ pub fn conformal_to_string(model: &ConformalModel) -> String {
     out.push('\n');
     let n_heads = conf.taus().len();
     for w in 1..=MAX_COLOCATED {
-        let row: Vec<String> = (0..n_heads).map(|h| format!("{:e}", conf.correction(w, h))).collect();
+        let row: Vec<String> = (0..n_heads)
+            .map(|h| format!("{:e}", conf.correction(w, h)))
+            .collect();
         out.push_str(&row.join(" "));
         out.push('\n');
     }
@@ -202,11 +228,16 @@ pub fn conformal_from_str(s: &str) -> Result<ConformalModel, String> {
     let mut corrections = Vec::with_capacity(MAX_COLOCATED);
     for w in 1..=MAX_COLOCATED {
         corrections.push(parse_f64_line(
-            lines.next().ok_or_else(|| format!("missing correction row for width {w}"))?,
+            lines
+                .next()
+                .ok_or_else(|| format!("missing correction row for width {w}"))?,
             "correction",
         )?);
     }
-    let pooled = parse_f64_line(lines.next().ok_or("missing pooled row")?, "pooled correction")?;
+    let pooled = parse_f64_line(
+        lines.next().ok_or("missing pooled row")?,
+        "pooled correction",
+    )?;
     let rest: Vec<&str> = lines.collect();
     let heads = quantile_from_str(&rest.join("\n"))?;
     let conf = StratifiedConformal::from_parts(heads.taus().to_vec(), counts, corrections, pooled)?;
@@ -276,7 +307,14 @@ mod tests {
             let x = i as f64 / 50.0;
             d.push(vec![x, 1.0 - x], 5.0 + x);
         }
-        Mlp::train(&d, &MlpConfig { epochs: 5, hidden: vec![8, 8], ..MlpConfig::default() })
+        Mlp::train(
+            &d,
+            &MlpConfig {
+                epochs: 5,
+                hidden: vec![8, 8],
+                ..MlpConfig::default()
+            },
+        )
     }
 
     #[test]
@@ -305,7 +343,11 @@ mod tests {
         let mut text = to_string(&mlp);
         text.push_str("1.0\n"); // extra parameter
         assert!(from_str(&text).is_err());
-        let truncated: String = to_string(&mlp).lines().take(5).collect::<Vec<_>>().join("\n");
+        let truncated: String = to_string(&mlp)
+            .lines()
+            .take(5)
+            .collect::<Vec<_>>()
+            .join("\n");
         assert!(from_str(&truncated).is_err());
         // A zero-width layer would divide every row into empty chunks.
         assert!(from_str(&format!("{MAGIC}\n0 1\n0e0 1e0\n0e0\n")).is_err());
@@ -476,7 +518,10 @@ mod tests {
         for keep in [3, 8] {
             let truncated: String = full.lines().take(keep).collect::<Vec<_>>().join("\n");
             std::fs::write(&path, truncated).unwrap();
-            assert!(load_conformal(&path).is_err(), "truncation at line {keep} must miss the cache");
+            assert!(
+                load_conformal(&path).is_err(),
+                "truncation at line {keep} must miss the cache"
+            );
         }
         let corrupted = full.replacen("abacus-qmlp-v1", "abacus-qmlp-v9", 1);
         std::fs::write(&path, corrupted).unwrap();
@@ -513,7 +558,11 @@ mod tests {
             if path.extension().is_some_and(|e| e == "mlp") {
                 let text = fs::read_to_string(&path).unwrap();
                 let mlp = from_str(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                assert!(to_string(&mlp) == text, "{} did not round-trip", path.display());
+                assert!(
+                    to_string(&mlp) == text,
+                    "{} did not round-trip",
+                    path.display()
+                );
                 checked += 1;
             }
         }

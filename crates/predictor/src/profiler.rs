@@ -137,7 +137,12 @@ mod tests {
             &[ModelId::Bert],
             &[ModelId::ResNet50, ModelId::Vgg16],
             &[ModelId::ResNet152, ModelId::InceptionV3, ModelId::Bert],
-            &[ModelId::ResNet101, ModelId::Vgg19, ModelId::Bert, ModelId::InceptionV3],
+            &[
+                ModelId::ResNet101,
+                ModelId::Vgg19,
+                ModelId::Bert,
+                ModelId::InceptionV3,
+            ],
         ];
         for noise in [NoiseModel::calibrated(), NoiseModel::disabled()] {
             for (width, set) in sets.iter().enumerate() {
@@ -148,7 +153,8 @@ mod tests {
                     assert_eq!(spec.entries.len(), width + 1);
                     let group_seed = fork_seed(seed, i as u64);
                     let streams = spec.streams(&lib);
-                    let run = |r| gpu_sim::run_group(&gpu, &noise, fork_seed(group_seed, r), &streams);
+                    let run =
+                        |r| gpu_sim::run_group(&gpu, &noise, fork_seed(group_seed, r), &streams);
                     let samples: Vec<f64> = (0..4).map(|r| run(r).total_ms).collect();
                     let mean = samples.iter().sum::<f64>() / 4.0;
                     let var = samples.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / 4.0;

@@ -66,7 +66,9 @@ pub fn sample_groups(
     seed: u64,
 ) -> Vec<GroupSpec> {
     let mut rng = SeededRng::new(seed);
-    (0..count).map(|_| sample_group(models, lib, &mut rng)).collect()
+    (0..count)
+        .map(|_| sample_group(models, lib, &mut rng))
+        .collect()
 }
 
 /// All `C(7,2) = 21` pair-wise co-location sets over the paper's Table 1
@@ -116,9 +118,10 @@ mod tests {
         for g in &groups {
             assert_eq!(g.entries.len(), 2);
             // Invariant 1: at least one query completes.
-            let any_complete = g.entries.iter().any(|e| {
-                e.op_end == lib.graph(e.model, e.input).len()
-            });
+            let any_complete = g
+                .entries
+                .iter()
+                .any(|e| e.op_end == lib.graph(e.model, e.input).len());
             assert!(any_complete, "{g:?}");
             // Every entry schedules at least one operator.
             assert!(g.entries.iter().all(|e| !e.is_empty()));

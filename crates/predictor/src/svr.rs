@@ -88,7 +88,12 @@ impl LinearSvr {
                 b -= lr * g;
             }
         }
-        LinearSvr { w, b, y_mean, y_std }
+        LinearSvr {
+            w,
+            b,
+            y_mean,
+            y_std,
+        }
     }
 }
 

@@ -15,9 +15,9 @@ pub mod node;
 pub mod trainer;
 
 pub use experiment::{
-    build_faulty_workload, build_workload, make_scheduler, run_colocation,
-    run_colocation_observed, run_with_services, services_for, ColocationConfig, ColocationResult,
-    FaultRunOutcome, PolicyKind,
+    build_faulty_workload, build_workload, make_scheduler, run_colocation, run_colocation_observed,
+    run_with_services, services_for, ColocationConfig, ColocationResult, FaultRunOutcome,
+    PolicyKind,
 };
 pub use invariants::InvariantChecker;
 pub use mps::{mps_victim_latencies, victim_solo_ms, MpsConfig};

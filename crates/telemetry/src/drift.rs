@@ -145,7 +145,9 @@ pub struct DriftDetector {
 impl DriftDetector {
     /// Detectors for every width class.
     pub fn new(cfg: DriftConfig) -> Self {
-        let classes = (0..WIDTH_CLASSES).map(|_| ClassState::new(cfg.window)).collect();
+        let classes = (0..WIDTH_CLASSES)
+            .map(|_| ClassState::new(cfg.window))
+            .collect();
         Self { cfg, classes }
     }
 

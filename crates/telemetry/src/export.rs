@@ -257,7 +257,14 @@ impl ChromeTrace {
                 } => {
                     if !dispatched[q] {
                         dispatched[q] = true;
-                        self.add_async_end(PID_SERVING, svc[q], "queue", "queued", e.query, e.at_ms);
+                        self.add_async_end(
+                            PID_SERVING,
+                            svc[q],
+                            "queue",
+                            "queued",
+                            e.query,
+                            e.at_ms,
+                        );
                     }
                     let row = t.ledger.by_round(round);
                     let dur = row.map_or(0.0, |r| r.actual_ms);
@@ -455,7 +462,12 @@ mod tests {
     fn counter_and_metadata_events_serialise() {
         let mut tr = ChromeTrace::new();
         tr.add_process_name(PID_COUNTERS, "load");
-        tr.add_counter(PID_COUNTERS, "rps", 1.5, &[("offered", 10.0), ("achieved", 8.5)]);
+        tr.add_counter(
+            PID_COUNTERS,
+            "rps",
+            1.5,
+            &[("offered", 10.0), ("achieved", 8.5)],
+        );
         let json = tr.to_json();
         assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"C\""));
@@ -468,7 +480,15 @@ mod tests {
     fn braces_balance_in_exported_json() {
         let mut tr = ChromeTrace::new();
         tr.add_thread_name(1, 0, "svc0");
-        tr.add_complete(1, 0, "dispatch", "m 0..4", 0.25, 1.75, &[("round", Arg::U64(1))]);
+        tr.add_complete(
+            1,
+            0,
+            "dispatch",
+            "m 0..4",
+            0.25,
+            1.75,
+            &[("round", Arg::U64(1))],
+        );
         tr.add_instant(1, 0, "completed", 2.0, &[]);
         tr.add_async_begin(1, 0, "queue", "queued", 7, 0.0);
         tr.add_async_end(1, 0, "queue", "queued", 7, 0.25);

@@ -346,7 +346,12 @@ mod tests {
             // Solo rounds at ~100% error: the PR 5 OOD regime, online.
             h.on_round(&completed_row(i, 1, 5.0, 10.0), 100.0 + i as f64, i * 10, 3);
             // Healthy 2-way rounds alongside.
-            h.on_round(&completed_row(100 + i, 2, 10.0, 10.5), 100.0 + i as f64, i * 10, 3);
+            h.on_round(
+                &completed_row(100 + i, 2, 10.0, 10.5),
+                100.0 + i as f64,
+                i * 10,
+                3,
+            );
         }
         let drifts: Vec<_> = h
             .alerts()

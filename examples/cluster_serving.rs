@@ -58,7 +58,10 @@ fn main() {
 
     let (arrivals, inputs) = cluster_workload(&cfg, &lib);
     let reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();
-    println!("replaying {} queries over {minutes} minutes...\n", arrivals.len());
+    println!(
+        "replaying {} queries over {minutes} minutes...\n",
+        arrivals.len()
+    );
 
     let run = |cfg: &RoutedClusterConfig| {
         run_routed_cluster_on(

@@ -15,9 +15,7 @@ use serving::{
     TrainerConfig,
 };
 use std::sync::{Arc, OnceLock};
-use telemetry::{
-    HealthAlert, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES,
-};
+use telemetry::{HealthAlert, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES};
 use workload::fork_seed;
 
 /// Same pair as the CLI `health` study.
@@ -204,7 +202,11 @@ fn healthy_run_flags_solo_ood_and_keeps_slo_quiet() {
     let solo = h.drift().class(0);
     let multi = h.drift().class(1);
     let warm_up = health_config().drift.min_samples as u64;
-    assert!(solo.samples > 20, "expected solo rounds, got {}", solo.samples);
+    assert!(
+        solo.samples > 20,
+        "expected solo rounds, got {}",
+        solo.samples
+    );
     assert!(
         multi.samples >= 2 * warm_up,
         "expected at least {} 2-way rounds, got {}",

@@ -165,11 +165,7 @@ fn conformal_upper_bounds_cover_profiled_latencies() {
     for i in 0..n {
         let x = &test.x[i];
         use predictor::LatencyModel;
-        let (b90, b95, b99) = (
-            p90.predict_one(x),
-            p95.predict_one(x),
-            p99.predict_one(x),
-        );
+        let (b90, b95, b99) = (p90.predict_one(x), p95.predict_one(x), p99.predict_one(x));
         assert!(b90 <= b95 && b95 <= b99, "bounds not monotone in alpha");
         bounds.push(b95);
         c90 += usize::from(test.y[i] <= b90);

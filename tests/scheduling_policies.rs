@@ -8,8 +8,8 @@ use faults::{FaultPlan, PredictorFault};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use predictor::LatencyModel;
 use serving::{
-    run_colocation, run_colocation_observed, run_with_services, train_unified,
-    ColocationConfig, NodeOptions, PolicyKind, ServiceSpec, TrainerConfig,
+    run_colocation, run_colocation_observed, run_with_services, train_unified, ColocationConfig,
+    NodeOptions, PolicyKind, ServiceSpec, TrainerConfig,
 };
 use std::sync::Arc;
 
@@ -206,7 +206,10 @@ fn qos_violations_monotone_in_fault_intensity() {
     }
     // The dose must actually bite: full intensity is strictly worse than
     // fault-free, not merely non-decreasing within the slack.
-    assert!(last > 0.1, "full-intensity run suspiciously healthy: {last}");
+    assert!(
+        last > 0.1,
+        "full-intensity run suspiciously healthy: {last}"
+    );
 }
 
 /// Metamorphic: under *total* predictor failure (frozen output), Abacus
@@ -317,7 +320,11 @@ fn solo_latency_table_is_bit_identical_to_solo_ms_range() {
         (lib.clone(), cluster::slowed(&GpuSpec::v100(), 2.5)),
         (fused, a100.clone()),
     ];
-    for p in [MigProfile::OneG5Gb, MigProfile::TwoG10Gb, MigProfile::FourG20Gb] {
+    for p in [
+        MigProfile::OneG5Gb,
+        MigProfile::TwoG10Gb,
+        MigProfile::FourG20Gb,
+    ] {
         cases.push((lib.clone(), a100.mig_slice(p)));
     }
     for (lib, gpu) in cases {

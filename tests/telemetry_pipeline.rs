@@ -107,8 +107,16 @@ fn telemetry_does_not_perturb_results() {
     let c = cfg(21);
     let plain = run_colocation(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c);
     let mut tel = Telemetry::with_kernel_trace();
-    let (traced, records) =
-        traced(&pair, PolicyKind::Edf, None, &lib, &gpu, &noise, &c, &mut tel);
+    let (traced, records) = traced(
+        &pair,
+        PolicyKind::Edf,
+        None,
+        &lib,
+        &gpu,
+        &noise,
+        &c,
+        &mut tel,
+    );
     assert_eq!(plain.all.total(), traced.all.total());
     assert_eq!(plain.all.completed(), traced.all.completed());
     // Exact f64 equality — any drift means the telemetry branch leaked
@@ -117,7 +125,10 @@ fn telemetry_does_not_perturb_results() {
     assert_eq!(plain.all.p99_latency(), traced.all.p99_latency());
     assert_eq!(plain.all.mean_queue_ms(), traced.all.mean_queue_ms());
     assert_eq!(plain.violation_ratio(), traced.violation_ratio());
-    assert_eq!(records.len() as u64, tel.registry.get(Counter::QueriesArrived));
+    assert_eq!(
+        records.len() as u64,
+        tel.registry.get(Counter::QueriesArrived)
+    );
 }
 
 /// Every query arrives exactly once and retires exactly once, and the
@@ -148,11 +159,17 @@ fn event_stream_is_one_lifecycle_per_query() {
             QueryEventKind::Dispatched { .. } => {}
         }
     }
-    assert!(arrived.iter().all(|&c| c == 1), "duplicate/missing arrivals");
+    assert!(
+        arrived.iter().all(|&c| c == 1),
+        "duplicate/missing arrivals"
+    );
     assert!(retired.iter().all(|&c| c == 1), "duplicate/missing retires");
     let reg = &tel.registry;
     assert_eq!(reg.get(Counter::QueriesArrived), n as u64);
-    assert_eq!(reg.get(Counter::QueriesCompleted), result.all.completed() as u64);
+    assert_eq!(
+        reg.get(Counter::QueriesCompleted),
+        result.all.completed() as u64
+    );
     assert_eq!(
         reg.get(Counter::QueriesCompleted)
             + reg.get(Counter::QueriesDropped)
@@ -194,7 +211,11 @@ fn abacus_ledger_kernel_spans_and_export() {
         .iter()
         .filter(|r| r.exec_start_ms.is_finite())
         .collect();
-    assert!(executed.len() > 10, "too few executed rounds: {}", executed.len());
+    assert!(
+        executed.len() > 10,
+        "too few executed rounds: {}",
+        executed.len()
+    );
     for w in executed.windows(2) {
         let end = w[0].exec_start_ms + w[0].actual_ms;
         assert!(
