@@ -5,7 +5,9 @@
 //! serving-shaped groups (1–4 model-library streams with precomputed
 //! rows, run through `Engine::run_group_rows` as the executor runs them: a
 //! single-stream group through `Engine::run_lone`, a wider one mostly in
-//! the lone-stream closed form) — for both the live
+//! the lone-stream closed form), the last both unfaulted and under a
+//! whole-run kernel spike regime (the lone fold's in-window path) — for
+//! both the live
 //! `gpu_sim::Engine` and the frozen
 //! `bench::reference::engine::ReferenceEngine`, the same copy the
 //! `golden_engine` suite pins the live engine to. Both engines follow the
@@ -18,7 +20,7 @@ use crate::reference::engine::{
 };
 use crate::{mix, Bench, Gated, Report};
 use dnn_models::ModelLibrary;
-use gpu_sim::{GpuSpec, KernelDesc, KernelRows, NoiseModel};
+use gpu_sim::{GpuSpec, KernelDesc, KernelFaultSpec, KernelRows, NoiseModel};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -30,6 +32,17 @@ const GROUP_REPS: usize = 160;
 const SERVING_GROUPS: usize = 1_000;
 const SERVING_REPS: usize = 32;
 const SEED: u64 = 2021;
+
+/// The serving-shape leg's spike regime: the intensity of the
+/// `pairs-peak-observed` fault plans (15% of kernels at 2.5×), for the
+/// whole run.
+const SPIKES: KernelFaultSpec = KernelFaultSpec {
+    seed: 0x5EED,
+    window_start_ms: 0.0,
+    window_end_ms: f64::INFINITY,
+    prob: 0.15,
+    factor: 2.5,
+};
 
 /// Fold a completion into a running checksum (order- and bit-sensitive).
 fn fold(acc: u64, id: usize, start: f64, end: f64) -> u64 {
@@ -113,18 +126,21 @@ fn group_mode_groups(seed: u64, width: usize) -> Vec<Vec<Vec<KernelDesc>>> {
         .collect()
 }
 
-/// Groups through the live engine. With `rows` (memoised outside the
-/// timed region, as the executor memoises them per model and input) each
-/// group runs through [`gpu_sim::Engine::run_group_rows`], the executor's
-/// entry; without, each stream is added plain and run to idle.
-/// Completions are folded in stream-id order.
+/// Groups through the live engine, under `spikes` when given. With `rows`
+/// (memoised outside the timed region, as the executor memoises them per
+/// model and input) each group runs through
+/// [`gpu_sim::Engine::run_group_rows`], the executor's entry; without,
+/// each stream is added plain and run to idle. Completions are folded in
+/// stream-id order.
 fn groups_live(
     groups: &[Vec<Vec<KernelDesc>>],
     rows: Option<&[Vec<KernelRows>]>,
     reps: usize,
+    spikes: Option<KernelFaultSpec>,
 ) -> Measured {
     let t0 = Instant::now();
     let mut e = gpu_sim::Engine::new(GpuSpec::a100(), NoiseModel::calibrated(), SEED);
+    e.set_kernel_faults(spikes);
     let mut checksum = 0u64;
     let mut events = 0u64;
     let mut streams = Vec::new();
@@ -164,9 +180,16 @@ fn groups_live(
     }
 }
 
-fn groups_reference(groups: &[Vec<Vec<KernelDesc>>], reps: usize) -> Measured {
+fn groups_reference(
+    groups: &[Vec<Vec<KernelDesc>>],
+    reps: usize,
+    spikes: Option<KernelFaultSpec>,
+) -> Measured {
     let t0 = Instant::now();
     let mut e = ReferenceEngine::new(GpuSpec::a100(), NoiseModel::calibrated(), SEED);
+    if let Some(spec) = spikes {
+        e.set_kernel_faults(spec, SEED);
+    }
     let mut checksum = 0u64;
     let mut events = 0u64;
     let mut done = Vec::new();
@@ -203,6 +226,7 @@ impl Bench for Engine {
         const GATED: &[Gated] = &[
             Gated::higher("events_per_sec"),
             Gated::higher("serving_shape_events_per_sec"),
+            Gated::higher("serving_shape_faulted_events_per_sec"),
         ];
         GATED
     }
@@ -217,11 +241,11 @@ impl Bench for Engine {
 
         eprintln!("group-mode workload: 8 groups x {GROUP_WIDTH} streams x {GROUP_REPS} reps...");
         let groups = group_mode_groups(11, GROUP_WIDTH);
-        black_box(groups_live(&groups, None, 1));
-        black_box(groups_reference(&groups, 1));
+        black_box(groups_live(&groups, None, 1, None));
+        black_box(groups_reference(&groups, 1, None));
         let group = (
-            groups_live(&groups, None, GROUP_REPS),
-            groups_reference(&groups, GROUP_REPS),
+            groups_live(&groups, None, GROUP_REPS, None),
+            groups_reference(&groups, GROUP_REPS, None),
         );
 
         eprintln!("serving-shape workload: {SERVING_GROUPS} groups of 1-4 model streams x {SERVING_REPS} reps...");
@@ -231,13 +255,18 @@ impl Bench for Engine {
             .iter()
             .map(|g| g.iter().map(|ks| KernelRows::new(ks, &a100)).collect())
             .collect();
-        black_box(groups_live(&serving[..50], Some(&rows[..50]), 1));
-        black_box(groups_reference(&serving[..50], 1));
+        black_box(groups_live(&serving[..50], Some(&rows[..50]), 1, None));
+        black_box(groups_reference(&serving[..50], 1, None));
         let shape = (
-            groups_live(&serving, Some(&rows), SERVING_REPS),
-            groups_reference(&serving, SERVING_REPS),
+            groups_live(&serving, Some(&rows), SERVING_REPS, None),
+            groups_reference(&serving, SERVING_REPS, None),
         );
         eprintln!("  serving-shape events: {}", shape.0.events);
+        let faulted = (
+            groups_live(&serving, Some(&rows), SERVING_REPS, Some(SPIKES)),
+            groups_reference(&serving, SERVING_REPS, Some(SPIKES)),
+        );
+        eprintln!("  serving-shape events under spikes: {}", faulted.0.events);
 
         let mut r = Report::default();
         let mut identical = true;
@@ -245,6 +274,7 @@ impl Bench for Engine {
             ("open-loop", &open),
             ("group-mode", &group),
             ("serving-shape", &shape),
+            ("faulted serving-shape", &faulted),
         ] {
             let ok = live.checksum == reference.checksum && live.events == reference.events;
             r.check(
@@ -253,6 +283,10 @@ impl Bench for Engine {
             );
             identical &= ok;
         }
+        r.check(
+            faulted.0.checksum != shape.0.checksum,
+            "spikes change the faulted serving-shape completions",
+        );
         let events = open.0.events + group.0.events;
         let events_per_sec = events as f64 / (open.0.elapsed_s + group.0.elapsed_s);
         let baseline_events_per_sec = events as f64 / (open.1.elapsed_s + group.1.elapsed_s);
@@ -274,6 +308,16 @@ impl Bench for Engine {
         r.num(
             "serving_shape_baseline_events_per_sec",
             shape.1.events_per_sec(),
+            0,
+        );
+        r.num(
+            "serving_shape_faulted_events_per_sec",
+            faulted.0.events_per_sec(),
+            0,
+        );
+        r.num(
+            "serving_shape_faulted_baseline_events_per_sec",
+            faulted.1.events_per_sec(),
             0,
         );
         r.num("baseline_events_per_sec", baseline_events_per_sec, 0);

@@ -29,6 +29,11 @@ cargo build --release --workspace --all-targets
 echo "== clippy =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
+echo "== format =="
+# The workspace is rustfmt-clean (perfbench/ is its own workspace and is
+# not checked), so a diff carries no formatting noise.
+cargo fmt --all -- --check
+
 echo "== tests =="
 cargo test -q
 
@@ -78,6 +83,15 @@ run_filtered lone_stream_groups_are_bit_identical -p gpu-sim --test golden_engin
 # and a spiking one, trace on and off.
 run_filtered lone_entry_matches_add_and_run_bitwise -p gpu-sim --test golden_engine
 run_filtered random_lone_segments_match_add_and_run -p gpu-sim --test golden_engine
+# With a fault spec and no trace, the lone fold folds each 64-kernel block
+# as if every kernel started inside the fault window, then checks the first
+# and last start against it, and on a miss rewinds the draw stream and runs
+# the block kernel by kernel. The suites above run every untraced entry
+# against the traced per-kernel path, under windows that open and close
+# inside a block, a nonzero time base and factors of 1, below 1, 0, NaN and
+# negative; this one puts a window's edge exactly on a kernel's start
+# instant, inside a block and on either side of a block boundary.
+run_filtered spike_windows_on_kernel_start_instants_match_add_and_run -p gpu-sim --test golden_engine
 # The executor's entry for wider groups (Engine::run_group_rows) copies each
 # stream's profile and solo rows into pooled buffers, and must equal
 # add_stream_profiled + run_until_idle bit for bit on serving-shaped groups.
@@ -195,6 +209,14 @@ echo "== telemetry-disabled golden checksum =="
 # stay byte-identical to the pre-telemetry loop — pinned by the no-fault
 # golden trace checksum.
 run_filtered golden_no_fault -p integration --test fault_properties
+
+echo "== invariant checker =="
+# The checker keeps one slot per query id in an array (ids far past those
+# held go to an ordered map). On random event sequences (duplicate issues,
+# retires of ids never issued, double retires, sparse and out-of-order ids,
+# stalls and unknown drops) it must report what a checker keeping ids in
+# two ordered maps reports: every violation, in order, and the same counts.
+run_filtered invariants::tests::props::matches_two_map_reference_on_random_sequences -p serving --lib
 
 echo "== per-GPU loop golden checksums =="
 # Every driver runs the one per-GPU serving loop (serving::GpuLoop). These
