@@ -6,9 +6,7 @@
 //!   baseline vs a deliberately pessimistic sequential-sum estimate,
 //!   showing why *precise* overlap-aware prediction is load-bearing.
 
-use crate::common::{
-    as_model, ensure_predictor, pinned_abacus_config, pinned_abacus_config_at, Options,
-};
+use crate::common::{as_model, ensure_predictor, Options};
 use abacus_core::AbacusConfig;
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
@@ -36,11 +34,10 @@ impl LatencyModel for Pessimist {
 /// Run all ablations on the (Res152, Bert) pair and emit
 /// `results/ablation.csv`.
 ///
-/// Every leg runs the pair's pinned Abacus config (prediction-round cost
-/// calibrated once per predictor and search width, cached next to the
-/// predictor) with one field or the predictor changed, so reruns sharing
-/// one `--out` directory write the same CSV byte for byte, and a leg
-/// differs from the default only in what it ablates.
+/// Every leg runs the default Abacus config with one field or the
+/// predictor changed, so a leg differs from the default only in what it
+/// ablates. A search-width leg also charges its own width's round cost
+/// ([`abacus_core::round_cost_ms`]).
 pub fn run(opts: &Options) {
     let lib = Arc::new(ModelLibrary::new());
     let gpu = GpuSpec::a100();
@@ -49,7 +46,6 @@ pub fn run(opts: &Options) {
     let sets = vec![pair.to_vec()];
     let tag = "ablation_res152_bert";
     let mlp = ensure_predictor(tag, &sets, &lib, &gpu, opts);
-    let pinned = pinned_abacus_config(&mlp, tag, opts);
 
     let mut csv = CsvWriter::create(
         opts.csv_path("ablation"),
@@ -67,7 +63,6 @@ pub fn run(opts: &Options) {
         qps_per_service: opts.qos_load_total() / 2.0,
         horizon_ms: opts.scale.horizon_ms(),
         seed: opts.seed,
-        abacus: pinned.clone(),
         ..ColocationConfig::default()
     };
 
@@ -91,13 +86,17 @@ pub fn run(opts: &Options) {
     };
 
     // (a) pipelined vs non-pipelined scheduling.
-    leg("mlp+pipelined (default)", as_model(&mlp), pinned.clone());
+    leg(
+        "mlp+pipelined (default)",
+        as_model(&mlp),
+        AbacusConfig::default(),
+    );
     leg(
         "mlp, no pipelining",
         as_model(&mlp),
         AbacusConfig {
             pipelined: false,
-            ..pinned.clone()
+            ..AbacusConfig::default()
         },
     );
 
@@ -106,7 +105,10 @@ pub fn run(opts: &Options) {
         leg(
             &format!("mlp, {ways}-way search"),
             as_model(&mlp),
-            pinned_abacus_config_at(&mlp, tag, opts, ways),
+            AbacusConfig {
+                ways,
+                ..AbacusConfig::default()
+            },
         );
     }
 
@@ -126,7 +128,7 @@ pub fn run(opts: &Options) {
         99,
     );
     let lr: Arc<dyn LatencyModel> = Arc::new(LinearRegression::fit(&data, 1e-3));
-    leg("linear-regression predictor", lr, pinned.clone());
+    leg("linear-regression predictor", lr, AbacusConfig::default());
     let pessimist: Arc<dyn LatencyModel> = Arc::new(Pessimist {
         inner: as_model(&mlp),
         factor: 1.8,
@@ -134,7 +136,7 @@ pub fn run(opts: &Options) {
     leg(
         "no-overlap pessimist (Fig. 6a view)",
         pessimist,
-        pinned.clone(),
+        AbacusConfig::default(),
     );
 
     csv.flush().expect("flush");
@@ -170,7 +172,6 @@ pub fn run(opts: &Options) {
         qps_per_service: opts.peak_load_total() * 0.45,
         horizon_ms: opts.scale.horizon_ms(),
         seed: opts.seed,
-        abacus: pinned_abacus_config(&vgg_mlp, vgg_tag, opts),
         ..ColocationConfig::default()
     };
     let mut table2 = Table::new(vec!["variant", "p99/QoS", "violations", "tput q/s"]);

@@ -3,7 +3,7 @@
 //! factor), and dumps a kernel-span trace of one operator group so the
 //! deterministic overlap can be inspected directly.
 
-use crate::common::{as_model, ensure_predictor, pinned_abacus_config, Options};
+use crate::common::{as_model, ensure_predictor, Options};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{Engine, GpuSpec, NoiseModel};
@@ -23,7 +23,6 @@ pub fn run(opts: &Options) {
         qps_per_service: opts.qos_load_total() / 2.0,
         horizon_ms: opts.scale.horizon_ms(),
         seed: opts.seed,
-        abacus: pinned_abacus_config(&mlp, "ablation_res152_bert", opts),
         ..ColocationConfig::default()
     };
     let mut csv = CsvWriter::create(

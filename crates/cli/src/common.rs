@@ -8,6 +8,12 @@ use serving::{train_certified, train_unified, TrainerConfig};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+/// Eq. 3 prediction-round charge, ms, of the extension studies (`faults`,
+/// `pareto`, `health`, `trace`). They charge the paper's Fig. 23 per-round
+/// figure rather than [`abacus_core::round_cost_ms`], because their
+/// EXPERIMENTS.md tables are quoted at it.
+pub const PREDICT_ROUND_MS: f64 = 0.08;
+
 /// Experiment scale preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
@@ -171,9 +177,7 @@ fn cache_path(tag: &str, opts: &Options, ext: &str) -> PathBuf {
     opts.out_dir.join("models").join(format!("{stem}.{ext}"))
 }
 
-/// Cache path of the unified duration model for `tag`; the `.round_ms`
-/// calibration sidecar lives next to it (see
-/// [`predictor::persist::round_ms_path`]).
+/// Cache path of the unified duration model for `tag`.
 pub fn model_path(tag: &str, opts: &Options) -> PathBuf {
     cache_path(tag, opts, "mlp")
 }
@@ -308,60 +312,6 @@ pub fn map_cells<T: Sync, R: Send>(
         items.par_iter().map(f).collect()
     } else {
         items.iter().map(f).collect()
-    }
-}
-
-/// An [`abacus_core::AbacusConfig`] whose prediction-round latency is
-/// calibrated *once* against `model` and pinned. The default config
-/// re-measures it from the wall clock inside every scheduler instance,
-/// which would make each Abacus cell's timing — and hence the CSVs —
-/// irreproducible across runs and between the serial and parallel sweep
-/// paths. The calibrated value is cached on disk next to the predictor
-/// (keyed like it, honouring `--retrain`), so *reruns* of an
-/// experiment — serial or parallel — charge the identical Eq. 3 overhead
-/// and reproduce the CSVs byte for byte.
-pub fn pinned_abacus_config(
-    model: &Arc<Mlp>,
-    tag: &str,
-    opts: &Options,
-) -> abacus_core::AbacusConfig {
-    pinned_abacus_config_at(model, tag, opts, abacus_core::AbacusConfig::default().ways)
-}
-
-/// [`pinned_abacus_config`] searching `ways` groups per round, with the
-/// round latency calibrated at that width. The default width shares the
-/// predictor's sidecar; any other width caches its own, under the tag
-/// `<tag>_ways<N>`, so a width never reuses another width's cost.
-pub fn pinned_abacus_config_at(
-    model: &Arc<Mlp>,
-    tag: &str,
-    opts: &Options,
-    ways: usize,
-) -> abacus_core::AbacusConfig {
-    let cfg = abacus_core::AbacusConfig {
-        ways,
-        ..abacus_core::AbacusConfig::default()
-    };
-    let path = if ways == abacus_core::AbacusConfig::default().ways {
-        model_path(tag, opts)
-    } else {
-        model_path(&format!("{tag}_ways{ways}"), opts)
-    };
-    let cached = if opts.retrain {
-        None
-    } else {
-        persist::load_round_ms(&path)
-    };
-    let round_ms = cached.unwrap_or_else(|| {
-        let round_ms = abacus_core::calibrate_predict_round_ms(model.as_ref(), ways);
-        if let Err(e) = persist::save_round_ms(&path, round_ms) {
-            eprintln!("[predictor] warning: could not cache round latency: {e}");
-        }
-        round_ms
-    });
-    abacus_core::AbacusConfig {
-        predict_round_ms: Some(round_ms),
-        ..cfg
     }
 }
 

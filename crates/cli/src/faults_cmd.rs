@@ -5,12 +5,11 @@
 //! runtime enabled (adaptive safety margin, FCFS degradation on rolling
 //! predictor error, per-query timeout). Every cell runs with the
 //! serving-loop invariant checker wired in; a cell that violates any
-//! invariant fails the command. The prediction-round latency is pinned to
-//! a constant (never wall-clock calibrated), so the sweep — serial or
-//! parallel — reproduces byte for byte; `scripts/bench_check.sh` gates on
-//! exactly that.
+//! invariant fails the command. The sweep — serial or parallel —
+//! reproduces byte for byte; `scripts/bench_check.sh` gates on exactly
+//! that.
 
-use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options};
+use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options, PREDICT_ROUND_MS};
 use abacus_core::AbacusConfig;
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
@@ -19,11 +18,6 @@ use gpu_sim::{GpuSpec, NoiseModel};
 use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind};
 use std::sync::Arc;
 use workload::fork_seed;
-
-/// Pinned Eq. 3 prediction-round charge, ms. A constant (not the usual
-/// cached wall-clock calibration) so the fault sweep is bit-reproducible
-/// across machines and across the serial/parallel paths.
-const PREDICT_ROUND_MS: f64 = 0.08;
 
 /// EWMA relative-error threshold past which defended Abacus falls back to
 /// FCFS dispatch.

@@ -1,7 +1,7 @@
 //! Fig. 22 — cluster-level serving: Abacus + Kubernetes vs Clockwork
 //! replaying a MAF-like trace on 16 V100 GPUs (§7.6).
 
-use crate::common::{as_model, ensure_predictor, pinned_abacus_config, Options};
+use crate::common::{as_model, ensure_predictor, Options};
 use abacus_metrics::{CsvWriter, ServiceStats};
 use cluster::{
     build_timeline, cluster_workload, run_routed_cluster_on, summarize, AutoscalePolicy,
@@ -13,15 +13,10 @@ use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
 use std::sync::Arc;
 use workload::synthesize_maf_like;
 
-/// Aggregate offered load at the plateau, queries/s across the cluster.
-/// Chosen so the 16 simulated V100s run at high utilisation, mirroring the
-/// paper's near-saturation replay.
-fn plateau_qps(opts: &Options) -> f64 {
-    match opts.scale {
-        crate::common::Scale::Fast => 780.0,
-        _ => 780.0,
-    }
-}
+/// Aggregate offered load at the plateau, queries/s across the cluster, at
+/// every scale. Chosen so the 16 simulated V100s run at high utilisation,
+/// mirroring the paper's near-saturation replay.
+const PLATEAU_QPS: f64 = 780.0;
 
 /// Run the cluster comparison and emit `results/fig22.csv`.
 pub fn run(opts: &Options) {
@@ -29,7 +24,7 @@ pub fn run(opts: &Options) {
     let v100 = GpuSpec::v100();
     let noise = NoiseModel::calibrated();
     let minutes = opts.scale.trace_minutes();
-    let trace = synthesize_maf_like(minutes, plateau_qps(opts), opts.seed ^ 0x3A);
+    let trace = synthesize_maf_like(minutes, PLATEAU_QPS, opts.seed ^ 0x3A);
     let mut routed_cfg = RoutedClusterConfig::paper(trace, opts.seed);
     routed_cfg.parallel = opts.parallel;
 
@@ -40,9 +35,6 @@ pub fn run(opts: &Options) {
         &v100,
         opts,
     );
-    // Pin the per-round prediction latency so every per-GPU scheduler —
-    // and every rerun — charges the identical Eq. 3 overhead.
-    routed_cfg.abacus = pinned_abacus_config(&mlp, "unified_quad_v100", opts);
 
     let (arrivals, inputs) = cluster_workload(&routed_cfg, &lib);
     let arrival_reqs: Vec<u32> = inputs.iter().map(|i| i.batch).collect();

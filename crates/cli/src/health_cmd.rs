@@ -22,7 +22,7 @@
 //! timestamps are the simulation clock, so every byte — serial or
 //! parallel — reproduces; `scripts/bench_check.sh` gates on that.
 
-use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options};
+use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options, PREDICT_ROUND_MS};
 use abacus_core::AbacusConfig;
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
@@ -32,11 +32,6 @@ use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind
 use std::sync::Arc;
 use telemetry::{FlightDump, HealthAlertKind, HealthConfig, SloConfig, Telemetry, WIDTH_CLASSES};
 use workload::fork_seed;
-
-/// Pinned Eq. 3 prediction-round charge, ms — same constant as the fault
-/// sweep, so the study is bit-reproducible across machines and across the
-/// serial/parallel paths.
-const PREDICT_ROUND_MS: f64 = 0.08;
 
 /// Arrival-burst onset, ms. Mirrors [`FaultPlan::at_intensity`]'s window;
 /// the burn-rate detection latencies below are measured from this instant.

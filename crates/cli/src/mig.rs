@@ -8,7 +8,7 @@
 //! isolation starves the big models of compute and blows through QoS, while
 //! Abacus's flexible co-location on bigger slices does not.
 
-use crate::common::{as_model, ensure_predictor, map_cells, pinned_abacus_config, Options};
+use crate::common::{as_model, ensure_predictor, map_cells, Options};
 use abacus_metrics::{CsvWriter, ServiceStats, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, MigProfile, NoiseModel};
@@ -95,8 +95,7 @@ pub fn run(opts: &Options) {
             let slice = a100.mig_slice(case.profile);
             let tag = format!("mig_{}", case.profile.name().replace([' ', '.'], "_"));
             let mlp = ensure_predictor(&tag, &case.groups.clone(), &lib, &slice, opts);
-            let abacus = pinned_abacus_config(&mlp, &tag, opts);
-            (slice, mlp, abacus)
+            (slice, mlp)
         })
         .collect();
     let loads = [0.6 * opts.qos_load_total(), 0.6 * opts.peak_load_total()];
@@ -112,7 +111,7 @@ pub fn run(opts: &Options) {
         .collect();
     let results = map_cells(opts.parallel, &cells, |&(ci, pi, li, gi)| {
         let case = &all_cases[ci];
-        let (slice, mlp, abacus) = &prepared[ci];
+        let (slice, mlp) = &prepared[ci];
         let policy = PolicyKind::ALL[pi];
         let services: Vec<ServiceSpec> = case.groups[gi]
             .iter()
@@ -125,7 +124,6 @@ pub fn run(opts: &Options) {
             qps_per_service: loads[li] / 4.0,
             horizon_ms: opts.scale.horizon_ms(),
             seed: opts.seed ^ (gi as u64) << 8,
-            abacus: abacus.clone(),
             ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(mlp));

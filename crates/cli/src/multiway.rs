@@ -1,8 +1,6 @@
 //! Figs. 18 + 19 — triplet- and quadruplet-wise deployments (§7.4).
 
-use crate::common::{
-    as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options,
-};
+use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -19,7 +17,6 @@ pub fn run(opts: &Options) {
     let noise = NoiseModel::calibrated();
     let sets: Vec<Vec<ModelId>> = paper_multiway_sets();
     let mlp = ensure_predictor("unified_multiway_a100", &sets, &lib, &gpu, opts);
-    let abacus = pinned_abacus_config(&mlp, "unified_multiway_a100", opts);
 
     let mut csv18 = CsvWriter::create(
         opts.csv_path("fig18"),
@@ -54,7 +51,6 @@ pub fn run(opts: &Options) {
             qps_per_service: loads[li] / set.len() as f64,
             horizon_ms: opts.scale.horizon_ms(),
             seed: fork_seed(opts.seed, row as u64),
-            abacus: abacus.clone(),
             ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));

@@ -6,9 +6,7 @@
 //! throughput at saturating load, and Fig. 16 the Abacus p99 with minimum
 //! inputs under tightened QoS.
 
-use crate::common::{
-    as_model, ensure_predictor, map_cells, pair_label, pinned_abacus_config, Options,
-};
+use crate::common::{as_model, ensure_predictor, map_cells, pair_label, Options};
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
 use gpu_sim::{GpuSpec, NoiseModel};
@@ -24,8 +22,7 @@ fn pair_sets() -> Vec<Vec<ModelId>> {
 /// Shared runner: returns per-pair per-policy results.
 ///
 /// Every (pair, policy) cell is independent: the workload seed is derived
-/// per *row* (so all policies of a pair face identical arrivals) and the
-/// Abacus prediction-round latency is calibrated once and pinned, so the
+/// per *row* (so all policies of a pair face identical arrivals), so the
 /// cells can be fanned out over threads and still reproduce the serial
 /// results byte for byte.
 fn run_grid(
@@ -38,7 +35,6 @@ fn run_grid(
     let gpu = GpuSpec::a100();
     let noise = NoiseModel::calibrated();
     let mlp = ensure_predictor("unified_a100", &pair_sets(), &lib, &gpu, opts);
-    let abacus = pinned_abacus_config(&mlp, "unified_a100", opts);
     let pairs = all_pairs();
     let cells: Vec<(usize, PolicyKind)> = (0..pairs.len())
         .flat_map(|row| policies.iter().map(move |&p| (row, p)))
@@ -50,7 +46,7 @@ fn run_grid(
             horizon_ms: opts.scale.horizon_ms(),
             seed: fork_seed(opts.seed, row as u64),
             small_inputs,
-            abacus: abacus.clone(),
+            ..ColocationConfig::default()
         };
         let pred = (policy == PolicyKind::Abacus).then(|| as_model(&mlp));
         run_colocation(pair, policy, pred, &lib, &gpu, &noise, &cfg)

@@ -21,7 +21,7 @@
 //! predictor's out-of-distribution tail and therefore earn the widest
 //! certified intervals.
 
-use crate::common::{as_model, ensure_certified, map_cells, pair_label, Options};
+use crate::common::{as_model, ensure_certified, map_cells, pair_label, Options, PREDICT_ROUND_MS};
 use abacus_core::AbacusConfig;
 use abacus_metrics::{CsvWriter, Table};
 use dnn_models::{ModelId, ModelLibrary};
@@ -31,9 +31,6 @@ use predictor::{sample_groups, width_of_row, LatencyModel, Mlp};
 use serving::{run_colocation_observed, ColocationConfig, NodeOptions, PolicyKind};
 use std::sync::Arc;
 use workload::fork_seed;
-
-/// Pinned Eq. 3 prediction-round charge, ms (see `faults_cmd`).
-const PREDICT_ROUND_MS: f64 = 0.08;
 
 /// Fixed-margin baseline sweep: `margin_ms` settings around the default
 /// 0.3 ms, from reckless to paranoid.

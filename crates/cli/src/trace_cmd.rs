@@ -11,7 +11,7 @@
 //!   study over a seed sweep (the paper reports the MLP's ~0.6% mean error
 //!   and a 4.53% std/mean determinism figure for the overlap itself).
 
-use crate::common::{as_model, ensure_predictor, map_cells, Options};
+use crate::common::{as_model, ensure_predictor, map_cells, Options, PREDICT_ROUND_MS};
 use abacus_metrics::Table;
 use cluster::{add_counter_tracks, build_timeline_bucketed};
 use dnn_models::{ModelId, ModelLibrary};
@@ -31,13 +31,6 @@ const BUCKET_MS: f64 = 500.0;
 
 /// Seeds in the prediction-error sweep.
 const SWEEP_SEEDS: usize = 8;
-
-/// Pinned Eq. 3 prediction-round charge, ms. A constant (not the usual
-/// cached wall-clock calibration) so the exported trace and the
-/// prediction-error CSVs are bit-reproducible across machines, across the
-/// serial/parallel paths, and across fresh `--out` directories — `ci.sh`
-/// byte-compares two independent runs.
-const PREDICT_ROUND_MS: f64 = 0.08;
 
 /// Run the telemetry study and emit `trace.json`, `ledger.csv`,
 /// `kernel_spans.csv` and `pred_error.csv`.

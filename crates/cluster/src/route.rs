@@ -137,9 +137,7 @@ pub struct RoutedClusterConfig {
     pub trace: RateTrace,
     /// Seed for arrivals, inputs, execution noise and the spill draw.
     pub seed: u64,
-    /// Per-GPU Abacus controller settings (unused by Clockwork). Pin
-    /// `predict_round_ms` for reproducible runs: the default calibrates
-    /// from the wall clock inside every per-GPU scheduler.
+    /// Per-GPU Abacus controller settings (unused by Clockwork).
     pub abacus: AbacusConfig,
     /// Fan per-GPU epoch simulation out over the persistent worker pool.
     /// Byte-identical to the serial run by the epoch-batching construction.
@@ -1315,9 +1313,9 @@ mod tests {
                 5,
             )
         };
-        // Pin the prediction-round latency: the default calibrates it from
-        // the wall clock, which would differ between the two runs.
-        cfg.abacus.predict_round_ms = Some(0.08);
+        // The default round cost is a function of the search width alone,
+        // so an unpinned config is reproducible run to run.
+        assert!(cfg.abacus.predict_round_ms.is_none());
         for autoscale in [None, Some(PredictiveAutoscaler::new(30.0, 1))] {
             cfg.autoscale = autoscale.map(|a| PredictiveAutoscaler {
                 lead_ms: 500.0,
@@ -1343,7 +1341,6 @@ mod tests {
             pools: vec![v100s(2)],
             ..RoutedClusterConfig::paper(RateTrace::new(vec![50.0; 2]), 5)
         };
-        cfg.abacus.predict_round_ms = Some(0.08);
         let healthy = run(ClusterSystem::AbacusK8s, &cfg).records;
         cfg.pools = vec![
             v100s(1),

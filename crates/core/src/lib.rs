@@ -29,9 +29,7 @@ pub mod query;
 pub mod scheduler;
 pub mod search;
 
-pub use abacus::{
-    calibrate_predict_round_ms, AbacusConfig, AbacusScheduler, FALLBACK_BARREN_ROUNDS,
-};
+pub use abacus::{round_cost_ms, AbacusConfig, AbacusScheduler, FALLBACK_BARREN_ROUNDS};
 pub use baselines::{BaselinePolicy, BaselineScheduler, SJF_PREDICT_MS};
 pub use executor::{ExecOutcome, SegmentalExecutor, GROUP_SYNC_MS, SAVE_RESTORE_MS};
 pub use group::{PlannedEntry, PlannedGroup};

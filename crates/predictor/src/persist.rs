@@ -11,7 +11,7 @@ use crate::features::MAX_COLOCATED;
 use crate::mlp::{Mlp, QuantileMlp};
 use std::fs;
 use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic first line of the format.
 const MAGIC: &str = "abacus-mlp-v1";
@@ -266,34 +266,6 @@ fn write_artifact(path: &Path, text: &str) -> io::Result<()> {
     f.write_all(text.as_bytes())
 }
 
-/// Path of the sidecar holding the calibrated prediction-round latency for
-/// the model at `model_path`: same stem, `.round_ms` extension.
-pub fn round_ms_path(model_path: impl AsRef<Path>) -> PathBuf {
-    model_path.as_ref().with_extension("round_ms")
-}
-
-/// Write the round-latency sidecar next to `model_path`, creating parent
-/// directories.
-pub fn save_round_ms(model_path: impl AsRef<Path>, round_ms: f64) -> io::Result<()> {
-    let path = round_ms_path(model_path);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    fs::write(path, format!("{round_ms}\n"))
-}
-
-/// Read the round-latency sidecar next to `model_path`. `None` unless the
-/// file exists and parses to a finite positive number — a corrupt sidecar
-/// degrades to recalibration, never to a poisoned config.
-pub fn load_round_ms(model_path: impl AsRef<Path>) -> Option<f64> {
-    fs::read_to_string(round_ms_path(model_path))
-        .ok()
-        .and_then(|s| s.trim().parse::<f64>().ok())
-        .filter(|v| v.is_finite() && *v > 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,35 +323,6 @@ mod tests {
         assert!(from_str(&truncated).is_err());
         // A zero-width layer would divide every row into empty chunks.
         assert!(from_str(&format!("{MAGIC}\n0 1\n0e0 1e0\n0e0\n")).is_err());
-    }
-
-    #[test]
-    fn model_and_sidecar_roundtrip() {
-        let mlp = tiny_mlp();
-        let dir = std::env::temp_dir().join("abacus_persist_sidecar_test");
-        let model_path = dir.join("model.mlp");
-        save(&mlp, &model_path).unwrap();
-        save_round_ms(&model_path, 0.0625).unwrap();
-        assert_eq!(round_ms_path(&model_path), dir.join("model.round_ms"));
-        let back = load(&model_path).unwrap();
-        assert_eq!(mlp.predict_one(&[0.2, 0.8]), back.predict_one(&[0.2, 0.8]));
-        assert_eq!(load_round_ms(&model_path), Some(0.0625));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn bad_sidecar_degrades_to_none() {
-        let dir = std::env::temp_dir().join("abacus_persist_badsidecar_test");
-        let model_path = dir.join("model.mlp");
-        // Missing sidecar.
-        assert_eq!(load_round_ms(&model_path), None);
-        // Unparsable, non-finite and non-positive values.
-        for bad in ["garbage", "NaN", "inf", "-1.5", "0"] {
-            save_round_ms(&model_path, 1.0).unwrap();
-            std::fs::write(round_ms_path(&model_path), bad).unwrap();
-            assert_eq!(load_round_ms(&model_path), None, "sidecar {bad:?}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -642,6 +642,49 @@ mod tests {
         assert!(planned(&tel).iter().all(|u| u.is_nan()));
     }
 
+    /// Overlap-blind stand-in predictor: cheap, and enough to drive the
+    /// controller's search.
+    struct SpreadModel;
+    impl LatencyModel for SpreadModel {
+        fn predict_one(&self, x: &[f64]) -> f64 {
+            5.0 + 7.0 * x.iter().sum::<f64>()
+        }
+        fn name(&self) -> &'static str {
+            "spread"
+        }
+    }
+
+    #[test]
+    fn unpinned_round_cost_runs_as_the_width_formula() {
+        let (lib, gpu, noise) = setup();
+        let services = services_for(&[ModelId::ResNet50, ModelId::Bert], &lib, &gpu, false);
+        let model: Arc<dyn LatencyModel> = Arc::new(SpreadModel);
+        let run = |cfg: &ColocationConfig| {
+            run_deployment(
+                &services,
+                PolicyKind::Abacus,
+                Some(model.clone()),
+                None,
+                &lib,
+                &gpu,
+                &noise,
+                cfg,
+                &FaultPlan::none(),
+                NodeOptions::default(),
+                None,
+                None,
+            )
+            .0
+        };
+        let unpinned = ColocationConfig::default();
+        assert!(unpinned.abacus.predict_round_ms.is_none());
+        let mut pinned = unpinned.clone();
+        pinned.abacus.predict_round_ms = Some(abacus_core::round_cost_ms(4));
+        let records = run(&unpinned);
+        assert!(!records.is_empty());
+        assert_eq!(records, run(&pinned));
+    }
+
     #[test]
     fn results_are_reproducible() {
         let (lib, gpu, noise) = setup();

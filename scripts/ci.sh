@@ -34,6 +34,19 @@ echo "== format =="
 # not checked), so a diff carries no formatting noise.
 cargo fmt --all -- --check
 
+echo "== no clock in simulation crates =="
+# Every simulated outcome is a pure function of its inputs and seeds: the
+# Eq. 3 prediction-round charge is abacus_core::round_cost_ms(ways), not a
+# measurement. No library crate that feeds a simulated outcome may read
+# the clock. The CLI's log timers, fig23 and the overhead report (in
+# abacus-cli) and the benches measure real time and are outside this list;
+# a wall-clock profiler added to a listed crate must be allowed here by name.
+if grep -rnwE 'Instant|SystemTime' \
+    crates/{core,serving,cluster,gpu-sim,predictor,telemetry,faults,workload,models,metrics}/src; then
+    echo "a simulation crate reads the clock" >&2
+    exit 1
+fi
+
 echo "== tests =="
 cargo test -q
 
@@ -275,6 +288,24 @@ for f in health.json flight.json; do
     }
 done
 [[ -s "$HEALTH_OUT/health.csv" ]] || { echo "health.csv missing/empty" >&2; exit 1; }
+
+echo "== committed figures re-derive =="
+# The committed fig14-fig21 CSVs must re-derive byte for byte from the
+# committed models alone (each sweep loads its cached model, so no
+# training runs here).
+FIG_OUT=$(mktemp -d)
+trap 'rm -rf "$TRACE_OUT" "$TRACE_SERIAL" "$HEALTH_OUT" "$FIG_OUT"' EXIT
+mkdir "$FIG_OUT/models"
+cp results/models/*.mlp "$FIG_OUT/models/"
+for fig in fig14 fig16 fig17 fig18 fig20; do
+    cargo run --release -q -p abacus-cli --bin abacus-repro -- "$fig" --medium --out "$FIG_OUT" >/dev/null
+done
+for n in 14 15 16 17 18 19 20 21; do
+    cmp "$FIG_OUT/fig$n.csv" "results/fig$n.csv" || {
+        echo "fig$n.csv no longer re-derives from the committed models" >&2
+        exit 1
+    }
+done
 
 echo "== bench gates =="
 scripts/bench_check.sh
